@@ -28,7 +28,7 @@ use wattroute_energy::cost::energy_cost_dollars;
 use wattroute_energy::model::ClusterPowerModel;
 use wattroute_geo::UsState;
 use wattroute_market::time::SimHour;
-use wattroute_routing::allocation::Allocation;
+use wattroute_routing::allocation::{Allocation, DistanceTable};
 use wattroute_routing::constraints::OverflowMode;
 use wattroute_routing::policy::{RoutingContext, RoutingPolicy};
 use wattroute_stats::{quantiles, OnlineStats};
@@ -413,6 +413,9 @@ pub struct SimulationEngine<'a> {
     config: SimulationConfig,
     power_models: Vec<ClusterPowerModel>,
     capacities: Vec<f64>,
+    /// Client-to-hub distance of every (cluster, state) pair, tabulated
+    /// once: the epoch refresh reads its distance samples from here.
+    distance_table: DistanceTable,
     state: EngineSnapshot,
     epoch: EpochCache,
 }
@@ -442,6 +445,7 @@ impl<'a> SimulationEngine<'a> {
             config,
             power_models,
             capacities,
+            distance_table: DistanceTable::build(clusters, states),
             state,
             epoch: EpochCache::default(),
         }
@@ -584,7 +588,7 @@ impl<'a> SimulationEngine<'a> {
             let allocation = st.cached_allocation.as_ref().expect("just populated");
             let epoch = &mut self.epoch;
             allocation.cluster_loads_into(&mut epoch.loads);
-            allocation.distance_samples_into(self.clusters, self.states, &mut epoch.samples);
+            allocation.distance_samples_into(&self.distance_table, &mut epoch.samples);
             epoch.util.clear();
             epoch.wh_step.clear();
             epoch.hits_step.clear();

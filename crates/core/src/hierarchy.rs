@@ -51,7 +51,7 @@ use wattroute_geo::HubId;
 use wattroute_market::price_table::PriceTable;
 use wattroute_market::time::SimHour;
 use wattroute_market::types::PriceSet;
-use wattroute_routing::allocation::Allocation;
+use wattroute_routing::allocation::{Allocation, DistanceTable};
 use wattroute_routing::constraints::{ConstraintSet, OverflowMode, TierCaps};
 use wattroute_routing::policy::{RoutingContext, RoutingPolicy};
 use wattroute_stats::{OnlineStats, SampleReservoir};
@@ -235,6 +235,7 @@ impl<'a> HierarchicalReplay<'a> {
             .collect();
         let capacities: Vec<f64> =
             region_clusters.clusters().iter().map(|c| c.capacity_hits_per_sec()).collect();
+        let distance_table = DistanceTable::build(&region_clusters, states);
 
         // SoA accumulators, allocated once.
         let mut cost = vec![0.0f64; n_sites];
@@ -304,7 +305,7 @@ impl<'a> HierarchicalReplay<'a> {
 
             // Hoist everything the flat engine recomputes per step.
             allocation.cluster_loads_into(&mut epoch_loads);
-            allocation.distance_samples_into(&region_clusters, states, &mut epoch_samples);
+            allocation.distance_samples_into(&distance_table, &mut epoch_samples);
             for c in 0..n_sites {
                 let cluster = region_clusters.get(c).expect("index in range");
                 let raw_utilization = cluster.utilization(epoch_loads[c]);

@@ -9,17 +9,32 @@
 //! `WATTROUTE_TELEMETRY=1` and diff against the same fixtures: telemetry
 //! observes the engine, it never steers it.
 //!
-//! Single-test binary: the enabled flag and the trace sink are process
-//! globals, so this test must not share a process with tests that assume
-//! telemetry is off (see the `[[test]]` entry in `Cargo.toml`).
+//! The enabled flag and the trace sink are process globals, so this binary
+//! holds no test that assumes telemetry is off (see the `[[test]]` entry in
+//! `Cargo.toml`), and its two properties take turns: each case body holds
+//! [`TELEMETRY`] while it toggles telemetry, so one test's `disable` never
+//! lands inside the other's telemetry-on window.
 
 use proptest::prelude::*;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use wattroute::hierarchy::HierarchicalReplay;
 use wattroute::prelude::*;
 use wattroute_market::time::{HourRange, SimHour};
 use wattroute_obs::Telemetry;
 use wattroute_routing::policy::RoutingPolicy;
 use wattroute_workload::hierarchy::single_region_of;
+
+/// Serialises the case bodies of this binary's tests, which share the
+/// process-global telemetry state.
+static TELEMETRY: Mutex<()> = Mutex::new(());
+
+/// Take [`TELEMETRY`]. A case that failed while holding it poisons it;
+/// every case sets the telemetry state it needs before relying on it, so
+/// later cases proceed and report their own result instead of a cascade
+/// of poison errors.
+fn exclusive_telemetry() -> MutexGuard<'static, ()> {
+    TELEMETRY.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn window(days: u64) -> HourRange {
     let start = SimHour::from_date(2008, 12, 19);
@@ -63,6 +78,7 @@ proptest! {
         // -1 encodes the Akamai-like baseline policy.
         threshold in prop::sample::select(vec![-1.0f64, 0.0, 1500.0, f64::INFINITY]),
     ) {
+        let _telemetry = exclusive_telemetry();
         let mut scenario = Scenario::custom_window(seed, window(days));
         scenario.config = scenario
             .config
@@ -93,6 +109,7 @@ proptest! {
         realloc in prop::sample::select(vec![1usize, 12]),
         threshold in prop::sample::select(vec![-1.0f64, 1500.0]),
     ) {
+        let _telemetry = exclusive_telemetry();
         let mut scenario = Scenario::custom_window(seed, window(days));
         scenario.config = scenario.config.with_reallocation_interval(realloc);
         let topology = single_region_of(&scenario.clusters);

@@ -131,9 +131,10 @@ pub const ALL_HUBS: [Hub; 30] = [
     hub!(PortlandOr, "MID-C", "Portland (OR)", OR, NonMarketNorthwest, 45.52, -122.68),
 ];
 
-/// Look up the static record for a hub.
+/// Look up the static record for a hub. [`ALL_HUBS`] is in declaration
+/// order, so the discriminant is the record's index.
 pub fn hub(id: HubId) -> &'static Hub {
-    ALL_HUBS.iter().find(|h| h.id == id).expect("every HubId has a table entry")
+    &ALL_HUBS[id as usize]
 }
 
 /// All hubs, including the non-market Pacific Northwest hub.
@@ -209,6 +210,14 @@ mod tests {
         let codes: HashSet<_> = ALL_HUBS.iter().map(|h| h.code).collect();
         assert_eq!(ids.len(), 30);
         assert_eq!(codes.len(), 30);
+    }
+
+    #[test]
+    fn table_is_indexed_by_discriminant() {
+        for (i, h) in ALL_HUBS.iter().enumerate() {
+            assert_eq!(h.id as usize, i, "{} is out of declaration order", h.city);
+            assert_eq!(hub(h.id).id, h.id);
+        }
     }
 
     #[test]

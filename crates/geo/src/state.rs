@@ -161,9 +161,10 @@ impl UsState {
         ALL_STATES.iter().map(|s| s.state)
     }
 
-    /// The static record for this state.
+    /// The static record for this state. [`ALL_STATES`] is in declaration
+    /// order, so the discriminant is the record's index.
     pub fn info(&self) -> &'static StateInfo {
-        ALL_STATES.iter().find(|s| s.state == *self).expect("every UsState has a table entry")
+        &ALL_STATES[*self as usize]
     }
 
     /// Two-letter postal abbreviation.
@@ -292,6 +293,14 @@ mod tests {
     fn fifty_one_entries() {
         assert_eq!(ALL_STATES.len(), 51);
         assert_eq!(UsState::all().count(), 51);
+    }
+
+    #[test]
+    fn table_is_indexed_by_discriminant() {
+        for (i, info) in ALL_STATES.iter().enumerate() {
+            assert_eq!(info.state as usize, i, "{} is out of declaration order", info.name);
+            assert_eq!(info.state.info().state, info.state);
+        }
     }
 
     #[test]

@@ -5,15 +5,49 @@ use serde::{Deserialize, Serialize};
 use wattroute_geo::{hubs, state_to_hub_km, UsState};
 use wattroute_workload::ClusterSet;
 
+/// The population-weighted distance from every client state to every
+/// cluster's hub ([`state_to_hub_km`]), in the same flat row-major
+/// `cluster × state` layout as an [`Allocation`].
+///
+/// Geography is fixed for a run, so an engine builds one table up front
+/// and every reallocation's [`Allocation::distance_samples_into`] reads it
+/// instead of re-deriving a haversine distance per served pair.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct DistanceTable {
+    num_clusters: usize,
+    num_states: usize,
+    km: Vec<f64>,
+}
+
+impl DistanceTable {
+    /// Tabulate [`state_to_hub_km`] for every (cluster, state) pair.
+    pub fn build(clusters: &ClusterSet, states: &[UsState]) -> Self {
+        // Sized exactly: a doubling `collect` rounds a 1000-site tree's
+        // shard tables up to 128 KiB blocks, which raised that replay's
+        // peak RSS by about 5 MB (glibc, 2 vCPUs).
+        let mut km = Vec::with_capacity(clusters.len() * states.len());
+        for cluster in clusters.clusters() {
+            let hub = hubs::hub(cluster.hub);
+            km.extend(states.iter().map(|&state| state_to_hub_km(state, hub)));
+        }
+        Self { num_clusters: clusters.len(), num_states: states.len(), km }
+    }
+
+    /// One cluster's distances to every state, in km.
+    fn row(&self, cluster: usize) -> &[f64] {
+        &self.km[cluster * self.num_states..(cluster + 1) * self.num_states]
+    }
+}
+
 /// A per-step assignment of demand to clusters.
 ///
 /// Entry `(cluster, state)` is the demand (hits/second) from
 /// `states[state]` served by `clusters[cluster]`. Storage is one flat
 /// row-major buffer (`num_states` is the row stride): a policy allocates
 /// exactly once per reallocation however many clusters it routes, and the
-/// row scans in [`Self::cluster_loads`] / [`Self::distance_samples`] stay
-/// on contiguous memory — this is the allocation-epoch hot path of both
-/// the batch engine and the hierarchical replay shards.
+/// row scans in [`Self::cluster_loads`] / [`Self::distance_samples_into`]
+/// stay on contiguous memory — this is the allocation-epoch hot path of
+/// both the batch engine and the hierarchical replay shards.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Allocation {
     num_clusters: usize,
@@ -133,36 +167,49 @@ impl Allocation {
     }
 
     /// Demand-weighted client–server distance statistics for this
-    /// allocation: `(mean_km, weighted samples)` where each sample is the
-    /// population-weighted distance from a client state to the hub of the
-    /// cluster serving it, weighted by the assigned demand. The samples are
-    /// returned so callers can accumulate 99th percentiles across steps
-    /// (Figure 17).
+    /// allocation: `(distance_km, weight)` samples, one per served
+    /// (cluster, state) pair in row-major order, where the distance is the
+    /// population-weighted distance from the client state to the hub of
+    /// the cluster serving it and the weight is the assigned demand. The
+    /// samples are returned so callers can accumulate 99th percentiles
+    /// across steps (Figure 17).
+    ///
+    /// Derives every distance afresh; hot loops use
+    /// [`Self::distance_samples_into`] with a prebuilt [`DistanceTable`].
     pub fn distance_samples(&self, clusters: &ClusterSet, states: &[UsState]) -> Vec<(f64, f64)> {
-        let mut samples = Vec::new();
-        self.distance_samples_into(clusters, states, &mut samples);
-        samples
-    }
-
-    /// [`Self::distance_samples`] into a caller-owned buffer (cleared
-    /// first), so per-epoch accounting loops can reuse one allocation.
-    pub fn distance_samples_into(
-        &self,
-        clusters: &ClusterSet,
-        states: &[UsState],
-        samples: &mut Vec<(f64, f64)>,
-    ) {
         assert_eq!(self.num_clusters(), clusters.len(), "cluster count mismatch");
         assert_eq!(self.num_states(), states.len(), "state count mismatch");
-        samples.clear();
+        let mut samples = Vec::new();
         if self.num_states == 0 {
-            return;
+            return samples;
         }
         for (c, row) in self.loads.chunks_exact(self.num_states).enumerate() {
             let hub = hubs::hub(clusters.get(c).expect("validated").hub);
             for (s, &load) in row.iter().enumerate() {
                 if load > 0.0 {
                     samples.push((state_to_hub_km(states[s], hub), load));
+                }
+            }
+        }
+        samples
+    }
+
+    /// [`Self::distance_samples`] into a caller-owned buffer (cleared
+    /// first), reading distances from `table` (built for this allocation's
+    /// deployment and state list), so per-epoch accounting loops reuse one
+    /// allocation and compute no distances.
+    pub fn distance_samples_into(&self, table: &DistanceTable, samples: &mut Vec<(f64, f64)>) {
+        assert_eq!(self.num_clusters(), table.num_clusters, "cluster count mismatch");
+        assert_eq!(self.num_states(), table.num_states, "state count mismatch");
+        samples.clear();
+        if self.num_states == 0 {
+            return;
+        }
+        for (c, row) in self.loads.chunks_exact(self.num_states).enumerate() {
+            let km = table.row(c);
+            for (s, &load) in row.iter().enumerate() {
+                if load > 0.0 {
+                    samples.push((km[s], load));
                 }
             }
         }
@@ -261,6 +308,47 @@ mod tests {
         assert!(mean_local < 300.0, "local mean {mean_local}");
         assert!(mean_remote > 1500.0, "remote mean {mean_remote}");
         assert!(local.distance_samples(&clusters, &states).len() == 2);
+    }
+
+    #[test]
+    fn tabulated_samples_match_the_haversine_walk_bit_for_bit() {
+        let clusters = ClusterSet::akamai_like_nine();
+        let states: Vec<UsState> = UsState::all().collect();
+        let table = DistanceTable::build(&clusters, &states);
+        assert_eq!((table.num_clusters, table.num_states), (9, 51));
+        // Rows 1, 4 and 8 carry no load at all; the rest serve a scattered
+        // subset of states, including fractional and tiny loads.
+        let mut a = Allocation::zeros(clusters.len(), states.len());
+        for c in [0, 2, 3, 5, 6, 7] {
+            for s in (c % 3..states.len()).step_by(c + 2) {
+                a.add(c, s, 0.125 + (c * 51 + s) as f64 * 17.3);
+            }
+        }
+        a.add(7, 50, 1e-300);
+        let mut samples = vec![(1.0, 1.0); 3]; // stale contents must be cleared
+        a.distance_samples_into(&table, &mut samples);
+        let reference = a.distance_samples(&clusters, &states);
+        assert!(!reference.is_empty());
+        assert_eq!(samples.len(), reference.len());
+        for (got, want) in samples.iter().zip(&reference) {
+            assert_eq!(got.0.to_bits(), want.0.to_bits());
+            assert_eq!(got.1.to_bits(), want.1.to_bits());
+        }
+
+        // A 0-state allocation samples nothing either way.
+        let none = Allocation::zeros(clusters.len(), 0);
+        let empty_table = DistanceTable::build(&clusters, &[]);
+        none.distance_samples_into(&empty_table, &mut samples);
+        assert!(samples.is_empty());
+        assert!(none.distance_samples(&clusters, &[]).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "state count mismatch")]
+    fn distance_table_shape_is_checked() {
+        let clusters = ClusterSet::akamai_like_nine();
+        let table = DistanceTable::build(&clusters, &[UsState::MA]);
+        Allocation::zeros(clusters.len(), 2).distance_samples_into(&table, &mut Vec::new());
     }
 
     #[test]

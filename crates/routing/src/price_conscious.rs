@@ -42,7 +42,9 @@ impl Default for PriceConsciousConfig {
 
 /// Distance-dependent candidate structure for one client state, derived
 /// once per (compiled geometry, distance threshold) and reused across
-/// reallocations. Prices change every routing decision; geography does not.
+/// reallocations, next to the state's memoised preference order.
+/// Geography never changes within a split; the delayed prices change at
+/// most hourly, so the order ranked from them is reused until they do.
 #[derive(Debug, Clone)]
 struct StateCandidates {
     /// Clusters within the distance threshold (or the paper's nearest +
@@ -51,6 +53,12 @@ struct StateCandidates {
     /// The remaining clusters, sorted by ascending distance — the
     /// last-resort overflow tail appended after the priced candidates.
     tail: Vec<usize>,
+    /// The preference order last ranked for this state. Empty until the
+    /// pour first asks for the state.
+    order: Vec<usize>,
+    /// The [`ThresholdSplit::generation`] `order` was ranked in; `0`
+    /// (never a live generation) until it is first ranked.
+    ranked_in: u64,
 }
 
 // Compile-count instrumentation lives on the `wattroute_obs` registry: the
@@ -94,9 +102,12 @@ impl CompiledPreferences {
     }
 
     /// Whether this compilation was built for the context's deployment hub
-    /// list and state list.
+    /// list and state list. Compares in place: this runs on every
+    /// reallocation of every policy that rides the geometry.
     pub fn matches(&self, ctx: &RoutingContext<'_>) -> bool {
-        self.hub_ids == ctx.clusters.hub_ids() && self.states == ctx.states
+        self.states == ctx.states
+            && self.hub_ids.len() == ctx.clusters.len()
+            && self.hub_ids.iter().zip(ctx.clusters.clusters()).all(|(&id, c)| id == c.hub)
     }
 
     /// The hub list this geometry was compiled for, in cluster order.
@@ -150,7 +161,7 @@ impl CompiledPreferences {
                     .filter(|(i, _)| !candidates.iter().any(|(c, _)| c == i))
                     .map(|(i, _)| *i)
                     .collect();
-                StateCandidates { candidates, tail }
+                StateCandidates { candidates, tail, order: Vec::new(), ranked_in: 0 }
             })
             .collect()
     }
@@ -175,11 +186,53 @@ pub(crate) fn ensure_compiled(
 }
 
 /// A [`CompiledPreferences`] specialised to one distance threshold — the
-/// cheap, per-policy half of the compilation.
+/// cheap, per-policy half of the compilation — plus the memo of per-state
+/// preference orders ranked over it.
+///
+/// A state's order is a function of the split (geometry and distance
+/// threshold), the price threshold and the delayed price row, never of
+/// demand. A new geometry or distance threshold builds a new split, which
+/// drops the memo with it; a price row or price threshold that differs in
+/// any bit from the current generation's starts a new generation, which
+/// stales every order ranked in an older one.
 #[derive(Debug, Clone)]
 struct ThresholdSplit {
     distance_threshold_km: f64,
     per_state: Vec<StateCandidates>,
+    /// Counts the distinct (price row, price threshold) keys seen in a
+    /// row; `0` before the first.
+    generation: u64,
+    /// The delayed price row of the current generation.
+    prices: Vec<f64>,
+    /// The price threshold of the current generation.
+    price_threshold: f64,
+}
+
+impl ThresholdSplit {
+    fn new(compiled: &CompiledPreferences, distance_threshold_km: f64) -> Self {
+        Self {
+            distance_threshold_km,
+            per_state: compiled.threshold_split(distance_threshold_km),
+            generation: 0,
+            prices: Vec::new(),
+            price_threshold: 0.0,
+        }
+    }
+
+    /// Key the memo on `prices` and `price_threshold`: start a new
+    /// generation unless both equal the current one's bit for bit.
+    fn key_on(&mut self, prices: &[f64], price_threshold: f64) {
+        let same = self.generation != 0
+            && self.price_threshold.to_bits() == price_threshold.to_bits()
+            && self.prices.len() == prices.len()
+            && self.prices.iter().zip(prices).all(|(a, b)| a.to_bits() == b.to_bits());
+        if !same {
+            self.generation += 1;
+            self.prices.clear();
+            self.prices.extend_from_slice(prices);
+            self.price_threshold = price_threshold;
+        }
+    }
 }
 
 /// Reusable re-ranking scratch: the cheap-set/rest partition buffers the
@@ -201,7 +254,8 @@ pub struct PriceConsciousPolicy {
     /// lazily by this instance.
     compiled: Option<Arc<CompiledPreferences>>,
     /// Candidate/tail split derived from `compiled` for the current
-    /// distance threshold.
+    /// distance threshold, with the memo of preference orders ranked over
+    /// it.
     split: Option<ThresholdSplit>,
     /// How many times *this instance* compiled its own geometry (attached
     /// shared geometry does not count). Instrumentation for tests proving
@@ -258,13 +312,14 @@ impl PriceConsciousPolicy {
 /// fallback), sorted by price with sub-threshold differences broken by
 /// distance, followed by the remaining clusters by distance (so capacity
 /// overflow degrades gracefully rather than arbitrarily). The
-/// distance-dependent parts come precomputed in `entry`; only the
-/// price-dependent ranking happens per reallocation, entirely in the
-/// caller's reused `scratch`/`out` buffers.
+/// distance-dependent parts come precomputed (`candidates` and `tail`
+/// from the state's [`StateCandidates`]); only the price-dependent ranking
+/// happens here, entirely in the caller's reused `scratch`/`out` buffers.
 fn preference_order_into(
-    config: &PriceConsciousConfig,
+    price_threshold: f64,
     prices: &[f64],
-    entry: &StateCandidates,
+    candidates: &[RankedHub],
+    tail: &[usize],
     scratch: &mut RankScratch,
     out: &mut Vec<usize>,
 ) {
@@ -274,11 +329,11 @@ fn preference_order_into(
     // are ignored) and the remainder, ordered by price then distance.
     // Doing it in two stages, rather than with a price-or-distance
     // comparator, keeps the ordering a total order.
-    let cheapest = entry.candidates.iter().map(|(i, _)| prices[*i]).fold(f64::INFINITY, f64::min);
+    let cheapest = candidates.iter().map(|(i, _)| prices[*i]).fold(f64::INFINITY, f64::min);
     scratch.cheap.clear();
     scratch.rest.clear();
-    for &(i, d) in &entry.candidates {
-        if prices[i] <= cheapest + config.price_threshold {
+    for &(i, d) in candidates {
+        if prices[i] <= cheapest + price_threshold {
             scratch.cheap.push((i, d));
         } else {
             scratch.rest.push((i, d));
@@ -296,7 +351,7 @@ fn preference_order_into(
     out.extend(scratch.cheap.iter().chain(scratch.rest.iter()).map(|(i, _)| *i));
     // The out-of-threshold clusters, by distance, as a last resort for
     // overflow.
-    out.extend_from_slice(&entry.tail);
+    out.extend_from_slice(tail);
 }
 
 impl RoutingPolicy for PriceConsciousPolicy {
@@ -319,15 +374,32 @@ impl RoutingPolicy for PriceConsciousPolicy {
         let threshold = self.config.distance_threshold_km;
         if !self.split.as_ref().is_some_and(|s| s.distance_threshold_km == threshold) {
             let compiled = self.compiled.as_ref().expect("compiled above");
-            self.split = Some(ThresholdSplit {
-                distance_threshold_km: threshold,
-                per_state: compiled.threshold_split(threshold),
-            });
+            self.split = Some(ThresholdSplit::new(compiled, threshold));
         }
         let Self { config, split, workspace, scratch, .. } = self;
-        let split = split.as_ref().expect("derived above");
+        let split = split.as_mut().expect("derived above");
+        let price_threshold = config.price_threshold;
+        split.key_on(ctx.prices, price_threshold);
+        let generation = split.generation;
+        // The pour runs on every call, since it depends on demand; the
+        // ranking runs only for states it asks for whose memoised order
+        // is from an older generation.
         assign_by_preference_into(ctx, workspace, out, |state_idx, _, buf| {
-            preference_order_into(config, ctx.prices, &split.per_state[state_idx], scratch, buf);
+            let StateCandidates { candidates, tail, order, ranked_in } =
+                &mut split.per_state[state_idx];
+            if *ranked_in != generation {
+                order.clear();
+                preference_order_into(
+                    price_threshold,
+                    ctx.prices,
+                    candidates,
+                    tail,
+                    scratch,
+                    order,
+                );
+                *ranked_in = generation;
+            }
+            buf.extend_from_slice(order);
         });
     }
 
@@ -498,6 +570,80 @@ mod tests {
         policy.config.distance_threshold_km = 50_000.0;
         let far = policy.allocate(&c);
         assert_eq!(far.matrix()[austin][0], 1000.0, "the new threshold must take effect");
+    }
+
+    /// Every bit of an allocation, for bit-for-bit comparisons.
+    fn bits(a: &Allocation) -> Vec<Vec<u64>> {
+        a.matrix().iter().map(|row| row.iter().map(|x| x.to_bits()).collect()).collect()
+    }
+
+    #[test]
+    fn memoised_orders_match_a_fresh_policy_per_call() {
+        // Small clusters, so the pour spills past first choices and the
+        // whole preference order shapes the allocation.
+        let nine = ClusterSet::akamai_like_nine().scaled(0.05);
+        let reversed = ClusterSet::new(nine.clusters().iter().rev().cloned().collect::<Vec<_>>());
+        let states: Vec<UsState> = UsState::all().collect();
+        let nine_prefs = Arc::new(CompiledPreferences::build(&nine, &states));
+        let reversed_prefs = Arc::new(CompiledPreferences::build(&reversed, &states));
+        let row = |seed: u64| -> Vec<f64> {
+            (0..9u64).map(|i| 20.0 + ((seed * 7919 + i * 104_729) % 97) as f64).collect()
+        };
+        let (a, b) = (row(1), row(2));
+        let wy = states.iter().position(|&s| s == UsState::WY).unwrap();
+        let demand = |scale: f64, wy_demand: f64| -> Vec<f64> {
+            let mut d: Vec<f64> =
+                (0..states.len()).map(|i| scale * (500.0 + 373.0 * (i % 11) as f64)).collect();
+            d[wy] = wy_demand;
+            d
+        };
+        let quiet_wy = demand(1.0, 0.0);
+
+        let mut policy = PriceConsciousPolicy::with_distance_threshold(1500.0)
+            .with_shared_preferences(nine_prefs.clone());
+        // Route one context through the long-lived policy and a fresh one,
+        // returning the memo generation the long-lived policy routed in.
+        let mut out = Allocation::zeros(1, 1);
+        let mut route = |policy: &mut PriceConsciousPolicy,
+                         clusters: &ClusterSet,
+                         prices: &[f64],
+                         demand: &[f64]| {
+            let c = ctx(clusters, &states, demand, prices);
+            policy.allocate_into(&mut out, &c);
+            let fresh = PriceConsciousPolicy::new(policy.config).allocate(&c);
+            assert_eq!(bits(&out), bits(&fresh), "memoised policy diverged from a fresh one");
+            policy.split.as_ref().expect("routed").generation
+        };
+        let wy_entry = |p: &PriceConsciousPolicy| p.split.as_ref().unwrap().per_state[wy].clone();
+
+        let mut generations = vec![route(&mut policy, &nine, &a, &quiet_wy)];
+        assert!(wy_entry(&policy).order.is_empty(), "a zero-demand state is never ranked");
+        generations.push(route(&mut policy, &nine, &a, &demand(1.3, 0.0))); // row repeats
+        generations.push(route(&mut policy, &nine, &b, &quiet_wy)); // row changes
+        generations.push(route(&mut policy, &nine, &a, &quiet_wy)); // and changes back
+        assert_eq!(generations, [1, 1, 2, 3], "only a changed row starts a generation");
+        assert!(wy_entry(&policy).order.is_empty());
+        // WY gets demand in the middle of a generation.
+        assert_eq!(route(&mut policy, &nine, &a, &demand(1.0, 4000.0)), 3);
+        assert_eq!(wy_entry(&policy).ranked_in, 3, "lazily ranked in the current generation");
+        assert_eq!(wy_entry(&policy).order.len(), 9);
+
+        policy.config.distance_threshold_km = 800.0;
+        assert_eq!(route(&mut policy, &nine, &a, &demand(1.0, 4000.0)), 1, "new split");
+        policy.config.price_threshold = 40.0;
+        assert_eq!(route(&mut policy, &nine, &a, &demand(1.0, 4000.0)), 2, "new key");
+        assert_eq!(route(&mut policy, &nine, &a, &demand(0.7, 4000.0)), 2);
+
+        // New geometry under an identical price row: every memoised order
+        // indexes the old cluster order, so all of them must go.
+        policy.attach_preferences(&reversed_prefs);
+        route(&mut policy, &reversed, &a, &demand(1.0, 4000.0));
+        route(&mut policy, &reversed, &b, &demand(1.0, 4000.0));
+        policy.attach_preferences(&nine_prefs);
+        route(&mut policy, &nine, &b, &demand(1.0, 4000.0));
+        // A context the attached geometry does not match self-compiles.
+        route(&mut policy, &reversed, &b, &demand(1.0, 4000.0));
+        assert_eq!(policy.own_geometry_builds(), 1);
     }
 
     #[test]
