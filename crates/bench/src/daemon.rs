@@ -25,7 +25,9 @@
 //!
 //! Every reply carries `"ok": true` or `"ok": false` plus an `"error"`
 //! string; a malformed request line gets an error reply rather than a
-//! dropped connection.
+//! dropped connection. A request line may arrive in pieces, with pauses
+//! between them; one longer than [`MAX_REQUEST_LINE`] bytes gets one error
+//! reply, and its connection is closed.
 //!
 //! Request handling is instrumented on the [`wattroute_obs`] registry:
 //! per-verb counters (`daemon.requests.*`), connection counters
@@ -34,7 +36,7 @@
 //! mirrors the same numbers per daemon instance, so they survive even
 //! when telemetry stays off.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -72,6 +74,11 @@ pub struct DaemonOptions {
 /// Default [`DaemonOptions::max_connections`]: generous for interactive
 /// use, small enough that a runaway client loop fails fast.
 pub const DEFAULT_MAX_CONNECTIONS: usize = 64;
+
+/// Longest request line the daemon reads, in bytes, its newline included.
+/// The longest valid request is a few dozen bytes; the cap only bounds
+/// what a client that never sends a newline can make a handler buffer.
+pub const MAX_REQUEST_LINE: usize = 64 * 1024;
 
 impl DaemonOptions {
     /// Free-running, non-lingering options for a socket path — the
@@ -322,19 +329,37 @@ fn handle_connection(
     // steady state a long-lived client (the poller behind `routed query
     // --watch`) is served with zero per-request allocations on the framing
     // path, however many lines it sends.
-    let mut line = String::new();
+    let mut line = Vec::new();
     let mut reply_buf = String::new();
+    let mut answer = |reply: JsonValue| -> io::Result<()> {
+        reply_buf.clear();
+        reply.write_to(&mut reply_buf);
+        reply_buf.push('\n');
+        writer.write_all(reply_buf.as_bytes())?;
+        writer.flush()
+    };
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return Ok(()), // EOF
+        // A read timeout returns with the bytes read so far kept in
+        // `line`, so a request split by a pause is completed by the next
+        // read; `line` is cleared only once its request is answered.
+        let room = MAX_REQUEST_LINE - line.len();
+        match reader.by_ref().take(room as u64).read_until(b'\n', &mut line) {
+            Ok(_) if line.is_empty() => return Ok(()), // EOF
+            Ok(_) if line.len() == MAX_REQUEST_LINE && line.last() != Some(&b'\n') => {
+                metrics.record_error();
+                let error = format!("request line longer than {MAX_REQUEST_LINE} bytes");
+                return answer(error_reply(&error));
+            }
             Ok(_) => {
-                let reply = handle_request(line.trim(), engine, shutdown, metrics, started);
-                reply_buf.clear();
-                reply.write_to(&mut reply_buf);
-                reply_buf.push('\n');
-                writer.write_all(reply_buf.as_bytes())?;
-                writer.flush()?;
+                let reply = match std::str::from_utf8(&line) {
+                    Ok(text) => handle_request(text.trim(), engine, shutdown, metrics, started),
+                    Err(_) => {
+                        metrics.record_error();
+                        error_reply("request line is not UTF-8")
+                    }
+                };
+                line.clear();
+                answer(reply)?;
                 if shutdown.load(Ordering::SeqCst) {
                     return Ok(());
                 }
@@ -442,7 +467,7 @@ fn dispatch_request(
             json::object([
                 ("ok", JsonValue::Bool(true)),
                 ("steps", JsonValue::Number(engine.steps() as f64)),
-                ("snapshot", engine.snapshot().to_json_value()),
+                ("snapshot", engine.state().to_json_value()),
             ])
         }
         "shutdown" => {

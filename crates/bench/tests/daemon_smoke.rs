@@ -252,3 +252,114 @@ fn shutdown_mid_trace_flushes_a_partial_report() {
     assert!(report.steps < scenario.trace.num_steps(), "shutdown interrupted the trace");
     assert!(report.total_cost_dollars > 0.0);
 }
+
+/// Options for a daemon that lingers until a `shutdown` request.
+fn lingering(path: &std::path::Path) -> DaemonOptions {
+    DaemonOptions {
+        socket_path: path.to_path_buf(),
+        step_wait: Duration::from_millis(3),
+        linger: true,
+        max_connections: DEFAULT_MAX_CONNECTIONS,
+    }
+}
+
+#[test]
+fn a_request_line_split_by_a_pause_is_answered_whole_and_a_binary_line_gets_an_error() {
+    use std::io::{BufRead, Write};
+
+    let scenario = short_scenario(24);
+    let path = socket_path("split");
+    let _ = std::fs::remove_file(&path);
+    let options = lingering(&path);
+    let (reply, binary) = std::thread::scope(|scope| {
+        let (scenario_ref, options_ref) = (&scenario, &options);
+        let server = scope.spawn(move || {
+            let mut policy = AkamaiLikePolicy::default();
+            serve(scenario_ref, &mut policy, options_ref).expect("serve")
+        });
+        let mut control = DaemonClient::connect(&path, Duration::from_secs(10)).expect("connect");
+
+        // The pause outlasts the handler's 50 ms read timeout, so the
+        // daemon's read returns between the two halves.
+        let mut stream = std::os::unix::net::UnixStream::connect(&path).expect("connect");
+        stream.write_all(br#"{"cmd":"st"#).expect("first half");
+        stream.flush().expect("flush");
+        std::thread::sleep(Duration::from_millis(120));
+        stream.write_all(b"ats\"}\n").expect("second half");
+        let mut reader = std::io::BufReader::new(stream.try_clone().expect("clone"));
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("reply");
+        // A line that is not UTF-8 is one more malformed request.
+        stream.write_all(b"\xff\xfe\n").expect("binary line");
+        let mut binary = String::new();
+        reader.read_line(&mut binary).expect("reply");
+
+        // Shut down before asserting, so a failure cannot leave the
+        // lingering daemon (and this scope) waiting forever.
+        control.command("shutdown").expect("shutdown");
+        server.join().expect("server thread");
+        let parse = |line: &str| JsonValue::parse(line.trim()).expect("reply is JSON");
+        (parse(&line), parse(&binary))
+    });
+    assert_eq!(reply.get("ok").and_then(JsonValue::as_bool), Some(true), "{reply}");
+    assert!(reply.get("report").is_some(), "a stats reply: {reply}");
+    assert_eq!(binary.get("ok").and_then(JsonValue::as_bool), Some(false), "{binary}");
+}
+
+#[test]
+fn an_overlong_request_line_gets_one_error_reply_and_its_connection_closes() {
+    use std::io::{BufRead, Write};
+    use wattroute_bench::daemon::MAX_REQUEST_LINE;
+
+    let scenario = short_scenario(24);
+    let path = socket_path("long");
+    let _ = std::fs::remove_file(&path);
+    let options = lingering(&path);
+    let (reply, after, stats) = std::thread::scope(|scope| {
+        let (scenario_ref, options_ref) = (&scenario, &options);
+        let server = scope.spawn(move || {
+            let mut policy = AkamaiLikePolicy::default();
+            serve(scenario_ref, &mut policy, options_ref).expect("serve")
+        });
+        let mut control = DaemonClient::connect(&path, Duration::from_secs(10)).expect("connect");
+
+        // 1 MiB and no newline. The daemon stops reading at its cap and
+        // closes, so this write may fail part way: that is the point.
+        let stream = std::os::unix::net::UnixStream::connect(&path).expect("connect");
+        stream.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+        let mut writer = stream.try_clone().expect("clone");
+        let flood = scope.spawn(move || {
+            let _ = writer.write_all(&vec![b'x'; 1 << 20]);
+        });
+        let mut reader = std::io::BufReader::new(stream);
+        let mut reply = String::new();
+        let _ = reader.read_line(&mut reply);
+        let mut rest = String::new();
+        let after = reader.read_line(&mut rest).map(|n| (n, rest));
+        // Closing our end unblocks the flood if the daemon never closed.
+        drop(reader);
+        flood.join().expect("flood thread");
+
+        // The daemon still answers a fresh connection.
+        let mut fresh = DaemonClient::connect(&path, Duration::from_secs(10)).expect("connect");
+        let stats = fresh.command("stats");
+        control.command("shutdown").expect("shutdown");
+        server.join().expect("server thread");
+        (reply, after, stats)
+    });
+
+    let reply = JsonValue::parse(reply.trim()).expect("the error reply is JSON");
+    assert_eq!(reply.get("ok").and_then(JsonValue::as_bool), Some(false), "{reply}");
+    let error = reply.get("error").and_then(JsonValue::as_str).expect("error string");
+    assert!(error.contains(&MAX_REQUEST_LINE.to_string()), "unexpected error: {error}");
+    // One reply, then the connection is closed. The daemon closed with the
+    // flood's bytes unread, which a Unix socket reports to the peer as a
+    // reset rather than a clean EOF.
+    match after {
+        Ok((0, _)) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        other => panic!("expected the connection to close, got {other:?}"),
+    }
+    let stats = stats.expect("stats");
+    assert_eq!(stats.get("ok").and_then(JsonValue::as_bool), Some(true), "{stats}");
+}

@@ -6,10 +6,11 @@
 //! [`SimulationEngine::tick`] advances the engine by a single 5-minute step,
 //! given only that step's view of the world — a [`PriceSlice`] (this hour's
 //! delayed and billing prices) and a [`DemandSlice`] (this step's per-state
-//! demand). The batch [`Simulation`](crate::simulation::Simulation) drivers
-//! replay a whole trace through `tick` and are bit-identical to the
-//! pre-tick-core loop; the `routed` daemon calls it from a wall-clock ingest
-//! loop instead.
+//! demand). The `routed` daemon calls it from a wall-clock ingest loop. The
+//! batch drivers ([`Simulation`](crate::simulation::Simulation) and the
+//! Monte Carlo replay) know the whole trace, so they advance one allocation
+//! epoch per call instead, with the same accumulate kernel `tick` runs for
+//! one step; their reports are bit-identical to ticking every step.
 //!
 //! The accumulated router state is a value: [`SimulationEngine::snapshot`]
 //! captures it, [`SimulationEngine::restore`] reinstates it (into the same
@@ -21,7 +22,8 @@
 
 use crate::json::{self, JsonValue};
 use crate::report::{
-    cluster_labels, ClusterReport, DistanceHistogram, ReportDecodeError, SimulationReport,
+    cluster_labels, ClusterReport, DistanceHistogram, PreparedDistance, ReportDecodeError,
+    SimulationReport,
 };
 use crate::simulation::SimulationConfig;
 use wattroute_energy::cost::energy_cost_dollars;
@@ -31,8 +33,9 @@ use wattroute_market::time::SimHour;
 use wattroute_routing::allocation::{Allocation, DistanceTable};
 use wattroute_routing::constraints::OverflowMode;
 use wattroute_routing::policy::{RoutingContext, RoutingPolicy};
-use wattroute_stats::{quantiles, OnlineStats};
-use wattroute_workload::trace::STEP_SECONDS;
+use wattroute_stats::OnlineStats;
+use wattroute_workload::bandwidth::LoadRuns;
+use wattroute_workload::trace::{Trace, STEPS_PER_HOUR, STEP_SECONDS};
 use wattroute_workload::ClusterSet;
 
 /// One hour's prices, as the engine needs them for a tick: what the router
@@ -89,7 +92,8 @@ pub struct EngineSnapshot {
     overflow_hits: Vec<f64>,
     rejected_hits: Vec<f64>,
     binding_steps: Vec<usize>,
-    load_series: Vec<Vec<f64>>,
+    /// Each cluster's five-minute load series, kept as runs.
+    loads: Vec<LoadRuns>,
     util_stats: Vec<OnlineStats>,
     distances: DistanceHistogram,
 }
@@ -98,14 +102,14 @@ pub struct EngineSnapshot {
 /// initial `last_alloc_hour`).
 const NO_ALLOC_HOUR: SimHour = SimHour(u64::MAX);
 
-/// Per-tick duration spans (`engine.tick`, `engine.tick.realloc`,
-/// `engine.tick.accumulate`, and the driver's `engine.price_view`) record
-/// one step in this many. A steady-state tick is now a sub-microsecond
-/// add loop; timing every one would cost more than the phase being timed
-/// and break the enabled-telemetry overhead budget (`obs_report
-/// --check-overhead`). A deterministic 1-in-8 sample keeps hundreds of
-/// datapoints per simulated day, always includes step 0, and leaves every
-/// counter exact.
+/// Per-call duration spans (`engine.tick`, `engine.tick.realloc`,
+/// `engine.tick.accumulate`, and the batch drivers' `engine.price_view`)
+/// record a call only when its first step is a multiple of this. A
+/// steady-state tick is a sub-microsecond add loop; timing every one would
+/// cost more than the phase being timed and break the enabled-telemetry
+/// overhead budget (`obs_report --check-overhead`). A deterministic sample
+/// keeps hundreds of datapoints per simulated day, always includes step 0,
+/// and leaves every counter exact.
 pub(crate) const SPAN_SAMPLE_EVERY: usize = 8;
 
 impl EngineSnapshot {
@@ -122,7 +126,7 @@ impl EngineSnapshot {
             overflow_hits: vec![0.0; n_clusters],
             rejected_hits: vec![0.0; n_clusters],
             binding_steps: vec![0; n_clusters],
-            load_series: vec![Vec::new(); n_clusters],
+            loads: vec![LoadRuns::new(); n_clusters],
             util_stats: vec![OnlineStats::new(); n_clusters],
             distances: DistanceHistogram::default_resolution(),
         }
@@ -164,7 +168,16 @@ impl EngineSnapshot {
             ),
             (
                 "load_series",
-                JsonValue::Array(self.load_series.iter().map(|s| json::number_array(s)).collect()),
+                JsonValue::Array(
+                    self.loads
+                        .iter()
+                        .map(|runs| {
+                            let mut row = Vec::with_capacity(runs.len());
+                            row.extend(runs.samples().map(JsonValue::Number));
+                            JsonValue::Array(row)
+                        })
+                        .collect(),
+                ),
             ),
             ("util_stats", JsonValue::Array(self.util_stats.iter().map(stats_to_json).collect())),
             ("distances", self.distances.to_json_value()),
@@ -189,25 +202,24 @@ impl EngineSnapshot {
         let rejected_hits = f64_vec(v, "rejected_hits")?;
         let binding_steps: Vec<usize> =
             f64_vec(v, "binding_steps")?.into_iter().map(|b| b as usize).collect();
-        let load_series = v
+        let loads = v
             .get("load_series")
             .and_then(JsonValue::as_array)
             .ok_or_else(|| ReportDecodeError::new("snapshot field 'load_series' is not an array"))?
             .iter()
             .map(|row| {
-                row.as_array()
-                    .ok_or_else(|| {
-                        ReportDecodeError::new("snapshot load_series row is not an array")
-                    })?
-                    .iter()
-                    .map(|x| {
-                        x.as_f64().ok_or_else(|| {
-                            ReportDecodeError::new("snapshot load_series entry is not a number")
-                        })
-                    })
-                    .collect::<Result<Vec<f64>, _>>()
+                let mut runs = LoadRuns::new();
+                for x in row.as_array().ok_or_else(|| {
+                    ReportDecodeError::new("snapshot load_series row is not an array")
+                })? {
+                    let load = x.as_f64().ok_or_else(|| {
+                        ReportDecodeError::new("snapshot load_series entry is not a number")
+                    })?;
+                    runs.push(load, 1);
+                }
+                Ok(runs)
             })
-            .collect::<Result<Vec<Vec<f64>>, _>>()?;
+            .collect::<Result<Vec<LoadRuns>, ReportDecodeError>>()?;
         let util_stats = v
             .get("util_stats")
             .and_then(JsonValue::as_array)
@@ -221,7 +233,7 @@ impl EngineSnapshot {
             ("overflow_hits", overflow_hits.len()),
             ("rejected_hits", rejected_hits.len()),
             ("binding_steps", binding_steps.len()),
-            ("load_series", load_series.len()),
+            ("load_series", loads.len()),
             ("util_stats", util_stats.len()),
         ] {
             if len != n {
@@ -266,7 +278,7 @@ impl EngineSnapshot {
             overflow_hits,
             rejected_hits,
             binding_steps,
-            load_series,
+            loads,
             util_stats,
             distances: DistanceHistogram::from_json_value(
                 v.get("distances")
@@ -374,10 +386,10 @@ fn allocation_from_json(v: &JsonValue, n_clusters: usize) -> Result<Allocation, 
 /// the next reallocation. Between reallocations the cached [`Allocation`]
 /// does not change, so neither do per-cluster loads, saturated utilization,
 /// watts (hence Wh per step), the served/overflow/rejected split, the
-/// binding-cap flags, or the distance-sample set — only dollars vary, and
-/// only hourly through `prices.billing`. Caching these collapses the
-/// per-step accumulate phase to a tight add-scaled-constants loop with no
-/// heap allocation and no haversine walk.
+/// binding-cap flags, or the distance histogram's entries — only dollars
+/// vary, and only hourly through `prices.billing`. Caching these collapses
+/// the per-step accumulate phase to a tight add-scaled-constants loop with
+/// no heap allocation, no haversine walk and no histogram binning.
 ///
 /// The cache is *derived* state: it lives on the engine, not in
 /// [`EngineSnapshot`], and is rebuilt from the cached allocation whenever
@@ -394,7 +406,9 @@ struct EpochCache {
     overflow_step: Vec<f64>,
     rejected_step: Vec<f64>,
     binding: Vec<bool>,
-    samples: Vec<(f64, f64)>,
+    /// One step's distance-histogram entries, prepared against the
+    /// engine's histogram.
+    distances: Vec<PreparedDistance>,
 }
 
 /// The incremental routing/accounting core: feed it one [`PriceSlice`] and
@@ -513,14 +527,43 @@ impl<'a> SimulationEngine<'a> {
         prices: PriceSlice<'_>,
         demand: DemandSlice<'_>,
     ) -> &Allocation {
+        self.advance(policy, prices, demand, 1);
+        self.state.cached_allocation.as_ref().expect("the step routed or reused an allocation")
+    }
+
+    /// Advance the engine by the rest of the current allocation epoch, or
+    /// by `max_steps` steps if that is fewer, and return how many steps
+    /// were consumed.
+    ///
+    /// The first step ticks as [`Self::tick`] does, re-routing if due. The
+    /// epoch then runs up to the next step index that is a multiple of
+    /// [`SimulationConfig::reallocate_every_steps`]; `tick` would reuse the
+    /// allocation for each of those steps without reading their demand, so
+    /// they are accounted here in one call. The caller guarantees that all
+    /// `max_steps` steps fall in `prices.hour`: an hour change re-routes,
+    /// and the billing row is the hour's.
+    ///
+    /// # Panics
+    /// Panics if `max_steps` is zero or the slice lengths do not match the
+    /// engine's cluster and state counts.
+    pub(crate) fn advance(
+        &mut self,
+        policy: &mut dyn RoutingPolicy,
+        prices: PriceSlice<'_>,
+        demand: DemandSlice<'_>,
+        max_steps: usize,
+    ) -> usize {
+        assert!(max_steps >= 1, "an advance covers at least one step");
         // The epoch cache made a steady-state tick cheap enough that
-        // opening duration spans on *every* step would alone blow the <5%
-        // enabled-telemetry budget, so the per-tick phase histograms
-        // (including `engine.tick.realloc`, which fires per tick at the
-        // default one-step reallocation interval) sample one step in
-        // [`SPAN_SAMPLE_EVERY`] — deterministically, so step 0, and hence
-        // any run, always records. Counters stay exact every tick.
-        let sampled = self.state.step % SPAN_SAMPLE_EVERY == 0;
+        // opening duration spans on *every* call would alone blow the <5%
+        // enabled-telemetry budget, so the phase histograms (including
+        // `engine.tick.realloc`, which fires on every call at the default
+        // one-step reallocation interval) sample the calls whose first
+        // step is a multiple of [`SPAN_SAMPLE_EVERY`] — deterministically,
+        // so step 0, and hence any run, always records. Counters stay
+        // exact on every step.
+        let i = self.state.step;
+        let sampled = i % SPAN_SAMPLE_EVERY == 0;
         let _tick_span = if sampled {
             wattroute_obs::span!("engine.tick")
         } else {
@@ -531,6 +574,8 @@ impl<'a> SimulationEngine<'a> {
         assert_eq!(prices.billing.len(), n_clusters, "billing price length mismatch");
         assert_eq!(demand.demand.len(), self.states.len(), "demand length mismatch");
 
+        let interval = self.config.reallocate_every_steps;
+        let steps = (interval - i % interval).min(max_steps);
         let step_hours = STEP_SECONDS as f64 / 3600.0;
         let constraints = &self.config.constraints;
         let tariff = self.config.bandwidth_tariff.as_ref();
@@ -540,24 +585,26 @@ impl<'a> SimulationEngine<'a> {
         if st.policy_name.is_none() {
             st.policy_name = Some(policy.name().to_string());
         }
-        let i = st.step;
         let hour = prices.hour;
 
         // Re-route on the configured interval, and additionally whenever
         // the step crosses an hour boundary: prices change hourly, so a
         // cached allocation carried across hours would route on the
         // previous hour's prices.
-        let reallocate = st.cached_allocation.is_none()
-            || i % self.config.reallocate_every_steps == 0
-            || hour != st.last_alloc_hour;
+        let reallocate =
+            st.cached_allocation.is_none() || i % interval == 0 || hour != st.last_alloc_hour;
         if wattroute_obs::Telemetry::enabled() {
-            // Allocation-reuse visibility: a "miss" runs the policy, a
-            // "hit" serves the step from the cached allocation. Gated so
-            // the disabled hot path stays at one relaxed load per tick.
+            // Allocation-reuse visibility, per step: a "miss" runs the
+            // policy, a "hit" serves the step from the cached allocation.
+            // Gated so the disabled hot path stays at one relaxed load per
+            // call.
             if reallocate {
                 wattroute_obs::counter!("engine.alloc_cache.misses").inc();
             } else {
                 wattroute_obs::counter!("engine.alloc_cache.hits").inc();
+            }
+            if steps > 1 {
+                wattroute_obs::counter!("engine.alloc_cache.hits").add(steps as u64 - 1);
             }
         }
         if reallocate {
@@ -588,7 +635,7 @@ impl<'a> SimulationEngine<'a> {
             let allocation = st.cached_allocation.as_ref().expect("just populated");
             let epoch = &mut self.epoch;
             allocation.cluster_loads_into(&mut epoch.loads);
-            allocation.distance_samples_into(&self.distance_table, &mut epoch.samples);
+            st.distances.prepare_step(allocation, &self.distance_table, &mut epoch.distances);
             epoch.util.clear();
             epoch.wh_step.clear();
             epoch.hits_step.clear();
@@ -638,38 +685,96 @@ impl<'a> SimulationEngine<'a> {
             epoch.valid = true;
         }
 
-        // The per-step accumulate phase: add the epoch's precomputed
-        // constants. Dollars are the one quantity that varies within an
-        // epoch — billing prices change hourly (and an epoch never straddles
-        // an hour, since an hour change forces a reallocation). Adding the
-        // zero overflow/rejected entries unconditionally is bitwise-exact:
-        // the accumulators are never negative, and `x + 0.0 == x` for every
-        // non-negative `x`.
         let _accumulate_span = if sampled {
             wattroute_obs::span!("engine.tick.accumulate")
         } else {
             wattroute_obs::Span::disabled()
         };
+        self.accumulate(prices.billing, steps);
+        steps
+    }
+
+    /// The accumulate kernel: account `steps` consecutive steps of the
+    /// epoch in force, all billed at `billing`, by adding the epoch's
+    /// precomputed constants once per step.
+    ///
+    /// Dollars are the one quantity that varies within an epoch, and only
+    /// between hours, so each cluster's per-step dollars are computed once
+    /// per call. Every accumulator still sees one add (and every
+    /// utilization accumulator one push) per step, in step order: adding a
+    /// constant `n` times does not round like adding `n ×` it once. The
+    /// clusters share no accumulator, so running each cluster's steps back
+    /// to back in locals changes no sum. Distance entries do share the
+    /// histogram's sums, so they go step by step. The integer binding
+    /// count and the load runs take the whole call at once, which is
+    /// exact. Adding the zero overflow/rejected entries unconditionally is
+    /// bitwise-exact too: the accumulators are never negative, and
+    /// `x + 0.0 == x` for every non-negative `x`.
+    fn accumulate(&mut self, billing: &[f64], steps: usize) {
+        let st = &mut self.state;
         let epoch = &self.epoch;
-        for c in 0..n_clusters {
-            st.energy_wh[c] += epoch.wh_step[c];
-            st.cost[c] += energy_cost_dollars(epoch.wh_step[c], prices.billing[c]);
-            st.hits[c] += epoch.hits_step[c];
-            st.overflow_hits[c] += epoch.overflow_step[c];
-            st.rejected_hits[c] += epoch.rejected_step[c];
-            st.util_stats[c].push(epoch.util[c]);
-            st.load_series[c].push(epoch.loads[c]);
+        for (c, &price) in billing.iter().enumerate() {
+            let wh_step = epoch.wh_step[c];
+            let cost_step = energy_cost_dollars(wh_step, price);
+            let hits_step = epoch.hits_step[c];
+            let overflow_step = epoch.overflow_step[c];
+            let rejected_step = epoch.rejected_step[c];
+            let util = epoch.util[c];
+            let mut energy_wh = st.energy_wh[c];
+            let mut cost = st.cost[c];
+            let mut hits = st.hits[c];
+            let mut overflow_hits = st.overflow_hits[c];
+            let mut rejected_hits = st.rejected_hits[c];
+            let util_stats = &mut st.util_stats[c];
+            for _ in 0..steps {
+                energy_wh += wh_step;
+                cost += cost_step;
+                hits += hits_step;
+                overflow_hits += overflow_step;
+                rejected_hits += rejected_step;
+                util_stats.push(util);
+            }
+            st.energy_wh[c] = energy_wh;
+            st.cost[c] = cost;
+            st.hits[c] = hits;
+            st.overflow_hits[c] = overflow_hits;
+            st.rejected_hits[c] = rejected_hits;
+            st.loads[c].push(epoch.loads[c], steps);
             if epoch.binding[c] {
-                st.binding_steps[c] += 1;
+                st.binding_steps[c] += steps;
             }
         }
+        st.distances.add_steps(&epoch.distances, steps);
+        st.step += steps;
+    }
 
-        for &(distance_km, weight) in &epoch.samples {
-            st.distances.add(distance_km, weight * STEP_SECONDS as f64);
+    /// Replay every step of `trace` from the engine's current state, one
+    /// [`Self::advance`] per allocation epoch. No call spans two hours, so
+    /// each reads one row of prices: `prices(hour)` returns the hour's
+    /// router-visible and billing rows.
+    pub(crate) fn replay_trace<'p>(
+        &mut self,
+        policy: &mut dyn RoutingPolicy,
+        trace: &Trace,
+        mut prices: impl FnMut(SimHour) -> PriceSlice<'p>,
+    ) {
+        let steps = trace.steps();
+        let mut i = 0;
+        while i < steps.len() {
+            let prices = {
+                // Sampled on the engine's cadence: timing a sub-µs table
+                // lookup on every call costs more than the lookup itself.
+                let _price_span = if i % SPAN_SAMPLE_EVERY == 0 {
+                    wattroute_obs::span!("engine.price_view")
+                } else {
+                    wattroute_obs::Span::disabled()
+                };
+                prices(trace.step_hour(i))
+            };
+            // A trace's hour changes every `STEPS_PER_HOUR` steps.
+            let left_in_hour = (STEPS_PER_HOUR - i % STEPS_PER_HOUR).min(steps.len() - i);
+            i += self.advance(policy, prices, DemandSlice::new(&steps[i].us_demand), left_in_hour);
         }
-
-        st.step += 1;
-        st.cached_allocation.as_ref().expect("populated above")
     }
 
     /// Assemble a [`SimulationReport`] from the state accumulated so far.
@@ -685,14 +790,14 @@ impl<'a> SimulationEngine<'a> {
         let labels = cluster_labels(self.clusters);
         let clusters = (0..n_clusters)
             .map(|c| {
-                let p95 = quantiles::percentile(&st.load_series[c], 95.0).unwrap_or(0.0);
+                let p95 = st.loads[c].percentile_95().unwrap_or(0.0);
                 ClusterReport {
                     label: labels[c].clone(),
                     cost_dollars: st.cost[c],
                     energy_mwh: st.energy_wh[c] / 1.0e6,
                     mean_utilization: st.util_stats[c].mean().unwrap_or(0.0),
                     p95_hits_per_sec: p95,
-                    peak_hits_per_sec: st.load_series[c].iter().copied().fold(0.0, f64::max),
+                    peak_hits_per_sec: st.loads[c].fold_max(0.0),
                     total_hits: st.hits[c],
                     overflow_hits: st.overflow_hits[c],
                     rejected_hits: st.rejected_hits[c],
@@ -731,6 +836,14 @@ impl<'a> SimulationEngine<'a> {
         self.state.clone()
     }
 
+    /// The full accumulated router state, borrowed — what
+    /// [`Self::snapshot`] copies. Encode it in place (the daemon's
+    /// `snapshot` reply) rather than copying every cluster's load series
+    /// first.
+    pub fn state(&self) -> &EngineSnapshot {
+        &self.state
+    }
+
     /// Reinstate a previously captured state, discarding whatever this
     /// engine has accumulated since (or, on a freshly built engine,
     /// resuming a run another engine started).
@@ -762,10 +875,16 @@ impl<'a> SimulationEngine<'a> {
 
     /// Consume the engine, yielding the raw per-cluster load series
     /// accumulated so far (`series[cluster][step]`, hits/second at 5-minute
-    /// resolution) — what a [`LoadRecorder`](crate::simulation::LoadRecorder)
-    /// sink receives from the batch drivers.
+    /// resolution), expanded from its runs.
     pub fn into_load_series(self) -> Vec<Vec<f64>> {
-        self.state.load_series
+        self.state.loads.iter().map(LoadRuns::expand).collect()
+    }
+
+    /// Consume the engine, yielding each cluster's load series as runs —
+    /// what a [`LoadRecorder`](crate::simulation::LoadRecorder) sink
+    /// receives from the batch drivers.
+    pub(crate) fn into_load_runs(self) -> Vec<LoadRuns> {
+        self.state.loads
     }
 }
 
@@ -865,6 +984,57 @@ mod tests {
         assert_eq!(decoded, snapshot);
         assert_eq!(decoded.steps(), 30);
         assert_eq!(decoded.policy_name(), Some(policy.name()));
+    }
+
+    #[test]
+    fn a_run_split_mid_epoch_resumes_from_json_bit_for_bit() {
+        let (clusters, trace, prices) = setup();
+        let steps = trace.steps();
+        // Seven steps into hour 3: inside the 36..48 epoch at interval 12,
+        // and inside 40..45 at interval 5.
+        let split = 3 * STEPS_PER_HOUR + 7;
+        for interval in [12, 5] {
+            let config = SimulationConfig::default().with_reallocation_interval(interval);
+            let sim =
+                crate::simulation::Simulation::new(&clusters, &trace, &prices, config.clone());
+            let mut policy = PriceConsciousPolicy::with_distance_threshold(1500.0);
+            let uninterrupted = sim.execute(&mut policy, crate::run::RunOptions::new());
+            let table = sim.price_table();
+            let engine = || {
+                SimulationEngine::new(&clusters, &trace.states, config.clone())
+                    .with_clamped_lead_hours(table.clamped_lead_hours())
+            };
+            let advance_to =
+                |engine: &mut SimulationEngine<'_>, policy: &mut dyn RoutingPolicy, end: usize| {
+                    while engine.steps() < end {
+                        let i = engine.steps();
+                        let hour = trace.step_hour(i);
+                        let prices = PriceSlice::new(
+                            hour,
+                            table.delayed_at(hour).unwrap(),
+                            table.billing_at(hour).unwrap(),
+                        );
+                        let left = (STEPS_PER_HOUR - i % STEPS_PER_HOUR).min(end - i);
+                        engine.advance(policy, prices, DemandSlice::new(&steps[i].us_demand), left);
+                    }
+                };
+
+            let mut first = engine();
+            advance_to(&mut first, &mut policy, split);
+            assert_eq!(first.steps(), split);
+            let json = first.snapshot().to_json_value().to_string();
+            let decoded =
+                EngineSnapshot::from_json_value(&JsonValue::parse(&json).unwrap()).unwrap();
+            assert_eq!(decoded, first.snapshot());
+
+            let mut resumed = engine();
+            resumed.restore(&decoded);
+            let mut fresh_policy = PriceConsciousPolicy::with_distance_threshold(1500.0);
+            advance_to(&mut resumed, &mut fresh_policy, steps.len());
+            let report = resumed.report();
+            assert_eq!(report, uninterrupted, "interval {interval}");
+            assert_eq!(report.to_json(), uninterrupted.to_json(), "interval {interval}");
+        }
     }
 
     #[test]

@@ -266,7 +266,7 @@ impl<'a> HierarchicalReplay<'a> {
         let mut epoch_overflow_step = vec![0.0f64; n_sites];
         let mut epoch_rejected_step = vec![0.0f64; n_sites];
         let mut epoch_binding = vec![false; n_sites];
-        let mut epoch_samples: Vec<(f64, f64)> = Vec::new();
+        let mut epoch_distances = Vec::new();
         // One allocation recycled across every reallocation of the shard:
         // the policy overwrites it in place via `allocate_into`.
         let mut allocation = Allocation::zeros(n_sites, states.len());
@@ -305,7 +305,7 @@ impl<'a> HierarchicalReplay<'a> {
 
             // Hoist everything the flat engine recomputes per step.
             allocation.cluster_loads_into(&mut epoch_loads);
-            allocation.distance_samples_into(&distance_table, &mut epoch_samples);
+            distances.prepare_step(&allocation, &distance_table, &mut epoch_distances);
             for c in 0..n_sites {
                 let cluster = region_clusters.get(c).expect("index in range");
                 let raw_utilization = cluster.utilization(epoch_loads[c]);
@@ -394,14 +394,9 @@ impl<'a> HierarchicalReplay<'a> {
                     binding_steps[c] += epoch_len;
                 }
             }
-            // Distance weights must accumulate per step (adding w once per
-            // step is not float-equal to adding 12·w per hour), in the same
-            // step-then-sample order as the flat engine.
-            for _ in 0..epoch_len {
-                for &(distance_km, weight) in &epoch_samples {
-                    distances.add(distance_km, weight * STEP_SECONDS as f64);
-                }
-            }
+            // The flat engine's distance accumulate: every entry once per
+            // step, in the same step-then-entry order.
+            distances.add_steps(&epoch_distances, epoch_len);
             i = j;
         }
 

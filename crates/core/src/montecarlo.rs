@@ -58,7 +58,7 @@
 //! assert!(dist.bill_cvar_dollars >= dist.bill.mean);
 //! ```
 
-use crate::engine::{DemandSlice, EngineSnapshot, PriceSlice, SimulationEngine};
+use crate::engine::{EngineSnapshot, PriceSlice, SimulationEngine};
 use crate::json::{self, JsonValue};
 use crate::report::SimulationReport;
 use crate::simulation::{step_coverage, SimulationConfig};
@@ -584,17 +584,12 @@ fn replay(
     delay: usize,
 ) -> SimulationReport {
     engine.restore(pristine);
-    for (i, step) in trace.steps().iter().enumerate() {
-        let hour = trace.step_hour(i);
+    engine.replay_trace(policy, trace, |hour| {
         let h_idx = (hour.0 - coverage_start) as usize;
         let delayed = &billing[h_idx.saturating_sub(delay) * n_hubs..][..n_hubs];
         let bill = &billing[h_idx * n_hubs..][..n_hubs];
-        engine.tick(
-            policy,
-            PriceSlice::new(hour, delayed, bill),
-            DemandSlice::new(&step.us_demand),
-        );
-    }
+        PriceSlice::new(hour, delayed, bill)
+    });
     engine.report()
 }
 

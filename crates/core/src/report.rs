@@ -2,6 +2,8 @@
 
 use crate::json::{self, JsonValue};
 use serde::{Deserialize, Serialize};
+use wattroute_routing::allocation::{Allocation, DistanceTable};
+use wattroute_workload::trace::STEP_SECONDS;
 use wattroute_workload::ClusterSet;
 
 /// An error produced while decoding a report from JSON.
@@ -90,13 +92,55 @@ impl DistanceHistogram {
 
     /// Record `weight` demand served at `distance_km`.
     pub fn add(&mut self, distance_km: f64, weight: f64) {
-        if !(distance_km.is_finite() && weight.is_finite()) || weight <= 0.0 {
-            return;
+        if let Some(entry) = self.prepare(distance_km, weight) {
+            self.add_steps(&[entry], 1);
         }
-        let idx = ((distance_km / self.bin_km) as usize).min(self.weights.len() - 1);
-        self.weights[idx] += weight;
-        self.total_weight += weight;
-        self.weighted_sum += distance_km * weight;
+    }
+
+    /// What [`Self::add`] adds for one sample, or `None` where it adds
+    /// nothing.
+    fn prepare(&self, distance_km: f64, weight: f64) -> Option<PreparedDistance> {
+        if !(distance_km.is_finite() && weight.is_finite()) || weight <= 0.0 {
+            return None;
+        }
+        let bin = ((distance_km / self.bin_km) as usize).min(self.weights.len() - 1);
+        Some(PreparedDistance { bin, weight, weighted_km: distance_km * weight })
+    }
+
+    /// Replace `entries` with one step of `allocation`'s served pairs —
+    /// each pair's load over one five-minute step at its distance in
+    /// `table` — prepared in the same walk that reads the table. Adding
+    /// them with [`Self::add_steps`] adds exactly what [`Self::add`] would
+    /// for every sample of [`Allocation::distance_samples`].
+    pub(crate) fn prepare_step(
+        &self,
+        allocation: &Allocation,
+        table: &DistanceTable,
+        entries: &mut Vec<PreparedDistance>,
+    ) {
+        entries.clear();
+        allocation.for_each_distance_sample(table, |distance_km, load| {
+            entries.extend(self.prepare(distance_km, load * STEP_SECONDS as f64));
+        });
+    }
+
+    /// Add `entries`, prepared against this histogram's bins, once per
+    /// step for `steps` steps. Every step adds every entry in order, three
+    /// adds each, so the float sums are those of calling [`Self::add`]
+    /// per step and sample: adding a weight `n` times does not round like
+    /// adding `n ×` it once.
+    pub(crate) fn add_steps(&mut self, entries: &[PreparedDistance], steps: usize) {
+        let mut total_weight = self.total_weight;
+        let mut weighted_sum = self.weighted_sum;
+        for _ in 0..steps {
+            for entry in entries {
+                self.weights[entry.bin] += entry.weight;
+                total_weight += entry.weight;
+                weighted_sum += entry.weighted_km;
+            }
+        }
+        self.total_weight = total_weight;
+        self.weighted_sum = weighted_sum;
     }
 
     /// Total demand-weight recorded.
@@ -162,6 +206,17 @@ impl DistanceHistogram {
         self.total_weight += other.total_weight;
         self.weighted_sum += other.weighted_sum;
     }
+}
+
+/// One served (cluster, state) pair of an allocation epoch, resolved once
+/// against a [`DistanceHistogram`]'s bins: the bin, the step's weight and
+/// its distance-weighted term. Replaying it each step of the epoch needs
+/// no division, no float-to-index cast and no finiteness check.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct PreparedDistance {
+    bin: usize,
+    weight: f64,
+    weighted_km: f64,
 }
 
 /// Cost and load accounting for one cluster over a whole simulation.

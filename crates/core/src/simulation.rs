@@ -9,7 +9,7 @@
 //! client–server distance statistics.
 
 use crate::constraints::BandwidthTariff;
-use crate::engine::{DemandSlice, PriceSlice, SimulationEngine};
+use crate::engine::{PriceSlice, SimulationEngine};
 use crate::report::SimulationReport;
 use crate::run::RunOptions;
 use std::borrow::Cow;
@@ -19,7 +19,7 @@ use wattroute_market::time::HourRange;
 use wattroute_market::types::PriceSet;
 use wattroute_routing::constraints::{ConstraintSet, OverflowMode};
 use wattroute_routing::policy::RoutingPolicy;
-use wattroute_workload::bandwidth::BandwidthProfile;
+use wattroute_workload::bandwidth::{BandwidthProfile, LoadRuns};
 use wattroute_workload::trace::{Trace, STEPS_PER_HOUR};
 use wattroute_workload::ClusterSet;
 
@@ -341,16 +341,17 @@ impl SimulationConfigBuilder {
 }
 
 /// An optional sink for the per-step, per-cluster loads a simulation
-/// routes — the raw series a 95/5 calibration pass needs (the report only
+/// routes — the series a 95/5 calibration pass needs (the report only
 /// keeps distribution statistics). Hand one to a run via
 /// [`RunOptions::record_loads`](crate::run::RunOptions::record_loads);
 /// afterwards [`LoadRecorder::bandwidth_profile`] derives the per-cluster
 /// 95th-percentile levels that
 /// [`CalibratedScenario`](crate::constraints::CalibratedScenario) turns
-/// into a [`ConstraintSet`].
+/// into a [`ConstraintSet`]. The series are kept as the engine's exact
+/// run-length [`LoadRuns`].
 #[derive(Debug, Clone, Default)]
 pub struct LoadRecorder {
-    cluster_loads: Vec<Vec<f64>>,
+    loads: Vec<LoadRuns>,
 }
 
 impl LoadRecorder {
@@ -359,19 +360,19 @@ impl LoadRecorder {
         Self::default()
     }
 
-    /// The recorded series: `cluster_loads()[cluster][step]` in
+    /// The recorded series, expanded: `cluster_loads()[cluster][step]` in
     /// hits/second at 5-minute resolution. Empty before a run.
-    pub fn cluster_loads(&self) -> &[Vec<f64>] {
-        &self.cluster_loads
+    pub fn cluster_loads(&self) -> Vec<Vec<f64>> {
+        self.loads.iter().map(LoadRuns::expand).collect()
     }
 
     /// Derive the 95/5 bandwidth profile of the recorded run (`None`
     /// before a run).
     pub fn bandwidth_profile(&self) -> Option<BandwidthProfile> {
-        if self.cluster_loads.is_empty() {
+        if self.loads.is_empty() {
             return None;
         }
-        BandwidthProfile::from_cluster_loads(&self.cluster_loads)
+        BandwidthProfile::from_load_runs(&self.loads)
     }
 }
 
@@ -459,10 +460,10 @@ impl<'a> Simulation<'a> {
     }
 
     /// Run a policy over the whole trace and produce a report — the batch
-    /// driver over the incremental tick core
-    /// ([`SimulationEngine`]): one `tick`
-    /// per trace step, prices looked up in the compiled table. Bit-identical
-    /// to the historical monolithic loop.
+    /// driver over the incremental tick core ([`SimulationEngine`]): one
+    /// call per allocation epoch, prices looked up in the compiled table.
+    /// Bit-identical to one `tick` per trace step, and to the historical
+    /// monolithic loop.
     ///
     /// Honoured options: [`RunOptions::record_loads`]. A configuration
     /// override or artifact cache belongs to the scenario and sweep layers
@@ -487,30 +488,18 @@ impl<'a> Simulation<'a> {
         let mut engine =
             SimulationEngine::new(self.clusters, &self.trace.states, self.config.clone())
                 .with_clamped_lead_hours(self.table.clamped_lead_hours());
-        for (i, step) in self.trace.steps().iter().enumerate() {
-            let hour = self.trace.step_hour(i);
-            let prices = {
-                // Sampled on the engine's cadence: timing a sub-µs table
-                // lookup every step costs more than the lookup itself.
-                let _price_span = if i % crate::engine::SPAN_SAMPLE_EVERY == 0 {
-                    wattroute_obs::span!("engine.price_view")
-                } else {
-                    wattroute_obs::Span::disabled()
-                };
-                PriceSlice::new(
-                    hour,
-                    self.table.delayed_at(hour).expect("table covers the trace"),
-                    // Spot prices used for billing are the *actual* prices
-                    // of this hour (the delay only affects what the router
-                    // saw).
-                    self.table.billing_at(hour).expect("table covers the trace"),
-                )
-            };
-            engine.tick(policy, prices, DemandSlice::new(&step.us_demand));
-        }
+        engine.replay_trace(policy, self.trace, |hour| {
+            PriceSlice::new(
+                hour,
+                self.table.delayed_at(hour).expect("table covers the trace"),
+                // Spot prices used for billing are the *actual* prices of
+                // this hour (the delay only affects what the router saw).
+                self.table.billing_at(hour).expect("table covers the trace"),
+            )
+        });
         let report = engine.report();
         if let Some(recorder) = recorder {
-            recorder.cluster_loads = engine.into_load_series();
+            recorder.loads = engine.into_load_runs();
         }
         report
     }

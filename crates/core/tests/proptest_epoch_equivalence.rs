@@ -19,8 +19,11 @@
 //! Akamai-like, joint price-distance) × constraint regimes (nominal
 //! ceilings, binding ceilings, 95/5 caps with a tariff, both overflow
 //! modes) × the batch driver and the (trivially embedded) sharded
-//! hierarchical replay, over 1–2-day windows; one deterministic case
-//! replays the paper's whole 24-day trace.
+//! hierarchical replay, over 1–2-day windows. Deterministic cases replay
+//! the paper's whole 24-day trace: re-routing every step, and at intervals
+//! of 12 and 5 steps, where the batch driver advances a whole allocation
+//! epoch per call and the run-length load store keeps runs longer than one
+//! step.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -36,6 +39,7 @@ use wattroute_routing::extensions::JointCostPolicy;
 use wattroute_routing::policy::{RoutingContext, RoutingPolicy};
 use wattroute_routing::price_conscious::CompiledPreferences;
 use wattroute_stats::{quantiles, OnlineStats};
+use wattroute_workload::bandwidth::{percentile_95, BandwidthProfile};
 use wattroute_workload::hierarchy::single_region_of;
 use wattroute_workload::trace::STEP_SECONDS;
 
@@ -59,12 +63,13 @@ fn policy_for(kind: usize) -> Box<dyn RoutingPolicy> {
 /// `policy_for(kind)`, and a full recompute of per-cluster loads and
 /// distance samples on **every** step with the historical per-step
 /// accounting order. The report is assembled exactly as
-/// `SimulationEngine::report` assembles it.
+/// `SimulationEngine::report` assembles it from the raw load series, which
+/// is returned alongside it.
 ///
 /// Every fresh policy is handed one shared ranked-distance geometry, which
 /// keeps a reallocation cheap in debug builds; attaching geometry never
 /// changes an allocation (pinned in the routing crate).
-fn legacy_replay(scenario: &Scenario, kind: usize) -> SimulationReport {
+fn legacy_replay(scenario: &Scenario, kind: usize) -> (SimulationReport, Vec<Vec<f64>>) {
     let clusters = &scenario.clusters;
     let trace = &scenario.trace;
     let config = &scenario.config;
@@ -180,7 +185,7 @@ fn legacy_replay(scenario: &Scenario, kind: usize) -> SimulationReport {
         })
         .collect::<Vec<_>>();
 
-    SimulationReport {
+    let report = SimulationReport {
         policy: policy_for(kind).name().to_string(),
         steps: n_steps,
         reaction_delay_hours: config.reaction_delay_hours,
@@ -203,7 +208,30 @@ fn legacy_replay(scenario: &Scenario, kind: usize) -> SimulationReport {
         p99_distance_km: distances.percentile_km(99.0).unwrap_or(0.0),
         distances,
         tiers: None,
+    };
+    (report, load_series)
+}
+
+/// The engine driven one [`SimulationEngine::tick`] per step, as the
+/// daemon drives it, over the prices [`Simulation`] compiles.
+fn tick_per_step(scenario: &Scenario, kind: usize) -> SimulationReport {
+    let trace = &scenario.trace;
+    let sim = Simulation::new(&scenario.clusters, trace, &scenario.prices, scenario.config.clone());
+    let table = sim.price_table();
+    let mut engine =
+        SimulationEngine::new(&scenario.clusters, &trace.states, scenario.config.clone())
+            .with_clamped_lead_hours(table.clamped_lead_hours());
+    let mut policy = policy_for(kind);
+    for (i, step) in trace.steps().iter().enumerate() {
+        let hour = trace.step_hour(i);
+        let prices = PriceSlice::new(
+            hour,
+            table.delayed_at(hour).expect("table covers the trace"),
+            table.billing_at(hour).expect("table covers the trace"),
+        );
+        engine.tick(policy.as_mut(), prices, DemandSlice::new(&step.us_demand));
     }
+    engine.report()
 }
 
 proptest! {
@@ -257,9 +285,13 @@ proptest! {
 /// reservoir is sized to hold the whole trace: this checks routing and
 /// accounting, not that store.
 fn assert_engines_match_legacy(scenario: &Scenario, kind: usize) {
-    let legacy = legacy_replay(scenario, kind);
+    let (legacy, _) = legacy_replay(scenario, kind);
+    assert_batch_matches(scenario, kind, &legacy);
+}
+
+fn assert_batch_matches(scenario: &Scenario, kind: usize, legacy: &SimulationReport) {
     let batch = scenario.execute(&mut *policy_for(kind), RunOptions::new());
-    assert_eq!(&legacy, &batch, "legacy allocating path != epoch-cached batch engine");
+    assert_eq!(legacy, &batch, "legacy allocating path != epoch-cached batch engine");
     assert_eq!(
         legacy.to_json_value().to_string(),
         batch.to_json_value().to_string(),
@@ -276,7 +308,7 @@ fn assert_engines_match_legacy(scenario: &Scenario, kind: usize) {
     .with_reservoir_capacity(scenario.trace.num_steps().max(DEFAULT_RESERVOIR_CAPACITY));
     let sharded = replay.run_sharded(&move || policy_for(kind));
     assert!(sharded.tiers.is_none(), "trivial embedding must not report tiers");
-    assert_eq!(&legacy, &sharded, "legacy allocating path != sharded replay");
+    assert_eq!(legacy, &sharded, "legacy allocating path != sharded replay");
     assert_eq!(
         legacy.to_json_value().to_string(),
         sharded.to_json_value().to_string(),
@@ -301,4 +333,52 @@ fn paper_scale_24_day_replay_is_bit_identical_to_the_legacy_path() {
     let caps = CalibratedScenario::calibrate(&scenario).p95_caps().to_vec();
     scenario.config = scenario.config.with_bandwidth_caps(caps);
     assert_engines_match_legacy(&scenario, price_conscious_1500);
+}
+
+/// The 24-day trace at re-allocation intervals where the batch driver
+/// advances several steps per call: 12 (hourly epochs) and 5, which does
+/// not divide an hour, so its epochs also end at hour boundaries. The
+/// Akamai-like calibration run, then price-conscious routing at 1500 km,
+/// relaxed and under the calibrated 95/5 caps: each batch run (and the
+/// sharded trivial embedding) must equal both a tick-per-step engine loop
+/// and the legacy path, and the calibrated caps must equal the profile of
+/// the legacy load series.
+fn assert_paper_scale_interval_matches_legacy(interval: usize) {
+    let mut scenario = Scenario::akamai_24_day(2009);
+    assert_eq!(scenario.trace.num_steps(), 6912);
+    scenario.config = scenario.config.with_reallocation_interval(interval);
+    let (akamai_like, price_conscious_1500) = (1, 2);
+
+    let (legacy, legacy_loads) = legacy_replay(&scenario, akamai_like);
+    assert_eq!(tick_per_step(&scenario, akamai_like), legacy, "tick per step != legacy");
+    assert_batch_matches(&scenario, akamai_like, &legacy);
+    let calibrated = CalibratedScenario::calibrate(&scenario);
+    assert_eq!(calibrated.baseline(), &legacy, "calibration run != legacy");
+    let profile = BandwidthProfile::from_cluster_loads(&legacy_loads).expect("loads recorded");
+    assert_eq!(calibrated.profile(), &profile, "calibrated profile != legacy series' profile");
+    let caps: Vec<u64> = calibrated.p95_caps().iter().map(|c| c.to_bits()).collect();
+    let raw: Vec<u64> = legacy_loads
+        .iter()
+        .map(|series| percentile_95(series).expect("non-empty").to_bits())
+        .collect();
+    assert_eq!(caps, raw, "calibrated caps != p95 of the legacy series");
+
+    for constrained in [false, true] {
+        if constrained {
+            scenario.config = scenario.config.with_bandwidth_caps(calibrated.p95_caps().to_vec());
+        }
+        let (legacy, _) = legacy_replay(&scenario, price_conscious_1500);
+        assert_eq!(tick_per_step(&scenario, price_conscious_1500), legacy, "tick per step");
+        assert_batch_matches(&scenario, price_conscious_1500, &legacy);
+    }
+}
+
+#[test]
+fn paper_scale_24_day_replay_at_an_hourly_interval_is_bit_identical_to_the_legacy_path() {
+    assert_paper_scale_interval_matches_legacy(12);
+}
+
+#[test]
+fn paper_scale_24_day_replay_at_a_5_step_interval_is_bit_identical_to_the_legacy_path() {
+    assert_paper_scale_interval_matches_legacy(5);
 }

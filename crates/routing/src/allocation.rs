@@ -10,8 +10,8 @@ use wattroute_workload::ClusterSet;
 /// `cluster × state` layout as an [`Allocation`].
 ///
 /// Geography is fixed for a run, so an engine builds one table up front
-/// and every reallocation's [`Allocation::distance_samples_into`] reads it
-/// instead of re-deriving a haversine distance per served pair.
+/// and every reallocation's [`Allocation::for_each_distance_sample`] reads
+/// it instead of re-deriving a haversine distance per served pair.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DistanceTable {
     num_clusters: usize,
@@ -45,7 +45,7 @@ impl DistanceTable {
 /// `states[state]` served by `clusters[cluster]`. Storage is one flat
 /// row-major buffer (`num_states` is the row stride): a policy allocates
 /// exactly once per reallocation however many clusters it routes, and the
-/// row scans in [`Self::cluster_loads`] / [`Self::distance_samples_into`]
+/// row scans in [`Self::cluster_loads`] / [`Self::for_each_distance_sample`]
 /// stay on contiguous memory — this is the allocation-epoch hot path of
 /// both the batch engine and the hierarchical replay shards.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -175,7 +175,7 @@ impl Allocation {
     /// across steps (Figure 17).
     ///
     /// Derives every distance afresh; hot loops use
-    /// [`Self::distance_samples_into`] with a prebuilt [`DistanceTable`].
+    /// [`Self::for_each_distance_sample`] with a prebuilt [`DistanceTable`].
     pub fn distance_samples(&self, clusters: &ClusterSet, states: &[UsState]) -> Vec<(f64, f64)> {
         assert_eq!(self.num_clusters(), clusters.len(), "cluster count mismatch");
         assert_eq!(self.num_states(), states.len(), "state count mismatch");
@@ -194,14 +194,14 @@ impl Allocation {
         samples
     }
 
-    /// [`Self::distance_samples`] into a caller-owned buffer (cleared
-    /// first), reading distances from `table` (built for this allocation's
-    /// deployment and state list), so per-epoch accounting loops reuse one
-    /// allocation and compute no distances.
-    pub fn distance_samples_into(&self, table: &DistanceTable, samples: &mut Vec<(f64, f64)>) {
+    /// Visit [`Self::distance_samples`] in order, reading each distance
+    /// from `table` (built for this allocation's deployment and state
+    /// list): `visit(distance_km, load)` once per served pair. Per-epoch
+    /// accounting loops turn the samples into whatever they accumulate in
+    /// this one walk, with no buffer in between and no distance computed.
+    pub fn for_each_distance_sample(&self, table: &DistanceTable, mut visit: impl FnMut(f64, f64)) {
         assert_eq!(self.num_clusters(), table.num_clusters, "cluster count mismatch");
         assert_eq!(self.num_states(), table.num_states, "state count mismatch");
-        samples.clear();
         if self.num_states == 0 {
             return;
         }
@@ -209,7 +209,7 @@ impl Allocation {
             let km = table.row(c);
             for (s, &load) in row.iter().enumerate() {
                 if load > 0.0 {
-                    samples.push((km[s], load));
+                    visit(km[s], load);
                 }
             }
         }
@@ -325,8 +325,8 @@ mod tests {
             }
         }
         a.add(7, 50, 1e-300);
-        let mut samples = vec![(1.0, 1.0); 3]; // stale contents must be cleared
-        a.distance_samples_into(&table, &mut samples);
+        let mut samples = Vec::new();
+        a.for_each_distance_sample(&table, |km, load| samples.push((km, load)));
         let reference = a.distance_samples(&clusters, &states);
         assert!(!reference.is_empty());
         assert_eq!(samples.len(), reference.len());
@@ -338,8 +338,7 @@ mod tests {
         // A 0-state allocation samples nothing either way.
         let none = Allocation::zeros(clusters.len(), 0);
         let empty_table = DistanceTable::build(&clusters, &[]);
-        none.distance_samples_into(&empty_table, &mut samples);
-        assert!(samples.is_empty());
+        none.for_each_distance_sample(&empty_table, |_, _| panic!("nothing is served"));
         assert!(none.distance_samples(&clusters, &[]).is_empty());
     }
 
@@ -348,7 +347,7 @@ mod tests {
     fn distance_table_shape_is_checked() {
         let clusters = ClusterSet::akamai_like_nine();
         let table = DistanceTable::build(&clusters, &[UsState::MA]);
-        Allocation::zeros(clusters.len(), 2).distance_samples_into(&table, &mut Vec::new());
+        Allocation::zeros(clusters.len(), 2).for_each_distance_sample(&table, |_, _| {});
     }
 
     #[test]

@@ -24,19 +24,26 @@ pub fn quantile(samples: &[f64], q: f64) -> Option<f64> {
 /// Quantile of an **already sorted, finite** sample. Panics only if the slice
 /// is empty (callers should guard, as [`quantile`] does).
 pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
-    assert!(!sorted.is_empty(), "quantile of empty sample");
-    let n = sorted.len();
+    quantile_sorted_by(sorted.len(), q, |i| sorted[i])
+}
+
+/// [`quantile_sorted`] of a sorted, finite sample of `n` values that is
+/// not laid out as one slice (a run-length store, say): `at(i)` returns
+/// the sample's `i`-th smallest value, counting from 0. Reads at most two
+/// order statistics. Panics if `n` is zero.
+pub fn quantile_sorted_by(n: usize, q: f64, at: impl Fn(usize) -> f64) -> f64 {
+    assert!(n > 0, "quantile of empty sample");
     if n == 1 {
-        return sorted[0];
+        return at(0);
     }
     let pos = q.clamp(0.0, 1.0) * (n - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
     if lo == hi {
-        sorted[lo]
+        at(lo)
     } else {
         let frac = pos - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+        at(lo) * (1.0 - frac) + at(hi) * frac
     }
 }
 

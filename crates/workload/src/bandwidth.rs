@@ -10,11 +10,152 @@
 use serde::{Deserialize, Serialize};
 use wattroute_stats::quantiles;
 
+/// The percentile carriers bill on.
+const BILLED_PERCENTILE: f64 = 95.0;
+
 /// 95th percentile of a series of five-minute samples.
 ///
 /// Returns `None` for an empty series.
 pub fn percentile_95(samples: &[f64]) -> Option<f64> {
-    quantiles::percentile(samples, 95.0)
+    quantiles::percentile(samples, BILLED_PERCENTILE)
+}
+
+/// A five-minute load series stored as runs: each run is one value and the
+/// number of consecutive samples that carried exactly its bits.
+///
+/// Routed loads are constant within an allocation epoch, so at an hourly
+/// re-allocation interval the store is about twelve times smaller than the
+/// raw series. Values and counts sit in parallel vectors, 12 bytes per
+/// run; a run longer than `u32::MAX` samples continues in a second run of
+/// the same value.
+///
+/// Every statistic is exact. A run ends wherever the bits change, so
+/// sorting the runs stably and expanding them yields the series' own
+/// stable sort, `±0.0` included: [`Self::percentile_95`] equals
+/// [`percentile_95`] of [`Self::expand`] bit for bit, and [`Self::mean`]
+/// adds the expansion in order, as [`wattroute_stats::mean`] does.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct LoadRuns {
+    values: Vec<f64>,
+    counts: Vec<u32>,
+}
+
+impl LoadRuns {
+    /// An empty series.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Compress a raw series.
+    pub fn from_series(series: &[f64]) -> Self {
+        let mut runs = Self::new();
+        for &value in series {
+            runs.push(value, 1);
+        }
+        runs
+    }
+
+    /// Append `count` samples of `value`, extending the last run when it
+    /// holds the same bits.
+    pub fn push(&mut self, value: f64, mut count: usize) {
+        if let (Some(last), Some(last_count)) = (self.values.last(), self.counts.last_mut()) {
+            if last.to_bits() == value.to_bits() {
+                let merged = u32::try_from(count).unwrap_or(u32::MAX).min(u32::MAX - *last_count);
+                *last_count += merged;
+                count -= widen(merged);
+            }
+        }
+        while count > 0 {
+            let run = u32::try_from(count).unwrap_or(u32::MAX);
+            self.values.push(value);
+            self.counts.push(run);
+            count -= widen(run);
+        }
+    }
+
+    /// The runs in series order, as `(value, count)`.
+    pub fn runs(&self) -> impl Iterator<Item = (f64, u32)> + '_ {
+        self.values.iter().copied().zip(self.counts.iter().copied())
+    }
+
+    /// Number of runs.
+    pub fn num_runs(&self) -> usize {
+        self.values.len()
+    }
+
+    /// Number of samples.
+    pub fn len(&self) -> usize {
+        self.counts.iter().map(|&c| widen(c)).sum()
+    }
+
+    /// Whether the series has no samples.
+    pub fn is_empty(&self) -> bool {
+        self.values.is_empty()
+    }
+
+    /// The samples in order, one per five-minute step.
+    pub fn samples(&self) -> impl Iterator<Item = f64> + '_ {
+        self.runs().flat_map(|(value, count)| std::iter::repeat(value).take(widen(count)))
+    }
+
+    /// The raw series.
+    pub fn expand(&self) -> Vec<f64> {
+        let mut series = Vec::with_capacity(self.len());
+        series.extend(self.samples());
+        series
+    }
+
+    /// [`percentile_95`] of the series: the R-7 order statistics read off
+    /// the stably sorted finite runs.
+    pub fn percentile_95(&self) -> Option<f64> {
+        // Sort the finite runs' indices (4 bytes each, where a copied run
+        // takes 16) by value; the sort is stable, so equal values keep
+        // series order.
+        let mut sorted: Vec<u32> = Vec::with_capacity(self.num_runs());
+        sorted.extend(
+            (0..self.num_runs())
+                .filter(|&k| self.values[k].is_finite())
+                .map(|k| u32::try_from(k).expect("a store holds fewer than 2^32 runs")),
+        );
+        if sorted.is_empty() {
+            return None;
+        }
+        let value = |k: u32| self.values[widen(k)];
+        sorted.sort_by(|&a, &b| {
+            value(a).partial_cmp(&value(b)).expect("finite values are comparable")
+        });
+        let n = sorted.iter().map(|&k| widen(self.counts[widen(k)])).sum();
+        let at = |i: usize| {
+            let mut seen = 0;
+            for &k in &sorted {
+                seen += widen(self.counts[widen(k)]);
+                if i < seen {
+                    return value(k);
+                }
+            }
+            unreachable!("order statistic {i} beyond {seen} samples")
+        };
+        Some(quantiles::quantile_sorted_by(n, BILLED_PERCENTILE / 100.0, at))
+    }
+
+    /// `f64::max` folded over the series from `init`. Repeating a value
+    /// cannot change a running max, so one fold step per run suffices.
+    pub fn fold_max(&self, init: f64) -> f64 {
+        self.values.iter().copied().fold(init, f64::max)
+    }
+
+    /// Mean of the series, `None` when empty.
+    pub fn mean(&self) -> Option<f64> {
+        if self.is_empty() {
+            return None;
+        }
+        Some(self.samples().sum::<f64>() / self.len() as f64)
+    }
+}
+
+/// A run count or run index as a `usize`.
+fn widen(x: u32) -> usize {
+    usize::try_from(x).expect("a u32 fits in usize")
 }
 
 /// Per-cluster bandwidth/billing profile derived from an observed assignment.
@@ -36,13 +177,22 @@ impl BandwidthProfile {
     ///
     /// Returns `None` if any cluster's series is empty.
     pub fn from_cluster_loads(loads: &[Vec<f64>]) -> Option<BandwidthProfile> {
+        let runs: Vec<LoadRuns> =
+            loads.iter().map(|series| LoadRuns::from_series(series)).collect();
+        Self::from_load_runs(&runs)
+    }
+
+    /// Build a profile from per-cluster run-length load series.
+    ///
+    /// Returns `None` if any cluster's series is empty.
+    pub fn from_load_runs(loads: &[LoadRuns]) -> Option<BandwidthProfile> {
         let mut p95 = Vec::with_capacity(loads.len());
         let mut peak = Vec::with_capacity(loads.len());
         let mut mean = Vec::with_capacity(loads.len());
         for series in loads {
-            p95.push(percentile_95(series)?);
-            peak.push(series.iter().copied().fold(f64::NAN, f64::max));
-            mean.push(wattroute_stats::mean(series)?);
+            p95.push(series.percentile_95()?);
+            peak.push(series.fold_max(f64::NAN));
+            mean.push(series.mean()?);
         }
         Some(BandwidthProfile {
             p95_hits_per_sec: p95,
