@@ -2,10 +2,10 @@
 //!
 //! Three tree sizes — the paper's 29-hub world embedded one-site-per-metro,
 //! a 200-site build-out, and a 1000-site deployment — each replayed over
-//! the same two-day trace, sequentially and sharded. The epoch-hoisted
-//! shard loop keeps per-step work to accumulating adds, so throughput
-//! should scale near-linearly in site count rather than in (sites × steps
-//! × power-model evaluations).
+//! the same two-day trace, sequentially and sharded. Each shard is a
+//! `SimulationEngine` over its region, whose epoch cache keeps per-step
+//! work to accumulating adds, so throughput should scale near-linearly in
+//! site count rather than in (sites × steps × power-model evaluations).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use wattroute::hierarchy::HierarchicalReplay;

@@ -18,7 +18,6 @@
 #![warn(missing_docs)]
 
 pub mod daemon;
-pub mod tick;
 
 use wattroute::prelude::*;
 use wattroute::report::SimulationReport;

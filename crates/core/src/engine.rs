@@ -7,10 +7,12 @@
 //! given only that step's view of the world — a [`PriceSlice`] (this hour's
 //! delayed and billing prices) and a [`DemandSlice`] (this step's per-state
 //! demand). The `routed` daemon calls it from a wall-clock ingest loop. The
-//! batch drivers ([`Simulation`](crate::simulation::Simulation) and the
-//! Monte Carlo replay) know the whole trace, so they advance one allocation
-//! epoch per call instead, with the same accumulate kernel `tick` runs for
-//! one step; their reports are bit-identical to ticking every step.
+//! batch drivers ([`Simulation`](crate::simulation::Simulation), the Monte
+//! Carlo replay and every region shard of the
+//! [hierarchical replay](crate::hierarchy)) know the whole trace, so they
+//! advance one allocation epoch per call instead, with the same accumulate
+//! kernel `tick` runs for one step; their reports are bit-identical to
+//! ticking every step.
 //!
 //! The accumulated router state is a value: [`SimulationEngine::snapshot`]
 //! captures it, [`SimulationEngine::restore`] reinstates it (into the same
@@ -782,6 +784,16 @@ impl<'a> SimulationEngine<'a> {
     /// a trace; a report taken after the final tick is bit-identical to
     /// what the batch simulator produces for the same inputs.
     pub fn report(&self) -> SimulationReport {
+        self.report_with(LoadRuns::percentile_95)
+    }
+
+    /// [`Self::report`] with each cluster's 95th percentile read from its
+    /// load runs by `p95_of` — the hierarchical replay's one departure
+    /// from the engine's exact store (see [`crate::hierarchy`]).
+    pub(crate) fn report_with(
+        &self,
+        p95_of: impl Fn(&LoadRuns) -> Option<f64>,
+    ) -> SimulationReport {
         let st = &self.state;
         let n_clusters = self.clusters.len();
         let n_steps = st.step;
@@ -790,7 +802,7 @@ impl<'a> SimulationEngine<'a> {
         let labels = cluster_labels(self.clusters);
         let clusters = (0..n_clusters)
             .map(|c| {
-                let p95 = st.loads[c].percentile_95().unwrap_or(0.0);
+                let p95 = p95_of(&st.loads[c]).unwrap_or(0.0);
                 ClusterReport {
                     label: labels[c].clone(),
                     cost_dollars: st.cost[c],
@@ -829,6 +841,17 @@ impl<'a> SimulationEngine<'a> {
             distances: st.distances.clone(),
             tiers: None,
         }
+    }
+
+    /// Each cluster's raw watt-hours so far (the report divides each by
+    /// 10⁶ on its own; a merge across engines sums these first).
+    pub(crate) fn energy_wh(&self) -> &[f64] {
+        &self.state.energy_wh
+    }
+
+    /// Each cluster's utilization accumulator so far.
+    pub(crate) fn util_stats(&self) -> &[OnlineStats] {
+        &self.state.util_stats
     }
 
     /// Capture the full accumulated router state.

@@ -3,12 +3,11 @@
 //! [`HierarchicalReplay`] is the tree-native counterpart of the flat batch
 //! [`Simulation`](crate::simulation::Simulation). It partitions a
 //! [`Topology`]'s sites by region, gives each region a *shard* — a
-//! region-local structure-of-arrays state block (price rows, demand mask,
-//! per-site accumulators, all reused across steps with no per-step
-//! allocation) — and replays the whole trace through each shard, either
-//! sequentially ([`HierarchicalReplay::run`]) or on scoped worker threads
+//! [`SimulationEngine`] over the region's sites — and replays the whole
+//! trace through each shard, either sequentially
+//! ([`HierarchicalReplay::run`]) or on scoped worker threads
 //! ([`HierarchicalReplay::run_sharded`]). A deterministic merge then folds
-//! the shard results, in region order, into one [`SimulationReport`]:
+//! the shard reports, in region order, into one [`SimulationReport`]:
 //! per-site [`ClusterReport`]s concatenate in global site order, distance
 //! histograms merge bin-wise, and tier rollups fold the sites' online
 //! utilization accumulators with [`OnlineStats::merge`].
@@ -21,42 +20,46 @@
 //!    site per metro and no tier caps (see
 //!    [`single_region_of`](wattroute_workload::hierarchy::single_region_of))
 //!    replays bit-identical to [`Simulation`](crate::simulation::Simulation)
-//!    over the same deployment, and its report carries `tiers: None`, so
-//!    even the JSON matches byte for byte.
+//!    over the same deployment while the trace fits the reservoir capacity
+//!    (see below), and its report carries `tiers: None`, so even the JSON
+//!    matches byte for byte.
 //! 3. **Conservation** — demand is owned by exactly one region
 //!    ([`Topology::assign_states`]), so hits and energy sum across tiers.
 //!
-//! # Why the shard loop is fast
+//! # Each shard is the engine
 //!
-//! Within one allocation epoch (the engine re-routes at least hourly, and
-//! billing prices only change hourly), the allocation — and therefore every
-//! per-site quantity the flat engine recomputes each step: loads,
-//! utilization, watt-hours, per-step dollars, overflow deltas, binding
-//! flags — is *constant*. The shard loop computes those once per
-//! reallocation and degrades the per-step work to pure accumulating adds,
-//! which is what makes a 1000-site multi-year replay finish in seconds.
-//! Every add happens once per step in the same order as the flat engine's,
-//! so the hoisting is bit-exact, not approximate. Per-site load series are
-//! kept in [`SampleReservoir`]s (exact until the capacity, decimated
-//! beyond), so memory stays flat however long the trace runs.
+//! A shard builds a [`SimulationEngine`] over its region's sites, with the
+//! replay's configuration and the constraints cut to the region
+//! (positional vectors sliced, tier caps localised to the region's metros
+//! and the region itself). It drives the engine one batched advance per
+//! allocation epoch, as the flat batch driver does: each call gets the
+//! hour's delayed and billing prices (one compiled column per distinct
+//! hub, read through a site → column indirection) and the demand the
+//! region owns (every other region's states masked to zero), and is capped
+//! at the steps left in the hour. Routing, the epoch refresh, the
+//! accumulate kernel and the run-length load store are therefore the flat
+//! engine's own, which is what makes a 1000-site multi-year replay finish
+//! in seconds and what makes the equivalences above hold by construction.
+//!
+//! The one departure is the 95th percentile. The tree reads each site's
+//! from a [`SampleReservoir`] (exact up to the capacity, deterministically
+//! decimated beyond) fed from the engine's load runs when the shard ends;
+//! each reservoir lives only while its site's percentile is read.
 
+use crate::engine::{DemandSlice, PriceSlice, SimulationEngine};
 use crate::report::{
     ClusterReport, DistanceHistogram, SimulationReport, TierNodeReport, TierRollup,
 };
 use crate::simulation::{step_coverage, SimulationConfig};
-use wattroute_energy::cost::energy_cost_dollars;
-use wattroute_energy::model::ClusterPowerModel;
 use wattroute_geo::topology::Topology;
 use wattroute_geo::HubId;
 use wattroute_market::price_table::PriceTable;
-use wattroute_market::time::SimHour;
 use wattroute_market::types::PriceSet;
-use wattroute_routing::allocation::{Allocation, DistanceTable};
-use wattroute_routing::constraints::{ConstraintSet, OverflowMode, TierCaps};
-use wattroute_routing::policy::{RoutingContext, RoutingPolicy};
+use wattroute_routing::constraints::{ConstraintSet, TierCaps};
+use wattroute_routing::policy::RoutingPolicy;
 use wattroute_stats::{OnlineStats, SampleReservoir};
 use wattroute_workload::hierarchy::site_clusters;
-use wattroute_workload::trace::{Trace, STEP_SECONDS};
+use wattroute_workload::trace::{Trace, STEPS_PER_HOUR};
 use wattroute_workload::ClusterSet;
 
 /// A thread-safe factory producing one fresh policy instance per shard.
@@ -69,24 +72,14 @@ pub type PolicyFactory<'f> = dyn Fn() -> Box<dyn RoutingPolicy> + Sync + 'f;
 /// beyond.
 pub const DEFAULT_RESERVOIR_CAPACITY: usize = 4096;
 
-/// Everything accumulated by one region's shard over a whole trace.
+/// What one region's shard hands the merge.
 struct ShardResult {
-    labels: Vec<String>,
-    cost: Vec<f64>,
+    /// The region engine's report over its sites.
+    report: SimulationReport,
+    /// Each site's raw watt-hours: the merge sums these and divides once.
     energy_wh: Vec<f64>,
-    hits: Vec<f64>,
-    overflow_hits: Vec<f64>,
-    rejected_hits: Vec<f64>,
-    binding_steps: Vec<usize>,
+    /// Each site's utilization accumulator, for the tier means.
     util_stats: Vec<OnlineStats>,
-    reservoirs: Vec<SampleReservoir>,
-    peak: Vec<f64>,
-    distances: DistanceHistogram,
-    policy_name: String,
-    clamped_lead_hours: u64,
-    /// The region's slice of the globally accounted 95/5 caps, when a
-    /// tariff made caps reportable.
-    accounted_caps: Option<Vec<f64>>,
 }
 
 /// A hierarchical batch replay: topology + trace + prices + configuration.
@@ -104,11 +97,15 @@ impl<'a> HierarchicalReplay<'a> {
     /// Bind a replay. Positional constraint vectors in `config` must align
     /// with the topology's site order; if the topology carries tier caps
     /// and the configuration does not already hold a [`TierCaps`], they
-    /// are lifted from the topology automatically.
+    /// are lifted from the topology automatically. A [`TierCaps`] the
+    /// configuration does hold is the one the replay routes and reports
+    /// by.
     ///
     /// # Panics
-    /// Panics on an empty trace or on constraint vectors whose length does
-    /// not match the site count.
+    /// Panics on an empty trace, on constraint vectors whose length does
+    /// not match the site count, or on a configured [`TierCaps`] that
+    /// describes a different tree than `topology` (shards are cut by the
+    /// topology's regions).
     pub fn new(
         topology: &'a Topology,
         trace: &'a Trace,
@@ -116,9 +113,18 @@ impl<'a> HierarchicalReplay<'a> {
         mut config: SimulationConfig,
     ) -> Self {
         assert!(trace.num_steps() > 0, "trace is empty");
-        if config.constraints.tier_caps().is_none() {
-            if let Some(tiers) = TierCaps::from_topology(topology) {
-                config.constraints = config.constraints.with_tier_caps(tiers);
+        match config.constraints.tier_caps() {
+            Some(tiers) => assert!(
+                tiers.site_metros() == topology.site_metros()
+                    && tiers.site_regions() == topology.site_regions()
+                    && tiers.metro_caps().len() == topology.num_metros()
+                    && tiers.region_caps().len() == topology.num_regions(),
+                "configured tier caps describe a different tree than the topology"
+            ),
+            None => {
+                if let Some(tiers) = TierCaps::from_topology(topology) {
+                    config.constraints = config.constraints.with_tier_caps(tiers);
+                }
             }
         }
         config.constraints.validate(topology.num_sites());
@@ -176,7 +182,7 @@ impl<'a> HierarchicalReplay<'a> {
         self.merge(slots.into_iter().map(|s| s.expect("every shard filled")).collect())
     }
 
-    /// Tick one region's shard over the whole trace.
+    /// Replay the whole trace through one region's engine.
     fn run_region(
         &self,
         region: usize,
@@ -186,16 +192,12 @@ impl<'a> HierarchicalReplay<'a> {
         let _shard_span = wattroute_obs::span!("hierarchy.shard");
         let topology = self.topology;
         let (s0, s1) = topology.region_sites(region);
-        let n_sites = s1 - s0;
         let trace = self.trace;
-        let states = &trace.states;
-        let config = &self.config;
+        let steps = trace.steps();
 
         // Region-local deployment, in global site order restricted to the
         // region's contiguous range.
         let region_clusters: ClusterSet = site_clusters_range(topology, s0, s1);
-        let labels: Vec<String> =
-            region_clusters.labels().into_iter().map(str::to_string).collect();
 
         // One price column per *distinct* hub (sites share metros), plus a
         // site → column indirection. For a trivial embedding the distinct
@@ -218,267 +220,99 @@ impl<'a> HierarchicalReplay<'a> {
             self.prices,
             &distinct_hubs,
             step_coverage(trace),
-            config.reaction_delay_hours,
+            self.config.reaction_delay_hours,
         );
 
-        // The region's slice of the global constraint set, with tier caps
-        // localised (this region's metros, this region alone).
-        let region_constraints = slice_constraints(&config.constraints, topology, region);
-        let tariff = config.bandwidth_tariff.as_ref();
-        let accounted_caps: Option<Vec<f64>> =
-            tariff.and(config.constraints.bandwidth_caps()).map(|caps| caps[s0..s1].to_vec());
+        let config = self.config.clone().with_constraints(slice_constraints(
+            &self.config.constraints,
+            topology,
+            region,
+        ));
+        let mut engine = SimulationEngine::new(&region_clusters, &trace.states, config)
+            .with_clamped_lead_hours(table.clamped_lead_hours());
 
-        let power_models: Vec<ClusterPowerModel> = region_clusters
-            .clusters()
-            .iter()
-            .map(|c| ClusterPowerModel::new(config.energy, c.servers))
-            .collect();
-        let capacities: Vec<f64> =
-            region_clusters.clusters().iter().map(|c| c.capacity_hits_per_sec()).collect();
-        let distance_table = DistanceTable::build(&region_clusters, states);
-
-        // SoA accumulators, allocated once.
-        let mut cost = vec![0.0f64; n_sites];
-        let mut energy_wh = vec![0.0f64; n_sites];
-        let mut hits = vec![0.0f64; n_sites];
-        let mut overflow_hits = vec![0.0f64; n_sites];
-        let mut rejected_hits = vec![0.0f64; n_sites];
-        let mut binding_steps = vec![0usize; n_sites];
-        let mut util_stats = vec![OnlineStats::new(); n_sites];
-        let mut reservoirs: Vec<SampleReservoir> =
-            (0..n_sites).map(|_| SampleReservoir::new(self.reservoir_capacity)).collect();
-        let mut peak = vec![0.0f64; n_sites];
-        let mut distances = DistanceHistogram::default_resolution();
-
-        // Reused per-hour / per-epoch buffers (no per-step allocation).
-        let mut delayed_row = vec![0.0f64; n_sites];
-        let mut billing_row = vec![0.0f64; n_sites];
-        let mut masked_demand = vec![0.0f64; states.len()];
-        let mut price_hour: Option<SimHour> = None;
-
-        // Per-epoch hoisted quantities: constant between reallocations, so
-        // the per-step work below is pure adds (see module docs).
-        let mut epoch_loads: Vec<f64> = vec![0.0; n_sites];
-        let mut epoch_util = vec![0.0f64; n_sites];
-        let mut epoch_wh = vec![0.0f64; n_sites];
-        let mut epoch_cost_step = vec![0.0f64; n_sites];
-        let mut epoch_hits_step = vec![0.0f64; n_sites];
-        let mut epoch_overflow_step = vec![0.0f64; n_sites];
-        let mut epoch_rejected_step = vec![0.0f64; n_sites];
-        let mut epoch_binding = vec![false; n_sites];
-        let mut epoch_distances = Vec::new();
-        // One allocation recycled across every reallocation of the shard:
-        // the policy overwrites it in place via `allocate_into`.
-        let mut allocation = Allocation::zeros(n_sites, states.len());
-
-        let step_hours = STEP_SECONDS as f64 / 3600.0;
-        let steps = trace.steps();
-        let n_steps = steps.len();
-        // Walk the trace one allocation epoch at a time. An epoch starts
-        // wherever the flat engine would reallocate (step index multiple of
-        // the reallocation interval, or an hour boundary) and runs to the
-        // next such step, so the allocation — and every hoisted per-site
-        // quantity — is constant inside it.
+        let mut delayed_row = vec![0.0f64; s1 - s0];
+        let mut billing_row = vec![0.0f64; s1 - s0];
+        let mut masked_demand = vec![0.0f64; trace.states.len()];
         let mut i = 0;
-        while i < n_steps {
-            let step = &steps[i];
+        while i < steps.len() {
+            // A trace's hour changes every `STEPS_PER_HOUR` steps, and no
+            // call below crosses an hour, so each hour starts a call.
             let hour = trace.step_hour(i);
-            if price_hour != Some(hour) {
+            if i % STEPS_PER_HOUR == 0 {
                 let delayed = table.delayed_at(hour).expect("table covers the trace");
                 let billing = table.billing_at(hour).expect("table covers the trace");
                 for (c, &row) in hub_row.iter().enumerate() {
                     delayed_row[c] = delayed[row];
                     billing_row[c] = billing[row];
                 }
-                price_hour = Some(hour);
             }
-
             for (d, (&owner, &demand)) in
-                masked_demand.iter_mut().zip(owners.iter().zip(&step.us_demand))
+                masked_demand.iter_mut().zip(owners.iter().zip(&steps[i].us_demand))
             {
                 *d = if owner == region { demand } else { 0.0 };
             }
-            let ctx =
-                RoutingContext::new(&region_clusters, states, &masked_demand, &delayed_row, hour)
-                    .with_constraints(&region_constraints);
-            policy.allocate_into(&mut allocation, &ctx);
-
-            // Hoist everything the flat engine recomputes per step.
-            allocation.cluster_loads_into(&mut epoch_loads);
-            distances.prepare_step(&allocation, &distance_table, &mut epoch_distances);
-            for c in 0..n_sites {
-                let cluster = region_clusters.get(c).expect("index in range");
-                let raw_utilization = cluster.utilization(epoch_loads[c]);
-                let mut served = epoch_loads[c];
-                epoch_overflow_step[c] = 0.0;
-                epoch_rejected_step[c] = 0.0;
-                if raw_utilization > 1.0 {
-                    let over = epoch_loads[c] - capacities[c];
-                    match config.constraints.overflow() {
-                        OverflowMode::BillAtCapacity => {
-                            epoch_overflow_step[c] = over * STEP_SECONDS as f64;
-                        }
-                        OverflowMode::Reject => {
-                            epoch_rejected_step[c] = over * STEP_SECONDS as f64;
-                            served = capacities[c];
-                        }
-                    }
-                }
-                let utilization = raw_utilization.min(1.0);
-                epoch_util[c] = utilization;
-                let watts = power_models[c].power_watts(utilization);
-                epoch_wh[c] = watts * step_hours;
-                epoch_cost_step[c] = energy_cost_dollars(epoch_wh[c], billing_row[c]);
-                epoch_hits_step[c] = served * STEP_SECONDS as f64;
-                epoch_binding[c] = match &accounted_caps {
-                    Some(caps) => {
-                        caps[c].is_finite()
-                            && epoch_loads[c] > 0.0
-                            && epoch_loads[c] >= caps[c] * (1.0 - 1e-9)
-                    }
-                    None => false,
-                };
-            }
-
-            // The epoch's extent: up to (not including) the next step where
-            // the flat engine would reallocate.
-            let mut j = i + 1;
-            while j < n_steps
-                && j % config.reallocate_every_steps != 0
-                && trace.step_hour(j) == hour
-            {
-                j += 1;
-            }
-            let epoch_len = j - i;
-
-            // Per-step accumulation, site-major: each site's accumulators
-            // stay in registers across the epoch's steps. Every per-site add
-            // and push still happens once per step, in step order, so the
-            // sequence of float operations each site sees is exactly the
-            // flat engine's (only the interleaving *across* sites differs,
-            // and sites share no state).
-            for c in 0..n_sites {
-                let wh_step = epoch_wh[c];
-                let cost_step = epoch_cost_step[c];
-                let hits_step = epoch_hits_step[c];
-                let overflow_step = epoch_overflow_step[c];
-                let rejected_step = epoch_rejected_step[c];
-                let util = epoch_util[c];
-                let load = epoch_loads[c];
-                let mut wh_acc = energy_wh[c];
-                let mut cost_acc = cost[c];
-                let mut hits_acc = hits[c];
-                let mut overflow_acc = overflow_hits[c];
-                let mut rejected_acc = rejected_hits[c];
-                let mut peak_acc = peak[c];
-                let stats = &mut util_stats[c];
-                let reservoir = &mut reservoirs[c];
-                for _ in 0..epoch_len {
-                    wh_acc += wh_step;
-                    cost_acc += cost_step;
-                    hits_acc += hits_step;
-                    overflow_acc += overflow_step;
-                    rejected_acc += rejected_step;
-                    stats.push(util);
-                    reservoir.push(load);
-                    peak_acc = peak_acc.max(load);
-                }
-                energy_wh[c] = wh_acc;
-                cost[c] = cost_acc;
-                hits[c] = hits_acc;
-                overflow_hits[c] = overflow_acc;
-                rejected_hits[c] = rejected_acc;
-                peak[c] = peak_acc;
-                if epoch_binding[c] {
-                    // Integer steps sum exactly, so the whole epoch lands at once.
-                    binding_steps[c] += epoch_len;
-                }
-            }
-            // The flat engine's distance accumulate: every entry once per
-            // step, in the same step-then-entry order.
-            distances.add_steps(&epoch_distances, epoch_len);
-            i = j;
+            let left_in_hour = (STEPS_PER_HOUR - i % STEPS_PER_HOUR).min(steps.len() - i);
+            i += engine.advance(
+                policy,
+                PriceSlice::new(hour, &delayed_row, &billing_row),
+                DemandSlice::new(&masked_demand),
+                left_in_hour,
+            );
         }
 
+        let capacity = self.reservoir_capacity;
         ShardResult {
-            labels,
-            cost,
-            energy_wh,
-            hits,
-            overflow_hits,
-            rejected_hits,
-            binding_steps,
-            util_stats,
-            reservoirs,
-            peak,
-            distances,
-            policy_name: policy.name().to_string(),
-            clamped_lead_hours: table.clamped_lead_hours(),
-            accounted_caps,
+            report: engine.report_with(|runs| {
+                let mut reservoir = SampleReservoir::new(capacity);
+                runs.samples().for_each(|load| reservoir.push(load));
+                reservoir.percentile(95.0)
+            }),
+            energy_wh: engine.energy_wh().to_vec(),
+            util_stats: engine.util_stats().to_vec(),
         }
     }
 
     /// Fold shard results, in region index order, into one report.
     fn merge(&self, shards: Vec<ShardResult>) -> SimulationReport {
         let _merge_span = wattroute_obs::span!("hierarchy.merge");
-        let n_steps = self.trace.num_steps();
-        let tariff = self.config.bandwidth_tariff.as_ref();
-        let policy_name = shards.first().map(|s| s.policy_name.clone()).unwrap_or_default();
-        let clamped_lead_hours = shards.first().map_or(0, |s| s.clamped_lead_hours);
+        let first = &shards.first().expect("a topology has at least one region").report;
+        let (policy, clamped_lead_hours) = (first.policy.clone(), first.delay_clamped_hours);
         debug_assert!(
-            shards.iter().all(|s| s.clamped_lead_hours == clamped_lead_hours),
+            shards.iter().all(|s| s.report.delay_clamped_hours == clamped_lead_hours),
             "shards compiled against the same price range must clamp identically"
         );
+        // Sum raw watt-hours, divide once — the flat engine's exact
+        // arithmetic (summing per-site MWh rounds differently).
+        let total_energy_mwh = shards.iter().flat_map(|s| s.energy_wh.iter()).sum::<f64>() / 1.0e6;
 
         // Region sites are contiguous in global site order, so concatenating
         // shard outputs in region order reconstructs the global order.
         let mut clusters: Vec<ClusterReport> = Vec::with_capacity(self.topology.num_sites());
         let mut util_stats: Vec<OnlineStats> = Vec::with_capacity(self.topology.num_sites());
         let mut distances = DistanceHistogram::default_resolution();
-        for shard in &shards {
-            for c in 0..shard.labels.len() {
-                let p95 = shard.reservoirs[c].percentile(95.0).unwrap_or(0.0);
-                clusters.push(ClusterReport {
-                    label: shard.labels[c].clone(),
-                    cost_dollars: shard.cost[c],
-                    energy_mwh: shard.energy_wh[c] / 1.0e6,
-                    mean_utilization: shard.util_stats[c].mean().unwrap_or(0.0),
-                    p95_hits_per_sec: p95,
-                    peak_hits_per_sec: shard.peak[c],
-                    total_hits: shard.hits[c],
-                    overflow_hits: shard.overflow_hits[c],
-                    rejected_hits: shard.rejected_hits[c],
-                    bandwidth_cap_hits_per_sec: shard
-                        .accounted_caps
-                        .as_ref()
-                        .map(|caps| caps[c])
-                        .filter(|cap| cap.is_finite()),
-                    bandwidth_binding_hours: shard.binding_steps[c] as f64 * STEP_SECONDS as f64
-                        / 3600.0,
-                    bandwidth_cost_dollars: tariff.map_or(0.0, |t| t.bill_dollars(p95, n_steps)),
-                });
-                util_stats.push(shard.util_stats[c]);
-            }
-            distances.merge(&shard.distances);
+        for shard in shards {
+            clusters.extend(shard.report.clusters);
+            util_stats.extend(shard.util_stats);
+            distances.merge(&shard.report.distances);
         }
 
-        let tiers = if self.topology.is_flat_embedding() {
-            // The trivial embedding IS the flat world; its report must be
-            // byte-identical to the flat engine's, which carries no tiers.
-            None
-        } else {
-            Some(self.tier_rollup(&clusters, &util_stats))
-        };
+        let tiers =
+            if self.topology.is_flat_embedding() && self.config.constraints.tier_caps().is_none() {
+                // The trivial embedding IS the flat world; its report must be
+                // byte-identical to the flat engine's, which carries no tiers.
+                None
+            } else {
+                Some(self.tier_rollup(&clusters, &util_stats))
+            };
 
         SimulationReport {
-            policy: policy_name,
-            steps: n_steps,
+            policy,
+            steps: self.trace.num_steps(),
             reaction_delay_hours: self.config.reaction_delay_hours,
             bandwidth_constrained: self.config.constraints.is_bandwidth_constrained(),
             total_cost_dollars: clusters.iter().map(|c| c.cost_dollars).sum(),
-            // Sum raw watt-hours, divide once — the flat engine's exact
-            // arithmetic (summing per-site MWh rounds differently).
-            total_energy_mwh: shards.iter().flat_map(|s| s.energy_wh.iter()).sum::<f64>() / 1.0e6,
+            total_energy_mwh,
             total_overflow_hits: clusters.iter().map(|c| c.overflow_hits).sum(),
             total_rejected_hits: clusters.iter().map(|c| c.rejected_hits).sum(),
             total_bandwidth_binding_hours: clusters.iter().map(|c| c.bandwidth_binding_hours).sum(),
@@ -494,8 +328,10 @@ impl<'a> HierarchicalReplay<'a> {
 
     /// Sum the per-site reports over the tree's contiguous ranges, folding
     /// the sites' utilization accumulators with [`OnlineStats::merge`].
+    /// Caps come from the configured [`TierCaps`] (uncapped without one).
     fn tier_rollup(&self, sites: &[ClusterReport], util_stats: &[OnlineStats]) -> TierRollup {
         let topology = self.topology;
+        let tier_caps = self.config.constraints.tier_caps();
         let node = |label: &str, (a, b): (usize, usize), cap: f64| {
             let mut merged = OnlineStats::new();
             for stats in &util_stats[a..b] {
@@ -516,20 +352,14 @@ impl<'a> HierarchicalReplay<'a> {
         TierRollup {
             metros: (0..topology.num_metros())
                 .map(|m| {
-                    node(
-                        &topology.metro_labels()[m],
-                        topology.metro_sites(m),
-                        topology.metro_cap_hits_per_sec(m),
-                    )
+                    let cap = tier_caps.map_or(f64::INFINITY, |t| t.metro_caps()[m]);
+                    node(&topology.metro_labels()[m], topology.metro_sites(m), cap)
                 })
                 .collect(),
             regions: (0..topology.num_regions())
                 .map(|r| {
-                    node(
-                        &topology.region_labels()[r],
-                        topology.region_sites(r),
-                        topology.region_cap_hits_per_sec(r),
-                    )
+                    let cap = tier_caps.map_or(f64::INFINITY, |t| t.region_caps()[r]);
+                    node(&topology.region_labels()[r], topology.region_sites(r), cap)
                 })
                 .collect(),
         }
@@ -555,12 +385,12 @@ fn slice_constraints(global: &ConstraintSet, topology: &Topology, region: usize)
     if let Some(ceilings) = global.capacity_ceilings() {
         set = set.with_capacity_ceilings(ceilings[s0..s1].to_vec());
     }
-    if global.tier_caps().is_some() {
+    if let Some(tiers) = global.tier_caps() {
         let (m0, m1) = topology.region_metros(region);
         let site_metro: Vec<usize> = (s0..s1).map(|s| topology.site_metro(s) - m0).collect();
         let site_region = vec![0usize; s1 - s0];
-        let metro_caps: Vec<f64> = (m0..m1).map(|m| topology.metro_cap_hits_per_sec(m)).collect();
-        let region_caps = vec![topology.region_cap_hits_per_sec(region)];
+        let metro_caps = tiers.metro_caps()[m0..m1].to_vec();
+        let region_caps = vec![tiers.region_caps()[region]];
         set = set.with_tier_caps(TierCaps::new(site_metro, site_region, metro_caps, region_caps));
     }
     set
@@ -573,7 +403,7 @@ mod tests {
     use crate::simulation::Simulation;
     use wattroute_market::generator::PriceGenerator;
     use wattroute_market::model::MarketModel;
-    use wattroute_market::time::HourRange;
+    use wattroute_market::time::{HourRange, SimHour};
     use wattroute_routing::price_conscious::PriceConsciousPolicy;
     use wattroute_workload::hierarchy::single_region_of;
     use wattroute_workload::SyntheticWorkloadConfig;
@@ -619,6 +449,49 @@ mod tests {
         let tiers = sequential.tiers.as_ref().expect("synthetic tree reports tiers");
         assert_eq!(tiers.metros.len(), 29);
         assert_eq!(tiers.regions.len(), 6);
+    }
+
+    #[test]
+    fn tier_caps_supplied_in_the_config_replay_like_caps_lifted_from_the_topology() {
+        let range = short_range(36);
+        let trace = SyntheticWorkloadConfig::default().generate(range);
+        let prices = PriceGenerator::new(MarketModel::calibrated(), 9).realtime_hourly(range);
+        let config = SimulationConfig::default();
+        // A synthetic tree, and a trivial embedding, whose report carries
+        // tiers only once caps apply.
+        for uncapped in
+            [Topology::synthetic(7, 60), single_region_of(&ClusterSet::akamai_like_nine())]
+        {
+            let capped = uncapped.clone().with_tier_slack(0.5);
+            let tiers = TierCaps::from_topology(&capped).expect("a slack of 0.5 caps every tier");
+            let supplied_config =
+                config.clone().with_constraints(config.constraints.clone().with_tier_caps(tiers));
+
+            let lifted =
+                HierarchicalReplay::new(&capped, &trace, &prices, config.clone()).run(&pc_factory);
+            let free = HierarchicalReplay::new(&uncapped, &trace, &prices, config.clone())
+                .run(&pc_factory);
+            assert_ne!(lifted.total_cost_dollars, free.total_cost_dollars, "the caps must bind");
+            let supplied = HierarchicalReplay::new(&uncapped, &trace, &prices, supplied_config)
+                .run(&pc_factory);
+            assert_eq!(supplied, lifted, "caps supplied in the config must route and report");
+            assert_eq!(supplied.to_json(), lifted.to_json());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "different tree")]
+    fn tier_caps_for_another_tree_are_rejected() {
+        let clusters = ClusterSet::akamai_like_nine();
+        let topology = single_region_of(&clusters);
+        let other = Topology::synthetic(7, clusters.len()).with_tier_slack(0.5);
+        let tiers = TierCaps::from_topology(&other).expect("a slack of 0.5 caps every tier");
+        let range = short_range(1);
+        let trace = SyntheticWorkloadConfig::default().generate(range);
+        let prices = PriceGenerator::new(MarketModel::calibrated(), 9).realtime_hourly(range);
+        let config = SimulationConfig::default()
+            .with_constraints(ConstraintSet::unconstrained().with_tier_caps(tiers));
+        HierarchicalReplay::new(&topology, &trace, &prices, config);
     }
 
     #[test]

@@ -113,28 +113,45 @@ impl SimulationConfig {
         self
     }
 
-    /// Start a validating [`SimulationConfigBuilder`] from the defaults.
-    /// Unlike the `with_*` chain on the config itself (which panics on
-    /// invalid values for historical compatibility), the builder defers
-    /// every check to [`SimulationConfigBuilder::build`] /
-    /// [`build_for`](SimulationConfigBuilder::build_for) and returns a
-    /// [`ConfigError`] instead of panicking.
-    pub fn builder() -> SimulationConfigBuilder {
-        SimulationConfigBuilder::default()
-    }
-
-    /// Turn this config back into a builder (e.g. to re-validate after
-    /// editing fields directly).
-    pub fn into_builder(self) -> SimulationConfigBuilder {
-        SimulationConfigBuilder { config: self }
-    }
-
     /// Check this configuration against a deployment, returning every
     /// inconsistency as a [`ConfigError`] instead of panicking: a
-    /// non-positive reallocation interval, constraint vectors whose length
-    /// does not match the deployment, or negative ceilings/caps.
+    /// non-positive reallocation interval, negative or NaN caps/ceilings
+    /// (zero and `+∞` are meaningful: "send nothing here" and
+    /// "unconstrained"), an empty deployment, or constraint vectors whose
+    /// length does not match the deployment. The drivers panic on an
+    /// empty or mismatched deployment, so configuration read from outside
+    /// the program is checked here first.
+    ///
+    /// ```
+    /// use wattroute::prelude::*;
+    ///
+    /// let clusters = ClusterSet::akamai_like_nine();
+    /// let config = SimulationConfig::default()
+    ///     .with_reaction_delay(2)
+    ///     .with_bandwidth_caps(vec![1.0e6; clusters.len()])
+    ///     .with_overflow(OverflowMode::Reject);
+    /// assert_eq!(config.validate_for(&clusters), Ok(()));
+    ///
+    /// let mismatched = SimulationConfig::default().with_bandwidth_caps(vec![1.0e6; 3]);
+    /// assert_eq!(
+    ///     mismatched.validate_for(&clusters),
+    ///     Err(ConfigError::BandwidthCapLength { caps: 3, clusters: 9 })
+    /// );
+    /// ```
     pub fn validate_for(&self, clusters: &ClusterSet) -> Result<(), ConfigError> {
-        self.validate_shape()?;
+        if self.reallocate_every_steps < 1 {
+            return Err(ConfigError::ZeroReallocationInterval);
+        }
+        if let Some(caps) = self.constraints.bandwidth_caps() {
+            if let Some(i) = caps.iter().position(|c| c.is_nan() || *c < 0.0) {
+                return Err(ConfigError::NegativeBandwidthCap { cluster: i });
+            }
+        }
+        if let Some(ceilings) = self.constraints.capacity_ceilings() {
+            if let Some(i) = ceilings.iter().position(|c| c.is_nan() || *c < 0.0) {
+                return Err(ConfigError::NegativeCapacityCeiling { cluster: i });
+            }
+        }
         if clusters.is_empty() {
             return Err(ConfigError::EmptyDeployment);
         }
@@ -154,31 +171,11 @@ impl SimulationConfig {
         }
         Ok(())
     }
-
-    /// The deployment-independent half of [`Self::validate_for`].
-    fn validate_shape(&self) -> Result<(), ConfigError> {
-        if self.reallocate_every_steps < 1 {
-            return Err(ConfigError::ZeroReallocationInterval);
-        }
-        if let Some(caps) = self.constraints.bandwidth_caps() {
-            if let Some(i) = caps.iter().position(|c| c.is_nan() || *c < 0.0) {
-                return Err(ConfigError::NegativeBandwidthCap { cluster: i });
-            }
-        }
-        if let Some(ceilings) = self.constraints.capacity_ceilings() {
-            if let Some(i) = ceilings.iter().position(|c| c.is_nan() || *c < 0.0) {
-                return Err(ConfigError::NegativeCapacityCeiling { cluster: i });
-            }
-        }
-        Ok(())
-    }
 }
 
 /// An inconsistency between a [`SimulationConfig`] and the deployment it is
-/// applied to, reported by [`SimulationConfigBuilder::build`] /
-/// [`build_for`](SimulationConfigBuilder::build_for) and
-/// [`SimulationConfig::validate_for`] instead of the panics the historical
-/// `with_*` chain raises.
+/// applied to, reported by [`SimulationConfig::validate_for`] instead of
+/// the panics the drivers raise.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {
     /// The deployment has no clusters to route over.
@@ -235,110 +232,6 @@ impl std::fmt::Display for ConfigError {
 }
 
 impl std::error::Error for ConfigError {}
-
-/// A validating builder for [`SimulationConfig`].
-///
-/// The chain mirrors the config's own `with_*` methods but defers all
-/// checking to the build step, which returns a [`ConfigError`] instead of
-/// panicking mid-chain:
-///
-/// ```
-/// use wattroute::prelude::*;
-///
-/// let clusters = ClusterSet::akamai_like_nine();
-/// let config = SimulationConfig::builder()
-///     .with_reaction_delay(2)
-///     .with_bandwidth_caps(vec![1.0e6; clusters.len()])
-///     .with_overflow(OverflowMode::Reject)
-///     .build_for(&clusters)
-///     .expect("consistent configuration");
-/// assert_eq!(config.reaction_delay_hours, 2);
-///
-/// // An inconsistent combination is an Err, not a panic:
-/// let err = SimulationConfig::builder()
-///     .with_bandwidth_caps(vec![1.0e6; 3])
-///     .build_for(&clusters)
-///     .unwrap_err();
-/// assert_eq!(err, ConfigError::BandwidthCapLength { caps: 3, clusters: 9 });
-/// ```
-///
-/// Invariants enforced at build time:
-/// - the reallocation interval is at least one step;
-/// - bandwidth caps and capacity ceilings are non-negative (zero and `+∞`
-///   are meaningful: "send nothing here" and "unconstrained");
-/// - with [`Self::build_for`], every positional constraint vector matches
-///   the deployment's cluster count and the deployment is non-empty.
-#[derive(Debug, Clone, Default)]
-pub struct SimulationConfigBuilder {
-    config: SimulationConfig,
-}
-
-impl SimulationConfigBuilder {
-    /// Replace the energy model.
-    pub fn with_energy(mut self, energy: EnergyModelParams) -> Self {
-        self.config.energy = energy;
-        self
-    }
-
-    /// Set the reaction delay in hours.
-    pub fn with_reaction_delay(mut self, hours: u64) -> Self {
-        self.config.reaction_delay_hours = hours;
-        self
-    }
-
-    /// Replace the whole constraint set.
-    pub fn with_constraints(mut self, constraints: ConstraintSet) -> Self {
-        self.config.constraints = constraints;
-        self
-    }
-
-    /// Attach 95/5 bandwidth ceilings (keeping the rest of the constraint
-    /// set).
-    pub fn with_bandwidth_caps(mut self, caps: Vec<f64>) -> Self {
-        self.config.constraints = self.config.constraints.with_bandwidth_caps(caps);
-        self
-    }
-
-    /// Attach capacity ceilings that tighten the clusters' nominal
-    /// capacities (keeping the rest of the constraint set).
-    pub fn with_capacity_ceilings(mut self, ceilings: Vec<f64>) -> Self {
-        self.config.constraints = self.config.constraints.with_capacity_ceilings(ceilings);
-        self
-    }
-
-    /// Set the re-allocation interval in 5-minute steps.
-    pub fn with_reallocation_interval(mut self, steps: usize) -> Self {
-        self.config.reallocate_every_steps = steps;
-        self
-    }
-
-    /// Set the overflow mode (what happens to over-capacity demand).
-    pub fn with_overflow(mut self, overflow: OverflowMode) -> Self {
-        self.config.constraints = self.config.constraints.with_overflow(overflow);
-        self
-    }
-
-    /// Attach a 95/5 bandwidth tariff so reports carry a bandwidth bill.
-    pub fn with_bandwidth_tariff(mut self, tariff: BandwidthTariff) -> Self {
-        self.config.bandwidth_tariff = Some(tariff);
-        self
-    }
-
-    /// Validate the deployment-independent invariants and produce the
-    /// config. Positional lengths cannot be checked without a deployment —
-    /// use [`Self::build_for`] when one is at hand.
-    pub fn build(self) -> Result<SimulationConfig, ConfigError> {
-        self.config.validate_shape()?;
-        Ok(self.config)
-    }
-
-    /// Validate everything — including positional constraint vectors —
-    /// against a concrete deployment, and produce the config.
-    pub fn build_for(self, clusters: &ClusterSet) -> Result<SimulationConfig, ConfigError> {
-        self.config.validate_for(clusters)?;
-        Ok(self.config)
-    }
-}
 
 /// An optional sink for the per-step, per-cluster loads a simulation
 /// routes — the series a 95/5 calibration pass needs (the report only

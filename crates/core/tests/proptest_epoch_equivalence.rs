@@ -38,7 +38,7 @@ use wattroute_routing::constraints::OverflowMode;
 use wattroute_routing::extensions::JointCostPolicy;
 use wattroute_routing::policy::{RoutingContext, RoutingPolicy};
 use wattroute_routing::price_conscious::CompiledPreferences;
-use wattroute_stats::{quantiles, OnlineStats};
+use wattroute_stats::{quantiles, OnlineStats, SampleReservoir};
 use wattroute_workload::bandwidth::{percentile_95, BandwidthProfile};
 use wattroute_workload::hierarchy::single_region_of;
 use wattroute_workload::trace::STEP_SECONDS;
@@ -381,4 +381,43 @@ fn paper_scale_24_day_replay_at_an_hourly_interval_is_bit_identical_to_the_legac
 #[test]
 fn paper_scale_24_day_replay_at_a_5_step_interval_is_bit_identical_to_the_legacy_path() {
     assert_paper_scale_interval_matches_legacy(5);
+}
+
+/// The sharded trivial embedding past its default reservoir capacity: the
+/// 24-day trace (6912 steps, over [`DEFAULT_RESERVOIR_CAPACITY`]) decimates
+/// every site's reservoir. The tree's report is the flat report with each
+/// cluster's 95th percentile read instead from a default-capacity
+/// reservoir fed that cluster's five-minute load series in step order.
+#[test]
+fn paper_scale_trivial_tree_reads_each_p95_from_a_decimated_reservoir() {
+    let scenario = Scenario::akamai_24_day(2009);
+    assert!(scenario.trace.num_steps() > DEFAULT_RESERVOIR_CAPACITY);
+    let price_conscious_1500 = 2;
+    let mut loads = LoadRecorder::new();
+    let flat = scenario.execute(
+        &mut *policy_for(price_conscious_1500),
+        RunOptions::new().record_loads(&mut loads),
+    );
+
+    let mut expected = flat.clone();
+    let mut decimated = 0;
+    for (cluster, series) in expected.clusters.iter_mut().zip(loads.cluster_loads()) {
+        let mut reservoir = SampleReservoir::new(DEFAULT_RESERVOIR_CAPACITY);
+        series.iter().for_each(|&load| reservoir.push(load));
+        let p95 = reservoir.percentile(95.0).expect("a non-empty series");
+        decimated += usize::from(p95.to_bits() != cluster.p95_hits_per_sec.to_bits());
+        cluster.p95_hits_per_sec = p95;
+    }
+    assert!(decimated > 0, "decimation must move some cluster's 95th percentile");
+
+    let topology = single_region_of(&scenario.clusters);
+    let replay = HierarchicalReplay::new(
+        &topology,
+        &scenario.trace,
+        &scenario.prices,
+        scenario.config.clone(),
+    );
+    let tree = replay.run_sharded(&move || policy_for(price_conscious_1500));
+    assert_eq!(tree, expected, "trivial tree != flat report with reservoir percentiles");
+    assert_eq!(tree.to_json(), expected.to_json(), "JSON encodings differ");
 }
