@@ -21,6 +21,12 @@
 //! daemon's wire protocol. Replaying the remaining steps after a
 //! snapshot/restore yields a report bit-identical to an uninterrupted run —
 //! the property test in `tests/proptest_tick_equivalence.rs` pins this.
+//!
+//! A batch replay may also account extra energy models in lanes of one
+//! engine: the energy model never shapes routing, so the models share the
+//! replay and each lane keeps only its power curves and its energy and
+//! dollar sums. A scenario sweep replays cells that differ only in energy
+//! model this way.
 
 use crate::json::{self, JsonValue};
 use crate::report::{
@@ -29,7 +35,7 @@ use crate::report::{
 };
 use crate::simulation::SimulationConfig;
 use wattroute_energy::cost::energy_cost_dollars;
-use wattroute_energy::model::ClusterPowerModel;
+use wattroute_energy::model::{ClusterPowerModel, EnergyModelParams};
 use wattroute_geo::UsState;
 use wattroute_market::time::SimHour;
 use wattroute_routing::allocation::{Allocation, DistanceTable};
@@ -202,8 +208,16 @@ impl EngineSnapshot {
         let hits = f64_vec(v, "hits")?;
         let overflow_hits = f64_vec(v, "overflow_hits")?;
         let rejected_hits = f64_vec(v, "rejected_hits")?;
-        let binding_steps: Vec<usize> =
-            f64_vec(v, "binding_steps")?.into_iter().map(|b| b as usize).collect();
+        let binding_steps = f64_vec(v, "binding_steps")?
+            .into_iter()
+            .map(|b| {
+                count_of(b).map(|b| b as usize).ok_or_else(|| {
+                    ReportDecodeError::new(format!(
+                        "snapshot binding_steps entry is not a non-negative integer: {b}"
+                    ))
+                })
+            })
+            .collect::<Result<Vec<usize>, _>>()?;
         let loads = v
             .get("load_series")
             .and_then(JsonValue::as_array)
@@ -249,9 +263,7 @@ impl EngineSnapshot {
             None => None,
         };
         let last_alloc_hour = match (&cached_allocation, v.get("last_alloc_hour")) {
-            (Some(_), Some(h)) => SimHour(h.as_f64().ok_or_else(|| {
-                ReportDecodeError::new("snapshot field 'last_alloc_hour' is not a number")
-            })? as u64),
+            (Some(_), Some(_)) => SimHour(u64_field(v, "last_alloc_hour")?),
             (Some(_), None) => {
                 return Err(ReportDecodeError::new(
                     "snapshot has an allocation but no 'last_alloc_hour'",
@@ -259,8 +271,21 @@ impl EngineSnapshot {
             }
             (None, _) => NO_ALLOC_HOUR,
         };
+        // Every step pushes one load sample and one utilization per
+        // cluster, and can bind a cluster at most once.
+        let step = u64_field(v, "step")? as usize;
+        for c in 0..n {
+            let (samples, count) = (loads[c].len(), util_stats[c].count());
+            if samples != step || count != step as u64 || binding_steps[c] > step {
+                return Err(ReportDecodeError::new(format!(
+                    "snapshot cluster {c} has {samples} load samples, {count} utilization \
+                     samples and {} binding steps after {step} steps",
+                    binding_steps[c]
+                )));
+            }
+        }
         Ok(Self {
-            step: u64_field(v, "step")? as usize,
+            step,
             policy_name: match v.get("policy") {
                 Some(p) => Some(
                     p.as_str()
@@ -290,11 +315,16 @@ impl EngineSnapshot {
     }
 }
 
+/// `x` as a count, if it is one: a non-negative integer no larger than
+/// 2^53, past which an `f64` stops holding every integer.
+fn count_of(x: f64) -> Option<u64> {
+    (x >= 0.0 && x.fract() == 0.0 && x <= 9_007_199_254_740_992.0).then_some(x as u64)
+}
+
 fn u64_field(v: &JsonValue, key: &str) -> Result<u64, ReportDecodeError> {
-    v.get(key)
-        .and_then(JsonValue::as_f64)
-        .map(|x| x as u64)
-        .ok_or_else(|| ReportDecodeError::new(format!("snapshot field '{key}' is not a number")))
+    v.get(key).and_then(JsonValue::as_f64).and_then(count_of).ok_or_else(|| {
+        ReportDecodeError::new(format!("snapshot field '{key}' is not a non-negative integer"))
+    })
 }
 
 fn f64_vec(v: &JsonValue, key: &str) -> Result<Vec<f64>, ReportDecodeError> {
@@ -369,8 +399,10 @@ fn allocation_from_json(v: &JsonValue, n_clusters: usize) -> Result<Allocation, 
                 .ok_or_else(|| ReportDecodeError::new("snapshot allocation row is not an array"))?
                 .iter()
                 .map(|x| {
-                    x.as_f64().ok_or_else(|| {
-                        ReportDecodeError::new("snapshot allocation entry is not a number")
+                    x.as_f64().filter(|x| x.is_finite() && *x >= 0.0).ok_or_else(|| {
+                        ReportDecodeError::new(
+                            "snapshot allocation entry is not a finite non-negative number",
+                        )
                     })
                 })
                 .collect::<Result<Vec<f64>, _>>()
@@ -413,6 +445,60 @@ struct EpochCache {
     distances: Vec<PreparedDistance>,
 }
 
+/// One extra energy model accounted over an engine's replay. The energy
+/// model prices the loads and never routes them: loads, hits, utilization,
+/// distances and the 95/5 state do not depend on it. So several models can
+/// share one replay — one policy, one allocation stream, one epoch
+/// refresh — each in a lane that holds only what does depend on it: the
+/// model's per-cluster power curves, its Wh per step in the epoch in force,
+/// and its energy and dollar sums. A lane computes its Wh from the shared
+/// saturated utilization as the engine's own model does, and makes the
+/// same adds to its sums in the same order, so its report is bit-identical
+/// to a run of its model on its own.
+#[derive(Debug, Clone)]
+struct EnergyLane {
+    power_models: Vec<ClusterPowerModel>,
+    wh_step: Vec<f64>,
+    energy_wh: Vec<f64>,
+    cost: Vec<f64>,
+}
+
+/// Each cluster's power curve under `energy`.
+fn power_models(clusters: &ClusterSet, energy: EnergyModelParams) -> Vec<ClusterPowerModel> {
+    clusters.clusters().iter().map(|c| ClusterPowerModel::new(energy, c.servers)).collect()
+}
+
+/// Watt-hours one step draws at a saturated `utilization`.
+fn wh_per_step(model: &ClusterPowerModel, utilization: f64) -> f64 {
+    model.power_watts(utilization) * (STEP_SECONDS as f64 / 3600.0)
+}
+
+/// Account `steps` steps of one cluster drawing `wh_step` each, billed at
+/// `price`: one add per step to each sum, in step order — adding a
+/// constant `n` times does not round like adding `n ×` it once. The
+/// engine's accumulate kernel makes the same adds for its own model.
+fn add_energy(wh_step: f64, price: f64, steps: usize, energy_wh: &mut f64, cost: &mut f64) {
+    let cost_step = energy_cost_dollars(wh_step, price);
+    let (mut wh, mut dollars) = (*energy_wh, *cost);
+    for _ in 0..steps {
+        wh += wh_step;
+        dollars += cost_step;
+    }
+    *energy_wh = wh;
+    *cost = dollars;
+}
+
+/// Write one energy model's sums into a report: its only fields that
+/// depend on the model.
+fn fill_energy(report: &mut SimulationReport, cost: &[f64], energy_wh: &[f64]) {
+    for ((cluster, &dollars), &wh) in report.clusters.iter_mut().zip(cost).zip(energy_wh) {
+        cluster.cost_dollars = dollars;
+        cluster.energy_mwh = wh / 1.0e6;
+    }
+    report.total_cost_dollars = cost.iter().sum();
+    report.total_energy_mwh = energy_wh.iter().sum::<f64>() / 1.0e6;
+}
+
 /// The incremental routing/accounting core: feed it one [`PriceSlice`] and
 /// [`DemandSlice`] per 5-minute step and it maintains exactly the state the
 /// batch simulator accumulates over a whole trace.
@@ -434,6 +520,10 @@ pub struct SimulationEngine<'a> {
     distance_table: DistanceTable,
     state: EngineSnapshot,
     epoch: EpochCache,
+    /// Extra energy models accounted over this replay (see
+    /// [`EnergyLane`]); empty except in a grouped sweep replay. Not part
+    /// of the snapshot.
+    lanes: Vec<EnergyLane>,
 }
 
 impl<'a> SimulationEngine<'a> {
@@ -448,11 +538,7 @@ impl<'a> SimulationEngine<'a> {
     pub fn new(clusters: &'a ClusterSet, states: &'a [UsState], config: SimulationConfig) -> Self {
         assert!(!clusters.is_empty(), "deployment has no clusters");
         config.constraints.validate(clusters.len());
-        let power_models = clusters
-            .clusters()
-            .iter()
-            .map(|c| ClusterPowerModel::new(config.energy, c.servers))
-            .collect();
+        let power_models = power_models(clusters, config.energy);
         let capacities = clusters.clusters().iter().map(|c| c.capacity_hits_per_sec()).collect();
         let state = EngineSnapshot::empty(clusters.len());
         Self {
@@ -464,7 +550,25 @@ impl<'a> SimulationEngine<'a> {
             distance_table: DistanceTable::build(clusters, states),
             state,
             epoch: EpochCache::default(),
+            lanes: Vec::new(),
         }
+    }
+
+    /// Account each of `models` in an extra lane (see [`EnergyLane`]),
+    /// alongside the configured model. [`Self::reports`] returns one
+    /// report per lane after the engine's own.
+    pub(crate) fn with_energy_lanes(mut self, models: &[EnergyModelParams]) -> Self {
+        let n_clusters = self.clusters.len();
+        self.lanes = models
+            .iter()
+            .map(|&energy| EnergyLane {
+                power_models: power_models(self.clusters, energy),
+                wh_step: Vec::with_capacity(n_clusters),
+                energy_wh: vec![0.0; n_clusters],
+                cost: vec![0.0; n_clusters],
+            })
+            .collect();
+        self
     }
 
     /// Record how many leading hours of the price feed are delay-clamped
@@ -578,7 +682,6 @@ impl<'a> SimulationEngine<'a> {
 
         let interval = self.config.reallocate_every_steps;
         let steps = (interval - i % interval).min(max_steps);
-        let step_hours = STEP_SECONDS as f64 / 3600.0;
         let constraints = &self.config.constraints;
         let tariff = self.config.bandwidth_tariff.as_ref();
         let accounted_caps = tariff.and(constraints.bandwidth_caps());
@@ -666,9 +769,8 @@ impl<'a> SimulationEngine<'a> {
                     }
                 }
                 let utilization = raw_utilization.min(1.0);
-                let watts = self.power_models[c].power_watts(utilization);
                 epoch.util.push(utilization);
-                epoch.wh_step.push(watts * step_hours);
+                epoch.wh_step.push(wh_per_step(&self.power_models[c], utilization));
                 epoch.hits_step.push(served * STEP_SECONDS as f64);
                 epoch.overflow_step.push(overflow);
                 epoch.rejected_step.push(rejected);
@@ -683,6 +785,12 @@ impl<'a> SimulationEngine<'a> {
                         && epoch.loads[c] > 0.0
                         && epoch.loads[c] >= caps[c] * (1.0 - 1e-9)
                 }));
+            }
+            for lane in &mut self.lanes {
+                lane.wh_step.clear();
+                lane.wh_step.extend(
+                    lane.power_models.iter().zip(&epoch.util).map(|(m, &u)| wh_per_step(m, u)),
+                );
             }
             epoch.valid = true;
         }
@@ -706,7 +814,8 @@ impl<'a> SimulationEngine<'a> {
     /// utilization accumulator one push) per step, in step order: adding a
     /// constant `n` times does not round like adding `n ×` it once. The
     /// clusters share no accumulator, so running each cluster's steps back
-    /// to back in locals changes no sum. Distance entries do share the
+    /// to back in locals changes no sum; nor do the energy lanes, whose
+    /// [`add_energy`] makes the same adds. Distance entries do share the
     /// histogram's sums, so they go step by step. The integer binding
     /// count and the load runs take the whole call at once, which is
     /// exact. Adding the zero overflow/rejected entries unconditionally is
@@ -716,6 +825,9 @@ impl<'a> SimulationEngine<'a> {
         let st = &mut self.state;
         let epoch = &self.epoch;
         for (c, &price) in billing.iter().enumerate() {
+            // The energy and dollar adds stay in this loop with the rest (a
+            // loop of their own measured slower on the 39-month replay);
+            // they are `add_energy`'s adds, in its order.
             let wh_step = epoch.wh_step[c];
             let cost_step = energy_cost_dollars(wh_step, price);
             let hits_step = epoch.hits_step[c];
@@ -744,6 +856,17 @@ impl<'a> SimulationEngine<'a> {
             st.loads[c].push(epoch.loads[c], steps);
             if epoch.binding[c] {
                 st.binding_steps[c] += steps;
+            }
+        }
+        for lane in &mut self.lanes {
+            for (c, &price) in billing.iter().enumerate() {
+                add_energy(
+                    lane.wh_step[c],
+                    price,
+                    steps,
+                    &mut lane.energy_wh[c],
+                    &mut lane.cost[c],
+                );
             }
         }
         st.distances.add_steps(&epoch.distances, steps);
@@ -805,8 +928,8 @@ impl<'a> SimulationEngine<'a> {
                 let p95 = p95_of(&st.loads[c]).unwrap_or(0.0);
                 ClusterReport {
                     label: labels[c].clone(),
-                    cost_dollars: st.cost[c],
-                    energy_mwh: st.energy_wh[c] / 1.0e6,
+                    cost_dollars: 0.0,
+                    energy_mwh: 0.0,
                     mean_utilization: st.util_stats[c].mean().unwrap_or(0.0),
                     p95_hits_per_sec: p95,
                     peak_hits_per_sec: st.loads[c].fold_max(0.0),
@@ -823,13 +946,13 @@ impl<'a> SimulationEngine<'a> {
             })
             .collect::<Vec<_>>();
 
-        SimulationReport {
+        let mut report = SimulationReport {
             policy: st.policy_name.clone().unwrap_or_default(),
             steps: n_steps,
             reaction_delay_hours: self.config.reaction_delay_hours,
             bandwidth_constrained: self.config.constraints.is_bandwidth_constrained(),
-            total_cost_dollars: st.cost.iter().sum(),
-            total_energy_mwh: st.energy_wh.iter().sum::<f64>() / 1.0e6,
+            total_cost_dollars: 0.0,
+            total_energy_mwh: 0.0,
             total_overflow_hits: st.overflow_hits.iter().sum(),
             total_rejected_hits: st.rejected_hits.iter().sum(),
             total_bandwidth_binding_hours: clusters.iter().map(|c| c.bandwidth_binding_hours).sum(),
@@ -840,7 +963,22 @@ impl<'a> SimulationEngine<'a> {
             p99_distance_km: st.distances.percentile_km(99.0).unwrap_or(0.0),
             distances: st.distances.clone(),
             tiers: None,
+        };
+        fill_energy(&mut report, &st.cost, &st.energy_wh);
+        report
+    }
+
+    /// [`Self::report`], followed by one report per energy lane in the
+    /// order [`Self::with_energy_lanes`] took the models. A lane's report
+    /// is the engine's with the lane's energy and dollars in place.
+    pub(crate) fn reports(&self) -> Vec<SimulationReport> {
+        let mut reports = vec![self.report()];
+        for lane in &self.lanes {
+            let mut lane_report = reports[0].clone();
+            fill_energy(&mut lane_report, &lane.cost, &lane.energy_wh);
+            reports.push(lane_report);
         }
+        reports
     }
 
     /// Each cluster's raw watt-hours so far (the report divides each by
@@ -1099,5 +1237,110 @@ mod tests {
         .unwrap();
         let err = EngineSnapshot::from_json_value(&ragged).unwrap_err();
         assert!(err.to_string().contains("energy_wh"), "unexpected error: {err}");
+    }
+
+    /// A 30-step price-conscious snapshot, with its allocation, as JSON.
+    fn snapshot_json() -> JsonValue {
+        let (clusters, trace, prices) = setup();
+        let sim = crate::simulation::Simulation::new(
+            &clusters,
+            &trace,
+            &prices,
+            SimulationConfig::default(),
+        );
+        let table = sim.price_table();
+        let mut engine =
+            SimulationEngine::new(&clusters, &trace.states, SimulationConfig::default());
+        let mut policy = PriceConsciousPolicy::with_distance_threshold(1500.0);
+        for (i, step) in trace.steps().iter().enumerate().take(30) {
+            let hour = trace.step_hour(i);
+            engine.tick(
+                &mut policy,
+                PriceSlice::new(
+                    hour,
+                    table.delayed_at(hour).unwrap(),
+                    table.billing_at(hour).unwrap(),
+                ),
+                DemandSlice::new(&step.us_demand),
+            );
+        }
+        engine.snapshot().to_json_value()
+    }
+
+    /// `snapshot` with one edit applied to its top-level fields.
+    fn edited(
+        snapshot: &JsonValue,
+        edit: impl FnOnce(&mut std::collections::BTreeMap<String, JsonValue>),
+    ) -> JsonValue {
+        let mut v = snapshot.clone();
+        let JsonValue::Object(fields) = &mut v else { panic!("a snapshot is an object") };
+        edit(fields);
+        v
+    }
+
+    /// The `index`-th element of the array field `key`.
+    fn entry<'v>(
+        fields: &'v mut std::collections::BTreeMap<String, JsonValue>,
+        key: &str,
+        index: usize,
+    ) -> &'v mut JsonValue {
+        let Some(JsonValue::Array(items)) = fields.get_mut(key) else {
+            panic!("{key} is an array")
+        };
+        &mut items[index]
+    }
+
+    #[test]
+    fn snapshot_counts_that_are_not_non_negative_integers_are_rejected() {
+        let snapshot = snapshot_json();
+        assert!(EngineSnapshot::from_json_value(&snapshot).is_ok());
+        for bad in [-2.0, 2.5, -2.5, f64::INFINITY] {
+            for key in ["step", "clamped_lead_hours", "last_alloc_hour"] {
+                let v = edited(&snapshot, |f| {
+                    f.insert(key.into(), JsonValue::Number(bad));
+                });
+                assert!(EngineSnapshot::from_json_value(&v).is_err(), "{key} = {bad}");
+            }
+            let v = edited(&snapshot, |f| *entry(f, "binding_steps", 0) = JsonValue::Number(bad));
+            assert!(EngineSnapshot::from_json_value(&v).is_err(), "binding step {bad}");
+        }
+    }
+
+    #[test]
+    fn a_negative_allocation_entry_is_an_error_not_a_panic() {
+        let snapshot = edited(&snapshot_json(), |f| {
+            let JsonValue::Array(row) = entry(f, "allocation", 0) else { panic!("row array") };
+            row[0] = JsonValue::Number(-1.0);
+        });
+        let err = EngineSnapshot::from_json_value(&snapshot).unwrap_err();
+        assert!(err.to_string().contains("allocation"), "unexpected error: {err}");
+    }
+
+    #[test]
+    fn per_cluster_sample_counts_must_agree_with_the_step_count() {
+        let snapshot = snapshot_json();
+        let short_series = edited(&snapshot, |f| {
+            let JsonValue::Array(samples) = entry(f, "load_series", 2) else { panic!("series") };
+            samples.pop();
+        });
+        let short_stats = edited(&snapshot, |f| {
+            let JsonValue::Object(stats) = entry(f, "util_stats", 2) else { panic!("stats") };
+            stats.insert("count".into(), JsonValue::Number(29.0));
+        });
+        let over_bound = edited(&snapshot, |f| {
+            *entry(f, "binding_steps", 2) = JsonValue::Number(31.0);
+        });
+        let more_steps = edited(&snapshot, |f| {
+            f.insert("step".into(), JsonValue::Number(31.0));
+        });
+        for (case, v) in [
+            ("load samples", short_series),
+            ("utilization count", short_stats),
+            ("binding steps", over_bound),
+            ("step", more_steps),
+        ] {
+            let err = EngineSnapshot::from_json_value(&v).unwrap_err();
+            assert!(err.to_string().contains("after 3"), "{case}: unexpected error: {err}");
+        }
     }
 }

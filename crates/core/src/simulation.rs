@@ -377,10 +377,28 @@ impl<'a> Simulation<'a> {
             "RunOptions::reuse_artifacts applies to scenario sweeps; \
              a Simulation already binds one compiled price table"
         );
+        let mut reports = self.replay(policy, &[], recorder);
+        reports.pop().expect("one report per energy model")
+    }
 
+    /// Replay the trace once under `policy` and account it under the
+    /// configured energy model and, in lanes of one engine, each of
+    /// `energy_lanes` (see [`SimulationEngine`]): one report per model, the
+    /// configured one first. Each report is bit-identical to a run of its
+    /// model on its own, since the energy model never shapes routing.
+    /// [`Self::execute`] is this replay with no extra lanes; a scenario
+    /// sweep replays a group of cells that differ only in energy model
+    /// through it.
+    pub(crate) fn replay(
+        &self,
+        policy: &mut dyn RoutingPolicy,
+        energy_lanes: &[EnergyModelParams],
+        recorder: Option<&mut LoadRecorder>,
+    ) -> Vec<SimulationReport> {
         let mut engine =
             SimulationEngine::new(self.clusters, &self.trace.states, self.config.clone())
-                .with_clamped_lead_hours(self.table.clamped_lead_hours());
+                .with_clamped_lead_hours(self.table.clamped_lead_hours())
+                .with_energy_lanes(energy_lanes);
         engine.replay_trace(policy, self.trace, |hour| {
             PriceSlice::new(
                 hour,
@@ -390,11 +408,11 @@ impl<'a> Simulation<'a> {
                 self.table.billing_at(hour).expect("table covers the trace"),
             )
         });
-        let report = engine.report();
+        let reports = engine.reports();
         if let Some(recorder) = recorder {
             recorder.loads = engine.into_load_runs();
         }
-        report
+        reports
     }
 }
 

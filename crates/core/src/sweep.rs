@@ -19,6 +19,24 @@
 //! deployment-independent; the price set must cover every hub any
 //! deployment uses).
 //!
+//! **Route once, account many.** The energy model prices the loads and
+//! never routes them, so cells that differ only in
+//! [`SimulationConfig::energy`] replay the same allocation stream. The
+//! sweep runs each set of such cells as one *group*: cells whose routing
+//! inputs — deployment index, reaction delay, reallocation interval,
+//! [`ConstraintSet`] and bandwidth tariff — agree bit for bit, and whose
+//! policies return equal [`RoutingPolicy::routing_key`]s, share one policy
+//! instance and one replay, accounted in one engine lane per cell (see
+//! [`SimulationEngine`](crate::engine::SimulationEngine)); every cell still
+//! gets its own report, bit-identical to running it alone. Groups are
+//! resolved lazily, in grid order, behind the work cursor: the worker that
+//! takes the lowest unclaimed cell builds its policy and, only when that
+//! policy has a key, builds the policies of later unclaimed cells with the
+//! same routing inputs and claims those whose key is equal. So the
+//! grouping does not depend on which worker resolves what. A keyless
+//! policy (the default) is a group of one, built by the worker that runs
+//! it, immediately before its replay — once per cell.
+//!
 //! Results come back either as a buffered [`SweepReport`] from
 //! [`ScenarioSweep::execute`], or incrementally through
 //! [`ScenarioSweep::execute_streaming`], which invokes a callback with each
@@ -48,14 +66,15 @@
 //! assert!(report.get("t1500").unwrap().total_cost_dollars > 0.0);
 //! ```
 
+use crate::constraints::BandwidthTariff;
 use crate::json::{self, JsonValue};
 use crate::report::{ReportDecodeError, SimulationReport};
 use crate::run::RunOptions;
 use crate::simulation::{step_coverage, Simulation, SimulationConfig};
 use std::borrow::Cow;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{mpsc, Arc, Mutex};
+use wattroute_energy::model::EnergyModelParams;
 use wattroute_geo::topology::Topology;
 use wattroute_market::price_table::{BillingMatrix, PriceTable};
 use wattroute_market::time::HourRange;
@@ -69,7 +88,10 @@ use wattroute_workload::ClusterSet;
 
 /// Builds a fresh policy instance for one sweep run. Factories (not policy
 /// instances) are what the grid stores, because runs execute concurrently
-/// and policies are stateful (`allocate` takes `&mut self`).
+/// and policies are stateful (`allocate` takes `&mut self`). When an
+/// earlier cell's policy has a routing key, the sweep may also call a
+/// factory just to read its policy's key (see the module docs), so every
+/// call must build an equal policy.
 pub type PolicyFactory = Box<dyn Fn() -> Box<dyn RoutingPolicy> + Send + Sync>;
 
 /// The label every implicit (single-deployment) sweep uses for its
@@ -519,7 +541,9 @@ impl<'a> ScenarioSweep<'a> {
     ///
     /// Unlike [`Self::execute`], nothing accumulates: delivery goes
     /// through a bounded channel holding at most one completed result per
-    /// worker, so a grid of a million cells keeps a handful of reports in
+    /// worker, and each worker holds at most the rest of one group's
+    /// reports (one per cell its replay accounted, see the module docs),
+    /// so a grid of a million cells keeps a handful of groups' reports in
     /// flight plus whatever the callback retains. The callback runs on the
     /// calling thread, so it may borrow surrounding state mutably; a
     /// callback slower than the simulations back-pressures the workers
@@ -551,8 +575,8 @@ impl<'a> ScenarioSweep<'a> {
     /// The worker pool shared by every execution mode: compile the shared
     /// artifacts into `artifacts` (reusing whatever earlier sweeps left
     /// there — the cache is keyed by hub list, so every sweep extending one
-    /// cache must use the same trace and price set), then run every grid
-    /// point and deliver results in completion order.
+    /// cache must use the same trace and price set), then replay every
+    /// group of grid points and deliver results in completion order.
     fn stream_into<F>(self, artifacts: &mut CompiledArtifacts, mut on_result: F)
     where
         F: FnMut(SweepResult),
@@ -566,8 +590,7 @@ impl<'a> ScenarioSweep<'a> {
             .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
             .clamp(1, self.points.len().max(1));
 
-        let counter = AtomicUsize::new(0);
-        let next = &counter;
+        let cursor = &Mutex::new(Cursor::new(&self.points));
         let points = &self.points;
         let deployments = &self.deployments;
         let artifacts_ref: &CompiledArtifacts = artifacts;
@@ -578,33 +601,38 @@ impl<'a> ScenarioSweep<'a> {
             for _ in 0..workers {
                 let tx = tx.clone();
                 scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= points.len() {
-                        break;
-                    }
-                    let point = &points[i];
-                    let deployment = &deployments[point.deployment];
+                    let next = cursor
+                        .lock()
+                        .expect("another worker panicked while resolving a group")
+                        .next_group(points);
+                    let Some((cells, mut policy)) = next else { break };
+                    let lead = &points[cells[0]];
+                    let deployment = &deployments[lead.deployment];
                     let table =
-                        artifacts_ref.table(point.deployment, point.config.reaction_delay_hours);
+                        artifacts_ref.table(lead.deployment, lead.config.reaction_delay_hours);
                     let sim = Simulation::with_price_table(
                         &deployment.clusters,
                         trace,
                         Cow::Borrowed(table),
-                        point.config.clone(),
+                        lead.config.clone(),
                     );
-                    let mut policy = (point.policy)();
-                    policy.attach_preferences(artifacts_ref.preferences(point.deployment));
-                    let cell_span = wattroute_obs::span!("sweep.cell");
-                    let report = sim.execute(policy.as_mut(), RunOptions::new());
-                    drop(cell_span);
-                    let result = SweepResult {
-                        index: i,
-                        label: point.label.clone(),
-                        deployment: deployment.label.clone(),
-                        report,
-                    };
-                    if tx.send(result).is_err() {
-                        break;
+                    let lanes: Vec<EnergyModelParams> =
+                        cells[1..].iter().map(|&cell| points[cell].config.energy).collect();
+                    policy.attach_preferences(artifacts_ref.preferences(lead.deployment));
+                    let replay_span = wattroute_obs::span!("sweep.replay");
+                    let reports = sim.replay(policy.as_mut(), &lanes, None);
+                    drop(replay_span);
+                    wattroute_obs::counter!("sweep.lanes").add(cells.len() as u64);
+                    for (index, report) in cells.into_iter().zip(reports) {
+                        let result = SweepResult {
+                            index,
+                            label: points[index].label.clone(),
+                            deployment: deployment.label.clone(),
+                            report,
+                        };
+                        if tx.send(result).is_err() {
+                            return;
+                        }
                     }
                 });
             }
@@ -613,6 +641,90 @@ impl<'a> ScenarioSweep<'a> {
                 on_result(result);
             }
         });
+    }
+}
+
+/// Every input of a cell's replay except its energy model and its policy,
+/// as exact bits: the deployment index, reaction delay, reallocation
+/// interval, constraint set and tariff. Cells with equal words whose
+/// policies share a [`RoutingPolicy::routing_key`] replay the same
+/// allocation stream, since the energy model only prices the loads.
+fn routing_inputs(point: &SweepPoint) -> Vec<u64> {
+    // Field by field, so a new configuration field must be keyed (or
+    // shown not to reach the shared replay, as `energy`) before it
+    // compiles.
+    let SimulationConfig {
+        energy: _,
+        reaction_delay_hours,
+        constraints,
+        reallocate_every_steps,
+        bandwidth_tariff,
+    } = &point.config;
+    let mut key =
+        vec![point.deployment as u64, *reaction_delay_hours, *reallocate_every_steps as u64];
+    constraints.push_bits(&mut key);
+    key.push(u64::from(bandwidth_tariff.is_some()));
+    if let Some(BandwidthTariff { dollars_per_mbps_month, megabits_per_hit }) = bandwidth_tariff {
+        key.extend([dollars_per_mbps_month.to_bits(), megabits_per_hit.to_bits()]);
+    }
+    key
+}
+
+/// The sweep's work cursor. Groups are resolved under its lock, lazily and
+/// in grid order — each from the lowest cell no group has claimed — so
+/// the grouping is the same whichever worker resolves each group.
+struct Cursor {
+    /// No cell below this is left to run.
+    next: usize,
+    /// Cells a group has claimed.
+    claimed: Vec<bool>,
+    /// Each cell's next cell in grid order with bit-equal
+    /// [`routing_inputs`], if any: a group only forms along one chain.
+    same_routing: Vec<Option<usize>>,
+}
+
+impl Cursor {
+    /// A cursor at the grid's first cell, with the cells chained by
+    /// routing inputs once, before any worker starts.
+    fn new(points: &[SweepPoint]) -> Self {
+        let mut later: HashMap<Vec<u64>, usize> = HashMap::new();
+        let mut same_routing = vec![None; points.len()];
+        for (cell, point) in points.iter().enumerate().rev() {
+            same_routing[cell] = later.insert(routing_inputs(point), cell);
+        }
+        Self { next: 0, claimed: vec![false; points.len()], same_routing }
+    }
+
+    /// Claim the next group: its cells in grid order, the first leading,
+    /// and the policy that routes them, built from the lead's factory. A
+    /// keyless lead is a group of one. A keyed lead also builds the
+    /// policy of every later unclaimed cell with the same routing inputs
+    /// and claims the cells whose key equals its own.
+    fn next_group(
+        &mut self,
+        points: &[SweepPoint],
+    ) -> Option<(Vec<usize>, Box<dyn RoutingPolicy>)> {
+        while self.claimed.get(self.next) == Some(&true) {
+            self.next += 1;
+        }
+        let lead = self.next;
+        let point = points.get(lead)?;
+        self.next += 1;
+        let policy = (point.policy)();
+        let mut cells = vec![lead];
+        if let Some(key) = policy.routing_key() {
+            let mut later = self.same_routing[lead];
+            while let Some(cell) = later {
+                if !self.claimed[cell]
+                    && (points[cell].policy)().routing_key().as_ref() == Some(&key)
+                {
+                    self.claimed[cell] = true;
+                    cells.push(cell);
+                }
+                later = self.same_routing[cell];
+            }
+        }
+        Some((cells, policy))
     }
 }
 
@@ -764,7 +876,9 @@ mod tests {
     use super::*;
     use crate::scenario::Scenario;
     use wattroute_market::time::{HourRange, SimHour};
+    use wattroute_routing::allocation::Allocation;
     use wattroute_routing::baseline::AkamaiLikePolicy;
+    use wattroute_routing::policy::{RoutingContext, RoutingKey};
     use wattroute_routing::price_conscious::PriceConsciousPolicy;
 
     fn short_scenario() -> Scenario {
@@ -1142,5 +1256,246 @@ mod tests {
         let s = short_scenario();
         let mut sweep = ScenarioSweep::new(&s.clusters, &s.trace, &s.prices);
         sweep.add_point_on(3, "bad", s.config.clone(), AkamaiLikePolicy::default);
+    }
+
+    /// What a sweep's [`Counted`] policies did: factory calls, replays
+    /// (instances that routed at all), routing calls, and each dropped
+    /// instance's call count.
+    #[derive(Default)]
+    struct Counts {
+        builds: std::sync::atomic::AtomicUsize,
+        replays: std::sync::atomic::AtomicUsize,
+        calls: std::sync::atomic::AtomicUsize,
+        lives: Mutex<Vec<usize>>,
+    }
+
+    impl Counts {
+        fn get(counter: &std::sync::atomic::AtomicUsize) -> usize {
+            counter.load(std::sync::atomic::Ordering::SeqCst)
+        }
+    }
+
+    /// A wrapper that counts into [`Counts`] and checks that it routes on
+    /// the thread that built it. It forwards its inner policy's key when
+    /// `keyed` and is keyless otherwise.
+    struct Counted<P> {
+        inner: P,
+        keyed: bool,
+        counts: Arc<Counts>,
+        built_on: std::thread::ThreadId,
+        calls: usize,
+    }
+
+    impl<P: RoutingPolicy> Counted<P> {
+        fn new(inner: P, keyed: bool, counts: &Arc<Counts>) -> Self {
+            counts.builds.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            let built_on = std::thread::current().id();
+            Self { inner, keyed, counts: counts.clone(), built_on, calls: 0 }
+        }
+    }
+
+    impl<P: RoutingPolicy> RoutingPolicy for Counted<P> {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+
+        fn allocate(&mut self, ctx: &RoutingContext<'_>) -> Allocation {
+            let mut out = Allocation::zeros(ctx.clusters.len(), ctx.states.len());
+            self.allocate_into(&mut out, ctx);
+            out
+        }
+
+        fn allocate_into(&mut self, out: &mut Allocation, ctx: &RoutingContext<'_>) {
+            assert_eq!(std::thread::current().id(), self.built_on, "routed off its worker");
+            if self.calls == 0 {
+                self.counts.replays.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            }
+            self.calls += 1;
+            self.counts.calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            self.inner.allocate_into(out, ctx);
+        }
+
+        fn attach_preferences(&mut self, prefs: &Arc<CompiledPreferences>) {
+            self.inner.attach_preferences(prefs);
+        }
+
+        fn routing_key(&self) -> Option<RoutingKey> {
+            self.inner.routing_key().filter(|_| self.keyed)
+        }
+    }
+
+    impl<P> Drop for Counted<P> {
+        fn drop(&mut self) {
+            if self.calls > 0 {
+                self.counts.lives.lock().expect("no test thread panicked").push(self.calls);
+            }
+        }
+    }
+
+    fn counted_pc(km: f64, keyed: bool, counts: &Arc<Counts>) -> PolicyFactory {
+        let counts = counts.clone();
+        Box::new(move || {
+            Box::new(Counted::new(
+                PriceConsciousPolicy::with_distance_threshold(km),
+                keyed,
+                &counts,
+            ))
+        })
+    }
+
+    #[test]
+    fn keyless_policies_are_built_once_per_cell_and_route_every_step_of_it() {
+        let s = short_scenario();
+        let steps = s.trace.num_steps();
+        let counts = Arc::new(Counts::default());
+        let per_cell: Arc<Vec<std::sync::atomic::AtomicUsize>> =
+            Arc::new((0..6).map(|_| std::sync::atomic::AtomicUsize::new(0)).collect());
+        let mut sweep = ScenarioSweep::new(&s.clusters, &s.trace, &s.prices).with_threads(2);
+        for cell in 0..6 {
+            // Cells differ in energy model only: keyed, they would group.
+            let idle = if cell % 2 == 0 { 0.0 } else { 0.65 };
+            let config = s.config.clone().with_energy(EnergyModelParams::new(250.0, idle, 1.3));
+            let (counts, per_cell) = (counts.clone(), per_cell.clone());
+            sweep.add_boxed_point(
+                format!("cell{cell}"),
+                config,
+                Box::new(move || {
+                    per_cell[cell].fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                    Box::new(Counted::new(
+                        PriceConsciousPolicy::with_distance_threshold(1500.0),
+                        false,
+                        &counts,
+                    ))
+                }),
+            );
+        }
+        let report = sweep.execute(RunOptions::new());
+        assert_eq!(report.runs.len(), 6);
+        for (cell, builds) in per_cell.iter().enumerate() {
+            assert_eq!(Counts::get(builds), 1, "cell {cell} built once");
+        }
+        assert_eq!(Counts::get(&counts.replays), 6, "one replay per keyless cell");
+        let lives = counts.lives.lock().expect("no test thread panicked").clone();
+        assert_eq!(lives, vec![steps; 6], "every instance routes every step of its cell");
+    }
+
+    #[test]
+    fn cells_that_differ_in_one_routing_input_do_not_group() {
+        use crate::constraints::BandwidthTariff;
+        use wattroute_routing::constraints::OverflowMode;
+
+        let s = short_scenario();
+        let n = s.clusters.len();
+        let base = s.config.clone();
+        // Each pair's second cell also has another energy model, so the
+        // pair would share a replay if its routing inputs were equal.
+        let other =
+            |config: SimulationConfig| config.with_energy(EnergyModelParams::no_power_management());
+        let mut zero_cap = vec![1.0e9; n];
+        zero_cap[3] = 0.0;
+        let mut negative_zero_cap = zero_cap.clone();
+        negative_zero_cap[3] = -0.0;
+        let ceilings = base.constraints.clone().with_capacity_ceilings(vec![1.0e9; n]);
+        let cases: Vec<(&str, SimulationConfig, SimulationConfig, usize, f64)> = vec![
+            ("energy only", base.clone(), other(base.clone()), 0, 1500.0),
+            ("delay", base.clone(), other(base.clone().with_reaction_delay(2)), 0, 1500.0),
+            (
+                "interval",
+                base.clone(),
+                other(base.clone().with_reallocation_interval(12)),
+                0,
+                1500.0,
+            ),
+            (
+                "cap sign",
+                base.clone().with_bandwidth_caps(zero_cap),
+                other(base.clone().with_bandwidth_caps(negative_zero_cap)),
+                0,
+                1500.0,
+            ),
+            ("ceiling", base.clone(), other(base.clone().with_constraints(ceilings)), 0, 1500.0),
+            (
+                "overflow",
+                base.clone(),
+                other(base.clone().with_overflow(OverflowMode::Reject)),
+                0,
+                1500.0,
+            ),
+            (
+                "tariff",
+                base.clone(),
+                other(base.clone().with_bandwidth_tariff(BandwidthTariff::default_cdn())),
+                0,
+                1500.0,
+            ),
+            ("deployment", base.clone(), other(base.clone()), 1, 1500.0),
+            ("policy key", base.clone(), other(base.clone()), 0, 1000.0),
+        ];
+        for (case, first, second, deployment, km) in cases {
+            let counts = Arc::new(Counts::default());
+            let mut sweep = ScenarioSweep::new(&s.clusters, &s.trace, &s.prices).with_threads(2);
+            let copy = sweep.add_deployment("copy", &s.clusters);
+            assert_eq!(copy, 1);
+            sweep.add_boxed_point("first", first, counted_pc(1500.0, true, &counts));
+            sweep.add_boxed_point_on(deployment, "second", second, counted_pc(km, true, &counts));
+            let report = sweep.execute(RunOptions::new());
+            assert_eq!(report.runs.len(), 2);
+            let replays = if case == "energy only" { 1 } else { 2 };
+            assert_eq!(Counts::get(&counts.replays), replays, "{case}");
+        }
+    }
+
+    #[test]
+    fn a_sweep_24d_shaped_grid_routes_half_its_replays() {
+        let s = short_scenario();
+        let steps = s.trace.num_steps();
+        let thresholds = [0.0, 250.0, 500.0, 750.0, 1000.0, 1250.0, 1500.0, 1750.0, 2000.0, 2500.0];
+        let models = [(0.0, 1.1), (0.65, 1.3)];
+        let config = |(idle, pue): (f64, f64)| {
+            s.config.clone().with_energy(EnergyModelParams::new(250.0, idle, pue))
+        };
+        // The two phases of sweep-24d: an Akamai-like baseline per energy
+        // model, then relaxed and follow-95/5 cells per model and threshold.
+        let run = |keyed: bool| {
+            let counts = Arc::new(Counts::default());
+            let mut baselines = ScenarioSweep::new(&s.clusters, &s.trace, &s.prices);
+            for (i, &model) in models.iter().enumerate() {
+                let counts = counts.clone();
+                baselines.add_boxed_point(
+                    format!("base:{i}"),
+                    config(model),
+                    Box::new(move || {
+                        Box::new(Counted::new(AkamaiLikePolicy::default(), keyed, &counts))
+                    }),
+                );
+            }
+            let baselines = baselines.execute(RunOptions::new());
+            let mut grid = ScenarioSweep::new(&s.clusters, &s.trace, &s.prices);
+            for (i, &model) in models.iter().enumerate() {
+                let caps: Vec<f64> =
+                    baselines.runs[i].report.clusters.iter().map(|c| c.p95_hits_per_sec).collect();
+                for km in thresholds {
+                    grid.add_boxed_point(
+                        format!("relaxed:{i}:{km}"),
+                        config(model),
+                        counted_pc(km, keyed, &counts),
+                    );
+                    grid.add_boxed_point(
+                        format!("follow:{i}:{km}"),
+                        config(model).with_bandwidth_caps(caps.clone()),
+                        counted_pc(km, keyed, &counts),
+                    );
+                }
+            }
+            let grid = grid.execute(RunOptions::new());
+            let runs: Vec<SweepRun> = baselines.runs.into_iter().chain(grid.runs).collect();
+            (runs, Counts::get(&counts.replays), Counts::get(&counts.calls))
+        };
+        let (grouped, replays, calls) = run(true);
+        let (alone, keyless_replays, keyless_calls) = run(false);
+        assert_eq!(grouped.len(), 42);
+        assert_eq!((replays, calls), (21, 21 * steps), "grouped: 21 streams of 42 cells");
+        assert_eq!((keyless_replays, keyless_calls), (42, 42 * steps), "one replay per cell");
+        assert_eq!(grouped, alone, "grouped reports == keyless reports");
     }
 }

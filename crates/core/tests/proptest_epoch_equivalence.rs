@@ -23,7 +23,8 @@
 //! the paper's whole 24-day trace: re-routing every step, and at intervals
 //! of 12 and 5 steps, where the batch driver advances a whole allocation
 //! epoch per call and the run-length load store keeps runs longer than one
-//! step.
+//! step; and sweep-24d's grid shape, whose cells share replays across two
+//! energy models, against each cell run alone.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -420,4 +421,77 @@ fn paper_scale_trivial_tree_reads_each_p95_from_a_decimated_reservoir() {
     let tree = replay.run_sharded(&move || policy_for(price_conscious_1500));
     assert_eq!(tree, expected, "trivial tree != flat report with reservoir percentiles");
     assert_eq!(tree.to_json(), expected.to_json(), "JSON encodings differ");
+}
+
+/// sweep-24d's grid shape on the paper's whole 24-day trace: per energy
+/// model an Akamai-like baseline, then price-conscious cells at three
+/// thresholds, relaxed and under the baseline's 95/5 caps. The two models'
+/// baselines route identically, so their caps agree bit for bit and every
+/// optimizer cell shares its replay with its twin under the other model.
+/// Each grouped cell must equal that cell run alone, struct and JSON.
+fn assert_paper_scale_grouped_sweep_matches_each_cell_alone(base: SimulationConfig) {
+    let s = Scenario::akamai_24_day(2009);
+    assert_eq!(s.trace.num_steps(), 6912);
+    let models =
+        [EnergyModelParams::new(250.0, 0.0, 1.1), EnergyModelParams::new(250.0, 0.65, 1.3)];
+    let alone = |config: &SimulationConfig, policy: &mut dyn RoutingPolicy| {
+        Simulation::new(&s.clusters, &s.trace, &s.prices, config.clone())
+            .execute(policy, RunOptions::new())
+    };
+
+    let mut expected = Vec::new();
+    let mut baselines = ScenarioSweep::new(&s.clusters, &s.trace, &s.prices);
+    for (i, &model) in models.iter().enumerate() {
+        let config = base.clone().with_energy(model);
+        expected.push(alone(&config, &mut AkamaiLikePolicy::default()));
+        baselines.add_point(format!("base:{i}"), config, AkamaiLikePolicy::default);
+    }
+    let baselines = baselines.execute(RunOptions::new());
+    let caps_of = |i: usize| -> Vec<f64> {
+        baselines.runs[i].report.clusters.iter().map(|c| c.p95_hits_per_sec).collect()
+    };
+    let bits = |caps: Vec<f64>| caps.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+    assert_eq!(bits(caps_of(0)), bits(caps_of(1)), "baseline loads ignore the energy model");
+
+    let mut grid = ScenarioSweep::new(&s.clusters, &s.trace, &s.prices);
+    for (i, &model) in models.iter().enumerate() {
+        let relaxed = base.clone().with_energy(model);
+        let follow = relaxed.clone().with_bandwidth_caps(caps_of(i));
+        for km in [0.0, 1500.0, 2500.0] {
+            for (kind, config) in [("relaxed", &relaxed), ("follow", &follow)] {
+                let mut policy = PriceConsciousPolicy::with_distance_threshold(km);
+                expected.push(alone(config, &mut policy));
+                grid.add_point(format!("{kind}:{i}:{km}"), config.clone(), move || {
+                    PriceConsciousPolicy::with_distance_threshold(km)
+                });
+            }
+        }
+    }
+    let grid = grid.execute(RunOptions::new());
+
+    let runs: Vec<_> = baselines.runs.iter().chain(&grid.runs).collect();
+    assert_eq!(runs.len(), expected.len());
+    for (run, alone) in runs.into_iter().zip(&expected) {
+        assert_eq!(&run.report, alone, "{}: grouped != alone", run.label);
+        assert_eq!(
+            run.report.to_json_value().to_string(),
+            alone.to_json_value().to_string(),
+            "{}: JSON encodings differ",
+            run.label
+        );
+    }
+}
+
+#[test]
+fn paper_scale_grouped_sweep_equals_each_cell_run_alone() {
+    assert_paper_scale_grouped_sweep_matches_each_cell_alone(Scenario::akamai_24_day(2009).config);
+}
+
+#[test]
+fn paper_scale_grouped_sweep_equals_each_cell_run_alone_under_a_tariff_and_reject() {
+    let config = Scenario::akamai_24_day(2009)
+        .config
+        .with_bandwidth_tariff(wattroute::constraints::BandwidthTariff::default_cdn())
+        .with_overflow(OverflowMode::Reject);
+    assert_paper_scale_grouped_sweep_matches_each_cell_alone(config);
 }

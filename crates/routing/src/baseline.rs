@@ -22,7 +22,9 @@
 //! per-realloc sort used, so the migration is bit-identical.
 
 use crate::allocation::Allocation;
-use crate::policy::{assign_by_preference_into, AssignWorkspace, RoutingContext, RoutingPolicy};
+use crate::policy::{
+    assign_by_preference_into, AssignWorkspace, RoutingContext, RoutingKey, RoutingPolicy,
+};
 use crate::price_conscious::{ensure_compiled, CompiledPreferences};
 use std::sync::Arc;
 
@@ -70,6 +72,13 @@ impl RoutingPolicy for NearestClusterPolicy {
 
     fn attach_preferences(&mut self, prefs: &Arc<CompiledPreferences>) {
         self.compiled = Some(prefs.clone());
+    }
+
+    fn routing_key(&self) -> Option<RoutingKey> {
+        // Field by field, so a new field must be keyed or declared
+        // routing-neutral before it compiles.
+        let Self { compiled: _, own_geometry_builds: _, workspace: _ } = self;
+        Some(RoutingKey::of::<Self>())
     }
 }
 
@@ -189,6 +198,17 @@ impl RoutingPolicy for AkamaiLikePolicy {
     fn attach_preferences(&mut self, prefs: &Arc<CompiledPreferences>) {
         self.compiled = Some(prefs.clone());
     }
+
+    fn routing_key(&self) -> Option<RoutingKey> {
+        let Self {
+            secondary_fraction,
+            compiled: _,
+            own_geometry_builds: _,
+            workspace: _,
+            scratch: _,
+        } = self;
+        Some(RoutingKey::of::<Self>().with(*secondary_fraction))
+    }
 }
 
 /// Send everything to the cheapest market on average — the static placement
@@ -242,6 +262,11 @@ impl RoutingPolicy for StaticCheapestPolicy {
         assign_by_preference_into(ctx, &mut self.workspace, out, |_, _, buf| {
             buf.extend_from_slice(order);
         });
+    }
+
+    fn routing_key(&self) -> Option<RoutingKey> {
+        let Self { mean_prices, workspace: _, order: _ } = self;
+        Some(RoutingKey::of::<Self>().with_all(mean_prices))
     }
 }
 

@@ -269,6 +269,33 @@ impl ConstraintSet {
             assert_eq!(tiers.num_sites(), n_clusters, "tier cap site count mismatch");
         }
     }
+
+    /// Append the set to `key` as exact bits: two sets append equal words
+    /// exactly when every ceiling, cap, tier and the overflow mode agree
+    /// bit for bit, so a `0.0` cap and a `-0.0` cap differ. A scenario
+    /// sweep keys the cells that may share one routing stream on it.
+    pub fn push_bits(&self, key: &mut Vec<u64>) {
+        // Field by field, so a new field must be keyed before it compiles.
+        let Self { capacity_ceilings, bandwidth_caps, tier_caps, overflow } = self;
+        let push_all = |key: &mut Vec<u64>, values: &[f64]| {
+            key.push(values.len() as u64);
+            key.extend(values.iter().map(|v| v.to_bits()));
+        };
+        for values in [capacity_ceilings, bandwidth_caps] {
+            key.push(u64::from(values.is_some()));
+            push_all(key, values.as_deref().unwrap_or_default());
+        }
+        key.push(u64::from(tier_caps.is_some()));
+        if let Some(TierCaps { site_metro, site_region, metro_caps, region_caps }) = tier_caps {
+            for parents in [site_metro, site_region] {
+                key.push(parents.len() as u64);
+                key.extend(parents.iter().map(|&p| p as u64));
+            }
+            push_all(key, metro_caps);
+            push_all(key, region_caps);
+        }
+        key.push(*overflow as u64);
+    }
 }
 
 /// 95/5 bandwidth caps keyed by market hub rather than cluster position,

@@ -13,7 +13,8 @@
 
 use crate::allocation::Allocation;
 use crate::policy::{
-    assign_by_preference, assign_by_preference_into, AssignWorkspace, RoutingContext, RoutingPolicy,
+    assign_by_preference, assign_by_preference_into, AssignWorkspace, RoutingContext, RoutingKey,
+    RoutingPolicy,
 };
 use crate::price_conscious::{ensure_compiled, CompiledPreferences};
 use std::sync::Arc;
@@ -64,6 +65,17 @@ impl RoutingPolicy for CarbonAwarePolicy {
         assign_by_preference(ctx, |_, state| {
             preference_by_cost(ctx, state, &intensities, threshold_km, intensity_threshold)
         })
+    }
+
+    fn routing_key(&self) -> Option<RoutingKey> {
+        // Field by field, so a new field must be keyed before it compiles.
+        let Self { distance_threshold_km, carbon_intensity, intensity_threshold } = self;
+        Some(
+            RoutingKey::of::<Self>()
+                .with(*distance_threshold_km)
+                .with_all(carbon_intensity)
+                .with(*intensity_threshold),
+        )
     }
 }
 
@@ -146,6 +158,12 @@ impl RoutingPolicy for JointCostPolicy {
 
     fn attach_preferences(&mut self, prefs: &Arc<CompiledPreferences>) {
         self.compiled = Some(prefs.clone());
+    }
+
+    fn routing_key(&self) -> Option<RoutingKey> {
+        let Self { distance_weight, compiled: _, own_geometry_builds: _, workspace: _, scratch: _ } =
+            self;
+        Some(RoutingKey::of::<Self>().with(*distance_weight))
     }
 }
 

@@ -57,7 +57,7 @@ pub mod prelude {
     pub use crate::baseline::{AkamaiLikePolicy, NearestClusterPolicy, StaticCheapestPolicy};
     pub use crate::constraints::{ConstraintSet, HubBandwidthCaps, OverflowMode, TierCaps};
     pub use crate::extensions::{CarbonAwarePolicy, JointCostPolicy};
-    pub use crate::policy::{RoutingContext, RoutingPolicy};
+    pub use crate::policy::{RoutingContext, RoutingKey, RoutingPolicy};
     pub use crate::price_conscious::{CompiledPreferences, PriceConsciousPolicy};
 }
 

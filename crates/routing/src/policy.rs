@@ -11,6 +11,7 @@
 use crate::allocation::Allocation;
 use crate::constraints::ConstraintSet;
 use crate::price_conscious::CompiledPreferences;
+use std::any::TypeId;
 use std::borrow::Cow;
 use std::sync::Arc;
 use wattroute_geo::UsState;
@@ -130,6 +131,52 @@ pub trait RoutingPolicy {
     /// attached geometry does not match a context they are handed.
     fn attach_preferences(&mut self, prefs: &Arc<CompiledPreferences>) {
         let _ = prefs;
+    }
+
+    /// An exact key for how this policy routes, or `None` — the default,
+    /// which promises nothing.
+    ///
+    /// Returning a key is a promise: every instance with an equal key,
+    /// freshly built, has the same [`Self::name`] and allocates every
+    /// sequence of contexts identically, bit for bit, call after call. A
+    /// scenario sweep leans on it: cells whose routing inputs agree bit
+    /// for bit and whose policies share a key replay one allocation
+    /// stream, through one policy instance, instead of one each. Build
+    /// the key from the policy's type and every configuration value that
+    /// shapes its allocations with [`RoutingKey`]. Wrappers, and policies
+    /// whose allocations depend on anything else, keep the default.
+    fn routing_key(&self) -> Option<RoutingKey> {
+        None
+    }
+}
+
+/// An exact description of how a policy routes: its type, plus the bits
+/// of every configuration value that shapes its allocations (see
+/// [`RoutingPolicy::routing_key`]). Keys compare bit for bit, not by
+/// float equality or a hash: `0.0` and `-0.0` give different keys.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RoutingKey {
+    policy: TypeId,
+    bits: Vec<u64>,
+}
+
+impl RoutingKey {
+    /// The key of policy type `P`, before any configuration value.
+    pub fn of<P: RoutingPolicy + 'static>() -> Self {
+        Self { policy: TypeId::of::<P>(), bits: Vec::new() }
+    }
+
+    /// Add one configuration value.
+    pub fn with(mut self, value: f64) -> Self {
+        self.bits.push(value.to_bits());
+        self
+    }
+
+    /// Add a list of configuration values, with its length.
+    pub fn with_all(mut self, values: &[f64]) -> Self {
+        self.bits.push(values.len() as u64);
+        self.bits.extend(values.iter().map(|v| v.to_bits()));
+        self
     }
 }
 
@@ -529,6 +576,83 @@ mod tests {
             });
             assert_eq!(out, expected, "tiered pour must be identical");
         }
+    }
+
+    #[test]
+    fn every_public_config_field_reaches_the_built_in_keys() {
+        use crate::baseline::{AkamaiLikePolicy, NearestClusterPolicy, StaticCheapestPolicy};
+        use crate::extensions::{CarbonAwarePolicy, JointCostPolicy};
+        use crate::price_conscious::PriceConsciousPolicy;
+
+        fn key(policy: &dyn RoutingPolicy) -> RoutingKey {
+            policy.routing_key().expect("every built-in policy is keyed")
+        }
+        /// `base` keys like a twin and unlike each variant.
+        fn assert_keyed<P: RoutingPolicy>(base: impl Fn() -> P, variants: Vec<(&str, P)>) {
+            assert_eq!(key(&base()), key(&base()), "equal configurations, equal keys");
+            for (field, variant) in variants {
+                assert_ne!(key(&base()), key(&variant), "{field} must reach the key");
+            }
+        }
+
+        let pc = || PriceConsciousPolicy::with_distance_threshold(0.0);
+        let mut negative_zero = pc();
+        negative_zero.config.distance_threshold_km = -0.0;
+        let mut price_threshold = pc();
+        price_threshold.config.price_threshold = 4.0;
+        assert_keyed(
+            pc,
+            vec![
+                ("distance_threshold_km sign", negative_zero),
+                ("price_threshold", price_threshold),
+            ],
+        );
+
+        let mut fraction = AkamaiLikePolicy::default();
+        fraction.secondary_fraction = 0.3;
+        assert_keyed(AkamaiLikePolicy::default, vec![("secondary_fraction", fraction)]);
+
+        assert_keyed(
+            || JointCostPolicy::new(0.02),
+            vec![("distance_weight", JointCostPolicy::new(0.03))],
+        );
+
+        let carbon = || CarbonAwarePolicy::new(1500.0, vec![0.5; 9]);
+        let (mut distance, mut intensity, mut threshold) = (carbon(), carbon(), carbon());
+        distance.distance_threshold_km = 1000.0;
+        intensity.carbon_intensity[4] = 0.4;
+        threshold.intensity_threshold = 0.05;
+        assert_keyed(
+            carbon,
+            vec![
+                ("distance_threshold_km", distance),
+                ("carbon_intensity", intensity),
+                ("intensity_threshold", threshold),
+            ],
+        );
+
+        let means = || StaticCheapestPolicy::new(vec![40.0; 9]);
+        assert_keyed(means, vec![("mean prices", StaticCheapestPolicy::new(vec![40.0; 8]))]);
+
+        // The policy's type is part of its key, whatever its bits.
+        let nearest = key(&NearestClusterPolicy::new());
+        assert_eq!(nearest, key(&NearestClusterPolicy::new()));
+        assert_ne!(nearest, key(&PriceConsciousPolicy::with_distance_threshold(0.0)));
+        assert_ne!(key(&AkamaiLikePolicy::new(0.02)), key(&JointCostPolicy::new(0.02)));
+    }
+
+    #[test]
+    fn policies_are_keyless_by_default() {
+        struct Everywhere;
+        impl RoutingPolicy for Everywhere {
+            fn name(&self) -> &str {
+                "everywhere"
+            }
+            fn allocate(&mut self, ctx: &RoutingContext<'_>) -> Allocation {
+                assign_by_preference(ctx, |_, _| vec![0])
+            }
+        }
+        assert_eq!(Everywhere.routing_key(), None);
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //! than $5/MWh are ignored, so ties go to the nearer cluster).
 
 use crate::allocation::Allocation;
-use crate::policy::{assign_by_preference_into, AssignWorkspace, RoutingContext, RoutingPolicy};
+use crate::policy::{
+    assign_by_preference_into, AssignWorkspace, RoutingContext, RoutingKey, RoutingPolicy,
+};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use wattroute_geo::distance::RankedHub;
@@ -405,6 +407,21 @@ impl RoutingPolicy for PriceConsciousPolicy {
 
     fn attach_preferences(&mut self, prefs: &Arc<CompiledPreferences>) {
         self.attach_shared_preferences(prefs);
+    }
+
+    fn routing_key(&self) -> Option<RoutingKey> {
+        // Named field by field, so a new field does not compile until it
+        // is keyed or declared routing-neutral: the geometry, memo and
+        // scratch never change an allocation.
+        let Self {
+            config: PriceConsciousConfig { distance_threshold_km, price_threshold },
+            compiled: _,
+            split: _,
+            own_geometry_builds: _,
+            workspace: _,
+            scratch: _,
+        } = self;
+        Some(RoutingKey::of::<Self>().with(*distance_threshold_km).with(*price_threshold))
     }
 }
 
