@@ -13,7 +13,8 @@
 //! ```
 //!
 //! `hub` is a market location code (see [`wattroute_geo::hubs::find_by_code`]),
-//! `hour` is hours since 2006-01-01 00:00 EST, and `price` is $/MWh.
+//! `hour` is hours since 2006-01-01 00:00 EST, and `price` is $/MWh, a
+//! finite number.
 
 use crate::time::SimHour;
 use crate::types::{MarketKind, PriceSeries, PriceSet};
@@ -111,10 +112,10 @@ pub fn from_csv(text: &str) -> Result<PriceSet, CsvError> {
             field: "hour",
             value: fields[1].to_string(),
         })?;
-        let price: f64 = fields[2].parse().map_err(|_| CsvError::BadField {
-            line: line_no,
-            field: "price",
-            value: fields[2].to_string(),
+        // `f64::from_str` also accepts "NaN", "inf" and "infinity"; a price
+        // must be finite, as the live price feed requires too.
+        let price = fields[2].parse::<f64>().ok().filter(|p| p.is_finite()).ok_or_else(|| {
+            CsvError::BadField { line: line_no, field: "price", value: fields[2].to_string() }
         })?;
         per_hub.entry(code).or_default().insert(hour, price);
     }
@@ -192,6 +193,18 @@ mod tests {
         assert!(matches!(err, CsvError::BadField { field: "price", .. }));
         let err = from_csv("hub,hour,price\nNOWHERE,1,50\n").unwrap_err();
         assert!(matches!(err, CsvError::UnknownHub { .. }));
+    }
+
+    #[test]
+    fn non_finite_prices_are_rejected() {
+        for value in ["NaN", "nan", "inf", "-inf", "infinity", "-Infinity", "1e400"] {
+            let err = from_csv(&format!("hub,hour,price\nNYC,0,50\nNYC,1,{value}\n")).unwrap_err();
+            assert_eq!(
+                err,
+                CsvError::BadField { line: 3, field: "price", value: value.to_string() },
+                "{value}"
+            );
+        }
     }
 
     #[test]

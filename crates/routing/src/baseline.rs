@@ -14,16 +14,20 @@
 //!   (§6.3, Figure 18): every request is served from the hub with the lowest
 //!   long-run average price, subject to capacity.
 //!
-//! All three ride [`CompiledPreferences`] for their distance geometry: the
-//! per-state ascending-distance ranking is compiled once per (deployment,
-//! state list) — shared by a sweep or lazily self-compiled — instead of
-//! being recomputed and re-sorted on every reallocation. The ranking's
-//! stable sort from cluster-index order gives exactly the tie-break the old
-//! per-realloc sort used, so the migration is bit-identical.
+//! The nearest-cluster and Akamai-like baselines ride
+//! [`CompiledPreferences`] for their distance geometry: the per-state
+//! ascending-distance ranking is compiled once per (deployment, state
+//! list) — shared by a sweep or lazily self-compiled — and lent to the pour
+//! as borrowed slices, never re-sorted or copied per reallocation. The
+//! ranking's stable sort from cluster-index order gives exactly the
+//! tie-break the old per-realloc sort used, so the migration is
+//! bit-identical. The static placement sorts its mean prices once, when
+//! it is built.
 
 use crate::allocation::Allocation;
 use crate::policy::{
     assign_by_preference_into, AssignWorkspace, RoutingContext, RoutingKey, RoutingPolicy,
+    WholeOrders,
 };
 use crate::price_conscious::{ensure_compiled, CompiledPreferences};
 use std::sync::Arc;
@@ -65,9 +69,8 @@ impl RoutingPolicy for NearestClusterPolicy {
     fn allocate_into(&mut self, out: &mut Allocation, ctx: &RoutingContext<'_>) {
         ensure_compiled(&mut self.compiled, &mut self.own_geometry_builds, ctx);
         let compiled = self.compiled.as_ref().expect("compiled above");
-        assign_by_preference_into(ctx, &mut self.workspace, out, |state_idx, _, buf| {
-            buf.extend(compiled.ranked(state_idx).iter().map(|(i, _)| *i));
-        });
+        let mut nearest_first = WholeOrders::new(|state| compiled.order(state));
+        assign_by_preference_into(ctx, &mut self.workspace, out, &mut nearest_first);
     }
 
     fn attach_preferences(&mut self, prefs: &Arc<CompiledPreferences>) {
@@ -83,13 +86,18 @@ impl RoutingPolicy for NearestClusterPolicy {
 }
 
 /// Reused buffers for the Akamai-like baseline's two-share pour: the split
-/// demand vectors and the two partial allocations merged into the output.
+/// demand vectors, the two partial allocations merged into the output, and
+/// the secondary share's preference orders.
 #[derive(Debug, Clone, Default)]
 struct AkamaiScratch {
     primary_demand: Vec<f64>,
     secondary_demand: Vec<f64>,
     primary: Allocation,
     secondary: Allocation,
+    /// Each state's distance order rotated left by one (second nearest
+    /// first, nearest last), state after state; compiled once per
+    /// geometry, empty while stale.
+    rotated: Vec<usize>,
 }
 
 /// An Akamai-like baseline: most of a state's demand goes to the nearest
@@ -149,11 +157,22 @@ impl RoutingPolicy for AkamaiLikePolicy {
         // on each share separately, then merge.
         let n_clusters = ctx.clusters.len();
         let n_states = ctx.states.len();
-        ensure_compiled(&mut self.compiled, &mut self.own_geometry_builds, ctx);
+        if ensure_compiled(&mut self.compiled, &mut self.own_geometry_builds, ctx) {
+            self.scratch.rotated.clear();
+        }
         let compiled = self.compiled.as_ref().expect("compiled above");
         let fraction = self.secondary_fraction;
-        let AkamaiScratch { primary_demand, secondary_demand, primary, secondary } =
+        let AkamaiScratch { primary_demand, secondary_demand, primary, secondary, rotated } =
             &mut self.scratch;
+        if rotated.is_empty() {
+            for state in 0..n_states {
+                let start = rotated.len();
+                rotated.extend_from_slice(compiled.order(state));
+                if n_clusters > 1 {
+                    rotated[start..].rotate_left(1); // prefer the second nearest first
+                }
+            }
+        }
 
         primary_demand.clear();
         primary_demand.extend(ctx.demand.iter().map(|d| d * (1.0 - fraction)));
@@ -161,26 +180,18 @@ impl RoutingPolicy for AkamaiLikePolicy {
         secondary_demand.extend(ctx.demand.iter().map(|d| d * fraction));
 
         let primary_ctx = RoutingContext { demand: primary_demand, ..ctx.clone() };
-        assign_by_preference_into(
-            &primary_ctx,
-            &mut self.workspace,
-            primary,
-            |state_idx, _, buf| {
-                buf.extend(compiled.ranked(state_idx).iter().map(|(i, _)| *i));
-            },
-        );
+        let mut nearest_first = WholeOrders::new(|state| compiled.order(state));
+        assign_by_preference_into(&primary_ctx, &mut self.workspace, primary, &mut nearest_first);
 
         let secondary_ctx = RoutingContext { demand: secondary_demand, ..ctx.clone() };
+        let rotated = &rotated[..];
+        let mut second_first =
+            WholeOrders::new(|state| &rotated[state * n_clusters..(state + 1) * n_clusters]);
         assign_by_preference_into(
             &secondary_ctx,
             &mut self.workspace,
             secondary,
-            |state_idx, _, buf| {
-                buf.extend(compiled.ranked(state_idx).iter().map(|(i, _)| *i));
-                if buf.len() > 1 {
-                    buf.rotate_left(1); // prefer the second nearest first
-                }
-            },
+            &mut second_first,
         );
 
         out.reset(n_clusters, n_states);
@@ -197,6 +208,7 @@ impl RoutingPolicy for AkamaiLikePolicy {
 
     fn attach_preferences(&mut self, prefs: &Arc<CompiledPreferences>) {
         self.compiled = Some(prefs.clone());
+        self.scratch.rotated.clear();
     }
 
     fn routing_key(&self) -> Option<RoutingKey> {
@@ -215,28 +227,24 @@ impl RoutingPolicy for AkamaiLikePolicy {
 /// of §6.3 — overflowing to the next cheapest when caps bind.
 #[derive(Debug, Clone)]
 pub struct StaticCheapestPolicy {
-    /// Long-run mean price per cluster (aligned with cluster order), used to
-    /// fix the preference order once.
+    /// Long-run mean price per cluster (aligned with cluster order).
     mean_prices: Vec<f64>,
-    workspace: AssignWorkspace,
+    /// Every cluster by ascending mean price (a stable sort, so equal means
+    /// keep cluster order), fixed when the policy is built.
     order: Vec<usize>,
+    workspace: AssignWorkspace,
 }
 
 impl StaticCheapestPolicy {
     /// Create the policy from long-run mean prices per cluster.
+    ///
+    /// # Panics
+    /// Panics when `mean_prices` is empty or holds a NaN.
     pub fn new(mean_prices: Vec<f64>) -> Self {
         assert!(!mean_prices.is_empty(), "need at least one cluster");
-        Self { mean_prices, workspace: AssignWorkspace::new(), order: Vec::new() }
-    }
-
-    /// Recompute the preference order (ascending mean price) into the
-    /// reused `order` buffer.
-    fn refresh_order(&mut self) {
-        self.order.clear();
-        self.order.extend(0..self.mean_prices.len());
-        let mean_prices = &self.mean_prices;
-        self.order
-            .sort_by(|&a, &b| mean_prices[a].partial_cmp(&mean_prices[b]).expect("finite prices"));
+        let mut order: Vec<usize> = (0..mean_prices.len()).collect();
+        order.sort_by(|&a, &b| mean_prices[a].partial_cmp(&mean_prices[b]).expect("finite prices"));
+        Self { mean_prices, order, workspace: AssignWorkspace::new() }
     }
 }
 
@@ -257,15 +265,14 @@ impl RoutingPolicy for StaticCheapestPolicy {
             ctx.clusters.len(),
             "mean prices must align with the deployment"
         );
-        self.refresh_order();
-        let order = &self.order;
-        assign_by_preference_into(ctx, &mut self.workspace, out, |_, _, buf| {
-            buf.extend_from_slice(order);
-        });
+        let order = &self.order[..];
+        let mut cheapest_first = WholeOrders::new(|_| order);
+        assign_by_preference_into(ctx, &mut self.workspace, out, &mut cheapest_first);
     }
 
     fn routing_key(&self) -> Option<RoutingKey> {
-        let Self { mean_prices, workspace: _, order: _ } = self;
+        // The order is derived from the mean prices, which the key holds.
+        let Self { mean_prices, order: _, workspace: _ } = self;
         Some(RoutingKey::of::<Self>().with_all(mean_prices))
     }
 }

@@ -13,17 +13,18 @@
 
 use crate::allocation::Allocation;
 use crate::policy::{
-    assign_by_preference, assign_by_preference_into, AssignWorkspace, RoutingContext, RoutingKey,
-    RoutingPolicy,
+    assign_by_preference_into, AssignWorkspace, RoutingContext, RoutingKey, RoutingPolicy,
+    WholeOrders,
 };
-use crate::price_conscious::{ensure_compiled, CompiledPreferences};
+use crate::price_conscious::{ensure_compiled, CompiledPreferences, ThresholdRouter};
 use std::sync::Arc;
 use wattroute_geo::distance::RankedHub;
-use wattroute_geo::{distance, hubs, UsState};
 
 /// Route to the cluster whose grid currently has the lowest carbon
 /// intensity, subject to a distance threshold — the §8 "Environmental Cost"
-/// idea with the same structure as the price optimizer.
+/// idea on the price optimizer's own machinery: the same compiled
+/// geometry and the same lazily ranked memo, keyed on the intensity row
+/// and threshold instead of the price row and threshold.
 #[derive(Debug, Clone)]
 pub struct CarbonAwarePolicy {
     /// Maximum client-to-cluster distance in km.
@@ -34,12 +35,18 @@ pub struct CarbonAwarePolicy {
     /// Intensity differences below this threshold (tCO₂/MWh) are ignored and
     /// the nearer cluster wins.
     pub intensity_threshold: f64,
+    router: ThresholdRouter,
 }
 
 impl CarbonAwarePolicy {
     /// Create a carbon-aware policy.
     pub fn new(distance_threshold_km: f64, carbon_intensity: Vec<f64>) -> Self {
-        Self { distance_threshold_km, carbon_intensity, intensity_threshold: 0.02 }
+        Self {
+            distance_threshold_km,
+            carbon_intensity,
+            intensity_threshold: 0.02,
+            router: ThresholdRouter::default(),
+        }
     }
 
     /// Update the per-cluster carbon intensities for the current hour.
@@ -54,22 +61,30 @@ impl RoutingPolicy for CarbonAwarePolicy {
     }
 
     fn allocate(&mut self, ctx: &RoutingContext<'_>) -> Allocation {
+        let mut out = Allocation::zeros(ctx.clusters.len(), ctx.states.len());
+        self.allocate_into(&mut out, ctx);
+        out
+    }
+
+    fn allocate_into(&mut self, out: &mut Allocation, ctx: &RoutingContext<'_>) {
         assert_eq!(
             self.carbon_intensity.len(),
             ctx.clusters.len(),
             "carbon intensities must align with the deployment"
         );
-        let intensities = self.carbon_intensity.clone();
-        let threshold_km = self.distance_threshold_km;
-        let intensity_threshold = self.intensity_threshold;
-        assign_by_preference(ctx, |_, state| {
-            preference_by_cost(ctx, state, &intensities, threshold_km, intensity_threshold)
-        })
+        let Self { distance_threshold_km, carbon_intensity, intensity_threshold, router } = self;
+        router.route(out, ctx, *distance_threshold_km, carbon_intensity, *intensity_threshold);
+    }
+
+    fn attach_preferences(&mut self, prefs: &Arc<CompiledPreferences>) {
+        self.router.attach(prefs);
     }
 
     fn routing_key(&self) -> Option<RoutingKey> {
-        // Field by field, so a new field must be keyed before it compiles.
-        let Self { distance_threshold_km, carbon_intensity, intensity_threshold } = self;
+        // Field by field, so a new field must be keyed before it compiles;
+        // the router's geometry, memo and scratch never change an
+        // allocation.
+        let Self { distance_threshold_km, carbon_intensity, intensity_threshold, router: _ } = self;
         Some(
             RoutingKey::of::<Self>()
                 .with(*distance_threshold_km)
@@ -80,12 +95,13 @@ impl RoutingPolicy for CarbonAwarePolicy {
 }
 
 /// Reused scoring buffers for [`JointCostPolicy`]: per-state distances
-/// scattered back to cluster-index order, and the scored list the per-state
-/// ranking sorts in place.
+/// scattered back to cluster-index order, the scored list the per-state
+/// ranking sorts in place, and the call's orders, state after state.
 #[derive(Debug, Clone, Default)]
 struct JointScratch {
     dist_by_cluster: Vec<f64>,
     scored: Vec<RankedHub>,
+    orders: Vec<usize>,
 }
 
 /// Minimise `price + distance_weight · distance_km`, i.e. fold the network
@@ -137,14 +153,15 @@ impl RoutingPolicy for JointCostPolicy {
         let compiled = compiled.as_ref().expect("compiled above");
         let w = *distance_weight;
         let n_clusters = ctx.clusters.len();
-        assign_by_preference_into(ctx, workspace, out, |state_idx, _, buf| {
+        let JointScratch { dist_by_cluster, scored, orders } = scratch;
+        orders.clear();
+        for state_idx in 0..ctx.states.len() {
             // Scatter the compiled (distance-sorted) ranking back to
             // cluster-index order before scoring, so equal scores keep the
             // cluster-order tie-break the allocating path's stable sort had.
-            let JointScratch { dist_by_cluster, scored } = scratch;
             dist_by_cluster.clear();
             dist_by_cluster.resize(n_clusters, 0.0);
-            for &(i, d) in compiled.ranked(state_idx) {
+            for (&i, &d) in compiled.order(state_idx).iter().zip(compiled.distances(state_idx)) {
                 dist_by_cluster[i] = d;
             }
             scored.clear();
@@ -152,8 +169,12 @@ impl RoutingPolicy for JointCostPolicy {
                 dist_by_cluster.iter().enumerate().map(|(i, &d)| (i, ctx.prices[i] + w * d)),
             );
             scored.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite scores"));
-            buf.extend(scored.iter().map(|(i, _)| *i));
-        });
+            orders.extend(scored.iter().map(|(i, _)| *i));
+        }
+        let orders = &orders[..];
+        let mut cheapest_first =
+            WholeOrders::new(|state| &orders[state * n_clusters..(state + 1) * n_clusters]);
+        assign_by_preference_into(ctx, workspace, out, &mut cheapest_first);
     }
 
     fn attach_preferences(&mut self, prefs: &Arc<CompiledPreferences>) {
@@ -165,44 +186,6 @@ impl RoutingPolicy for JointCostPolicy {
             self;
         Some(RoutingKey::of::<Self>().with(*distance_weight))
     }
-}
-
-/// Shared preference builder: candidates within the distance threshold
-/// (nearest + 50 km fallback), ordered by an arbitrary per-cluster cost with
-/// near-ties broken by distance, followed by the remaining clusters by
-/// distance for overflow.
-fn preference_by_cost(
-    ctx: &RoutingContext<'_>,
-    state: UsState,
-    costs: &[f64],
-    distance_threshold_km: f64,
-    cost_threshold: f64,
-) -> Vec<usize> {
-    let hub_refs: Vec<&wattroute_geo::Hub> =
-        ctx.clusters.hub_ids().iter().map(|id| hubs::hub(*id)).collect();
-    let candidates = distance::hubs_within_threshold(state, &hub_refs, distance_threshold_km);
-    // Same two-stage ordering as the price-conscious policy: candidates
-    // whose cost is within `cost_threshold` of the best candidate are ranked
-    // by distance, the remainder by cost then distance. This keeps the
-    // ordering a genuine total order.
-    let best = candidates.iter().map(|(i, _)| costs[*i]).fold(f64::INFINITY, f64::min);
-    let (mut cheap_set, mut rest): (Vec<RankedHub>, Vec<RankedHub>) =
-        candidates.iter().copied().partition(|(i, _)| costs[*i] <= best + cost_threshold);
-    cheap_set.sort_by(|(_, da), (_, db)| da.partial_cmp(db).expect("finite distances"));
-    rest.sort_by(|(ia, da), (ib, db)| {
-        costs[*ia]
-            .partial_cmp(&costs[*ib])
-            .expect("finite costs")
-            .then(da.partial_cmp(db).expect("finite distances"))
-    });
-    let mut order: Vec<usize> = cheap_set.iter().chain(rest.iter()).map(|(i, _)| *i).collect();
-    let mut rest: Vec<RankedHub> = (0..ctx.clusters.len())
-        .filter(|i| !order.contains(i))
-        .map(|i| (i, distance::state_to_hub_km(state, hub_refs[i])))
-        .collect();
-    rest.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite distances"));
-    order.extend(rest.into_iter().map(|(i, _)| i));
-    order
 }
 
 #[cfg(test)]

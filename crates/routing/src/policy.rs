@@ -6,13 +6,15 @@
 //! capacity / 95-5 bandwidth ceilings apply. A policy produces an
 //! [`Allocation`]. The heavy lifting — filling clusters in a preference
 //! order while respecting ceilings — is shared by all policies through
-//! [`assign_by_preference`].
+//! [`assign_by_preference_into`], which borrows each state's order from
+//! the policy's [`PreferenceSource`].
 
 use crate::allocation::Allocation;
 use crate::constraints::ConstraintSet;
 use crate::price_conscious::CompiledPreferences;
 use std::any::TypeId;
 use std::borrow::Cow;
+use std::marker::PhantomData;
 use std::sync::Arc;
 use wattroute_geo::UsState;
 use wattroute_market::time::SimHour;
@@ -29,6 +31,11 @@ pub struct RoutingContext<'a> {
     pub demand: &'a [f64],
     /// Electricity price per cluster in $/MWh (already delayed by the
     /// simulator's reaction delay).
+    ///
+    /// Prices must be finite. Ingestion checks it (the CSV reader and the
+    /// live price feed reject anything else); the router does not: the
+    /// price-conscious ranking panics with "finite prices" on a NaN, and an
+    /// infinite price would reach dollar accounting unchecked.
     pub prices: &'a [f64],
     /// The hour this step belongs to.
     pub hour: SimHour,
@@ -180,49 +187,127 @@ impl RoutingKey {
     }
 }
 
+/// Where the pour reads each client state's preference order — cluster
+/// indices, most preferred first — lent as borrowed slices in two stages.
+///
+/// The pour asks for a state's [`head`](Self::head) first, and for its
+/// whole [`order`](Self::order) only when it walks past the head with
+/// demand still unserved. A source whose order is costly to finish pays
+/// for the rest only when capacity pushes the pour that far: the
+/// price-conscious memo lends a state's cheap set as its head and ranks
+/// its costlier clusters on demand.
+///
+/// The contract between the pour and a source:
+/// * the order in which the pour asks for states is unspecified;
+/// * the pour may ask for one state's head more than once per call;
+/// * within one call, a state's head is a prefix of its whole order, and
+///   is non-empty whenever the whole order is.
+pub trait PreferenceSource {
+    /// A prefix of the state's order: the clusters the pour tries first.
+    fn head(&mut self, state: usize) -> &[usize];
+
+    /// The state's whole order, beginning with its head.
+    fn order(&mut self, state: usize) -> &[usize];
+}
+
+/// A [`PreferenceSource`] whose orders are fixed before the pour starts:
+/// it lends each state's whole order at once, as its head too.
+pub(crate) struct WholeOrders<'a, F>(F, PhantomData<&'a [usize]>);
+
+impl<'a, F: FnMut(usize) -> &'a [usize]> WholeOrders<'a, F> {
+    /// Lend `order(state)` as each state's order.
+    pub(crate) fn new(order: F) -> Self {
+        Self(order, PhantomData)
+    }
+}
+
+impl<'a, F: FnMut(usize) -> &'a [usize]> PreferenceSource for WholeOrders<'a, F> {
+    fn head(&mut self, state: usize) -> &[usize] {
+        (self.0)(state)
+    }
+
+    fn order(&mut self, state: usize) -> &[usize] {
+        (self.0)(state)
+    }
+}
+
 /// Assign demand to clusters by per-state preference lists.
 ///
-/// For each state (processed in descending demand, so large states get
-/// first pick of scarce capacity), the `preferences` callback supplies an
-/// ordered list of candidate cluster indices. Demand is poured into the
-/// candidates in order, up to each cluster's effective ceiling. Demand that
-/// no candidate can absorb spills, in a final pass, onto the cluster with
-/// the most remaining ceiling (and, if every ceiling is exhausted, onto the
-/// first candidate regardless — requests must be served somewhere, which
-/// mirrors the paper's treatment of capacity as a soft planning constraint).
-///
-/// When the context's constraints carry [`TierCaps`](crate::constraints::TierCaps),
-/// the pour additionally respects each candidate's metro and region
-/// aggregate ceilings — the effective headroom of a site is
-/// `site ∧ metro ∧ region` — and the spill target is the cluster with the
-/// most *tier-aware* headroom. Flat deployments (no tier caps) take the
-/// original per-cluster path, byte-identical to before.
-pub fn assign_by_preference<F>(ctx: &RoutingContext<'_>, mut preferences: F) -> Allocation
+/// The allocating convenience form of [`assign_by_preference_into`]: the
+/// `preferences` callback returns each state's ordered candidate cluster
+/// indices, and may be called more than once for a state.
+pub fn assign_by_preference<F>(ctx: &RoutingContext<'_>, preferences: F) -> Allocation
 where
     F: FnMut(usize, UsState) -> Vec<usize>,
 {
-    let mut workspace = AssignWorkspace::new();
+    /// The callback as a source: one list, kept for the state last asked.
+    struct Lists<'a, F> {
+        states: &'a [UsState],
+        preferences: F,
+        state: Option<usize>,
+        list: Vec<usize>,
+    }
+
+    impl<F: FnMut(usize, UsState) -> Vec<usize>> PreferenceSource for Lists<'_, F> {
+        fn head(&mut self, state: usize) -> &[usize] {
+            self.order(state)
+        }
+
+        fn order(&mut self, state: usize) -> &[usize] {
+            if self.state != Some(state) {
+                self.list = (self.preferences)(state, self.states[state]);
+                self.state = Some(state);
+            }
+            &self.list
+        }
+    }
+
+    let mut lists = Lists { states: ctx.states, preferences, state: None, list: Vec::new() };
     let mut allocation = Allocation::zeros(ctx.clusters.len(), ctx.states.len());
-    assign_by_preference_into(ctx, &mut workspace, &mut allocation, |state_idx, state, buf| {
-        let candidates = preferences(state_idx, state);
-        buf.clear();
-        buf.extend_from_slice(&candidates);
-    });
+    assign_by_preference_into(ctx, &mut AssignWorkspace::new(), &mut allocation, &mut lists);
     allocation
 }
 
-/// Reusable scratch for [`assign_by_preference_into`]: the per-call vectors
-/// the pour engine needs (remaining tier headroom, the demand-sorted state
-/// order, and the candidate list the preference callback writes into). A
-/// policy owns one workspace and hands it back every reallocation, so the
-/// steady-state assignment performs no heap allocation.
+/// The share of a ceiling that the demand aimed at it may fill for the
+/// pour to place every state whole without sorting.
+const WHOLE_FIT: f64 = 1.0 - 1e-9;
+
+/// One tier's ceilings during a pour: what each node (site, metro or
+/// region) can still absorb, and the demand first choices aim at it.
+#[derive(Debug, Clone, Default)]
+struct TierRoom {
+    remaining: Vec<f64>,
+    aimed: Vec<f64>,
+}
+
+impl TierRoom {
+    fn fill(&mut self, caps: impl Iterator<Item = f64>) {
+        self.remaining.clear();
+        self.remaining.extend(caps);
+        self.aimed.clear();
+        self.aimed.resize(self.remaining.len(), 0.0);
+    }
+
+    /// Aim `demand` more at `node`: whether its aimed total still fits
+    /// its ceiling with the sort-free margin.
+    fn aim(&mut self, node: usize, demand: f64) -> bool {
+        self.aimed[node] += demand;
+        self.aimed[node] <= self.remaining[node] * WHOLE_FIT
+    }
+}
+
+/// Reusable scratch for [`assign_by_preference_into`]: each tier's
+/// remaining and aimed ceilings, the demand-sorted state order and the
+/// sort-free placements. A policy owns one workspace and hands it back
+/// every reallocation, so the steady-state assignment performs no heap
+/// allocation.
 #[derive(Debug, Clone, Default)]
 pub struct AssignWorkspace {
-    remaining_cap: Vec<f64>,
+    sites: TierRoom,
+    metros: TierRoom,
+    regions: TierRoom,
     order: Vec<usize>,
-    candidates: Vec<usize>,
-    metro_rem: Vec<f64>,
-    region_rem: Vec<f64>,
+    placements: Vec<(usize, usize)>,
 }
 
 impl AssignWorkspace {
@@ -232,161 +317,215 @@ impl AssignWorkspace {
     }
 }
 
-/// The buffer-recycling twin of [`assign_by_preference`]: identical pour
-/// logic, but the allocation, the engine's scratch vectors, and the
-/// per-state candidate list all live in caller-owned storage. The
-/// `preferences` callback writes each state's ordered candidate cluster
-/// indices into the buffer it is handed (cleared by the caller first).
-pub fn assign_by_preference_into<F>(
+/// Pour one step's demand into clusters by per-state preference orders,
+/// into caller-owned storage: `out` (fully overwritten), the pour's
+/// scratch in `workspace`, and the orders lent by `prefs` (see
+/// [`PreferenceSource`]).
+///
+/// States are poured in descending demand (a stable sort, so equal
+/// demands keep state order), so large states get first pick of scarce
+/// capacity. Each state's demand fills its candidates in order, up to
+/// each cluster's [`RoutingContext::effective_cap`]. Demand no candidate
+/// can absorb spills onto the cluster with the most remaining ceiling,
+/// and, if every ceiling is exhausted, onto the state's first candidate
+/// regardless: requests must be served somewhere, which mirrors the
+/// paper's treatment of capacity as a soft planning constraint.
+///
+/// When the constraints carry [`TierCaps`](crate::constraints::TierCaps),
+/// each take is also bounded by the candidate's metro and region
+/// headroom (a site's headroom is `site ∧ metro ∧ region`), and the spill
+/// target is the cluster with the most tier-aware headroom. One loop
+/// serves both; a flat deployment draws down per-site ceilings only.
+///
+/// **Sort-free placement.** Before sorting, the pour reads every
+/// positive-demand state's first choice and sums the demand aimed at each
+/// site, and under tier caps at each metro and region. When every sum is
+/// at most its ceiling × (1 − 10⁻⁹), the sorted pour would land each
+/// state whole on its first choice, in any order, so the pour places them
+/// there directly and skips the sort. This is exact: before a state's
+/// turn, a ceiling has taken at most one subtraction per earlier state,
+/// each rounding by at most 2⁻⁵³ of the ceiling, and the sums round
+/// alike; for 51 states that is about 10⁻¹⁴ of the ceiling, far inside
+/// the margin, so every take is the state's whole demand, bit for bit.
+/// Anything else (a sum over its margin, a state with an empty order, a
+/// NaN demand) runs the sorted pour.
+pub fn assign_by_preference_into<P: PreferenceSource + ?Sized>(
     ctx: &RoutingContext<'_>,
     workspace: &mut AssignWorkspace,
     out: &mut Allocation,
-    mut preferences: F,
-) where
-    F: FnMut(usize, UsState, &mut Vec<usize>),
-{
-    if ctx.constraints.tier_caps().is_some() {
-        return assign_by_preference_tiered_into(ctx, workspace, out, preferences);
-    }
+    prefs: &mut P,
+) {
     let n_clusters = ctx.clusters.len();
-    let n_states = ctx.states.len();
-    out.reset(n_clusters, n_states);
-    let AssignWorkspace { remaining_cap, order, candidates, .. } = workspace;
-    remaining_cap.clear();
-    remaining_cap.extend((0..n_clusters).map(|c| ctx.effective_cap(c)));
-
-    // Process states in descending demand.
-    order.clear();
-    order.extend(0..n_states);
-    order.sort_by(|&a, &b| ctx.demand[b].partial_cmp(&ctx.demand[a]).expect("finite demand"));
-
-    for &state_idx in order.iter() {
-        let mut unserved = ctx.demand[state_idx];
-        if unserved <= 0.0 {
-            continue;
-        }
-        candidates.clear();
-        preferences(state_idx, ctx.states[state_idx], candidates);
-        debug_assert!(
-            candidates.iter().all(|&c| c < n_clusters),
-            "preference list contains an out-of-range cluster index"
-        );
-
-        for &cluster in candidates.iter() {
-            if unserved <= 0.0 {
-                break;
-            }
-            let take = unserved.min(remaining_cap[cluster].max(0.0));
-            if take > 0.0 {
-                out.add(cluster, state_idx, take);
-                remaining_cap[cluster] -= take;
-                unserved -= take;
-            }
-        }
-
-        if unserved > 0.0 {
-            // Spill to the cluster with the most remaining headroom, or the
-            // first candidate if everything is saturated.
-            let spill_target = (0..n_clusters)
-                .max_by(|&a, &b| {
-                    remaining_cap[a].partial_cmp(&remaining_cap[b]).expect("finite caps")
-                })
-                .filter(|&c| remaining_cap[c] > 0.0)
-                .or_else(|| candidates.first().copied())
-                .unwrap_or(0);
-            out.add(spill_target, state_idx, unserved);
-            remaining_cap[spill_target] -= unserved;
+    out.reset(n_clusters, ctx.states.len());
+    let AssignWorkspace { sites, metros, regions, order, placements } = workspace;
+    sites.fill((0..n_clusters).map(|c| ctx.effective_cap(c)));
+    match ctx.constraints.tier_caps() {
+        None => pour(ctx, Sites(sites), order, placements, out, prefs),
+        Some(tiers) => {
+            metros.fill(tiers.metro_caps().iter().copied());
+            regions.fill(tiers.region_caps().iter().copied());
+            let room = Tiers {
+                sites,
+                metros,
+                regions,
+                site_metro: tiers.site_metros(),
+                site_region: tiers.site_regions(),
+            };
+            pour(ctx, room, order, placements, out, prefs);
         }
     }
-
     debug_assert!(out.serves_demand(ctx.demand, 1e-6));
 }
 
-/// The tier-aware variant of [`assign_by_preference`]: identical pour
-/// order, but each take is bounded by the candidate's site, metro, and
-/// region headroom simultaneously, all three tiers are drawn down in SoA
-/// vectors as demand lands, and spill targets maximise the min-of-three
-/// headroom.
-fn assign_by_preference_tiered_into<F>(
+/// The ceilings one pour draws down: per site, or per site, metro and
+/// region under tier caps.
+trait Headroom {
+    /// What `site` can still absorb.
+    fn headroom(&self, site: usize) -> f64;
+
+    /// Land `amount` on `site`.
+    fn draw(&mut self, site: usize, amount: f64);
+
+    /// Aim a state's whole `demand` at `site`, its first choice: whether
+    /// every ceiling over the site still fits its aimed total.
+    fn aim(&mut self, site: usize, demand: f64) -> bool;
+}
+
+/// Per-site ceilings: a flat deployment.
+struct Sites<'w>(&'w mut TierRoom);
+
+impl Headroom for Sites<'_> {
+    fn headroom(&self, site: usize) -> f64 {
+        self.0.remaining[site]
+    }
+
+    fn draw(&mut self, site: usize, amount: f64) {
+        self.0.remaining[site] -= amount;
+    }
+
+    fn aim(&mut self, site: usize, demand: f64) -> bool {
+        self.0.aim(site, demand)
+    }
+}
+
+/// Site, metro and region ceilings: a site's headroom is the least of
+/// what it, its metro and its region can still absorb.
+struct Tiers<'w> {
+    sites: &'w mut TierRoom,
+    metros: &'w mut TierRoom,
+    regions: &'w mut TierRoom,
+    site_metro: &'w [usize],
+    site_region: &'w [usize],
+}
+
+impl Headroom for Tiers<'_> {
+    fn headroom(&self, site: usize) -> f64 {
+        self.sites.remaining[site]
+            .min(self.metros.remaining[self.site_metro[site]])
+            .min(self.regions.remaining[self.site_region[site]])
+    }
+
+    fn draw(&mut self, site: usize, amount: f64) {
+        self.sites.remaining[site] -= amount;
+        self.metros.remaining[self.site_metro[site]] -= amount;
+        self.regions.remaining[self.site_region[site]] -= amount;
+    }
+
+    fn aim(&mut self, site: usize, demand: f64) -> bool {
+        self.sites.aim(site, demand)
+            && self.metros.aim(self.site_metro[site], demand)
+            && self.regions.aim(self.site_region[site], demand)
+    }
+}
+
+fn pour<H: Headroom, P: PreferenceSource + ?Sized>(
     ctx: &RoutingContext<'_>,
-    workspace: &mut AssignWorkspace,
+    mut room: H,
+    order: &mut Vec<usize>,
+    placements: &mut Vec<(usize, usize)>,
     out: &mut Allocation,
-    mut preferences: F,
-) where
-    F: FnMut(usize, UsState, &mut Vec<usize>),
-{
-    let tiers = ctx.constraints.tier_caps().expect("caller checked tier caps");
-    let n_clusters = ctx.clusters.len();
-    let n_states = ctx.states.len();
-    out.reset(n_clusters, n_states);
-    let AssignWorkspace { remaining_cap, order, candidates, metro_rem, region_rem } = workspace;
-    remaining_cap.clear();
-    remaining_cap.extend((0..n_clusters).map(|c| ctx.effective_cap(c)));
-    metro_rem.clear();
-    metro_rem.extend_from_slice(tiers.metro_caps());
-    region_rem.clear();
-    region_rem.extend_from_slice(tiers.region_caps());
-    let site_metro = tiers.site_metros();
-    let site_region = tiers.site_regions();
-
-    // Tier-aware headroom of one site: the least of what the site, its
-    // metro, and its region can still absorb.
-    let headroom = |cap: &[f64], metro: &[f64], region: &[f64], c: usize| -> f64 {
-        cap[c].min(metro[site_metro[c]]).min(region[site_region[c]])
-    };
-
+    prefs: &mut P,
+) {
+    if place_whole(ctx, &mut room, placements, out, prefs) {
+        return;
+    }
     order.clear();
-    order.extend(0..n_states);
+    order.extend(0..ctx.states.len());
     order.sort_by(|&a, &b| ctx.demand[b].partial_cmp(&ctx.demand[a]).expect("finite demand"));
 
-    for &state_idx in order.iter() {
-        let mut unserved = ctx.demand[state_idx];
+    for &state in order.iter() {
+        let mut unserved = ctx.demand[state];
         if unserved <= 0.0 {
             continue;
         }
-        candidates.clear();
-        preferences(state_idx, ctx.states[state_idx], candidates);
-        debug_assert!(
-            candidates.iter().all(|&c| c < n_clusters),
-            "preference list contains an out-of-range cluster index"
-        );
-
-        for &cluster in candidates.iter() {
-            if unserved <= 0.0 {
-                break;
-            }
-            let take =
-                unserved.min(headroom(remaining_cap, metro_rem, region_rem, cluster).max(0.0));
-            if take > 0.0 {
-                out.add(cluster, state_idx, take);
-                remaining_cap[cluster] -= take;
-                metro_rem[site_metro[cluster]] -= take;
-                region_rem[site_region[cluster]] -= take;
-                unserved -= take;
-            }
-        }
-
+        let head = prefs.head(state);
+        let (first, walked) = (head.first().copied(), head.len());
+        fill(head, state, &mut unserved, &mut room, out);
         if unserved > 0.0 {
-            // Spill onto the site with the most tier-aware headroom; when
-            // every tier is exhausted, onto the first candidate regardless
-            // (demand must be served somewhere).
-            let spill_target = (0..n_clusters)
+            fill(&prefs.order(state)[walked..], state, &mut unserved, &mut room, out);
+        }
+        if unserved > 0.0 {
+            let spill_target = (0..ctx.clusters.len())
                 .max_by(|&a, &b| {
-                    headroom(remaining_cap, metro_rem, region_rem, a)
-                        .partial_cmp(&headroom(remaining_cap, metro_rem, region_rem, b))
-                        .expect("finite caps")
+                    room.headroom(a).partial_cmp(&room.headroom(b)).expect("finite caps")
                 })
-                .filter(|&c| headroom(remaining_cap, metro_rem, region_rem, c) > 0.0)
-                .or_else(|| candidates.first().copied())
+                .filter(|&c| room.headroom(c) > 0.0)
+                .or(first)
                 .unwrap_or(0);
-            out.add(spill_target, state_idx, unserved);
-            remaining_cap[spill_target] -= unserved;
-            metro_rem[site_metro[spill_target]] -= unserved;
-            region_rem[site_region[spill_target]] -= unserved;
+            out.add(spill_target, state, unserved);
+            room.draw(spill_target, unserved);
         }
     }
+}
 
-    debug_assert!(out.serves_demand(ctx.demand, 1e-6));
+/// Pour a state's unserved demand into `candidates` in order, each take
+/// bounded by the candidate's headroom.
+fn fill<H: Headroom>(
+    candidates: &[usize],
+    state: usize,
+    unserved: &mut f64,
+    room: &mut H,
+    out: &mut Allocation,
+) {
+    for &cluster in candidates {
+        if *unserved <= 0.0 {
+            break;
+        }
+        let take = unserved.min(room.headroom(cluster).max(0.0));
+        if take > 0.0 {
+            out.add(cluster, state, take);
+            room.draw(cluster, take);
+            *unserved -= take;
+        }
+    }
+}
+
+/// The sort-free placement (see [`assign_by_preference_into`]): aim each
+/// positive-demand state's whole demand at its first choice and, when
+/// every ceiling fits its aimed total, land each state there. Returns
+/// `false`, having written nothing, when any does not.
+fn place_whole<H: Headroom, P: PreferenceSource + ?Sized>(
+    ctx: &RoutingContext<'_>,
+    room: &mut H,
+    placements: &mut Vec<(usize, usize)>,
+    out: &mut Allocation,
+    prefs: &mut P,
+) -> bool {
+    placements.clear();
+    for (state, &demand) in ctx.demand.iter().enumerate() {
+        if demand <= 0.0 {
+            continue;
+        }
+        // A NaN demand fails its aim; the sorted pour's sort reports it.
+        match prefs.head(state).first() {
+            Some(&first) if room.aim(first, demand) => placements.push((state, first)),
+            _ => return false,
+        }
+    }
+    for &(state, first) in placements.iter() {
+        out.add(first, state, ctx.demand[state]);
+    }
+    true
 }
 
 #[cfg(test)]
@@ -556,24 +695,22 @@ mod tests {
         let constraints = ConstraintSet::unconstrained().with_tier_caps(tiers);
 
         // One workspace and one output allocation survive every call —
-        // across demands AND across the flat/tiered engine switch — and
-        // must keep matching the allocating path exactly.
+        // across demands AND across the flat/tiered switch — and must keep
+        // matching the allocating path exactly.
+        let lists: Vec<Vec<usize>> = (0..states.len()).map(|i| vec![i % 9, (i + 3) % 9]).collect();
+        let mut lent = WholeOrders::new(|i: usize| lists[i].as_slice());
         let mut ws = AssignWorkspace::new();
         let mut out = Allocation::zeros(1, 1); // wrong shape on purpose
         for demand in [[9_000.0, 2.0e6, 3.0e5], [0.0, 1.0e5, 777.0]] {
             let flat_ctx = RoutingContext::new(&clusters, &states, &demand, &prices, SimHour(0));
-            let expected = assign_by_preference(&flat_ctx, |i, _| vec![i % 9, (i + 3) % 9]);
-            assign_by_preference_into(&flat_ctx, &mut ws, &mut out, |i, _, buf| {
-                buf.extend([i % 9, (i + 3) % 9])
-            });
+            let expected = assign_by_preference(&flat_ctx, |i, _| lists[i].clone());
+            assign_by_preference_into(&flat_ctx, &mut ws, &mut out, &mut lent);
             assert_eq!(out, expected, "flat pour must be identical");
 
             let tiered_ctx = RoutingContext::new(&clusters, &states, &demand, &prices, SimHour(0))
                 .with_constraints(&constraints);
-            let expected = assign_by_preference(&tiered_ctx, |i, _| vec![i % 9, (i + 3) % 9]);
-            assign_by_preference_into(&tiered_ctx, &mut ws, &mut out, |i, _, buf| {
-                buf.extend([i % 9, (i + 3) % 9])
-            });
+            let expected = assign_by_preference(&tiered_ctx, |i, _| lists[i].clone());
+            assign_by_preference_into(&tiered_ctx, &mut ws, &mut out, &mut lent);
             assert_eq!(out, expected, "tiered pour must be identical");
         }
     }

@@ -15,11 +15,11 @@
 
 use crate::allocation::Allocation;
 use crate::policy::{
-    assign_by_preference_into, AssignWorkspace, RoutingContext, RoutingKey, RoutingPolicy,
+    assign_by_preference_into, AssignWorkspace, PreferenceSource, RoutingContext, RoutingKey,
+    RoutingPolicy,
 };
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use wattroute_geo::distance::RankedHub;
 use wattroute_geo::{distance, hubs, HubId, UsState};
 use wattroute_market::differential::DEFAULT_PRICE_THRESHOLD;
 use wattroute_workload::ClusterSet;
@@ -44,23 +44,29 @@ impl Default for PriceConsciousConfig {
 
 /// Distance-dependent candidate structure for one client state, derived
 /// once per (compiled geometry, distance threshold) and reused across
-/// reallocations, next to the state's memoised preference order.
-/// Geography never changes within a split; the delayed prices change at
-/// most hourly, so the order ranked from them is reused until they do.
+/// reallocations, next to the memo of the state's preference order.
+/// Geography never changes within a split; the cost row changes at most
+/// hourly, so the order ranked from it is reused until it does.
 #[derive(Debug, Clone)]
 struct StateCandidates {
     /// Clusters within the distance threshold (or the paper's nearest +
-    /// 50 km fallback set), sorted by ascending distance.
-    candidates: Vec<RankedHub>,
-    /// The remaining clusters, sorted by ascending distance — the
-    /// last-resort overflow tail appended after the priced candidates.
+    /// 50 km fallback set), by ascending distance, equal distances in
+    /// cluster order.
+    candidates: Vec<usize>,
+    /// The remaining clusters, by ascending distance — the last-resort
+    /// overflow tail appended after the priced candidates.
     tail: Vec<usize>,
-    /// The preference order last ranked for this state. Empty until the
-    /// pour first asks for the state.
+    /// The order ranked so far in generation `ranked_in`: the cheap set
+    /// (its first `head_len` entries, the pour's head), then — once
+    /// `whole` — the other candidates by cost, then the tail.
     order: Vec<usize>,
+    head_len: usize,
+    /// Candidates costing at most this are in the cheap set.
+    cheap_limit: f64,
     /// The [`ThresholdSplit::generation`] `order` was ranked in; `0`
-    /// (never a live generation) until it is first ranked.
+    /// (never a live generation) until the pour first asks for the state.
     ranked_in: u64,
+    whole: bool,
 }
 
 // Compile-count instrumentation lives on the `wattroute_obs` registry: the
@@ -80,13 +86,16 @@ struct StateCandidates {
 /// that routes the same deployment over the same trace, whatever their
 /// thresholds, delays, or bandwidth caps. Per-threshold candidate splits
 /// and per-step price rankings are derived from it cheaply (no distance
-/// computation, no sorting).
+/// computation, no sorting by distance).
 #[derive(Debug, Clone)]
 pub struct CompiledPreferences {
     hub_ids: Vec<HubId>,
     states: Vec<UsState>,
-    /// Per state: every cluster index with its distance, ascending.
-    ranked: Vec<Vec<RankedHub>>,
+    /// Per state, state after state: every cluster index by ascending
+    /// distance, so a pour can borrow a state's order as one slice.
+    orders: Vec<usize>,
+    /// The distances of `orders`, entry for entry.
+    distances: Vec<f64>,
 }
 
 impl CompiledPreferences {
@@ -96,11 +105,11 @@ impl CompiledPreferences {
         wattroute_obs::counter!("routing.compiled_preferences.builds").inc();
         let hub_ids = clusters.hub_ids();
         let hub_refs: Vec<&wattroute_geo::Hub> = hub_ids.iter().map(|id| hubs::hub(*id)).collect();
-        let ranked = states
+        let (orders, distances) = states
             .iter()
-            .map(|&state| distance::hubs_within_threshold(state, &hub_refs, f64::INFINITY))
-            .collect();
-        Self { hub_ids, states: states.to_vec(), ranked }
+            .flat_map(|&state| distance::hubs_within_threshold(state, &hub_refs, f64::INFINITY))
+            .unzip();
+        Self { hub_ids, states: states.to_vec(), orders, distances }
     }
 
     /// Whether this compilation was built for the context's deployment hub
@@ -132,13 +141,20 @@ impl CompiledPreferences {
         wattroute_obs::counter!("routing.compiled_preferences.builds").get() as usize
     }
 
-    /// Ranked `(cluster index, distance)` pairs for one client state,
-    /// ascending by distance. Stable-sorted from cluster-index order, so
-    /// equidistant clusters keep their deployment order — the same
-    /// tie-break every in-crate distance sort uses, which is what lets the
-    /// baselines and extension policies ride this geometry bit-identically.
-    pub(crate) fn ranked(&self, state_idx: usize) -> &[RankedHub] {
-        &self.ranked[state_idx]
+    /// One client state's clusters, nearest first. Stable-sorted from
+    /// cluster-index order, so equidistant clusters keep their deployment
+    /// order — the same tie-break every in-crate distance sort uses, which
+    /// is what lets the baselines and extension policies ride this
+    /// geometry bit-identically.
+    pub(crate) fn order(&self, state_idx: usize) -> &[usize] {
+        let n = self.hub_ids.len();
+        &self.orders[state_idx * n..(state_idx + 1) * n]
+    }
+
+    /// The distances of [`Self::order`], entry for entry: ascending.
+    pub(crate) fn distances(&self, state_idx: usize) -> &[f64] {
+        let n = self.hub_ids.len();
+        &self.distances[state_idx * n..(state_idx + 1) * n]
     }
 
     /// Derive the per-threshold candidate/tail split from the ranked
@@ -146,24 +162,34 @@ impl CompiledPreferences {
     /// the paper's nearest + 50 km fallback when none are), the tail is
     /// every other cluster, both in ascending-distance order.
     fn threshold_split(&self, threshold_km: f64) -> Vec<StateCandidates> {
-        self.ranked
-            .iter()
-            .map(|ranked| {
-                let within: Vec<RankedHub> =
-                    ranked.iter().copied().filter(|(_, d)| *d <= threshold_km).collect();
-                let candidates = if !within.is_empty() || ranked.is_empty() {
+        (0..self.states.len())
+            .map(|state| {
+                let (order, distances) = (self.order(state), self.distances(state));
+                let closer_than = |km: f64| -> Vec<usize> {
+                    order
+                        .iter()
+                        .zip(distances)
+                        .filter(|(_, d)| **d <= km)
+                        .map(|(i, _)| *i)
+                        .collect()
+                };
+                let within = closer_than(threshold_km);
+                let candidates = if !within.is_empty() || order.is_empty() {
                     within
                 } else {
                     // Fallback: nearest cluster plus any within 50 km of it.
-                    let nearest = ranked[0].1;
-                    ranked.iter().copied().filter(|(_, d)| *d <= nearest + 50.0).collect()
+                    closer_than(distances[0] + 50.0)
                 };
-                let tail = ranked
-                    .iter()
-                    .filter(|(i, _)| !candidates.iter().any(|(c, _)| c == i))
-                    .map(|(i, _)| *i)
-                    .collect();
-                StateCandidates { candidates, tail, order: Vec::new(), ranked_in: 0 }
+                let tail = order.iter().copied().filter(|i| !candidates.contains(i)).collect();
+                StateCandidates {
+                    candidates,
+                    tail,
+                    order: Vec::new(),
+                    head_len: 0,
+                    cheap_limit: 0.0,
+                    ranked_in: 0,
+                    whole: false,
+                }
             })
             .collect()
     }
@@ -189,25 +215,44 @@ pub(crate) fn ensure_compiled(
 
 /// A [`CompiledPreferences`] specialised to one distance threshold — the
 /// cheap, per-policy half of the compilation — plus the memo of per-state
-/// preference orders ranked over it.
+/// preference orders ranked over it, lent to the pour as a
+/// [`PreferenceSource`].
 ///
 /// A state's order is a function of the split (geometry and distance
-/// threshold), the price threshold and the delayed price row, never of
-/// demand. A new geometry or distance threshold builds a new split, which
-/// drops the memo with it; a price row or price threshold that differs in
-/// any bit from the current generation's starts a new generation, which
-/// stales every order ranked in an older one.
+/// threshold), the cost threshold and the cost row (the delayed prices,
+/// or the carbon intensities), never of demand. A new geometry or
+/// distance threshold builds a new split, which drops the memo with it; a
+/// cost row or cost threshold that differs in any bit from the current
+/// generation's starts a new generation, which stales every order ranked
+/// in an older one.
+///
+/// The memo ranks lazily, in two stages. A state's head is its cheap set
+/// — the candidates costing at most the cheapest plus the cost threshold,
+/// nearest first — found by one scan with no sort. The rest (the other
+/// candidates by cost then distance, then the tail) is ranked only when
+/// the pour walks past the head, from a dense rank of the cost row made at
+/// most once per generation: equal costs share a rank, so sorting the
+/// candidates by (rank, distance position) as integers gives exactly the
+/// (cost, distance) order of a stable float sort, ties included. When the
+/// cheap set is empty (a negative or NaN cost threshold), the head is the
+/// whole order.
 #[derive(Debug, Clone)]
 struct ThresholdSplit {
     distance_threshold_km: f64,
     per_state: Vec<StateCandidates>,
-    /// Counts the distinct (price row, price threshold) keys seen in a
-    /// row; `0` before the first.
+    /// Counts the distinct (cost row, cost threshold) keys seen in a row;
+    /// `0` before the first.
     generation: u64,
-    /// The delayed price row of the current generation.
-    prices: Vec<f64>,
-    /// The price threshold of the current generation.
-    price_threshold: f64,
+    /// The cost row of the current generation.
+    costs: Vec<f64>,
+    /// The cost threshold of the current generation.
+    cost_threshold: f64,
+    /// Dense rank of each cluster's cost, made in generation `rank_in`.
+    rank: Vec<u32>,
+    rank_in: u64,
+    /// Scratch: clusters by cost, and a state's (rank, position) keys.
+    by_cost: Vec<usize>,
+    keys: Vec<u64>,
 }
 
 impl ThresholdSplit {
@@ -216,34 +261,165 @@ impl ThresholdSplit {
             distance_threshold_km,
             per_state: compiled.threshold_split(distance_threshold_km),
             generation: 0,
-            prices: Vec::new(),
-            price_threshold: 0.0,
+            costs: Vec::new(),
+            cost_threshold: 0.0,
+            rank: Vec::new(),
+            rank_in: 0,
+            by_cost: Vec::new(),
+            keys: Vec::new(),
         }
     }
 
-    /// Key the memo on `prices` and `price_threshold`: start a new
+    /// Key the memo on `costs` and `cost_threshold`: start a new
     /// generation unless both equal the current one's bit for bit.
-    fn key_on(&mut self, prices: &[f64], price_threshold: f64) {
+    fn key_on(&mut self, costs: &[f64], cost_threshold: f64) {
         let same = self.generation != 0
-            && self.price_threshold.to_bits() == price_threshold.to_bits()
-            && self.prices.len() == prices.len()
-            && self.prices.iter().zip(prices).all(|(a, b)| a.to_bits() == b.to_bits());
+            && self.cost_threshold.to_bits() == cost_threshold.to_bits()
+            && self.costs.len() == costs.len()
+            && self.costs.iter().zip(costs).all(|(a, b)| a.to_bits() == b.to_bits());
         if !same {
             self.generation += 1;
-            self.prices.clear();
-            self.prices.extend_from_slice(prices);
-            self.price_threshold = price_threshold;
+            self.costs.clear();
+            self.costs.extend_from_slice(costs);
+            self.cost_threshold = cost_threshold;
         }
+    }
+
+    /// Restamp `state`'s memo with its cheap set in the current generation,
+    /// unless it already holds this generation's ranking.
+    fn scan(&mut self, state: usize) {
+        let Self { per_state, generation, costs, cost_threshold, .. } = self;
+        let entry = &mut per_state[state];
+        if entry.ranked_in == *generation {
+            return;
+        }
+        let cheapest = entry.candidates.iter().map(|&i| costs[i]).fold(f64::INFINITY, f64::min);
+        let limit = cheapest + *cost_threshold;
+        entry.order.clear();
+        entry.order.extend(entry.candidates.iter().copied().filter(|&i| costs[i] <= limit));
+        entry.head_len = entry.order.len();
+        entry.cheap_limit = limit;
+        entry.ranked_in = *generation;
+        entry.whole = false;
+        if entry.head_len == 0 {
+            self.rank_rest(state);
+            let entry = &mut self.per_state[state];
+            entry.head_len = entry.order.len();
+        }
+    }
+
+    /// Append the rest of `state`'s order after its cheap set: the other
+    /// candidates by (cost rank, distance position), then the tail.
+    fn rank_rest(&mut self, state: usize) {
+        self.rank_row();
+        let Self { per_state, costs, rank, keys, .. } = self;
+        let entry = &mut per_state[state];
+        let cheap = |i: usize| costs[i] <= entry.cheap_limit;
+        keys.clear();
+        keys.extend(
+            entry
+                .candidates
+                .iter()
+                .enumerate()
+                .filter(|&(_, &i)| !cheap(i))
+                .map(|(position, &i)| (u64::from(rank[i]) << 32) | position as u64),
+        );
+        keys.sort_unstable();
+        let StateCandidates { candidates, tail, order, whole, .. } = entry;
+        order.extend(keys.iter().map(|&key| candidates[key as u32 as usize]));
+        order.extend_from_slice(tail);
+        *whole = true;
+    }
+
+    /// Rank the current cost row densely, once per generation: the
+    /// cheapest clusters get rank 0, and equal costs (`0.0` and `-0.0`
+    /// included) share a rank.
+    fn rank_row(&mut self) {
+        if self.rank_in == self.generation {
+            return;
+        }
+        let Self { costs, rank, by_cost, .. } = self;
+        by_cost.clear();
+        by_cost.extend(0..costs.len());
+        by_cost.sort_unstable_by(|&a, &b| costs[a].partial_cmp(&costs[b]).expect("finite prices"));
+        rank.clear();
+        rank.resize(costs.len(), 0);
+        let mut dense = 0;
+        for (k, &i) in by_cost.iter().enumerate() {
+            if k > 0 && costs[i] != costs[by_cost[k - 1]] {
+                dense += 1;
+            }
+            rank[i] = dense;
+        }
+        self.rank_in = self.generation;
     }
 }
 
-/// Reusable re-ranking scratch: the cheap-set/rest partition buffers the
-/// per-state price ranking is built in. Owned by the policy so steady-state
-/// reallocation allocates nothing.
+impl PreferenceSource for ThresholdSplit {
+    fn head(&mut self, state: usize) -> &[usize] {
+        self.scan(state);
+        let entry = &self.per_state[state];
+        &entry.order[..entry.head_len]
+    }
+
+    fn order(&mut self, state: usize) -> &[usize] {
+        self.scan(state);
+        if !self.per_state[state].whole {
+            self.rank_rest(state);
+        }
+        &self.per_state[state].order
+    }
+}
+
+/// The threshold-ranking kernel the price-conscious and carbon-aware
+/// policies share: route each state to the lowest-cost clusters within a
+/// distance threshold, cost differences below a threshold going to the
+/// nearer cluster. Holds the compiled geometry (attached shared, or
+/// compiled lazily), the split for the current distance threshold with
+/// its memo, and the pour's workspace.
 #[derive(Debug, Clone, Default)]
-struct RankScratch {
-    cheap: Vec<RankedHub>,
-    rest: Vec<RankedHub>,
+pub(crate) struct ThresholdRouter {
+    compiled: Option<Arc<CompiledPreferences>>,
+    split: Option<ThresholdSplit>,
+    /// How many times this router compiled its own geometry (attached
+    /// shared geometry does not count).
+    own_geometry_builds: usize,
+    workspace: AssignWorkspace,
+}
+
+impl ThresholdRouter {
+    /// Route with shared geometry while it matches the contexts routed.
+    pub(crate) fn attach(&mut self, prefs: &Arc<CompiledPreferences>) {
+        self.compiled = Some(prefs.clone());
+        self.split = None;
+    }
+
+    pub(crate) fn own_geometry_builds(&self) -> usize {
+        self.own_geometry_builds
+    }
+
+    /// Allocate one step by the per-cluster `costs` row.
+    pub(crate) fn route(
+        &mut self,
+        out: &mut Allocation,
+        ctx: &RoutingContext<'_>,
+        distance_threshold_km: f64,
+        costs: &[f64],
+        cost_threshold: f64,
+    ) {
+        if ensure_compiled(&mut self.compiled, &mut self.own_geometry_builds, ctx) {
+            self.split = None;
+        }
+        if !self.split.as_ref().is_some_and(|s| s.distance_threshold_km == distance_threshold_km) {
+            let compiled = self.compiled.as_ref().expect("compiled above");
+            self.split = Some(ThresholdSplit::new(compiled, distance_threshold_km));
+        }
+        let split = self.split.as_mut().expect("derived above");
+        split.key_on(costs, cost_threshold);
+        // The pour runs on every call, since it depends on demand; the
+        // memo ranks only what the pour reaches.
+        assign_by_preference_into(ctx, &mut self.workspace, out, split);
+    }
 }
 
 /// The distance-constrained electricity price optimizer.
@@ -251,22 +427,9 @@ struct RankScratch {
 pub struct PriceConsciousPolicy {
     /// Tunable parameters.
     pub config: PriceConsciousConfig,
-    /// Compiled ranked-distance geometry for the deployment and state list
-    /// last routed over — either attached by a sweep (shared) or compiled
-    /// lazily by this instance.
-    compiled: Option<Arc<CompiledPreferences>>,
-    /// Candidate/tail split derived from `compiled` for the current
-    /// distance threshold, with the memo of preference orders ranked over
-    /// it.
-    split: Option<ThresholdSplit>,
-    /// How many times *this instance* compiled its own geometry (attached
-    /// shared geometry does not count). Instrumentation for tests proving
-    /// that shared preferences eliminate per-run recompiles.
-    own_geometry_builds: usize,
-    /// Pour-engine scratch reused across reallocations.
-    workspace: AssignWorkspace,
-    /// Price re-ranking scratch reused across states and reallocations.
-    scratch: RankScratch,
+    /// Geometry, split, preference-order memo and pour workspace, reused
+    /// across reallocations.
+    router: ThresholdRouter,
 }
 
 impl PriceConsciousPolicy {
@@ -298,62 +461,14 @@ impl PriceConsciousPolicy {
 
     /// In-place form of [`Self::with_shared_preferences`].
     pub fn attach_shared_preferences(&mut self, prefs: &Arc<CompiledPreferences>) {
-        self.compiled = Some(prefs.clone());
-        self.split = None;
+        self.router.attach(prefs);
     }
 
     /// How many times this instance compiled its own geometry (a run fed
     /// shared preferences that match its contexts reports `0`).
     pub fn own_geometry_builds(&self) -> usize {
-        self.own_geometry_builds
+        self.router.own_geometry_builds()
     }
-}
-
-/// Preference order for one client state, written into `out`: candidate
-/// clusters within the distance threshold (with the paper's nearest + 50 km
-/// fallback), sorted by price with sub-threshold differences broken by
-/// distance, followed by the remaining clusters by distance (so capacity
-/// overflow degrades gracefully rather than arbitrarily). The
-/// distance-dependent parts come precomputed (`candidates` and `tail`
-/// from the state's [`StateCandidates`]); only the price-dependent ranking
-/// happens here, entirely in the caller's reused `scratch`/`out` buffers.
-fn preference_order_into(
-    price_threshold: f64,
-    prices: &[f64],
-    candidates: &[RankedHub],
-    tail: &[usize],
-    scratch: &mut RankScratch,
-    out: &mut Vec<usize>,
-) {
-    // Split candidates into those whose price is within the price
-    // threshold of the cheapest candidate ("as good as the cheapest";
-    // among these the nearest wins, because sub-threshold differentials
-    // are ignored) and the remainder, ordered by price then distance.
-    // Doing it in two stages, rather than with a price-or-distance
-    // comparator, keeps the ordering a total order.
-    let cheapest = candidates.iter().map(|(i, _)| prices[*i]).fold(f64::INFINITY, f64::min);
-    scratch.cheap.clear();
-    scratch.rest.clear();
-    for &(i, d) in candidates {
-        if prices[i] <= cheapest + price_threshold {
-            scratch.cheap.push((i, d));
-        } else {
-            scratch.rest.push((i, d));
-        }
-    }
-    // `candidates` is pre-sorted by distance, so `cheap` (a stable
-    // partition of it) already is too.
-    scratch.rest.sort_by(|(ia, da), (ib, db)| {
-        prices[*ia]
-            .partial_cmp(&prices[*ib])
-            .expect("finite prices")
-            .then(da.partial_cmp(db).expect("finite distances"))
-    });
-
-    out.extend(scratch.cheap.iter().chain(scratch.rest.iter()).map(|(i, _)| *i));
-    // The out-of-threshold clusters, by distance, as a last resort for
-    // overflow.
-    out.extend_from_slice(tail);
 }
 
 impl RoutingPolicy for PriceConsciousPolicy {
@@ -368,41 +483,8 @@ impl RoutingPolicy for PriceConsciousPolicy {
     }
 
     fn allocate_into(&mut self, out: &mut Allocation, ctx: &RoutingContext<'_>) {
-        if !self.compiled.as_ref().is_some_and(|c| c.matches(ctx)) {
-            self.compiled = Some(Arc::new(CompiledPreferences::build(ctx.clusters, ctx.states)));
-            self.split = None;
-            self.own_geometry_builds += 1;
-        }
-        let threshold = self.config.distance_threshold_km;
-        if !self.split.as_ref().is_some_and(|s| s.distance_threshold_km == threshold) {
-            let compiled = self.compiled.as_ref().expect("compiled above");
-            self.split = Some(ThresholdSplit::new(compiled, threshold));
-        }
-        let Self { config, split, workspace, scratch, .. } = self;
-        let split = split.as_mut().expect("derived above");
-        let price_threshold = config.price_threshold;
-        split.key_on(ctx.prices, price_threshold);
-        let generation = split.generation;
-        // The pour runs on every call, since it depends on demand; the
-        // ranking runs only for states it asks for whose memoised order
-        // is from an older generation.
-        assign_by_preference_into(ctx, workspace, out, |state_idx, _, buf| {
-            let StateCandidates { candidates, tail, order, ranked_in } =
-                &mut split.per_state[state_idx];
-            if *ranked_in != generation {
-                order.clear();
-                preference_order_into(
-                    price_threshold,
-                    ctx.prices,
-                    candidates,
-                    tail,
-                    scratch,
-                    order,
-                );
-                *ranked_in = generation;
-            }
-            buf.extend_from_slice(order);
-        });
+        let PriceConsciousConfig { distance_threshold_km, price_threshold } = self.config;
+        self.router.route(out, ctx, distance_threshold_km, ctx.prices, price_threshold);
     }
 
     fn attach_preferences(&mut self, prefs: &Arc<CompiledPreferences>) {
@@ -411,15 +493,11 @@ impl RoutingPolicy for PriceConsciousPolicy {
 
     fn routing_key(&self) -> Option<RoutingKey> {
         // Named field by field, so a new field does not compile until it
-        // is keyed or declared routing-neutral: the geometry, memo and
-        // scratch never change an allocation.
+        // is keyed or declared routing-neutral: the router's geometry, memo
+        // and scratch never change an allocation.
         let Self {
             config: PriceConsciousConfig { distance_threshold_km, price_threshold },
-            compiled: _,
-            split: _,
-            own_geometry_builds: _,
-            workspace: _,
-            scratch: _,
+            router: _,
         } = self;
         Some(RoutingKey::of::<Self>().with(*distance_threshold_km).with(*price_threshold))
     }
@@ -428,6 +506,8 @@ impl RoutingPolicy for PriceConsciousPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use wattroute_geo::distance::RankedHub;
     use wattroute_geo::HubId;
     use wattroute_market::time::SimHour;
     use wattroute_workload::ClusterSet;
@@ -594,6 +674,79 @@ mod tests {
         a.matrix().iter().map(|row| row.iter().map(|x| x.to_bits()).collect()).collect()
     }
 
+    /// The preference order the memo replaced, verbatim: the threshold
+    /// split of the ranked geometry, then the two-stage comparator ranking.
+    /// Returns the state's cheap set and its whole order.
+    fn reference_order(
+        compiled: &CompiledPreferences,
+        state_idx: usize,
+        threshold_km: f64,
+        prices: &[f64],
+        price_threshold: f64,
+    ) -> (Vec<usize>, Vec<usize>) {
+        let ranked: Vec<RankedHub> = compiled
+            .order(state_idx)
+            .iter()
+            .copied()
+            .zip(compiled.distances(state_idx).iter().copied())
+            .collect();
+        let within: Vec<RankedHub> =
+            ranked.iter().copied().filter(|(_, d)| *d <= threshold_km).collect();
+        let candidates = if !within.is_empty() || ranked.is_empty() {
+            within
+        } else {
+            let nearest = ranked[0].1;
+            ranked.iter().copied().filter(|(_, d)| *d <= nearest + 50.0).collect()
+        };
+        let tail: Vec<usize> = ranked
+            .iter()
+            .filter(|(i, _)| !candidates.iter().any(|(c, _)| c == i))
+            .map(|(i, _)| *i)
+            .collect();
+        let mut scratch = (Vec::new(), Vec::new());
+        let mut order = Vec::new();
+        preference_order_into(
+            price_threshold,
+            prices,
+            &candidates,
+            &tail,
+            &mut scratch,
+            &mut order,
+        );
+        (scratch.0.iter().map(|(i, _)| *i).collect(), order)
+    }
+
+    /// Verbatim copy of the comparator ranking the memo replaced (its
+    /// scratch struct is a tuple here).
+    fn preference_order_into(
+        price_threshold: f64,
+        prices: &[f64],
+        candidates: &[RankedHub],
+        tail: &[usize],
+        scratch: &mut (Vec<RankedHub>, Vec<RankedHub>),
+        out: &mut Vec<usize>,
+    ) {
+        let cheapest = candidates.iter().map(|(i, _)| prices[*i]).fold(f64::INFINITY, f64::min);
+        scratch.0.clear();
+        scratch.1.clear();
+        for &(i, d) in candidates {
+            if prices[i] <= cheapest + price_threshold {
+                scratch.0.push((i, d));
+            } else {
+                scratch.1.push((i, d));
+            }
+        }
+        scratch.1.sort_by(|(ia, da), (ib, db)| {
+            prices[*ia]
+                .partial_cmp(&prices[*ib])
+                .expect("finite prices")
+                .then(da.partial_cmp(db).expect("finite distances"))
+        });
+
+        out.extend(scratch.0.iter().chain(scratch.1.iter()).map(|(i, _)| *i));
+        out.extend_from_slice(tail);
+    }
+
     #[test]
     fn memoised_orders_match_a_fresh_policy_per_call() {
         // Small clusters, so the pour spills past first choices and the
@@ -615,6 +768,7 @@ mod tests {
             d
         };
         let quiet_wy = demand(1.0, 0.0);
+        let only_wy = |wy_demand: f64| demand(0.0, wy_demand);
 
         let mut policy = PriceConsciousPolicy::with_distance_threshold(1500.0)
             .with_shared_preferences(nine_prefs.clone());
@@ -629,21 +783,39 @@ mod tests {
             policy.allocate_into(&mut out, &c);
             let fresh = PriceConsciousPolicy::new(policy.config).allocate(&c);
             assert_eq!(bits(&out), bits(&fresh), "memoised policy diverged from a fresh one");
-            policy.split.as_ref().expect("routed").generation
+            policy.router.split.as_ref().expect("routed").generation
         };
-        let wy_entry = |p: &PriceConsciousPolicy| p.split.as_ref().unwrap().per_state[wy].clone();
+        let wy_entry =
+            |p: &PriceConsciousPolicy| p.router.split.as_ref().unwrap().per_state[wy].clone();
 
         let mut generations = vec![route(&mut policy, &nine, &a, &quiet_wy)];
-        assert!(wy_entry(&policy).order.is_empty(), "a zero-demand state is never ranked");
+        assert_eq!(wy_entry(&policy).ranked_in, 0, "a zero-demand state is never ranked");
+        assert!(wy_entry(&policy).order.is_empty());
         generations.push(route(&mut policy, &nine, &a, &demand(1.3, 0.0))); // row repeats
         generations.push(route(&mut policy, &nine, &b, &quiet_wy)); // row changes
         generations.push(route(&mut policy, &nine, &a, &quiet_wy)); // and changes back
         assert_eq!(generations, [1, 1, 2, 3], "only a changed row starts a generation");
         assert!(wy_entry(&policy).order.is_empty());
-        // WY gets demand in the middle of a generation.
+
+        // WY gets demand in the middle of a generation. A pour that stops
+        // inside its cheap set leaves just the cheap set in the memo...
+        let (cheap, whole) = reference_order(&nine_prefs, wy, 1500.0, &a, 5.0);
+        assert!(!cheap.is_empty() && cheap.len() < 9, "WY must have a rest to rank");
+        assert_eq!(route(&mut policy, &nine, &a, &only_wy(1.0)), 3);
+        let entry = wy_entry(&policy);
+        assert_eq!(entry.ranked_in, 3, "lazily ranked in the current generation");
+        assert_eq!((&entry.order, entry.head_len, entry.whole), (&cheap, cheap.len(), false));
+        // ...and a pour that walks past it memoises the whole order.
+        assert_eq!(route(&mut policy, &nine, &a, &only_wy(1.0e9)), 3);
+        let entry = wy_entry(&policy);
+        assert_eq!((&entry.order, entry.head_len, entry.whole), (&whole, cheap.len(), true));
+        assert_eq!(entry.order.len(), 9);
         assert_eq!(route(&mut policy, &nine, &a, &demand(1.0, 4000.0)), 3);
-        assert_eq!(wy_entry(&policy).ranked_in, 3, "lazily ranked in the current generation");
-        assert_eq!(wy_entry(&policy).order.len(), 9);
+        assert_eq!(
+            wy_entry(&policy).order,
+            whole,
+            "the whole order stays memoised for the generation"
+        );
 
         policy.config.distance_threshold_km = 800.0;
         assert_eq!(route(&mut policy, &nine, &a, &demand(1.0, 4000.0)), 1, "new split");
@@ -661,6 +833,73 @@ mod tests {
         // A context the attached geometry does not match self-compiles.
         route(&mut policy, &reversed, &b, &demand(1.0, 4000.0));
         assert_eq!(policy.own_geometry_builds(), 1);
+    }
+
+    /// Prices that tie, sit exactly one threshold apart ($5 and $2.50),
+    /// straddle a threshold by a hair, differ only in sign (`±0.0`) or are
+    /// infinite.
+    const PALETTE: [f64; 16] = [
+        40.0,
+        45.0,
+        50.0,
+        35.0,
+        42.5,
+        47.5,
+        44.999_999_999,
+        45.000_000_001,
+        0.0,
+        -0.0,
+        5.0,
+        -5.0,
+        2.5,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        1.0e300,
+    ];
+
+    /// Deployments with 9 and 29 clusters, and one of 18 that places two
+    /// clusters at every hub, so equal distances tie.
+    fn deployments() -> Vec<ClusterSet> {
+        let nine = ClusterSet::akamai_like_nine();
+        let doubled = nine.clusters().iter().chain(nine.clusters()).cloned().collect::<Vec<_>>();
+        vec![nine, ClusterSet::even_29_hub(1000), ClusterSet::with_shared_hubs(doubled)]
+    }
+
+    proptest! {
+        #[test]
+        fn head_then_rest_equals_the_comparator_ranking(
+            deployment in 0usize..3,
+            picks in prop::collection::vec(0usize..PALETTE.len(), 29..30),
+            threshold_km in prop::sample::select(vec![0.0, 300.0, 800.0, 1500.0, 2500.0, 5.0e4]),
+            price_threshold in prop::sample::select(vec![5.0, 2.5, 0.0, -0.0, -1.0, f64::INFINITY]),
+            asks in prop::collection::vec(0usize..3, 51..52),
+        ) {
+            let clusters = &deployments()[deployment];
+            let states: Vec<UsState> = UsState::all().collect();
+            let compiled = CompiledPreferences::build(clusters, &states);
+            let prices: Vec<f64> = (0..clusters.len()).map(|c| PALETTE[picks[c % 29]]).collect();
+            let mut split = ThresholdSplit::new(&compiled, threshold_km);
+            // Two generations, so the second re-stamps what the first ranked.
+            for row in [prices.clone(), prices.iter().rev().copied().collect()] {
+                split.key_on(&row, price_threshold);
+                for (s, &ask) in asks.iter().enumerate() {
+                    let (cheap, whole) =
+                        reference_order(&compiled, s, threshold_km, &row, price_threshold);
+                    // The pour may ask for a head twice, or skip straight to
+                    // the order; either way head ++ rest is the old ranking.
+                    let head = split.head(s).to_vec();
+                    if ask == 1 {
+                        prop_assert_eq!(split.head(s), &head[..]);
+                    }
+                    let expected_head = if cheap.is_empty() { &whole } else { &cheap };
+                    prop_assert_eq!(&head, expected_head);
+                    if ask != 2 {
+                        prop_assert_eq!(split.order(s), &whole[..]);
+                        prop_assert_eq!(split.head(s), &head[..]);
+                    }
+                }
+            }
+        }
     }
 
     #[test]
