@@ -34,13 +34,15 @@ use crate::report::{
     SimulationReport,
 };
 use crate::simulation::SimulationConfig;
+use std::sync::Arc;
 use wattroute_energy::cost::energy_cost_dollars;
 use wattroute_energy::model::{ClusterPowerModel, EnergyModelParams};
 use wattroute_geo::UsState;
 use wattroute_market::time::SimHour;
-use wattroute_routing::allocation::{Allocation, DistanceTable};
+use wattroute_routing::allocation::Allocation;
 use wattroute_routing::constraints::OverflowMode;
 use wattroute_routing::policy::{RoutingContext, RoutingPolicy};
+use wattroute_routing::price_conscious::CompiledPreferences;
 use wattroute_stats::OnlineStats;
 use wattroute_workload::bandwidth::LoadRuns;
 use wattroute_workload::trace::{Trace, STEPS_PER_HOUR, STEP_SECONDS};
@@ -208,10 +210,15 @@ impl EngineSnapshot {
         let hits = f64_vec(v, "hits")?;
         let overflow_hits = f64_vec(v, "overflow_hits")?;
         let rejected_hits = f64_vec(v, "rejected_hits")?;
-        let binding_steps = f64_vec(v, "binding_steps")?
-            .into_iter()
+        let binding_steps = v
+            .get("binding_steps")
+            .and_then(JsonValue::as_array)
+            .ok_or_else(|| {
+                ReportDecodeError::new("snapshot field 'binding_steps' is not an array")
+            })?
+            .iter()
             .map(|b| {
-                count_of(b).map(|b| b as usize).ok_or_else(|| {
+                b.as_count().map(|b| b as usize).ok_or_else(|| {
                     ReportDecodeError::new(format!(
                         "snapshot binding_steps entry is not a non-negative integer: {b}"
                     ))
@@ -315,14 +322,8 @@ impl EngineSnapshot {
     }
 }
 
-/// `x` as a count, if it is one: a non-negative integer no larger than
-/// 2^53, past which an `f64` stops holding every integer.
-fn count_of(x: f64) -> Option<u64> {
-    (x >= 0.0 && x.fract() == 0.0 && x <= 9_007_199_254_740_992.0).then_some(x as u64)
-}
-
 fn u64_field(v: &JsonValue, key: &str) -> Result<u64, ReportDecodeError> {
-    v.get(key).and_then(JsonValue::as_f64).and_then(count_of).ok_or_else(|| {
+    v.get(key).and_then(JsonValue::as_count).ok_or_else(|| {
         ReportDecodeError::new(format!("snapshot field '{key}' is not a non-negative integer"))
     })
 }
@@ -503,21 +504,24 @@ fn fill_energy(report: &mut SimulationReport, cost: &[f64], energy_wh: &[f64]) {
 /// [`DemandSlice`] per 5-minute step and it maintains exactly the state the
 /// batch simulator accumulates over a whole trace.
 ///
-/// The engine *borrows* the deployment and client-state list (they are
-/// immutable run inputs) and *owns* its configuration and accumulated
-/// state. Accumulation order is identical to the historical batch loop, so
-/// driving a trace through `tick` — in one go, or split across
-/// [`Self::snapshot`]/[`Self::restore`] — produces bit-identical reports.
+/// The engine *borrows* the deployment (an immutable run input), holds
+/// the run's client–cluster geometry, and *owns* its configuration and
+/// accumulated state. Accumulation order is identical to the historical
+/// batch loop, so driving a trace through `tick` — in one go, or split
+/// across [`Self::snapshot`]/[`Self::restore`] — produces bit-identical
+/// reports.
 #[derive(Debug, Clone)]
 pub struct SimulationEngine<'a> {
     clusters: &'a ClusterSet,
-    states: &'a [UsState],
+    /// The client states (the demand-vector order), each one's distance
+    /// to each cluster and its clusters nearest first. Compiled once per
+    /// engine, or shared by a batch driver; lent to the policy through
+    /// every routing context, and read by the epoch refresh for its
+    /// distance samples.
+    geometry: Arc<CompiledPreferences>,
     config: SimulationConfig,
     power_models: Vec<ClusterPowerModel>,
     capacities: Vec<f64>,
-    /// Client-to-hub distance of every (cluster, state) pair, tabulated
-    /// once: the epoch refresh reads its distance samples from here.
-    distance_table: DistanceTable,
     state: EngineSnapshot,
     epoch: EpochCache,
     /// Extra energy models accounted over this replay (see
@@ -527,7 +531,8 @@ pub struct SimulationEngine<'a> {
 }
 
 impl<'a> SimulationEngine<'a> {
-    /// Build an engine over a deployment and client-state list.
+    /// Build an engine over a deployment and client-state list, compiling
+    /// their geometry.
     ///
     /// # Panics
     /// Panics on an empty deployment or on constraint vectors whose length
@@ -535,19 +540,38 @@ impl<'a> SimulationEngine<'a> {
     /// (validate ahead of time with
     /// [`SimulationConfig::validate_for`](crate::simulation::SimulationConfig::validate_for)
     /// for a `Result` instead).
-    pub fn new(clusters: &'a ClusterSet, states: &'a [UsState], config: SimulationConfig) -> Self {
+    pub fn new(clusters: &'a ClusterSet, states: &[UsState], config: SimulationConfig) -> Self {
+        let geometry = Arc::new(CompiledPreferences::build(clusters, states));
+        Self::with_geometry(clusters, states, geometry, config)
+    }
+
+    /// [`Self::new`] over geometry compiled once and shared: a sweep
+    /// hands each group replay its compiled artifacts' geometry, and a
+    /// Monte Carlo run hands one to every worker's engine.
+    ///
+    /// # Panics
+    /// Panics if `geometry` was compiled for another hub list than
+    /// `clusters`' or another state list than `states`, and wherever
+    /// [`Self::new`] panics.
+    pub(crate) fn with_geometry(
+        clusters: &'a ClusterSet,
+        states: &[UsState],
+        geometry: Arc<CompiledPreferences>,
+        config: SimulationConfig,
+    ) -> Self {
         assert!(!clusters.is_empty(), "deployment has no clusters");
+        assert!(geometry.hub_ids() == clusters.hub_ids(), "geometry compiled for another hub list");
+        assert!(geometry.states() == states, "geometry compiled for another state list");
         config.constraints.validate(clusters.len());
         let power_models = power_models(clusters, config.energy);
         let capacities = clusters.clusters().iter().map(|c| c.capacity_hits_per_sec()).collect();
         let state = EngineSnapshot::empty(clusters.len());
         Self {
             clusters,
-            states,
+            geometry,
             config,
             power_models,
             capacities,
-            distance_table: DistanceTable::build(clusters, states),
             state,
             epoch: EpochCache::default(),
             lanes: Vec::new(),
@@ -592,7 +616,7 @@ impl<'a> SimulationEngine<'a> {
 
     /// The client states, defining the demand-vector order.
     pub fn states(&self) -> &[UsState] {
-        self.states
+        self.geometry.states()
     }
 
     /// The configuration in force.
@@ -678,7 +702,8 @@ impl<'a> SimulationEngine<'a> {
         let n_clusters = self.clusters.len();
         assert_eq!(prices.delayed.len(), n_clusters, "delayed price length mismatch");
         assert_eq!(prices.billing.len(), n_clusters, "billing price length mismatch");
-        assert_eq!(demand.demand.len(), self.states.len(), "demand length mismatch");
+        let n_states = self.geometry.states().len();
+        assert_eq!(demand.demand.len(), n_states, "demand length mismatch");
 
         let interval = self.config.reallocate_every_steps;
         let steps = (interval - i % interval).min(max_steps);
@@ -720,15 +745,14 @@ impl<'a> SimulationEngine<'a> {
             };
             let ctx = RoutingContext::new(
                 self.clusters,
-                self.states,
+                &self.geometry,
                 demand.demand,
                 prices.delayed,
                 hour,
             )
             .with_constraints(constraints);
-            let allocation = st
-                .cached_allocation
-                .get_or_insert_with(|| Allocation::zeros(n_clusters, self.states.len()));
+            let allocation =
+                st.cached_allocation.get_or_insert_with(|| Allocation::zeros(n_clusters, n_states));
             policy.allocate_into(allocation, &ctx);
             st.last_alloc_hour = hour;
             self.epoch.valid = false;
@@ -740,7 +764,7 @@ impl<'a> SimulationEngine<'a> {
             let allocation = st.cached_allocation.as_ref().expect("just populated");
             let epoch = &mut self.epoch;
             allocation.cluster_loads_into(&mut epoch.loads);
-            st.distances.prepare_step(allocation, &self.distance_table, &mut epoch.distances);
+            st.distances.prepare_step(allocation, &self.geometry, &mut epoch.distances);
             epoch.util.clear();
             epoch.wh_step.clear();
             epoch.hits_step.clear();
@@ -1022,7 +1046,7 @@ impl<'a> SimulationEngine<'a> {
             );
             assert_eq!(
                 allocation.num_states(),
-                self.states.len(),
+                self.geometry.states().len(),
                 "snapshot allocation state count mismatch"
             );
         }
@@ -1224,6 +1248,27 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "geometry compiled for another hub list")]
+    fn shared_geometry_for_another_hub_list_is_rejected() {
+        let (clusters, trace, _) = setup();
+        let reversed =
+            ClusterSet::new(clusters.clusters().iter().rev().cloned().collect::<Vec<_>>());
+        let geometry = Arc::new(CompiledPreferences::build(&reversed, &trace.states));
+        let config = SimulationConfig::default();
+        let _ = SimulationEngine::with_geometry(&clusters, &trace.states, geometry, config);
+    }
+
+    #[test]
+    #[should_panic(expected = "geometry compiled for another state list")]
+    fn shared_geometry_for_another_state_list_is_rejected() {
+        let (clusters, trace, _) = setup();
+        let reversed: Vec<UsState> = trace.states.iter().rev().copied().collect();
+        let geometry = Arc::new(CompiledPreferences::build(&clusters, &reversed));
+        let config = SimulationConfig::default();
+        let _ = SimulationEngine::with_geometry(&clusters, &trace.states, geometry, config);
+    }
+
+    #[test]
     fn malformed_snapshot_json_is_rejected() {
         let missing = JsonValue::parse(r#"{"step":1}"#).unwrap();
         assert!(EngineSnapshot::from_json_value(&missing).is_err());
@@ -1294,7 +1339,7 @@ mod tests {
     fn snapshot_counts_that_are_not_non_negative_integers_are_rejected() {
         let snapshot = snapshot_json();
         assert!(EngineSnapshot::from_json_value(&snapshot).is_ok());
-        for bad in [-2.0, 2.5, -2.5, f64::INFINITY] {
+        for bad in [-2.0, 2.5, -2.5, 1e300, f64::INFINITY] {
             for key in ["step", "clamped_lead_hours", "last_alloc_hour"] {
                 let v = edited(&snapshot, |f| {
                     f.insert(key.into(), JsonValue::Number(bad));

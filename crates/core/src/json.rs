@@ -107,6 +107,16 @@ impl JsonValue {
         }
     }
 
+    /// The value as a count, if it is one: a non-negative integer no
+    /// larger than 2^53, past which an `f64` stops holding every integer.
+    /// Decoders read every step, hour and index count through this, so a
+    /// negative, fractional or huge value is an error, not a cast.
+    pub fn as_count(&self) -> Option<u64> {
+        self.as_f64()
+            .filter(|x| *x >= 0.0 && x.fract() == 0.0 && *x <= 9_007_199_254_740_992.0)
+            .map(|x| x as u64)
+    }
+
     /// The value as `bool`, if it is a boolean.
     pub fn as_bool(&self) -> Option<bool> {
         match self {
@@ -443,6 +453,22 @@ mod tests {
         for text in ["", "{", "[1,", "tru", "\"unterminated", "{\"a\" 1}", "1 2"] {
             assert!(JsonValue::parse(text).is_err(), "should reject {text:?}");
         }
+    }
+
+    #[test]
+    fn counts_are_non_negative_integers_up_to_two_to_the_53() {
+        for (x, count) in [
+            (0.0, Some(0)),
+            (-0.0, Some(0)),
+            (7.0, Some(7)),
+            (9.007_199_254_740_992e15, Some(1 << 53)),
+        ] {
+            assert_eq!(JsonValue::Number(x).as_count(), count, "{x}");
+        }
+        for x in [-3.0, 2.5, -0.5, 1e300, 9.007_199_254_740_994e15, f64::INFINITY, f64::NAN] {
+            assert_eq!(JsonValue::Number(x).as_count(), None, "{x}");
+        }
+        assert_eq!(JsonValue::String("3".into()).as_count(), None);
     }
 
     #[test]

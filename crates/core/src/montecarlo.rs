@@ -28,9 +28,10 @@
 //! calibrated model is cloned once per worker, not per path), one
 //! [`SimulationEngine`] reset from a pristine [`EngineSnapshot`] between
 //! replays, and one flat `hour × hub` price buffer refilled per path. The
-//! ranked-distance geometry ([`CompiledPreferences`]) is compiled once per
-//! run and shared across workers, so drawing more paths performs **zero**
-//! additional artifact compiles — asserted by the compile-counter tests.
+//! client–cluster geometry ([`CompiledPreferences`]) is compiled once per
+//! run and shared by every worker's engine, so drawing more paths performs
+//! **zero** additional artifact compiles — asserted by the compile-counter
+//! tests.
 //!
 //! # CVaR
 //!
@@ -295,7 +296,6 @@ pub struct MonteCarlo<'a> {
     threads: Option<usize>,
     cvar_alpha: f64,
     policy: PathPolicyFactory,
-    baseline: PathPolicyFactory,
 }
 
 impl<'a> MonteCarlo<'a> {
@@ -303,9 +303,9 @@ impl<'a> MonteCarlo<'a> {
     /// price model (which must cover every deployment hub), a simulation
     /// configuration, and the master seed the path stream derives from.
     ///
-    /// Defaults: 64 paths, all available threads, CVaR level 0.95,
-    /// price-conscious routing (1500 km threshold) against the Akamai-like
-    /// baseline.
+    /// Defaults: 64 paths, all available threads, CVaR level 0.95 and
+    /// price-conscious routing (1500 km threshold). The baseline is the
+    /// Akamai-like policy.
     pub fn new(
         clusters: &'a ClusterSet,
         trace: &'a Trace,
@@ -325,7 +325,6 @@ impl<'a> MonteCarlo<'a> {
             threads: None,
             cvar_alpha: 0.95,
             policy: Arc::new(|| Box::new(PriceConsciousPolicy::with_distance_threshold(1500.0))),
-            baseline: Arc::new(|| Box::new(AkamaiLikePolicy::default())),
         }
     }
 
@@ -357,36 +356,10 @@ impl<'a> MonteCarlo<'a> {
         self
     }
 
-    /// Replace the optimized routing policy.
-    pub fn with_policy<P, F>(mut self, factory: F) -> Self
-    where
-        P: RoutingPolicy + 'static,
-        F: Fn() -> P + Send + Sync + 'static,
-    {
-        self.policy = Arc::new(move || Box::new(factory()));
-        self
-    }
-
-    /// Replace the baseline routing policy.
-    pub fn with_baseline<P, F>(mut self, factory: F) -> Self
-    where
-        P: RoutingPolicy + 'static,
-        F: Fn() -> P + Send + Sync + 'static,
-    {
-        self.baseline = Arc::new(move || Box::new(factory()));
-        self
-    }
-
     /// Replace the optimized policy with an already-boxed shared factory
     /// (the placement optimizer's native currency).
     pub fn with_policy_factory(mut self, factory: PathPolicyFactory) -> Self {
         self.policy = factory;
-        self
-    }
-
-    /// Replace the baseline policy with an already-boxed shared factory.
-    pub fn with_baseline_factory(mut self, factory: PathPolicyFactory) -> Self {
-        self.baseline = factory;
         self
     }
 
@@ -398,11 +371,11 @@ impl<'a> MonteCarlo<'a> {
         let n_hubs = hubs.len();
         let delay = self.config.reaction_delay_hours as usize;
         let clamped = self.config.reaction_delay_hours.min(n_hours as u64);
-        // The one artifact compile of the whole run: every worker's policies
-        // share this geometry, so path count never changes compile counts.
-        let prefs = Arc::new(CompiledPreferences::build(self.clusters, &self.trace.states));
+        // The one artifact compile of the whole run: every worker's engine
+        // shares this geometry, so path count never changes compile counts.
+        let geometry = Arc::new(CompiledPreferences::build(self.clusters, &self.trace.states));
         let policy_name = (self.policy)().name().to_string();
-        let baseline_name = (self.baseline)().name().to_string();
+        let baseline_name = AkamaiLikePolicy::default().name().to_string();
         let n_paths = self.n_paths;
         let workers = self
             .threads
@@ -421,7 +394,7 @@ impl<'a> MonteCarlo<'a> {
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 let tx = tx.clone();
-                let prefs = Arc::clone(&prefs);
+                let geometry = Arc::clone(&geometry);
                 let hubs = &hubs;
                 let next = &next;
                 scope.spawn(move || {
@@ -430,18 +403,17 @@ impl<'a> MonteCarlo<'a> {
                     // snapshot, one flat hour × hub price buffer, one
                     // instance of each policy.
                     let mut generator = PriceGenerator::new(self.model.clone(), 0);
-                    let mut engine = SimulationEngine::new(
+                    let mut engine = SimulationEngine::with_geometry(
                         self.clusters,
                         &self.trace.states,
+                        geometry,
                         self.config.clone(),
                     )
                     .with_clamped_lead_hours(clamped);
                     let pristine = engine.snapshot();
                     let mut billing = vec![0.0f64; n_hours * n_hubs];
                     let mut policy = (self.policy)();
-                    policy.attach_preferences(&prefs);
-                    let mut baseline = (self.baseline)();
-                    baseline.attach_preferences(&prefs);
+                    let mut baseline = AkamaiLikePolicy::default();
                     loop {
                         let slot = next.fetch_add(1, Ordering::Relaxed);
                         if slot >= n_paths {
@@ -474,7 +446,7 @@ impl<'a> MonteCarlo<'a> {
                         let base = replay(
                             &mut engine,
                             &pristine,
-                            baseline.as_mut(),
+                            &mut baseline,
                             self.trace,
                             coverage.start.0,
                             &billing,

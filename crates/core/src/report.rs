@@ -2,7 +2,8 @@
 
 use crate::json::{self, JsonValue};
 use serde::{Deserialize, Serialize};
-use wattroute_routing::allocation::{Allocation, DistanceTable};
+use wattroute_routing::allocation::Allocation;
+use wattroute_routing::price_conscious::CompiledPreferences;
 use wattroute_workload::trace::STEP_SECONDS;
 use wattroute_workload::ClusterSet;
 
@@ -52,6 +53,12 @@ fn f64_vec_field(v: &JsonValue, key: &str) -> Result<Vec<f64>, ReportDecodeError
                 .ok_or_else(|| ReportDecodeError(format!("field '{key}' has a non-number entry")))
         })
         .collect()
+}
+
+fn count_field(v: &JsonValue, key: &str) -> Result<u64, ReportDecodeError> {
+    field(v, key)?
+        .as_count()
+        .ok_or_else(|| ReportDecodeError(format!("field '{key}' is not a non-negative integer")))
 }
 
 fn str_field(v: &JsonValue, key: &str) -> Result<String, ReportDecodeError> {
@@ -109,17 +116,17 @@ impl DistanceHistogram {
 
     /// Replace `entries` with one step of `allocation`'s served pairs —
     /// each pair's load over one five-minute step at its distance in
-    /// `table` — prepared in the same walk that reads the table. Adding
-    /// them with [`Self::add_steps`] adds exactly what [`Self::add`] would
-    /// for every sample of [`Allocation::distance_samples`].
+    /// `geometry` — prepared in the same walk that reads the distances.
+    /// Adding them with [`Self::add_steps`] adds exactly what [`Self::add`]
+    /// would for every sample of [`Allocation::distance_samples`].
     pub(crate) fn prepare_step(
         &self,
         allocation: &Allocation,
-        table: &DistanceTable,
+        geometry: &CompiledPreferences,
         entries: &mut Vec<PreparedDistance>,
     ) {
         entries.clear();
-        allocation.for_each_distance_sample(table, |distance_km, load| {
+        allocation.for_each_distance_sample(geometry, |distance_km, load| {
             entries.extend(self.prepare(distance_km, load * STEP_SECONDS as f64));
         });
     }
@@ -390,7 +397,7 @@ impl TierNodeReport {
     pub fn from_json_value(v: &JsonValue) -> Result<Self, ReportDecodeError> {
         Ok(Self {
             label: str_field(v, "label")?,
-            sites: f64_field(v, "sites")? as usize,
+            sites: count_field(v, "sites")? as usize,
             cost_dollars: f64_field(v, "cost_dollars")?,
             energy_mwh: f64_field(v, "energy_mwh")?,
             total_hits: f64_field(v, "total_hits")?,
@@ -563,8 +570,8 @@ impl SimulationReport {
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Self {
             policy: str_field(v, "policy")?,
-            steps: f64_field(v, "steps")? as usize,
-            reaction_delay_hours: f64_field(v, "reaction_delay_hours")? as u64,
+            steps: count_field(v, "steps")? as usize,
+            reaction_delay_hours: count_field(v, "reaction_delay_hours")?,
             bandwidth_constrained: bool_field(v, "bandwidth_constrained")?,
             total_cost_dollars: f64_field(v, "total_cost_dollars")?,
             total_energy_mwh: f64_field(v, "total_energy_mwh")?,
@@ -581,7 +588,7 @@ impl SimulationReport {
                 .get("total_bandwidth_cost_dollars")
                 .and_then(JsonValue::as_f64)
                 .unwrap_or(0.0),
-            delay_clamped_hours: f64_field(v, "delay_clamped_hours")? as u64,
+            delay_clamped_hours: count_field(v, "delay_clamped_hours")?,
             clusters,
             mean_distance_km: f64_field(v, "mean_distance_km")?,
             p99_distance_km: f64_field(v, "p99_distance_km")?,
@@ -872,6 +879,44 @@ mod tests {
         assert_eq!(back, tree);
         assert_eq!(back.tiers.as_ref().unwrap().regions[0].rejected_hits, 1.0);
         assert_eq!(back.tiers.as_ref().unwrap().regions[0].cap_hits_per_sec, None);
+    }
+
+    #[test]
+    fn counts_that_are_not_non_negative_integers_are_rejected() {
+        let mut tree = dummy_report("y", &[10.0, 20.0]);
+        let node = TierNodeReport {
+            label: "NYC".to_string(),
+            sites: 2,
+            cost_dollars: 30.0,
+            energy_mwh: 0.5,
+            total_hits: 2.0e9,
+            overflow_hits: 0.0,
+            rejected_hits: 0.0,
+            mean_utilization: 0.3,
+            cap_hits_per_sec: None,
+        };
+        tree.tiers = Some(TierRollup { metros: vec![node.clone()], regions: vec![node] });
+        let good = tree.to_json_value();
+        assert_eq!(SimulationReport::from_json_value(&good).unwrap(), tree);
+        let set = |v: &mut JsonValue, key: &str, x: f64| {
+            let JsonValue::Object(fields) = v else { panic!("an object") };
+            fields.insert(key.to_string(), JsonValue::Number(x));
+        };
+        for bad in [-3.0, 2.5, 1e300, -1.0, -0.5, 9.007_199_254_740_994e15, f64::INFINITY] {
+            for key in ["steps", "reaction_delay_hours", "delay_clamped_hours"] {
+                let mut v = good.clone();
+                set(&mut v, key, bad);
+                let err = SimulationReport::from_json_value(&v).unwrap_err();
+                assert!(err.to_string().contains(key), "{key} = {bad}: {err}");
+            }
+            let mut v = good.clone();
+            let JsonValue::Object(fields) = &mut v else { panic!("an object") };
+            let Some(JsonValue::Object(tiers)) = fields.get_mut("tiers") else { panic!("tiers") };
+            let Some(JsonValue::Array(metros)) = tiers.get_mut("metros") else { panic!("metros") };
+            set(&mut metros[0], "sites", bad);
+            let err = SimulationReport::from_json_value(&v).unwrap_err();
+            assert!(err.to_string().contains("sites"), "sites = {bad}: {err}");
+        }
     }
 
     #[test]

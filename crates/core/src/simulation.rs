@@ -13,12 +13,14 @@ use crate::engine::{PriceSlice, SimulationEngine};
 use crate::report::SimulationReport;
 use crate::run::RunOptions;
 use std::borrow::Cow;
+use std::sync::Arc;
 use wattroute_energy::model::EnergyModelParams;
 use wattroute_market::price_table::PriceTable;
 use wattroute_market::time::HourRange;
 use wattroute_market::types::PriceSet;
 use wattroute_routing::constraints::{ConstraintSet, OverflowMode};
 use wattroute_routing::policy::RoutingPolicy;
+use wattroute_routing::price_conscious::CompiledPreferences;
 use wattroute_workload::bandwidth::{BandwidthProfile, LoadRuns};
 use wattroute_workload::trace::{Trace, STEPS_PER_HOUR};
 use wattroute_workload::ClusterSet;
@@ -377,26 +379,30 @@ impl<'a> Simulation<'a> {
             "RunOptions::reuse_artifacts applies to scenario sweeps; \
              a Simulation already binds one compiled price table"
         );
-        let mut reports = self.replay(policy, &[], recorder);
+        let geometry = Arc::new(CompiledPreferences::build(self.clusters, &self.trace.states));
+        let mut reports = self.replay(policy, geometry, &[], recorder);
         reports.pop().expect("one report per energy model")
     }
 
-    /// Replay the trace once under `policy` and account it under the
+    /// Replay the trace once under `policy`, over `geometry` (compiled for
+    /// this deployment and the trace's states), and account it under the
     /// configured energy model and, in lanes of one engine, each of
     /// `energy_lanes` (see [`SimulationEngine`]): one report per model, the
     /// configured one first. Each report is bit-identical to a run of its
     /// model on its own, since the energy model never shapes routing.
     /// [`Self::execute`] is this replay with no extra lanes; a scenario
     /// sweep replays a group of cells that differ only in energy model
-    /// through it.
+    /// through it, over its compiled artifacts' geometry.
     pub(crate) fn replay(
         &self,
         policy: &mut dyn RoutingPolicy,
+        geometry: Arc<CompiledPreferences>,
         energy_lanes: &[EnergyModelParams],
         recorder: Option<&mut LoadRecorder>,
     ) -> Vec<SimulationReport> {
+        let config = self.config.clone();
         let mut engine =
-            SimulationEngine::new(self.clusters, &self.trace.states, self.config.clone())
+            SimulationEngine::with_geometry(self.clusters, &self.trace.states, geometry, config)
                 .with_clamped_lead_hours(self.table.clamped_lead_hours())
                 .with_energy_lanes(energy_lanes);
         engine.replay_trace(policy, self.trace, |hour| {

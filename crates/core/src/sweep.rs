@@ -131,9 +131,9 @@ pub struct SweepPoint {
 /// * one [`BillingMatrix`] per distinct deployment hub list (delay- and
 ///   policy-independent);
 /// * one [`CompiledPreferences`] per distinct deployment hub list (the
-///   price-conscious router's ranked-distance geometry — state-list
-///   dependent, but a sweep has a single trace and therefore a single
-///   state list);
+///   client–cluster geometry every replay's engine routes and accounts
+///   over — state-list dependent, but a sweep has a single trace and
+///   therefore a single state list);
 /// * one [`PriceTable`] per (deployment hub list, reaction delay): a thin
 ///   delayed-price view over the shared billing matrix.
 ///
@@ -268,7 +268,7 @@ impl CompiledArtifacts {
         self.tables.get(&(slot, delay_hours)).expect("cell was compiled")
     }
 
-    /// The shared ranked-distance geometry for a deployment.
+    /// The shared client–cluster geometry for a deployment.
     ///
     /// # Panics
     /// Panics if no grid point referenced the deployment.
@@ -282,7 +282,7 @@ impl CompiledArtifacts {
         self.billing.len()
     }
 
-    /// Number of ranked-distance geometries compiled.
+    /// Number of client–cluster geometries compiled.
     pub fn compiled_preferences(&self) -> usize {
         self.preferences.len()
     }
@@ -618,9 +618,9 @@ impl<'a> ScenarioSweep<'a> {
                     );
                     let lanes: Vec<EnergyModelParams> =
                         cells[1..].iter().map(|&cell| points[cell].config.energy).collect();
-                    policy.attach_preferences(artifacts_ref.preferences(lead.deployment));
+                    let geometry = Arc::clone(artifacts_ref.preferences(lead.deployment));
                     let replay_span = wattroute_obs::span!("sweep.replay");
-                    let reports = sim.replay(policy.as_mut(), &lanes, None);
+                    let reports = sim.replay(policy.as_mut(), geometry, &lanes, None);
                     drop(replay_span);
                     wattroute_obs::counter!("sweep.lanes").add(cells.len() as u64);
                     for (index, report) in cells.into_iter().zip(reports) {
@@ -756,16 +756,9 @@ impl SweepResult {
 
     /// Decode from a JSON value produced by [`Self::to_json_value`].
     pub fn from_json_value(v: &JsonValue) -> Result<Self, ReportDecodeError> {
-        let index = v
-            .get("index")
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| ReportDecodeError::new("cell missing 'index'"))?;
-        // 2^53 bounds what an f64 can hold exactly (and any sane grid).
-        if !(index.is_finite() && index >= 0.0 && index.fract() == 0.0 && index <= 9.0e15) {
-            return Err(ReportDecodeError::new(format!(
-                "cell 'index' is not a non-negative integer: {index}"
-            )));
-        }
+        let index = v.get("index").and_then(JsonValue::as_count).ok_or_else(|| {
+            ReportDecodeError::new("cell 'index' is missing or not a non-negative integer")
+        })?;
         let label = v
             .get("label")
             .and_then(JsonValue::as_str)
@@ -1213,6 +1206,12 @@ mod tests {
         let cell = &results[0];
         let back = SweepResult::from_json_value(&cell.to_json_value()).expect("round trip");
         assert_eq!(&back, cell);
+        for bad in [-3.0, 2.5, 1e300, -1.0] {
+            let mut v = cell.to_json_value();
+            let JsonValue::Object(fields) = &mut v else { panic!("a cell is an object") };
+            fields.insert("index".into(), JsonValue::Number(bad));
+            assert!(SweepResult::from_json_value(&v).is_err(), "index = {bad}");
+        }
     }
 
     #[test]
@@ -1299,12 +1298,6 @@ mod tests {
             self.inner.name()
         }
 
-        fn allocate(&mut self, ctx: &RoutingContext<'_>) -> Allocation {
-            let mut out = Allocation::zeros(ctx.clusters.len(), ctx.states.len());
-            self.allocate_into(&mut out, ctx);
-            out
-        }
-
         fn allocate_into(&mut self, out: &mut Allocation, ctx: &RoutingContext<'_>) {
             assert_eq!(std::thread::current().id(), self.built_on, "routed off its worker");
             if self.calls == 0 {
@@ -1313,10 +1306,6 @@ mod tests {
             self.calls += 1;
             self.counts.calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
             self.inner.allocate_into(out, ctx);
-        }
-
-        fn attach_preferences(&mut self, prefs: &Arc<CompiledPreferences>) {
-            self.inner.attach_preferences(prefs);
         }
 
         fn routing_key(&self) -> Option<RoutingKey> {

@@ -3,7 +3,7 @@
 //! The engine's hot path caches, per allocation epoch, everything that is
 //! constant between reallocations (loads, utilization, Wh, the
 //! served/overflow/rejected split, binding flags, distance samples read
-//! from a prebuilt distance table), and the policies overwrite one
+//! from the engine's compiled geometry), and the policies overwrite one
 //! recycled [`Allocation`] through `allocate_into` with reused preference
 //! scratch and, for the price-conscious policy, preference orders memoised
 //! across reallocations. This test pins the non-negotiable contract of
@@ -67,9 +67,8 @@ fn policy_for(kind: usize) -> Box<dyn RoutingPolicy> {
 /// `SimulationEngine::report` assembles it from the raw load series, which
 /// is returned alongside it.
 ///
-/// Every fresh policy is handed one shared ranked-distance geometry, which
-/// keeps a reallocation cheap in debug builds; attaching geometry never
-/// changes an allocation (pinned in the routing crate).
+/// Every fresh policy routes over one shared geometry, lent through its
+/// context, as an engine lends its own.
 fn legacy_replay(scenario: &Scenario, kind: usize) -> (SimulationReport, Vec<Vec<f64>>) {
     let clusters = &scenario.clusters;
     let trace = &scenario.trace;
@@ -111,15 +110,13 @@ fn legacy_replay(scenario: &Scenario, kind: usize) -> (SimulationReport, Vec<Vec
         if reallocate {
             let ctx = RoutingContext::new(
                 clusters,
-                &trace.states,
+                &geometry,
                 &step.us_demand,
                 table.delayed_at(hour).expect("table covers the trace"),
                 hour,
             )
             .with_constraints(constraints);
-            let mut policy = policy_for(kind);
-            policy.attach_preferences(&geometry);
-            cached = Some(policy.allocate(&ctx));
+            cached = Some(policy_for(kind).allocate(&ctx));
             last_alloc_hour = Some(hour);
         }
         let allocation = cached.as_ref().expect("just populated");

@@ -13,14 +13,13 @@
 //! deployments and a keyless policy that never groups.
 
 use proptest::prelude::*;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use wattroute::constraints::BandwidthTariff;
 use wattroute::prelude::*;
 use wattroute_market::time::{HourRange, SimHour};
 use wattroute_routing::allocation::Allocation;
 use wattroute_routing::constraints::OverflowMode;
 use wattroute_routing::policy::{RoutingContext, RoutingPolicy};
-use wattroute_routing::price_conscious::CompiledPreferences;
 
 /// Price-conscious routing behind a wrapper that keeps the default
 /// (absent) routing key.
@@ -31,16 +30,8 @@ impl RoutingPolicy for Keyless {
         "keyless"
     }
 
-    fn allocate(&mut self, ctx: &RoutingContext<'_>) -> Allocation {
-        self.0.allocate(ctx)
-    }
-
     fn allocate_into(&mut self, out: &mut Allocation, ctx: &RoutingContext<'_>) {
         self.0.allocate_into(out, ctx);
-    }
-
-    fn attach_preferences(&mut self, prefs: &Arc<CompiledPreferences>) {
-        self.0.attach_preferences(prefs);
     }
 }
 

@@ -1,43 +1,10 @@
 //! Allocations: how much of each client state's demand each cluster serves
 //! during one 5-minute step.
 
+use crate::price_conscious::CompiledPreferences;
 use serde::{Deserialize, Serialize};
 use wattroute_geo::{hubs, state_to_hub_km, UsState};
 use wattroute_workload::ClusterSet;
-
-/// The population-weighted distance from every client state to every
-/// cluster's hub ([`state_to_hub_km`]), in the same flat row-major
-/// `cluster × state` layout as an [`Allocation`].
-///
-/// Geography is fixed for a run, so an engine builds one table up front
-/// and every reallocation's [`Allocation::for_each_distance_sample`] reads
-/// it instead of re-deriving a haversine distance per served pair.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct DistanceTable {
-    num_clusters: usize,
-    num_states: usize,
-    km: Vec<f64>,
-}
-
-impl DistanceTable {
-    /// Tabulate [`state_to_hub_km`] for every (cluster, state) pair.
-    pub fn build(clusters: &ClusterSet, states: &[UsState]) -> Self {
-        // Sized exactly: a doubling `collect` rounds a 1000-site tree's
-        // shard tables up to 128 KiB blocks, which raised that replay's
-        // peak RSS by about 5 MB (glibc, 2 vCPUs).
-        let mut km = Vec::with_capacity(clusters.len() * states.len());
-        for cluster in clusters.clusters() {
-            let hub = hubs::hub(cluster.hub);
-            km.extend(states.iter().map(|&state| state_to_hub_km(state, hub)));
-        }
-        Self { num_clusters: clusters.len(), num_states: states.len(), km }
-    }
-
-    /// One cluster's distances to every state, in km.
-    fn row(&self, cluster: usize) -> &[f64] {
-        &self.km[cluster * self.num_states..(cluster + 1) * self.num_states]
-    }
-}
 
 /// A per-step assignment of demand to clusters.
 ///
@@ -175,7 +142,8 @@ impl Allocation {
     /// across steps (Figure 17).
     ///
     /// Derives every distance afresh; hot loops use
-    /// [`Self::for_each_distance_sample`] with a prebuilt [`DistanceTable`].
+    /// [`Self::for_each_distance_sample`] with the run's compiled
+    /// [`CompiledPreferences`].
     pub fn distance_samples(&self, clusters: &ClusterSet, states: &[UsState]) -> Vec<(f64, f64)> {
         assert_eq!(self.num_clusters(), clusters.len(), "cluster count mismatch");
         assert_eq!(self.num_states(), states.len(), "state count mismatch");
@@ -195,18 +163,22 @@ impl Allocation {
     }
 
     /// Visit [`Self::distance_samples`] in order, reading each distance
-    /// from `table` (built for this allocation's deployment and state
+    /// from `geometry` (compiled for this allocation's deployment and state
     /// list): `visit(distance_km, load)` once per served pair. Per-epoch
     /// accounting loops turn the samples into whatever they accumulate in
     /// this one walk, with no buffer in between and no distance computed.
-    pub fn for_each_distance_sample(&self, table: &DistanceTable, mut visit: impl FnMut(f64, f64)) {
-        assert_eq!(self.num_clusters(), table.num_clusters, "cluster count mismatch");
-        assert_eq!(self.num_states(), table.num_states, "state count mismatch");
+    pub fn for_each_distance_sample(
+        &self,
+        geometry: &CompiledPreferences,
+        mut visit: impl FnMut(f64, f64),
+    ) {
+        assert_eq!(self.num_clusters(), geometry.hub_ids().len(), "cluster count mismatch");
+        assert_eq!(self.num_states(), geometry.states().len(), "state count mismatch");
         if self.num_states == 0 {
             return;
         }
         for (c, row) in self.loads.chunks_exact(self.num_states).enumerate() {
-            let km = table.row(c);
+            let km = geometry.row(c);
             for (s, &load) in row.iter().enumerate() {
                 if load > 0.0 {
                     visit(km[s], load);
@@ -314,8 +286,8 @@ mod tests {
     fn tabulated_samples_match_the_haversine_walk_bit_for_bit() {
         let clusters = ClusterSet::akamai_like_nine();
         let states: Vec<UsState> = UsState::all().collect();
-        let table = DistanceTable::build(&clusters, &states);
-        assert_eq!((table.num_clusters, table.num_states), (9, 51));
+        let geometry = CompiledPreferences::build(&clusters, &states);
+        assert_eq!((geometry.hub_ids().len(), geometry.states().len()), (9, 51));
         // Rows 1, 4 and 8 carry no load at all; the rest serve a scattered
         // subset of states, including fractional and tiny loads.
         let mut a = Allocation::zeros(clusters.len(), states.len());
@@ -326,7 +298,7 @@ mod tests {
         }
         a.add(7, 50, 1e-300);
         let mut samples = Vec::new();
-        a.for_each_distance_sample(&table, |km, load| samples.push((km, load)));
+        a.for_each_distance_sample(&geometry, |km, load| samples.push((km, load)));
         let reference = a.distance_samples(&clusters, &states);
         assert!(!reference.is_empty());
         assert_eq!(samples.len(), reference.len());
@@ -337,8 +309,8 @@ mod tests {
 
         // A 0-state allocation samples nothing either way.
         let none = Allocation::zeros(clusters.len(), 0);
-        let empty_table = DistanceTable::build(&clusters, &[]);
-        none.for_each_distance_sample(&empty_table, |_, _| panic!("nothing is served"));
+        let stateless = CompiledPreferences::build(&clusters, &[]);
+        none.for_each_distance_sample(&stateless, |_, _| panic!("nothing is served"));
         assert!(none.distance_samples(&clusters, &[]).is_empty());
     }
 
@@ -346,8 +318,8 @@ mod tests {
     #[should_panic(expected = "state count mismatch")]
     fn distance_table_shape_is_checked() {
         let clusters = ClusterSet::akamai_like_nine();
-        let table = DistanceTable::build(&clusters, &[UsState::MA]);
-        Allocation::zeros(clusters.len(), 2).for_each_distance_sample(&table, |_, _| {});
+        let geometry = CompiledPreferences::build(&clusters, &[UsState::MA]);
+        Allocation::zeros(clusters.len(), 2).for_each_distance_sample(&geometry, |_, _| {});
     }
 
     #[test]

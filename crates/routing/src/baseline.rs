@@ -14,12 +14,11 @@
 //!   (§6.3, Figure 18): every request is served from the hub with the lowest
 //!   long-run average price, subject to capacity.
 //!
-//! The nearest-cluster and Akamai-like baselines ride
-//! [`CompiledPreferences`] for their distance geometry: the per-state
-//! ascending-distance ranking is compiled once per (deployment, state
-//! list) — shared by a sweep or lazily self-compiled — and lent to the pour
-//! as borrowed slices, never re-sorted or copied per reallocation. The
-//! ranking's stable sort from cluster-index order gives exactly the
+//! The nearest-cluster and Akamai-like baselines read their distance
+//! orders from the context's [`CompiledPreferences`]: each state's
+//! ascending-distance ranking, compiled once per engine and lent to the
+//! pour as borrowed slices, never re-sorted or copied per reallocation.
+//! The ranking's stable sort from cluster-index order gives exactly the
 //! tie-break the old per-realloc sort used, so the migration is
 //! bit-identical. The static placement sorts its mean prices once, when
 //! it is built.
@@ -29,7 +28,7 @@ use crate::policy::{
     assign_by_preference_into, AssignWorkspace, RoutingContext, RoutingKey, RoutingPolicy,
     WholeOrders,
 };
-use crate::price_conscious::{ensure_compiled, CompiledPreferences};
+use crate::price_conscious::CompiledPreferences;
 use std::sync::Arc;
 
 /// Route every client state to its nearest cluster (ties broken by cluster
@@ -37,8 +36,6 @@ use std::sync::Arc;
 /// bind.
 #[derive(Debug, Clone, Default)]
 pub struct NearestClusterPolicy {
-    compiled: Option<Arc<CompiledPreferences>>,
-    own_geometry_builds: usize,
     workspace: AssignWorkspace,
 }
 
@@ -47,12 +44,6 @@ impl NearestClusterPolicy {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// How many times this instance compiled its own geometry (a run fed
-    /// shared preferences that match its contexts reports `0`).
-    pub fn own_geometry_builds(&self) -> usize {
-        self.own_geometry_builds
-    }
 }
 
 impl RoutingPolicy for NearestClusterPolicy {
@@ -60,27 +51,16 @@ impl RoutingPolicy for NearestClusterPolicy {
         "nearest-cluster"
     }
 
-    fn allocate(&mut self, ctx: &RoutingContext<'_>) -> Allocation {
-        let mut out = Allocation::zeros(ctx.clusters.len(), ctx.states.len());
-        self.allocate_into(&mut out, ctx);
-        out
-    }
-
     fn allocate_into(&mut self, out: &mut Allocation, ctx: &RoutingContext<'_>) {
-        ensure_compiled(&mut self.compiled, &mut self.own_geometry_builds, ctx);
-        let compiled = self.compiled.as_ref().expect("compiled above");
-        let mut nearest_first = WholeOrders::new(|state| compiled.order(state));
+        let geometry: &CompiledPreferences = ctx.geometry;
+        let mut nearest_first = WholeOrders::new(|state| geometry.order(state));
         assign_by_preference_into(ctx, &mut self.workspace, out, &mut nearest_first);
-    }
-
-    fn attach_preferences(&mut self, prefs: &Arc<CompiledPreferences>) {
-        self.compiled = Some(prefs.clone());
     }
 
     fn routing_key(&self) -> Option<RoutingKey> {
         // Field by field, so a new field must be keyed or declared
         // routing-neutral before it compiles.
-        let Self { compiled: _, own_geometry_builds: _, workspace: _ } = self;
+        let Self { workspace: _ } = self;
         Some(RoutingKey::of::<Self>())
     }
 }
@@ -95,9 +75,13 @@ struct AkamaiScratch {
     primary: Allocation,
     secondary: Allocation,
     /// Each state's distance order rotated left by one (second nearest
-    /// first, nearest last), state after state; compiled once per
-    /// geometry, empty while stale.
+    /// first, nearest last), state after state, compiled from
+    /// `rotated_from`.
     rotated: Vec<usize>,
+    /// The geometry `rotated` was compiled from, kept alive so that a
+    /// context lending another compilation is told apart in O(1), by
+    /// address.
+    rotated_from: Option<Arc<CompiledPreferences>>,
 }
 
 /// An Akamai-like baseline: most of a state's demand goes to the nearest
@@ -108,8 +92,6 @@ struct AkamaiScratch {
 pub struct AkamaiLikePolicy {
     /// Fraction of each state's demand sent to the second-nearest cluster.
     pub secondary_fraction: f64,
-    compiled: Option<Arc<CompiledPreferences>>,
-    own_geometry_builds: usize,
     workspace: AssignWorkspace,
     scratch: AkamaiScratch,
 }
@@ -126,17 +108,9 @@ impl AkamaiLikePolicy {
     pub fn new(secondary_fraction: f64) -> Self {
         Self {
             secondary_fraction: secondary_fraction.clamp(0.0, 0.5),
-            compiled: None,
-            own_geometry_builds: 0,
             workspace: AssignWorkspace::new(),
             scratch: AkamaiScratch::default(),
         }
-    }
-
-    /// How many times this instance compiled its own geometry (a run fed
-    /// shared preferences that match its contexts reports `0`).
-    pub fn own_geometry_builds(&self) -> usize {
-        self.own_geometry_builds
     }
 }
 
@@ -145,33 +119,32 @@ impl RoutingPolicy for AkamaiLikePolicy {
         "akamai-like"
     }
 
-    fn allocate(&mut self, ctx: &RoutingContext<'_>) -> Allocation {
-        let mut out = Allocation::zeros(ctx.clusters.len(), ctx.states.len());
-        self.allocate_into(&mut out, ctx);
-        out
-    }
-
     fn allocate_into(&mut self, out: &mut Allocation, ctx: &RoutingContext<'_>) {
         // Split each state's demand into a primary share (nearest) and a
         // secondary share (second nearest) and run the capacity-aware engine
         // on each share separately, then merge.
         let n_clusters = ctx.clusters.len();
-        let n_states = ctx.states.len();
-        if ensure_compiled(&mut self.compiled, &mut self.own_geometry_builds, ctx) {
-            self.scratch.rotated.clear();
-        }
-        let compiled = self.compiled.as_ref().expect("compiled above");
+        let n_states = ctx.states().len();
+        let geometry: &CompiledPreferences = ctx.geometry;
         let fraction = self.secondary_fraction;
-        let AkamaiScratch { primary_demand, secondary_demand, primary, secondary, rotated } =
-            &mut self.scratch;
-        if rotated.is_empty() {
+        let AkamaiScratch {
+            primary_demand,
+            secondary_demand,
+            primary,
+            secondary,
+            rotated,
+            rotated_from,
+        } = &mut self.scratch;
+        if !rotated_from.as_ref().is_some_and(|from| Arc::ptr_eq(from, ctx.geometry)) {
+            rotated.clear();
             for state in 0..n_states {
                 let start = rotated.len();
-                rotated.extend_from_slice(compiled.order(state));
+                rotated.extend_from_slice(geometry.order(state));
                 if n_clusters > 1 {
                     rotated[start..].rotate_left(1); // prefer the second nearest first
                 }
             }
+            *rotated_from = Some(Arc::clone(ctx.geometry));
         }
 
         primary_demand.clear();
@@ -180,7 +153,7 @@ impl RoutingPolicy for AkamaiLikePolicy {
         secondary_demand.extend(ctx.demand.iter().map(|d| d * fraction));
 
         let primary_ctx = RoutingContext { demand: primary_demand, ..ctx.clone() };
-        let mut nearest_first = WholeOrders::new(|state| compiled.order(state));
+        let mut nearest_first = WholeOrders::new(|state| geometry.order(state));
         assign_by_preference_into(&primary_ctx, &mut self.workspace, primary, &mut nearest_first);
 
         let secondary_ctx = RoutingContext { demand: secondary_demand, ..ctx.clone() };
@@ -206,19 +179,8 @@ impl RoutingPolicy for AkamaiLikePolicy {
         }
     }
 
-    fn attach_preferences(&mut self, prefs: &Arc<CompiledPreferences>) {
-        self.compiled = Some(prefs.clone());
-        self.scratch.rotated.clear();
-    }
-
     fn routing_key(&self) -> Option<RoutingKey> {
-        let Self {
-            secondary_fraction,
-            compiled: _,
-            own_geometry_builds: _,
-            workspace: _,
-            scratch: _,
-        } = self;
+        let Self { secondary_fraction, workspace: _, scratch: _ } = self;
         Some(RoutingKey::of::<Self>().with(*secondary_fraction))
     }
 }
@@ -253,12 +215,6 @@ impl RoutingPolicy for StaticCheapestPolicy {
         "static-cheapest-hub"
     }
 
-    fn allocate(&mut self, ctx: &RoutingContext<'_>) -> Allocation {
-        let mut out = Allocation::zeros(ctx.clusters.len(), ctx.states.len());
-        self.allocate_into(&mut out, ctx);
-        out
-    }
-
     fn allocate_into(&mut self, out: &mut Allocation, ctx: &RoutingContext<'_>) {
         assert_eq!(
             self.mean_prices.len(),
@@ -286,11 +242,16 @@ mod tests {
 
     fn ctx<'a>(
         clusters: &'a ClusterSet,
-        states: &'a [UsState],
+        geometry: &'a Arc<CompiledPreferences>,
         demand: &'a [f64],
         prices: &'a [f64],
     ) -> RoutingContext<'a> {
-        RoutingContext::new(clusters, states, demand, prices, SimHour(0))
+        RoutingContext::new(clusters, geometry, demand, prices, SimHour(0))
+    }
+
+    /// The geometry of a deployment and state list, as an engine compiles it.
+    fn compile(clusters: &ClusterSet, states: &[UsState]) -> Arc<CompiledPreferences> {
+        Arc::new(CompiledPreferences::build(clusters, states))
     }
 
     #[test]
@@ -299,7 +260,8 @@ mod tests {
         let states = [UsState::MA, UsState::CA];
         let demand = [1000.0, 2000.0];
         let prices = vec![50.0; 9];
-        let c = ctx(&clusters, &states, &demand, &prices);
+        let geometry = compile(&clusters, &states);
+        let c = ctx(&clusters, &geometry, &demand, &prices);
         let mut policy = NearestClusterPolicy::new();
         let a = policy.allocate(&c);
         let boston = clusters.index_of_hub(HubId::BostonMa).unwrap();
@@ -318,7 +280,8 @@ mod tests {
         let states = [UsState::MA];
         let demand = [1000.0];
         let prices = vec![50.0; 9];
-        let c = ctx(&clusters, &states, &demand, &prices);
+        let geometry = compile(&clusters, &states);
+        let c = ctx(&clusters, &geometry, &demand, &prices);
         let mut policy = AkamaiLikePolicy::default();
         let a = policy.allocate(&c);
         let boston = clusters.index_of_hub(HubId::BostonMa).unwrap();
@@ -341,7 +304,8 @@ mod tests {
         let states: Vec<UsState> = UsState::all().collect();
         let demand: Vec<f64> = states.iter().map(|s| s.population() as f64 / 1000.0).collect();
         let prices = vec![50.0; 9];
-        let c = ctx(&clusters, &states, &demand, &prices);
+        let geometry = compile(&clusters, &states);
+        let c = ctx(&clusters, &geometry, &demand, &prices);
         let near = NearestClusterPolicy::new().allocate(&c);
         let akamai = AkamaiLikePolicy::default().allocate(&c);
         let d_near = near.mean_distance_km(&clusters, &states).unwrap();
@@ -355,22 +319,17 @@ mod tests {
         let states: Vec<UsState> = UsState::all().collect();
         let demand: Vec<f64> = (0..states.len()).map(|i| 50.0 + 13.0 * i as f64).collect();
         let prices = vec![50.0; 9];
-        let shared = Arc::new(CompiledPreferences::build(&clusters, &states));
-        let c = ctx(&clusters, &states, &demand, &prices);
+        let (own, shared) = (compile(&clusters, &states), compile(&clusters, &states));
+        let alone = ctx(&clusters, &own, &demand, &prices);
+        let sharing = ctx(&clusters, &shared, &demand, &prices);
 
-        let mut own_near = NearestClusterPolicy::new();
-        let mut shared_near = NearestClusterPolicy::new();
-        shared_near.attach_preferences(&shared);
-        assert_eq!(own_near.allocate(&c).matrix(), shared_near.allocate(&c).matrix());
-        assert_eq!(own_near.own_geometry_builds(), 1);
-        assert_eq!(shared_near.own_geometry_builds(), 0, "shared geometry must be reused");
+        let near = |c: &RoutingContext<'_>| NearestClusterPolicy::new().allocate(c);
+        assert_eq!(near(&alone), near(&sharing));
 
-        let mut own_akamai = AkamaiLikePolicy::default();
-        let mut shared_akamai = AkamaiLikePolicy::default();
-        shared_akamai.attach_preferences(&shared);
-        assert_eq!(own_akamai.allocate(&c).matrix(), shared_akamai.allocate(&c).matrix());
-        assert_eq!(own_akamai.own_geometry_builds(), 1);
-        assert_eq!(shared_akamai.own_geometry_builds(), 0, "shared geometry must be reused");
+        let mut akamai = AkamaiLikePolicy::default();
+        assert_eq!(AkamaiLikePolicy::default().allocate(&alone), akamai.allocate(&sharing));
+        let rotated_from = akamai.scratch.rotated_from.as_ref().expect("routed");
+        assert!(Arc::ptr_eq(rotated_from, &shared), "the rotated orders are the shared geometry's");
     }
 
     #[test]
@@ -379,7 +338,8 @@ mod tests {
         let states = [UsState::NY, UsState::CA];
         let demand = [1000.0, 1000.0];
         let prices = vec![50.0; 9]; // current prices are irrelevant to the static policy
-        let c = ctx(&clusters, &states, &demand, &prices);
+        let geometry = compile(&clusters, &states);
+        let c = ctx(&clusters, &geometry, &demand, &prices);
         // Chicago (index 4) has the lowest long-run mean.
         let mut means = vec![60.0; 9];
         means[4] = 38.0;
@@ -396,7 +356,8 @@ mod tests {
         let cap = clusters.get(4).unwrap().capacity_hits_per_sec();
         let demand = [cap * 3.0];
         let prices = vec![50.0; 9];
-        let c = ctx(&clusters, &states, &demand, &prices);
+        let geometry = compile(&clusters, &states);
+        let c = ctx(&clusters, &geometry, &demand, &prices);
         let mut means = vec![60.0; 9];
         means[4] = 30.0;
         means[5] = 35.0;
@@ -414,7 +375,8 @@ mod tests {
         let states = [UsState::NY];
         let demand = [1.0];
         let prices = vec![50.0; 9];
-        let c = ctx(&clusters, &states, &demand, &prices);
+        let geometry = compile(&clusters, &states);
+        let c = ctx(&clusters, &geometry, &demand, &prices);
         let _ = StaticCheapestPolicy::new(vec![1.0, 2.0]).allocate(&c);
     }
 

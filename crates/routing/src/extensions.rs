@@ -16,15 +16,14 @@ use crate::policy::{
     assign_by_preference_into, AssignWorkspace, RoutingContext, RoutingKey, RoutingPolicy,
     WholeOrders,
 };
-use crate::price_conscious::{ensure_compiled, CompiledPreferences, ThresholdRouter};
-use std::sync::Arc;
+use crate::price_conscious::{CompiledPreferences, ThresholdRouter};
 use wattroute_geo::distance::RankedHub;
 
 /// Route to the cluster whose grid currently has the lowest carbon
 /// intensity, subject to a distance threshold — the §8 "Environmental Cost"
-/// idea on the price optimizer's own machinery: the same compiled
-/// geometry and the same lazily ranked memo, keyed on the intensity row
-/// and threshold instead of the price row and threshold.
+/// idea on the price optimizer's own machinery: the same split of the
+/// context's geometry and the same lazily ranked memo, keyed on the
+/// intensity row and threshold instead of the price row and threshold.
 #[derive(Debug, Clone)]
 pub struct CarbonAwarePolicy {
     /// Maximum client-to-cluster distance in km.
@@ -60,12 +59,6 @@ impl RoutingPolicy for CarbonAwarePolicy {
         "carbon-aware"
     }
 
-    fn allocate(&mut self, ctx: &RoutingContext<'_>) -> Allocation {
-        let mut out = Allocation::zeros(ctx.clusters.len(), ctx.states.len());
-        self.allocate_into(&mut out, ctx);
-        out
-    }
-
     fn allocate_into(&mut self, out: &mut Allocation, ctx: &RoutingContext<'_>) {
         assert_eq!(
             self.carbon_intensity.len(),
@@ -76,13 +69,9 @@ impl RoutingPolicy for CarbonAwarePolicy {
         router.route(out, ctx, *distance_threshold_km, carbon_intensity, *intensity_threshold);
     }
 
-    fn attach_preferences(&mut self, prefs: &Arc<CompiledPreferences>) {
-        self.router.attach(prefs);
-    }
-
     fn routing_key(&self) -> Option<RoutingKey> {
         // Field by field, so a new field must be keyed before it compiles;
-        // the router's geometry, memo and scratch never change an
+        // the router's split, memo and scratch never change an
         // allocation.
         let Self { distance_threshold_km, carbon_intensity, intensity_threshold, router: _ } = self;
         Some(
@@ -94,12 +83,11 @@ impl RoutingPolicy for CarbonAwarePolicy {
     }
 }
 
-/// Reused scoring buffers for [`JointCostPolicy`]: per-state distances
-/// scattered back to cluster-index order, the scored list the per-state
-/// ranking sorts in place, and the call's orders, state after state.
+/// Reused scoring buffers for [`JointCostPolicy`]: the scored list the
+/// per-state ranking sorts in place, and the call's orders, state after
+/// state.
 #[derive(Debug, Clone, Default)]
 struct JointScratch {
-    dist_by_cluster: Vec<f64>,
     scored: Vec<RankedHub>,
     orders: Vec<usize>,
 }
@@ -112,12 +100,6 @@ pub struct JointCostPolicy {
     /// distance. `0.0` reduces to pure price optimisation; large values
     /// reduce to nearest-cluster routing.
     pub distance_weight: f64,
-    /// Compiled ranked-distance geometry (shared by a sweep or lazily
-    /// self-compiled) — the source of per-state distances, replacing the
-    /// per-state `hub_refs` rebuild + haversine walk of the original
-    /// implementation.
-    compiled: Option<Arc<CompiledPreferences>>,
-    own_geometry_builds: usize,
     workspace: AssignWorkspace,
     scratch: JointScratch,
 }
@@ -128,12 +110,6 @@ impl JointCostPolicy {
         assert!(distance_weight >= 0.0, "distance weight must be non-negative");
         Self { distance_weight, ..Default::default() }
     }
-
-    /// How many times this instance compiled its own geometry (a run fed
-    /// shared preferences that match its contexts reports `0`).
-    pub fn own_geometry_builds(&self) -> usize {
-        self.own_geometry_builds
-    }
 }
 
 impl RoutingPolicy for JointCostPolicy {
@@ -141,32 +117,19 @@ impl RoutingPolicy for JointCostPolicy {
         "joint-price-distance"
     }
 
-    fn allocate(&mut self, ctx: &RoutingContext<'_>) -> Allocation {
-        let mut out = Allocation::zeros(ctx.clusters.len(), ctx.states.len());
-        self.allocate_into(&mut out, ctx);
-        out
-    }
-
     fn allocate_into(&mut self, out: &mut Allocation, ctx: &RoutingContext<'_>) {
-        ensure_compiled(&mut self.compiled, &mut self.own_geometry_builds, ctx);
-        let Self { distance_weight, compiled, workspace, scratch, .. } = self;
-        let compiled = compiled.as_ref().expect("compiled above");
+        let Self { distance_weight, workspace, scratch } = self;
+        let geometry: &CompiledPreferences = ctx.geometry;
         let w = *distance_weight;
         let n_clusters = ctx.clusters.len();
-        let JointScratch { dist_by_cluster, scored, orders } = scratch;
+        let JointScratch { scored, orders } = scratch;
         orders.clear();
-        for state_idx in 0..ctx.states.len() {
-            // Scatter the compiled (distance-sorted) ranking back to
-            // cluster-index order before scoring, so equal scores keep the
-            // cluster-order tie-break the allocating path's stable sort had.
-            dist_by_cluster.clear();
-            dist_by_cluster.resize(n_clusters, 0.0);
-            for (&i, &d) in compiled.order(state_idx).iter().zip(compiled.distances(state_idx)) {
-                dist_by_cluster[i] = d;
-            }
+        for state_idx in 0..ctx.states().len() {
+            // Score in cluster-index order, so equal scores keep the
+            // cluster-order tie-break of a stable sort.
             scored.clear();
             scored.extend(
-                dist_by_cluster.iter().enumerate().map(|(i, &d)| (i, ctx.prices[i] + w * d)),
+                (0..n_clusters).map(|i| (i, ctx.prices[i] + w * geometry.km(i, state_idx))),
             );
             scored.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite scores"));
             orders.extend(scored.iter().map(|(i, _)| *i));
@@ -177,13 +140,8 @@ impl RoutingPolicy for JointCostPolicy {
         assign_by_preference_into(ctx, workspace, out, &mut cheapest_first);
     }
 
-    fn attach_preferences(&mut self, prefs: &Arc<CompiledPreferences>) {
-        self.compiled = Some(prefs.clone());
-    }
-
     fn routing_key(&self) -> Option<RoutingKey> {
-        let Self { distance_weight, compiled: _, own_geometry_builds: _, workspace: _, scratch: _ } =
-            self;
+        let Self { distance_weight, workspace: _, scratch: _ } = self;
         Some(RoutingKey::of::<Self>().with(*distance_weight))
     }
 }
@@ -195,13 +153,20 @@ mod tests {
     use wattroute_market::time::SimHour;
     use wattroute_workload::ClusterSet;
 
+    use std::sync::Arc;
+
     fn ctx<'a>(
         clusters: &'a ClusterSet,
-        states: &'a [UsState],
+        geometry: &'a Arc<CompiledPreferences>,
         demand: &'a [f64],
         prices: &'a [f64],
     ) -> RoutingContext<'a> {
-        RoutingContext::new(clusters, states, demand, prices, SimHour(0))
+        RoutingContext::new(clusters, geometry, demand, prices, SimHour(0))
+    }
+
+    /// The geometry of a deployment and state list, as an engine compiles it.
+    fn compile(clusters: &ClusterSet, states: &[UsState]) -> Arc<CompiledPreferences> {
+        Arc::new(CompiledPreferences::build(clusters, states))
     }
 
     #[test]
@@ -215,7 +180,8 @@ mod tests {
         let mut intensity = vec![0.6; 9];
         intensity[boston] = 0.55;
         intensity[nyc] = 0.20; // NYC grid is much cleaner this hour
-        let c = ctx(&clusters, &states, &demand, &prices);
+        let geometry = compile(&clusters, &states);
+        let c = ctx(&clusters, &geometry, &demand, &prices);
         let mut policy = CarbonAwarePolicy::new(1500.0, intensity);
         let a = policy.allocate(&c);
         assert_eq!(a.matrix()[nyc][0], 1000.0);
@@ -231,7 +197,8 @@ mod tests {
         let boston = clusters.index_of_hub(HubId::BostonMa).unwrap();
         // All intensities within the 0.02 threshold of each other.
         let intensity = vec![0.50; 9];
-        let c = ctx(&clusters, &states, &demand, &prices);
+        let geometry = compile(&clusters, &states);
+        let c = ctx(&clusters, &geometry, &demand, &prices);
         let mut policy = CarbonAwarePolicy::new(1500.0, intensity);
         let a = policy.allocate(&c);
         assert_eq!(a.matrix()[boston][0], 1000.0);
@@ -246,7 +213,8 @@ mod tests {
         let pa = clusters.index_of_hub(HubId::PaloAltoCa).unwrap();
         let mut intensity = vec![0.6; 9];
         intensity[pa] = 0.0; // hydro-clean but across the country
-        let c = ctx(&clusters, &states, &demand, &prices);
+        let geometry = compile(&clusters, &states);
+        let c = ctx(&clusters, &geometry, &demand, &prices);
         let mut policy = CarbonAwarePolicy::new(1500.0, intensity);
         let a = policy.allocate(&c);
         assert_eq!(a.matrix()[pa][0], 0.0);
@@ -267,7 +235,8 @@ mod tests {
         let states = [UsState::MA];
         let demand = [1.0];
         let prices = vec![50.0; 9];
-        let c = ctx(&clusters, &states, &demand, &prices);
+        let geometry = compile(&clusters, &states);
+        let c = ctx(&clusters, &geometry, &demand, &prices);
         let mut policy = CarbonAwarePolicy::new(1000.0, vec![0.5; 3]);
         let _ = policy.allocate(&c);
     }
@@ -282,7 +251,8 @@ mod tests {
         let mut prices = vec![80.0; 9];
         prices[austin] = 20.0;
         prices[boston] = 75.0;
-        let c = ctx(&clusters, &states, &demand, &prices);
+        let geometry = compile(&clusters, &states);
+        let c = ctx(&clusters, &geometry, &demand, &prices);
 
         // Pure price: Austin wins despite the distance.
         let a_price = JointCostPolicy::new(0.0).allocate(&c);
@@ -308,23 +278,62 @@ mod tests {
     }
 
     #[test]
+    fn joint_orders_match_a_fresh_haversine_scoring_bit_for_bit() {
+        use crate::policy::assign_by_preference;
+        use wattroute_geo::{hubs, state_to_hub_km};
+        // Small clusters, so the pour walks deep into each order; the
+        // 29-hub deployment puts many clusters at similar scores.
+        for clusters in [ClusterSet::akamai_like_nine(), ClusterSet::even_29_hub(1000)] {
+            let clusters = clusters.scaled(0.02);
+            let states: Vec<UsState> = UsState::all().collect();
+            let geometry = compile(&clusters, &states);
+            let demand: Vec<f64> = (0..states.len()).map(|i| 300.0 + 41.0 * i as f64).collect();
+            let prices: Vec<f64> =
+                (0..clusters.len()).map(|c| 20.0 + ((c * 37) % 23) as f64).collect();
+            let c = ctx(&clusters, &geometry, &demand, &prices);
+            for weight in [0.0, 0.004, 0.02, 10.0] {
+                // Every cluster scored afresh in cluster order, then
+                // stable-sorted: the ranking the policy replaced.
+                let expected = assign_by_preference(&c, |_, state| {
+                    let mut scored: Vec<RankedHub> = clusters
+                        .clusters()
+                        .iter()
+                        .enumerate()
+                        .map(|(i, cl)| {
+                            (i, prices[i] + weight * state_to_hub_km(state, hubs::hub(cl.hub)))
+                        })
+                        .collect();
+                    scored.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite scores"));
+                    scored.into_iter().map(|(i, _)| i).collect()
+                });
+                let got = JointCostPolicy::new(weight).allocate(&c);
+                let bits = |a: &Allocation| -> Vec<u64> {
+                    a.matrix().iter().flatten().map(|x| x.to_bits()).collect()
+                };
+                assert_eq!(bits(&got), bits(&expected), "weight {weight}");
+            }
+        }
+    }
+
+    #[test]
     fn joint_shared_preferences_allocate_identically_without_recompiling() {
         let clusters = ClusterSet::akamai_like_nine();
         let states: Vec<UsState> = UsState::all().collect();
         let demand: Vec<f64> = (0..states.len()).map(|i| 100.0 + 29.0 * i as f64).collect();
         let prices: Vec<f64> = (0..9).map(|i| 25.0 + 9.0 * i as f64).collect();
-        let shared = Arc::new(CompiledPreferences::build(&clusters, &states));
+        let shared = compile(&clusters, &states);
 
+        // One instance per weight routes the shared geometry twice, and
+        // matches a fresh instance over a geometry of its own.
         for weight in [0.0, 0.01, 0.05, 10.0] {
-            let c = ctx(&clusters, &states, &demand, &prices);
-            let mut own = JointCostPolicy::new(weight);
+            let own = compile(&clusters, &states);
+            let alone =
+                JointCostPolicy::new(weight).allocate(&ctx(&clusters, &own, &demand, &prices));
             let mut borrowed = JointCostPolicy::new(weight);
-            borrowed.attach_preferences(&shared);
-            let a = own.allocate(&c);
-            let b = borrowed.allocate(&c);
-            assert_eq!(a.matrix(), b.matrix(), "weight {weight}");
-            assert_eq!(own.own_geometry_builds(), 1);
-            assert_eq!(borrowed.own_geometry_builds(), 0, "shared geometry must be reused");
+            for _ in 0..2 {
+                let b = borrowed.allocate(&ctx(&clusters, &shared, &demand, &prices));
+                assert_eq!(alone.matrix(), b.matrix(), "weight {weight}");
+            }
         }
     }
 }

@@ -6,8 +6,9 @@
 //! * [`allocation`] — the per-step assignment of client-state demand to
 //!   clusters, plus distance accounting;
 //! * [`policy`] — the [`policy::RoutingPolicy`] trait, the per-step
-//!   [`policy::RoutingContext`] (demand, prices, and the constraint set in
-//!   force), and the shared greedy assignment engine;
+//!   [`policy::RoutingContext`] (the run's client–cluster geometry,
+//!   demand, prices, and the constraint set in force), and the shared
+//!   greedy assignment engine;
 //! * [`constraints`] — the unified [`constraints::ConstraintSet`]
 //!   (capacity ceilings, 95/5 bandwidth caps, overflow mode) that
 //!   simulations own and routing contexts borrow, plus the hub-keyed
@@ -18,22 +19,26 @@
 //!   cheapest-hub placement of §6.3;
 //! * [`price_conscious`] — the paper's distance-constrained electricity
 //!   price optimizer (§6.1) with its distance threshold and $5/MWh price
-//!   threshold;
+//!   threshold, and the client–cluster geometry every policy reads
+//!   ([`price_conscious::CompiledPreferences`]);
 //! * [`extensions`] — the §8 future-work policies: carbon-aware routing and
 //!   a joint price/distance optimizer.
 //!
 //! ```
+//! use std::sync::Arc;
 //! use wattroute_routing::prelude::*;
 //! use wattroute_workload::ClusterSet;
 //! use wattroute_geo::UsState;
 //! use wattroute_market::time::SimHour;
 //!
 //! let clusters = ClusterSet::akamai_like_nine();
-//! let states = vec![UsState::MA, UsState::CA];
+//! // The run's client–cluster geometry, compiled once and lent to every
+//! // context (an engine does this for you).
+//! let geometry = Arc::new(CompiledPreferences::build(&clusters, &[UsState::MA, UsState::CA]));
 //! let demand = vec![1000.0, 3000.0];
 //! // Palo Alto is currently cheap, everything else expensive.
 //! let prices = vec![20.0, 80.0, 80.0, 80.0, 80.0, 80.0, 80.0, 80.0, 80.0];
-//! let ctx = RoutingContext::new(&clusters, &states, &demand, &prices, SimHour(0));
+//! let ctx = RoutingContext::new(&clusters, &geometry, &demand, &prices, SimHour(0));
 //!
 //! let mut optimizer = PriceConsciousPolicy::unconstrained_distance();
 //! let allocation = optimizer.allocate(&ctx);

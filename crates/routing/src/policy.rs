@@ -1,9 +1,10 @@
 //! The routing-policy interface and the shared assignment engine.
 //!
 //! Every policy sees the same per-step picture (the [`RoutingContext`]):
-//! which clusters exist, how much demand each client state is offering,
-//! what each cluster's (possibly delayed) electricity price is, and what
-//! capacity / 95-5 bandwidth ceilings apply. A policy produces an
+//! which clusters exist, how far each client state is from each of them,
+//! how much demand each state is offering, what each cluster's (possibly
+//! delayed) electricity price is, and what capacity / 95-5 bandwidth
+//! ceilings apply. A policy produces an
 //! [`Allocation`]. The heavy lifting — filling clusters in a preference
 //! order while respecting ceilings — is shared by all policies through
 //! [`assign_by_preference_into`], which borrows each state's order from
@@ -25,8 +26,13 @@ use wattroute_workload::ClusterSet;
 pub struct RoutingContext<'a> {
     /// The deployment being routed over.
     pub clusters: &'a ClusterSet,
-    /// Client states, aligned with `demand`.
-    pub states: &'a [UsState],
+    /// The client–cluster geometry of the run, compiled for `clusters`'
+    /// hub list and the client states `demand` is aligned with. The engine
+    /// compiles it once (or a sweep or Monte Carlo run shares one) and
+    /// lends it to every context. A policy that derives state from it
+    /// keeps that state while contexts lend the same [`Arc`], compared by
+    /// address.
+    pub geometry: &'a Arc<CompiledPreferences>,
     /// Demand per state in hits/second.
     pub demand: &'a [f64],
     /// Electricity price per cluster in $/MWh (already delayed by the
@@ -49,24 +55,39 @@ pub struct RoutingContext<'a> {
 
 impl<'a> RoutingContext<'a> {
     /// Build an unconstrained context (nominal capacities, no bandwidth
-    /// caps). Allocates nothing.
+    /// caps) over `geometry`, whose states `demand` is aligned with.
+    /// Allocates nothing.
+    ///
+    /// # Panics
+    /// Panics if `geometry` was compiled for another hub list than
+    /// `clusters`', or if `demand` or `prices` has the wrong length.
     pub fn new(
         clusters: &'a ClusterSet,
-        states: &'a [UsState],
+        geometry: &'a Arc<CompiledPreferences>,
         demand: &'a [f64],
         prices: &'a [f64],
         hour: SimHour,
     ) -> Self {
-        assert_eq!(states.len(), demand.len(), "state/demand length mismatch");
+        assert!(
+            geometry.hub_ids().iter().eq(clusters.clusters().iter().map(|c| &c.hub)),
+            "geometry compiled for another deployment"
+        );
+        assert_eq!(geometry.states().len(), demand.len(), "state/demand length mismatch");
         assert_eq!(clusters.len(), prices.len(), "cluster/price length mismatch");
         Self {
             clusters,
-            states,
+            geometry,
             demand,
             prices,
             hour,
             constraints: Cow::Owned(ConstraintSet::unconstrained()),
         }
+    }
+
+    /// The client states, aligned with `demand`: the geometry's.
+    pub fn states(&self) -> &'a [UsState] {
+        let geometry: &'a CompiledPreferences = self.geometry;
+        geometry.states()
     }
 
     /// Borrow a caller-owned constraint set (the simulator's per-run set).
@@ -106,36 +127,28 @@ pub trait RoutingPolicy {
     /// Short human-readable name for reports.
     fn name(&self) -> &str;
 
-    /// Allocate one step's demand to clusters.
-    fn allocate(&mut self, ctx: &RoutingContext<'_>) -> Allocation;
-
     /// Allocate one step's demand into a caller-owned [`Allocation`].
     ///
-    /// This is the buffer-recycling twin of [`Self::allocate`]: a
-    /// long-running engine hands the same allocation back every
+    /// A long-running engine hands the same allocation back every
     /// reallocation, so steady-state routing performs no heap allocation.
     /// `out` may hold stale loads from a previous call (even with a
     /// different shape) — implementations must fully overwrite it, which
     /// [`Allocation::reset`] does in place.
-    ///
-    /// The default implementation delegates to [`Self::allocate`], so the
-    /// two paths are *definitionally* result-identical for policies that
-    /// do not override it; policies that do must keep them bit-identical
-    /// (pinned for the built-in policies by
-    /// `crates/routing/tests/proptest_policies.rs` and the engine-level
-    /// epoch-equivalence property test).
-    fn allocate_into(&mut self, out: &mut Allocation, ctx: &RoutingContext<'_>) {
-        *out = self.allocate(ctx);
+    fn allocate_into(&mut self, out: &mut Allocation, ctx: &RoutingContext<'_>);
+
+    /// Allocate one step's demand into a fresh [`Allocation`]: a zeroed
+    /// one of the context's shape, filled by [`Self::allocate_into`]. A
+    /// wrapper that overrides both must keep them bit-identical.
+    fn allocate(&mut self, ctx: &RoutingContext<'_>) -> Allocation {
+        let mut out = Allocation::zeros(ctx.clusters.len(), ctx.states().len());
+        self.allocate_into(&mut out, ctx);
+        out
     }
 
-    /// Offer the policy shared, pre-compiled ranked-distance geometry for
-    /// the deployment and state list it is about to route (see
-    /// [`CompiledPreferences`]). Policies that do not use the geometry
-    /// ignore the offer — the default implementation is a no-op — so
-    /// callers (the scenario-sweep runner) can make it unconditionally.
-    /// Accepting the offer must never change results, only avoid
-    /// recompiles: implementations fall back to a self-compile when the
-    /// attached geometry does not match a context they are handed.
+    /// Does nothing, and nothing in this workspace calls it. A policy
+    /// reads the run's geometry from every [`RoutingContext::geometry`]
+    /// instead. The method stays only so that outside wrappers which still
+    /// forward it keep compiling; it will be removed.
     fn attach_preferences(&mut self, prefs: &Arc<CompiledPreferences>) {
         let _ = prefs;
     }
@@ -262,8 +275,8 @@ where
         }
     }
 
-    let mut lists = Lists { states: ctx.states, preferences, state: None, list: Vec::new() };
-    let mut allocation = Allocation::zeros(ctx.clusters.len(), ctx.states.len());
+    let mut lists = Lists { states: ctx.states(), preferences, state: None, list: Vec::new() };
+    let mut allocation = Allocation::zeros(ctx.clusters.len(), ctx.states().len());
     assign_by_preference_into(ctx, &mut AssignWorkspace::new(), &mut allocation, &mut lists);
     allocation
 }
@@ -356,7 +369,7 @@ pub fn assign_by_preference_into<P: PreferenceSource + ?Sized>(
     prefs: &mut P,
 ) {
     let n_clusters = ctx.clusters.len();
-    out.reset(n_clusters, ctx.states.len());
+    out.reset(n_clusters, ctx.states().len());
     let AssignWorkspace { sites, metros, regions, order, placements } = workspace;
     sites.fill((0..n_clusters).map(|c| ctx.effective_cap(c)));
     match ctx.constraints.tier_caps() {
@@ -450,7 +463,7 @@ fn pour<H: Headroom, P: PreferenceSource + ?Sized>(
         return;
     }
     order.clear();
-    order.extend(0..ctx.states.len());
+    order.extend(0..ctx.states().len());
     order.sort_by(|&a, &b| ctx.demand[b].partial_cmp(&ctx.demand[a]).expect("finite demand"));
 
     for &state in order.iter() {
@@ -535,11 +548,16 @@ mod tests {
 
     fn two_state_ctx<'a>(
         clusters: &'a ClusterSet,
-        states: &'a [UsState],
+        geometry: &'a Arc<CompiledPreferences>,
         demand: &'a [f64],
         prices: &'a [f64],
     ) -> RoutingContext<'a> {
-        RoutingContext::new(clusters, states, demand, prices, SimHour(0))
+        RoutingContext::new(clusters, geometry, demand, prices, SimHour(0))
+    }
+
+    /// The geometry of a deployment and state list, as an engine compiles it.
+    fn compile(clusters: &ClusterSet, states: &[UsState]) -> Arc<CompiledPreferences> {
+        Arc::new(CompiledPreferences::build(clusters, states))
     }
 
     #[test]
@@ -548,7 +566,8 @@ mod tests {
         let states = [UsState::MA, UsState::CA];
         let demand = [1000.0, 2000.0];
         let prices = vec![50.0; 9];
-        let ctx = two_state_ctx(&clusters, &states, &demand, &prices);
+        let geometry = compile(&clusters, &states);
+        let ctx = two_state_ctx(&clusters, &geometry, &demand, &prices);
         // Everyone prefers cluster 4 (Chicago).
         let allocation = assign_by_preference(&ctx, |_, _| vec![4]);
         assert_eq!(allocation.cluster_loads()[4], 3000.0);
@@ -562,7 +581,8 @@ mod tests {
         let cap0 = clusters.get(0).unwrap().capacity_hits_per_sec();
         let demand = [cap0 * 2.5];
         let prices = vec![50.0; 9];
-        let ctx = two_state_ctx(&clusters, &states, &demand, &prices);
+        let geometry = compile(&clusters, &states);
+        let ctx = two_state_ctx(&clusters, &geometry, &demand, &prices);
         let allocation = assign_by_preference(&ctx, |_, _| vec![0, 1, 2]);
         let loads = allocation.cluster_loads();
         assert!((loads[0] - cap0).abs() < 1e-6, "first choice filled to capacity");
@@ -576,7 +596,8 @@ mod tests {
         let states = [UsState::CA, UsState::TX];
         let demand = [1.0e6, 0.5e6];
         let prices = vec![50.0; 9];
-        let ctx = two_state_ctx(&clusters, &states, &demand, &prices);
+        let geometry = compile(&clusters, &states);
+        let ctx = two_state_ctx(&clusters, &geometry, &demand, &prices);
         let allocation = assign_by_preference(&ctx, |_, _| vec![0]);
         assert!(allocation.serves_demand(&demand, 1e-6));
     }
@@ -588,7 +609,8 @@ mod tests {
         let demand = [10_000.0];
         let prices = vec![50.0; 9];
         let bw: Vec<f64> = (0..9).map(|i| if i == 2 { 4_000.0 } else { 1.0e9 }).collect();
-        let ctx = two_state_ctx(&clusters, &states, &demand, &prices).with_bandwidth_caps(bw);
+        let geometry = compile(&clusters, &states);
+        let ctx = two_state_ctx(&clusters, &geometry, &demand, &prices).with_bandwidth_caps(bw);
         assert_eq!(ctx.effective_cap(2), 4_000.0);
         let allocation = assign_by_preference(&ctx, |_, _| vec![2, 3]);
         let loads = allocation.cluster_loads();
@@ -602,7 +624,8 @@ mod tests {
         let states = [UsState::MA, UsState::CA];
         let demand = [0.0, 100.0];
         let prices = vec![50.0; 9];
-        let ctx = two_state_ctx(&clusters, &states, &demand, &prices);
+        let geometry = compile(&clusters, &states);
+        let ctx = two_state_ctx(&clusters, &geometry, &demand, &prices);
         let allocation = assign_by_preference(&ctx, |_, _| vec![0]);
         assert_eq!(allocation.total_load(), 100.0);
     }
@@ -624,7 +647,8 @@ mod tests {
         let states = [UsState::MA];
         let demand = [20_000.0];
         let prices = vec![50.0; 9];
-        let ctx = RoutingContext::new(&clusters, &states, &demand, &prices, SimHour(0))
+        let geometry = compile(&clusters, &states);
+        let ctx = RoutingContext::new(&clusters, &geometry, &demand, &prices, SimHour(0))
             .with_constraints(&constraints);
         // Preference order 0, 1, 2: both metro-0 sites together may absorb
         // only 5 000 despite ample per-site capacity.
@@ -647,7 +671,8 @@ mod tests {
         let states = [UsState::NY];
         let demand = [4_000.0];
         let prices = vec![50.0; 9];
-        let ctx = RoutingContext::new(&clusters, &states, &demand, &prices, SimHour(0))
+        let geometry = compile(&clusters, &states);
+        let ctx = RoutingContext::new(&clusters, &geometry, &demand, &prices, SimHour(0))
             .with_constraints(&constraints);
         let allocation = assign_by_preference(&ctx, |_, _| vec![3]);
         let loads = allocation.cluster_loads();
@@ -665,7 +690,8 @@ mod tests {
         let states = [UsState::MA, UsState::CA, UsState::TX];
         let demand = [9_000.0, 2.0e6, 3.0e5];
         let prices = vec![50.0; 9];
-        let flat_ctx = RoutingContext::new(&clusters, &states, &demand, &prices, SimHour(0));
+        let geometry = compile(&clusters, &states);
+        let flat_ctx = RoutingContext::new(&clusters, &geometry, &demand, &prices, SimHour(0));
         let flat = assign_by_preference(&flat_ctx, |i, _| vec![i % 9, (i + 3) % 9]);
         let tiers = TierCaps::new(
             (0..9).collect(),
@@ -674,7 +700,7 @@ mod tests {
             vec![f64::INFINITY],
         );
         let constraints = ConstraintSet::unconstrained().with_tier_caps(tiers);
-        let tiered_ctx = RoutingContext::new(&clusters, &states, &demand, &prices, SimHour(0))
+        let tiered_ctx = RoutingContext::new(&clusters, &geometry, &demand, &prices, SimHour(0))
             .with_constraints(&constraints);
         let tiered = assign_by_preference(&tiered_ctx, |i, _| vec![i % 9, (i + 3) % 9]);
         assert_eq!(flat.matrix(), tiered.matrix(), "infinite tier caps change nothing");
@@ -701,14 +727,16 @@ mod tests {
         let mut lent = WholeOrders::new(|i: usize| lists[i].as_slice());
         let mut ws = AssignWorkspace::new();
         let mut out = Allocation::zeros(1, 1); // wrong shape on purpose
+        let geometry = compile(&clusters, &states);
         for demand in [[9_000.0, 2.0e6, 3.0e5], [0.0, 1.0e5, 777.0]] {
-            let flat_ctx = RoutingContext::new(&clusters, &states, &demand, &prices, SimHour(0));
+            let flat_ctx = RoutingContext::new(&clusters, &geometry, &demand, &prices, SimHour(0));
             let expected = assign_by_preference(&flat_ctx, |i, _| lists[i].clone());
             assign_by_preference_into(&flat_ctx, &mut ws, &mut out, &mut lent);
             assert_eq!(out, expected, "flat pour must be identical");
 
-            let tiered_ctx = RoutingContext::new(&clusters, &states, &demand, &prices, SimHour(0))
-                .with_constraints(&constraints);
+            let tiered_ctx =
+                RoutingContext::new(&clusters, &geometry, &demand, &prices, SimHour(0))
+                    .with_constraints(&constraints);
             let expected = assign_by_preference(&tiered_ctx, |i, _| lists[i].clone());
             assign_by_preference_into(&tiered_ctx, &mut ws, &mut out, &mut lent);
             assert_eq!(out, expected, "tiered pour must be identical");
@@ -785,8 +813,8 @@ mod tests {
             fn name(&self) -> &str {
                 "everywhere"
             }
-            fn allocate(&mut self, ctx: &RoutingContext<'_>) -> Allocation {
-                assign_by_preference(ctx, |_, _| vec![0])
+            fn allocate_into(&mut self, out: &mut Allocation, ctx: &RoutingContext<'_>) {
+                *out = assign_by_preference(ctx, |_, _| vec![0]);
             }
         }
         assert_eq!(Everywhere.routing_key(), None);
@@ -799,6 +827,7 @@ mod tests {
         let states = [UsState::MA];
         let demand = [1.0, 2.0];
         let prices = vec![50.0; 9];
-        let _ = RoutingContext::new(&clusters, &states, &demand, &prices, SimHour(0));
+        let geometry = compile(&clusters, &states);
+        let _ = RoutingContext::new(&clusters, &geometry, &demand, &prices, SimHour(0));
     }
 }

@@ -20,7 +20,7 @@ use crate::policy::{
 };
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use wattroute_geo::{distance, hubs, HubId, UsState};
+use wattroute_geo::{hubs, state_to_hub_km, HubId, UsState};
 use wattroute_market::differential::DEFAULT_PRICE_THRESHOLD;
 use wattroute_workload::ClusterSet;
 
@@ -71,54 +71,63 @@ struct StateCandidates {
 
 // Compile-count instrumentation lives on the `wattroute_obs` registry: the
 // `routing.compiled_preferences.builds` counter tracks every
-// [`CompiledPreferences::build`] call so tests can assert that sweeps share
-// one compiled geometry per (deployment, state list) instead of letting
-// every run recompile its own. Registry counters are always live, so those
-// pins hold without enabling telemetry.
+// [`CompiledPreferences::build`] call so tests can assert that sweeps and
+// Monte Carlo runs share one compiled geometry per (deployment, state
+// list) instead of letting every engine compile its own. Registry
+// counters are always live, so those pins hold without enabling
+// telemetry.
 
-/// The expensive, threshold-*independent* half of the price-conscious
-/// optimizer's geometry: for every client state, all clusters ranked by
-/// ascending population-weighted distance.
+/// The client–cluster geometry of one deployment and client state list:
+/// the population-weighted distance from every state to every cluster's
+/// hub ([`state_to_hub_km`]), and every state's clusters nearest first.
 ///
-/// Depends only on the deployment's hub list and the client state list —
-/// not on the distance threshold and not on prices — so one compilation can
-/// be shared read-only (behind an [`Arc`]) by every run of a scenario sweep
-/// that routes the same deployment over the same trace, whatever their
-/// thresholds, delays, or bandwidth caps. Per-threshold candidate splits
-/// and per-step price rankings are derived from it cheaply (no distance
-/// computation, no sorting by distance).
+/// The paper's router considers only clusters "within some maximum radial
+/// geographic distance" of a client, so this geometry is a fixed input of
+/// every routing decision of a run. It depends only on the deployment's
+/// hub list and the client state list — not on capacities, thresholds or
+/// prices. An engine owns one behind an [`Arc`] (a scenario sweep or a
+/// Monte Carlo run shares one compilation across its engines) and lends
+/// it to the policy through every [`RoutingContext`]; its epoch refresh
+/// reads its distance samples from the same table. Per-threshold
+/// candidate splits and per-step rankings are derived from it without
+/// computing or sorting a distance.
 #[derive(Debug, Clone)]
 pub struct CompiledPreferences {
     hub_ids: Vec<HubId>,
     states: Vec<UsState>,
+    /// The distance of every (cluster, state) pair in km, in the flat
+    /// row-major `cluster × state` layout of an [`Allocation`].
+    km: Vec<f64>,
     /// Per state, state after state: every cluster index by ascending
     /// distance, so a pour can borrow a state's order as one slice.
     orders: Vec<usize>,
-    /// The distances of `orders`, entry for entry.
-    distances: Vec<f64>,
 }
 
 impl CompiledPreferences {
-    /// Compile the ranked-distance geometry for a deployment and client
-    /// state list.
+    /// Compile the geometry of a deployment and client state list.
     pub fn build(clusters: &ClusterSet, states: &[UsState]) -> Self {
         wattroute_obs::counter!("routing.compiled_preferences.builds").inc();
         let hub_ids = clusters.hub_ids();
-        let hub_refs: Vec<&wattroute_geo::Hub> = hub_ids.iter().map(|id| hubs::hub(*id)).collect();
-        let (orders, distances) = states
-            .iter()
-            .flat_map(|&state| distance::hubs_within_threshold(state, &hub_refs, f64::INFINITY))
-            .unzip();
-        Self { hub_ids, states: states.to_vec(), orders, distances }
-    }
-
-    /// Whether this compilation was built for the context's deployment hub
-    /// list and state list. Compares in place: this runs on every
-    /// reallocation of every policy that rides the geometry.
-    pub fn matches(&self, ctx: &RoutingContext<'_>) -> bool {
-        self.states == ctx.states
-            && self.hub_ids.len() == ctx.clusters.len()
-            && self.hub_ids.iter().zip(ctx.clusters.clusters()).all(|(&id, c)| id == c.hub)
+        let (n_clusters, n_states) = (hub_ids.len(), states.len());
+        // Sized exactly: a doubling `collect` rounds a 1000-site tree's
+        // shard tables up to 128 KiB blocks, which raised that replay's
+        // peak RSS by about 5 MB (glibc, 2 vCPUs).
+        let mut km = Vec::with_capacity(n_clusters * n_states);
+        for &id in &hub_ids {
+            let hub = hubs::hub(id);
+            km.extend(states.iter().map(|&state| state_to_hub_km(state, hub)));
+        }
+        let mut orders = Vec::with_capacity(n_states * n_clusters);
+        for state in 0..n_states {
+            let start = orders.len();
+            orders.extend(0..n_clusters);
+            orders[start..].sort_by(|&a, &b| {
+                km[a * n_states + state]
+                    .partial_cmp(&km[b * n_states + state])
+                    .expect("distances are finite")
+            });
+        }
+        Self { hub_ids, states: states.to_vec(), km, orders }
     }
 
     /// The hub list this geometry was compiled for, in cluster order.
@@ -141,6 +150,18 @@ impl CompiledPreferences {
         wattroute_obs::counter!("routing.compiled_preferences.builds").get() as usize
     }
 
+    /// The distance from client state `state_idx` to cluster `cluster`,
+    /// in km.
+    pub(crate) fn km(&self, cluster: usize, state_idx: usize) -> f64 {
+        self.km[cluster * self.states.len() + state_idx]
+    }
+
+    /// One cluster's distances to every state, in km.
+    pub(crate) fn row(&self, cluster: usize) -> &[f64] {
+        let n = self.states.len();
+        &self.km[cluster * n..(cluster + 1) * n]
+    }
+
     /// One client state's clusters, nearest first. Stable-sorted from
     /// cluster-index order, so equidistant clusters keep their deployment
     /// order — the same tie-break every in-crate distance sort uses, which
@@ -151,10 +172,9 @@ impl CompiledPreferences {
         &self.orders[state_idx * n..(state_idx + 1) * n]
     }
 
-    /// The distances of [`Self::order`], entry for entry: ascending.
-    pub(crate) fn distances(&self, state_idx: usize) -> &[f64] {
-        let n = self.hub_ids.len();
-        &self.distances[state_idx * n..(state_idx + 1) * n]
+    /// [`Self::order`] with each cluster's distance: ascending.
+    pub(crate) fn ranked(&self, state_idx: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        self.order(state_idx).iter().map(move |&c| (c, self.km(c, state_idx)))
     }
 
     /// Derive the per-threshold candidate/tail split from the ranked
@@ -164,22 +184,16 @@ impl CompiledPreferences {
     fn threshold_split(&self, threshold_km: f64) -> Vec<StateCandidates> {
         (0..self.states.len())
             .map(|state| {
-                let (order, distances) = (self.order(state), self.distances(state));
-                let closer_than = |km: f64| -> Vec<usize> {
-                    order
-                        .iter()
-                        .zip(distances)
-                        .filter(|(_, d)| **d <= km)
-                        .map(|(i, _)| *i)
-                        .collect()
+                let closer_than = |limit_km: f64| -> Vec<usize> {
+                    self.ranked(state).filter(|&(_, d)| d <= limit_km).map(|(c, _)| c).collect()
                 };
                 let within = closer_than(threshold_km);
-                let candidates = if !within.is_empty() || order.is_empty() {
-                    within
-                } else {
+                let candidates = match self.ranked(state).next() {
                     // Fallback: nearest cluster plus any within 50 km of it.
-                    closer_than(distances[0] + 50.0)
+                    Some((_, nearest)) if within.is_empty() => closer_than(nearest + 50.0),
+                    _ => within,
                 };
+                let order = self.order(state);
                 let tail = order.iter().copied().filter(|i| !candidates.contains(i)).collect();
                 StateCandidates {
                     candidates,
@@ -195,24 +209,6 @@ impl CompiledPreferences {
     }
 }
 
-/// Make sure `slot` holds compiled geometry matching `ctx`, lazily
-/// self-compiling (and counting an own-build) when it does not. The shared
-/// entry point for every policy that rides [`CompiledPreferences`]; returns
-/// `true` when a recompile happened so callers can invalidate anything they
-/// derived from the previous geometry.
-pub(crate) fn ensure_compiled(
-    slot: &mut Option<Arc<CompiledPreferences>>,
-    own_builds: &mut usize,
-    ctx: &RoutingContext<'_>,
-) -> bool {
-    if slot.as_ref().is_some_and(|c| c.matches(ctx)) {
-        return false;
-    }
-    *slot = Some(Arc::new(CompiledPreferences::build(ctx.clusters, ctx.states)));
-    *own_builds += 1;
-    true
-}
-
 /// A [`CompiledPreferences`] specialised to one distance threshold — the
 /// cheap, per-policy half of the compilation — plus the memo of per-state
 /// preference orders ranked over it, lent to the pour as a
@@ -220,11 +216,11 @@ pub(crate) fn ensure_compiled(
 ///
 /// A state's order is a function of the split (geometry and distance
 /// threshold), the cost threshold and the cost row (the delayed prices,
-/// or the carbon intensities), never of demand. A new geometry or
-/// distance threshold builds a new split, which drops the memo with it; a
-/// cost row or cost threshold that differs in any bit from the current
-/// generation's starts a new generation, which stales every order ranked
-/// in an older one.
+/// or the carbon intensities), never of demand. A context lending another
+/// compilation of the geometry, or a new distance threshold, builds a new
+/// split, which drops the memo with it; a cost row or cost threshold that
+/// differs in any bit from the current generation's starts a new
+/// generation, which stales every order ranked in an older one.
 ///
 /// The memo ranks lazily, in two stages. A state's head is its cheap set
 /// — the candidates costing at most the cheapest plus the cost threshold,
@@ -238,6 +234,10 @@ pub(crate) fn ensure_compiled(
 /// whole order.
 #[derive(Debug, Clone)]
 struct ThresholdSplit {
+    /// The geometry the split was derived from, kept alive so that a
+    /// context lending another compilation is told apart in O(1), by
+    /// address.
+    geometry: Arc<CompiledPreferences>,
     distance_threshold_km: f64,
     per_state: Vec<StateCandidates>,
     /// Counts the distinct (cost row, cost threshold) keys seen in a row;
@@ -256,10 +256,11 @@ struct ThresholdSplit {
 }
 
 impl ThresholdSplit {
-    fn new(compiled: &CompiledPreferences, distance_threshold_km: f64) -> Self {
+    fn new(geometry: &Arc<CompiledPreferences>, distance_threshold_km: f64) -> Self {
         Self {
+            geometry: Arc::clone(geometry),
             distance_threshold_km,
-            per_state: compiled.threshold_split(distance_threshold_km),
+            per_state: geometry.threshold_split(distance_threshold_km),
             generation: 0,
             costs: Vec::new(),
             cost_threshold: 0.0,
@@ -374,30 +375,15 @@ impl PreferenceSource for ThresholdSplit {
 /// The threshold-ranking kernel the price-conscious and carbon-aware
 /// policies share: route each state to the lowest-cost clusters within a
 /// distance threshold, cost differences below a threshold going to the
-/// nearer cluster. Holds the compiled geometry (attached shared, or
-/// compiled lazily), the split for the current distance threshold with
-/// its memo, and the pour's workspace.
+/// nearer cluster. Holds the split of the context's geometry for the
+/// current distance threshold, with its memo, and the pour's workspace.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ThresholdRouter {
-    compiled: Option<Arc<CompiledPreferences>>,
     split: Option<ThresholdSplit>,
-    /// How many times this router compiled its own geometry (attached
-    /// shared geometry does not count).
-    own_geometry_builds: usize,
     workspace: AssignWorkspace,
 }
 
 impl ThresholdRouter {
-    /// Route with shared geometry while it matches the contexts routed.
-    pub(crate) fn attach(&mut self, prefs: &Arc<CompiledPreferences>) {
-        self.compiled = Some(prefs.clone());
-        self.split = None;
-    }
-
-    pub(crate) fn own_geometry_builds(&self) -> usize {
-        self.own_geometry_builds
-    }
-
     /// Allocate one step by the per-cluster `costs` row.
     pub(crate) fn route(
         &mut self,
@@ -407,12 +393,12 @@ impl ThresholdRouter {
         costs: &[f64],
         cost_threshold: f64,
     ) {
-        if ensure_compiled(&mut self.compiled, &mut self.own_geometry_builds, ctx) {
-            self.split = None;
-        }
-        if !self.split.as_ref().is_some_and(|s| s.distance_threshold_km == distance_threshold_km) {
-            let compiled = self.compiled.as_ref().expect("compiled above");
-            self.split = Some(ThresholdSplit::new(compiled, distance_threshold_km));
+        let current = self.split.as_ref().is_some_and(|s| {
+            Arc::ptr_eq(&s.geometry, ctx.geometry)
+                && s.distance_threshold_km == distance_threshold_km
+        });
+        if !current {
+            self.split = Some(ThresholdSplit::new(ctx.geometry, distance_threshold_km));
         }
         let split = self.split.as_mut().expect("derived above");
         split.key_on(costs, cost_threshold);
@@ -427,8 +413,8 @@ impl ThresholdRouter {
 pub struct PriceConsciousPolicy {
     /// Tunable parameters.
     pub config: PriceConsciousConfig,
-    /// Geometry, split, preference-order memo and pour workspace, reused
-    /// across reallocations.
+    /// Split, preference-order memo and pour workspace, reused across
+    /// reallocations.
     router: ThresholdRouter,
 }
 
@@ -448,27 +434,6 @@ impl PriceConsciousPolicy {
     pub fn unconstrained_distance() -> Self {
         Self::with_distance_threshold(50_000.0)
     }
-
-    /// Attach shared, pre-compiled ranked-distance geometry (typically from
-    /// a scenario sweep's artifact cache). The policy routes with it as
-    /// long as it matches the contexts it is handed; a mismatching context
-    /// falls back to a lazy self-compile, so attaching can never change
-    /// results — only avoid recompiles.
-    pub fn with_shared_preferences(mut self, prefs: Arc<CompiledPreferences>) -> Self {
-        self.attach_shared_preferences(&prefs);
-        self
-    }
-
-    /// In-place form of [`Self::with_shared_preferences`].
-    pub fn attach_shared_preferences(&mut self, prefs: &Arc<CompiledPreferences>) {
-        self.router.attach(prefs);
-    }
-
-    /// How many times this instance compiled its own geometry (a run fed
-    /// shared preferences that match its contexts reports `0`).
-    pub fn own_geometry_builds(&self) -> usize {
-        self.router.own_geometry_builds()
-    }
 }
 
 impl RoutingPolicy for PriceConsciousPolicy {
@@ -476,24 +441,14 @@ impl RoutingPolicy for PriceConsciousPolicy {
         "price-conscious"
     }
 
-    fn allocate(&mut self, ctx: &RoutingContext<'_>) -> Allocation {
-        let mut out = Allocation::zeros(ctx.clusters.len(), ctx.states.len());
-        self.allocate_into(&mut out, ctx);
-        out
-    }
-
     fn allocate_into(&mut self, out: &mut Allocation, ctx: &RoutingContext<'_>) {
         let PriceConsciousConfig { distance_threshold_km, price_threshold } = self.config;
         self.router.route(out, ctx, distance_threshold_km, ctx.prices, price_threshold);
     }
 
-    fn attach_preferences(&mut self, prefs: &Arc<CompiledPreferences>) {
-        self.attach_shared_preferences(prefs);
-    }
-
     fn routing_key(&self) -> Option<RoutingKey> {
         // Named field by field, so a new field does not compile until it
-        // is keyed or declared routing-neutral: the router's geometry, memo
+        // is keyed or declared routing-neutral: the router's split, memo
         // and scratch never change an allocation.
         let Self {
             config: PriceConsciousConfig { distance_threshold_km, price_threshold },
@@ -507,18 +462,23 @@ impl RoutingPolicy for PriceConsciousPolicy {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use wattroute_geo::distance::RankedHub;
+    use wattroute_geo::distance::{self, RankedHub};
     use wattroute_geo::HubId;
     use wattroute_market::time::SimHour;
     use wattroute_workload::ClusterSet;
 
     fn ctx<'a>(
         clusters: &'a ClusterSet,
-        states: &'a [UsState],
+        geometry: &'a Arc<CompiledPreferences>,
         demand: &'a [f64],
         prices: &'a [f64],
     ) -> RoutingContext<'a> {
-        RoutingContext::new(clusters, states, demand, prices, SimHour(0))
+        RoutingContext::new(clusters, geometry, demand, prices, SimHour(0))
+    }
+
+    /// The geometry of a deployment and state list, as an engine compiles it.
+    fn compile(clusters: &ClusterSet, states: &[UsState]) -> Arc<CompiledPreferences> {
+        Arc::new(CompiledPreferences::build(clusters, states))
     }
 
     fn nine_prices(base: f64) -> Vec<f64> {
@@ -534,7 +494,8 @@ mod tests {
         let mut prices = nine_prices(30.0);
         let boston = clusters.index_of_hub(HubId::BostonMa).unwrap();
         prices[boston] = 500.0;
-        let c = ctx(&clusters, &states, &demand, &prices);
+        let geometry = compile(&clusters, &states);
+        let c = ctx(&clusters, &geometry, &demand, &prices);
         let mut policy = PriceConsciousPolicy::with_distance_threshold(0.0);
         let a = policy.allocate(&c);
         assert_eq!(a.matrix()[boston][0], 1000.0);
@@ -548,7 +509,8 @@ mod tests {
         let mut prices = nine_prices(80.0);
         let austin = clusters.index_of_hub(HubId::AustinTx).unwrap();
         prices[austin] = 20.0;
-        let c = ctx(&clusters, &states, &demand, &prices);
+        let geometry = compile(&clusters, &states);
+        let c = ctx(&clusters, &geometry, &demand, &prices);
         let mut policy = PriceConsciousPolicy::unconstrained_distance();
         let a = policy.allocate(&c);
         assert_eq!(a.matrix()[austin][0], 1000.0);
@@ -564,7 +526,8 @@ mod tests {
         // Palo Alto is nearly free, but ~4300km from Massachusetts clients.
         let pa = clusters.index_of_hub(HubId::PaloAltoCa).unwrap();
         prices[pa] = 1.0;
-        let c = ctx(&clusters, &states, &demand, &prices);
+        let geometry = compile(&clusters, &states);
+        let c = ctx(&clusters, &geometry, &demand, &prices);
         let mut policy = PriceConsciousPolicy::with_distance_threshold(1500.0);
         let a = policy.allocate(&c);
         assert_eq!(a.matrix()[pa][0], 0.0, "Palo Alto is beyond the 1500km threshold");
@@ -582,7 +545,8 @@ mod tests {
         let mut prices = nine_prices(60.0);
         prices[boston] = 50.0;
         prices[nyc] = 47.0;
-        let c = ctx(&clusters, &states, &demand, &prices);
+        let geometry = compile(&clusters, &states);
+        let c = ctx(&clusters, &geometry, &demand, &prices);
         let mut policy = PriceConsciousPolicy::with_distance_threshold(1500.0);
         let a = policy.allocate(&c);
         assert_eq!(a.matrix()[boston][0], 1000.0);
@@ -591,7 +555,7 @@ mod tests {
         let mut prices2 = nine_prices(60.0);
         prices2[boston] = 50.0;
         prices2[nyc] = 40.0;
-        let c2 = ctx(&clusters, &states, &demand, &prices2);
+        let c2 = ctx(&clusters, &geometry, &demand, &prices2);
         let a2 = policy.allocate(&c2);
         assert_eq!(a2.matrix()[nyc][0], 1000.0);
     }
@@ -607,7 +571,8 @@ mod tests {
         let mut prices = nine_prices(90.0);
         prices[nyc] = 20.0;
         prices[nj] = 30.0;
-        let c = ctx(&clusters, &states, &demand, &prices);
+        let geometry = compile(&clusters, &states);
+        let c = ctx(&clusters, &geometry, &demand, &prices);
         let mut policy = PriceConsciousPolicy::with_distance_threshold(1000.0);
         let a = policy.allocate(&c);
         let loads = a.cluster_loads();
@@ -628,7 +593,8 @@ mod tests {
         // Cap Palo Alto's 95/5 ceiling below the offered demand.
         let mut caps = vec![f64::INFINITY; 9];
         caps[pa] = 30_000.0;
-        let c = ctx(&clusters, &states, &demand, &prices).with_bandwidth_caps(caps);
+        let geometry = compile(&clusters, &states);
+        let c = ctx(&clusters, &geometry, &demand, &prices).with_bandwidth_caps(caps);
         let mut policy = PriceConsciousPolicy::with_distance_threshold(1000.0);
         let a = policy.allocate(&c);
         let loads = a.cluster_loads();
@@ -644,7 +610,8 @@ mod tests {
         let states = [UsState::MT];
         let demand = [500.0];
         let prices = nine_prices(50.0);
-        let c = ctx(&clusters, &states, &demand, &prices);
+        let geometry = compile(&clusters, &states);
+        let c = ctx(&clusters, &geometry, &demand, &prices);
         let mut policy = PriceConsciousPolicy::with_distance_threshold(1100.0);
         let a = policy.allocate(&c);
         assert!(a.serves_demand(&demand, 1e-9));
@@ -660,7 +627,8 @@ mod tests {
         let mut prices = nine_prices(80.0);
         let austin = clusters.index_of_hub(HubId::AustinTx).unwrap();
         prices[austin] = 20.0;
-        let c = ctx(&clusters, &states, &demand, &prices);
+        let geometry = compile(&clusters, &states);
+        let c = ctx(&clusters, &geometry, &demand, &prices);
         let mut policy = PriceConsciousPolicy::with_distance_threshold(0.0);
         let near = policy.allocate(&c);
         assert_eq!(near.matrix()[austin][0], 0.0, "0 km threshold routes to the nearest cluster");
@@ -675,8 +643,9 @@ mod tests {
     }
 
     /// The preference order the memo replaced, verbatim: the threshold
-    /// split of the ranked geometry, then the two-stage comparator ranking.
-    /// Returns the state's cheap set and its whole order.
+    /// split of the state's hubs ranked by distance as the geometry once
+    /// ranked them, then the two-stage comparator ranking. Returns the
+    /// state's cheap set and its whole order.
     fn reference_order(
         compiled: &CompiledPreferences,
         state_idx: usize,
@@ -684,12 +653,10 @@ mod tests {
         prices: &[f64],
         price_threshold: f64,
     ) -> (Vec<usize>, Vec<usize>) {
-        let ranked: Vec<RankedHub> = compiled
-            .order(state_idx)
-            .iter()
-            .copied()
-            .zip(compiled.distances(state_idx).iter().copied())
-            .collect();
+        let hub_refs: Vec<&wattroute_geo::Hub> =
+            compiled.hub_ids().iter().map(|&id| hubs::hub(id)).collect();
+        let state = compiled.states()[state_idx];
+        let ranked = distance::hubs_within_threshold(state, &hub_refs, f64::INFINITY);
         let within: Vec<RankedHub> =
             ranked.iter().copied().filter(|(_, d)| *d <= threshold_km).collect();
         let candidates = if !within.is_empty() || ranked.is_empty() {
@@ -754,8 +721,8 @@ mod tests {
         let nine = ClusterSet::akamai_like_nine().scaled(0.05);
         let reversed = ClusterSet::new(nine.clusters().iter().rev().cloned().collect::<Vec<_>>());
         let states: Vec<UsState> = UsState::all().collect();
-        let nine_prefs = Arc::new(CompiledPreferences::build(&nine, &states));
-        let reversed_prefs = Arc::new(CompiledPreferences::build(&reversed, &states));
+        let nine_prefs = compile(&nine, &states);
+        let reversed_prefs = compile(&reversed, &states);
         let row = |seed: u64| -> Vec<f64> {
             (0..9u64).map(|i| 20.0 + ((seed * 7919 + i * 104_729) % 97) as f64).collect()
         };
@@ -770,30 +737,34 @@ mod tests {
         let quiet_wy = demand(1.0, 0.0);
         let only_wy = |wy_demand: f64| demand(0.0, wy_demand);
 
-        let mut policy = PriceConsciousPolicy::with_distance_threshold(1500.0)
-            .with_shared_preferences(nine_prefs.clone());
+        let mut policy = PriceConsciousPolicy::with_distance_threshold(1500.0);
         // Route one context through the long-lived policy and a fresh one,
         // returning the memo generation the long-lived policy routed in.
+        // The fresh policy routes over a geometry of its own.
         let mut out = Allocation::zeros(1, 1);
         let mut route = |policy: &mut PriceConsciousPolicy,
                          clusters: &ClusterSet,
+                         geometry: &Arc<CompiledPreferences>,
                          prices: &[f64],
                          demand: &[f64]| {
-            let c = ctx(clusters, &states, demand, prices);
-            policy.allocate_into(&mut out, &c);
-            let fresh = PriceConsciousPolicy::new(policy.config).allocate(&c);
+            policy.allocate_into(&mut out, &ctx(clusters, geometry, demand, prices));
+            let own = compile(clusters, &states);
+            let fresh = PriceConsciousPolicy::new(policy.config)
+                .allocate(&ctx(clusters, &own, demand, prices));
             assert_eq!(bits(&out), bits(&fresh), "memoised policy diverged from a fresh one");
-            policy.router.split.as_ref().expect("routed").generation
+            let split = policy.router.split.as_ref().expect("routed");
+            assert!(Arc::ptr_eq(&split.geometry, geometry), "the split is the context's");
+            split.generation
         };
         let wy_entry =
             |p: &PriceConsciousPolicy| p.router.split.as_ref().unwrap().per_state[wy].clone();
 
-        let mut generations = vec![route(&mut policy, &nine, &a, &quiet_wy)];
+        let mut generations = vec![route(&mut policy, &nine, &nine_prefs, &a, &quiet_wy)];
         assert_eq!(wy_entry(&policy).ranked_in, 0, "a zero-demand state is never ranked");
         assert!(wy_entry(&policy).order.is_empty());
-        generations.push(route(&mut policy, &nine, &a, &demand(1.3, 0.0))); // row repeats
-        generations.push(route(&mut policy, &nine, &b, &quiet_wy)); // row changes
-        generations.push(route(&mut policy, &nine, &a, &quiet_wy)); // and changes back
+        generations.push(route(&mut policy, &nine, &nine_prefs, &a, &demand(1.3, 0.0))); // row repeats
+        generations.push(route(&mut policy, &nine, &nine_prefs, &b, &quiet_wy)); // row changes
+        generations.push(route(&mut policy, &nine, &nine_prefs, &a, &quiet_wy)); // and changes back
         assert_eq!(generations, [1, 1, 2, 3], "only a changed row starts a generation");
         assert!(wy_entry(&policy).order.is_empty());
 
@@ -801,16 +772,16 @@ mod tests {
         // inside its cheap set leaves just the cheap set in the memo...
         let (cheap, whole) = reference_order(&nine_prefs, wy, 1500.0, &a, 5.0);
         assert!(!cheap.is_empty() && cheap.len() < 9, "WY must have a rest to rank");
-        assert_eq!(route(&mut policy, &nine, &a, &only_wy(1.0)), 3);
+        assert_eq!(route(&mut policy, &nine, &nine_prefs, &a, &only_wy(1.0)), 3);
         let entry = wy_entry(&policy);
         assert_eq!(entry.ranked_in, 3, "lazily ranked in the current generation");
         assert_eq!((&entry.order, entry.head_len, entry.whole), (&cheap, cheap.len(), false));
         // ...and a pour that walks past it memoises the whole order.
-        assert_eq!(route(&mut policy, &nine, &a, &only_wy(1.0e9)), 3);
+        assert_eq!(route(&mut policy, &nine, &nine_prefs, &a, &only_wy(1.0e9)), 3);
         let entry = wy_entry(&policy);
         assert_eq!((&entry.order, entry.head_len, entry.whole), (&whole, cheap.len(), true));
         assert_eq!(entry.order.len(), 9);
-        assert_eq!(route(&mut policy, &nine, &a, &demand(1.0, 4000.0)), 3);
+        assert_eq!(route(&mut policy, &nine, &nine_prefs, &a, &demand(1.0, 4000.0)), 3);
         assert_eq!(
             wy_entry(&policy).order,
             whole,
@@ -818,21 +789,25 @@ mod tests {
         );
 
         policy.config.distance_threshold_km = 800.0;
-        assert_eq!(route(&mut policy, &nine, &a, &demand(1.0, 4000.0)), 1, "new split");
+        assert_eq!(
+            route(&mut policy, &nine, &nine_prefs, &a, &demand(1.0, 4000.0)),
+            1,
+            "new split"
+        );
         policy.config.price_threshold = 40.0;
-        assert_eq!(route(&mut policy, &nine, &a, &demand(1.0, 4000.0)), 2, "new key");
-        assert_eq!(route(&mut policy, &nine, &a, &demand(0.7, 4000.0)), 2);
+        assert_eq!(route(&mut policy, &nine, &nine_prefs, &a, &demand(1.0, 4000.0)), 2, "new key");
+        assert_eq!(route(&mut policy, &nine, &nine_prefs, &a, &demand(0.7, 4000.0)), 2);
 
         // New geometry under an identical price row: every memoised order
         // indexes the old cluster order, so all of them must go.
-        policy.attach_preferences(&reversed_prefs);
-        route(&mut policy, &reversed, &a, &demand(1.0, 4000.0));
-        route(&mut policy, &reversed, &b, &demand(1.0, 4000.0));
-        policy.attach_preferences(&nine_prefs);
-        route(&mut policy, &nine, &b, &demand(1.0, 4000.0));
-        // A context the attached geometry does not match self-compiles.
-        route(&mut policy, &reversed, &b, &demand(1.0, 4000.0));
-        assert_eq!(policy.own_geometry_builds(), 1);
+        assert_eq!(route(&mut policy, &reversed, &reversed_prefs, &a, &demand(1.0, 4000.0)), 1);
+        route(&mut policy, &reversed, &reversed_prefs, &b, &demand(1.0, 4000.0));
+        assert_eq!(route(&mut policy, &nine, &nine_prefs, &b, &demand(1.0, 4000.0)), 1);
+        // Another compilation of the same geometry is told apart by
+        // address alone, and allocates alike.
+        let nine_again = compile(&nine, &states);
+        assert_eq!(route(&mut policy, &nine, &nine_again, &b, &demand(1.0, 4000.0)), 1);
+        assert_eq!(route(&mut policy, &nine, &nine_again, &b, &demand(0.9, 4000.0)), 1);
     }
 
     /// Prices that tie, sit exactly one threshold apart ($5 and $2.50),
@@ -876,7 +851,7 @@ mod tests {
         ) {
             let clusters = &deployments()[deployment];
             let states: Vec<UsState> = UsState::all().collect();
-            let compiled = CompiledPreferences::build(clusters, &states);
+            let compiled = compile(clusters, &states);
             let prices: Vec<f64> = (0..clusters.len()).map(|c| PALETTE[picks[c % 29]]).collect();
             let mut split = ThresholdSplit::new(&compiled, threshold_km);
             // Two generations, so the second re-stamps what the first ranked.
@@ -915,58 +890,27 @@ mod tests {
         let states: Vec<UsState> = UsState::all().collect();
         let demand: Vec<f64> = (0..states.len()).map(|i| 100.0 + 37.0 * i as f64).collect();
         let prices: Vec<f64> = (0..9).map(|i| 30.0 + 11.0 * i as f64).collect();
-        let shared = Arc::new(CompiledPreferences::build(&clusters, &states));
+        let shared = compile(&clusters, &states);
 
         for threshold in [0.0, 800.0, 1500.0, 50_000.0] {
-            let c = ctx(&clusters, &states, &demand, &prices);
-            let mut own = PriceConsciousPolicy::with_distance_threshold(threshold);
-            let mut borrowed = PriceConsciousPolicy::with_distance_threshold(threshold)
-                .with_shared_preferences(shared.clone());
-            let a = own.allocate(&c);
-            let b = borrowed.allocate(&c);
-            assert_eq!(a.matrix(), b.matrix(), "threshold {threshold}");
-            assert_eq!(own.own_geometry_builds(), 1);
-            assert_eq!(borrowed.own_geometry_builds(), 0, "shared geometry must be reused");
+            let own = compile(&clusters, &states);
+            let mut alone = PriceConsciousPolicy::with_distance_threshold(threshold);
+            let mut borrowed = PriceConsciousPolicy::with_distance_threshold(threshold);
+            let a = alone.allocate(&ctx(&clusters, &own, &demand, &prices));
+            let b = borrowed.allocate(&ctx(&clusters, &shared, &demand, &prices));
+            assert_eq!(bits(&a), bits(&b), "threshold {threshold}");
+            let split = borrowed.router.split.as_ref().expect("routed");
+            assert!(Arc::ptr_eq(&split.geometry, &shared), "the shared geometry is the one used");
         }
     }
 
     #[test]
-    fn mismatching_shared_preferences_fall_back_to_self_compile() {
+    #[should_panic(expected = "geometry compiled for another deployment")]
+    fn a_context_rejects_geometry_compiled_for_another_deployment() {
         let clusters = ClusterSet::akamai_like_nine();
-        let other =
-            ClusterSet::new(clusters.clusters().iter().take(3).cloned().collect::<Vec<_>>());
+        let other = ClusterSet::new(clusters.clusters().iter().rev().cloned().collect::<Vec<_>>());
         let states = [UsState::MA];
-        let demand = [1000.0];
-        let prices = nine_prices(50.0);
-        // Geometry compiled for a *different* deployment.
-        let wrong = Arc::new(CompiledPreferences::build(&other, &states));
-        assert_eq!(wrong.hub_ids().len(), 3);
-        assert_eq!(wrong.states(), &states[..]);
-
-        let c = ctx(&clusters, &states, &demand, &prices);
-        let mut policy =
-            PriceConsciousPolicy::with_distance_threshold(1500.0).with_shared_preferences(wrong);
-        let a = policy.allocate(&c);
-        assert_eq!(policy.own_geometry_builds(), 1, "mismatch must trigger a self-compile");
-        let mut fresh = PriceConsciousPolicy::with_distance_threshold(1500.0);
-        assert_eq!(a.matrix(), fresh.allocate(&c).matrix());
-    }
-
-    #[test]
-    fn attach_preferences_trait_hook_reaches_the_policy() {
-        let clusters = ClusterSet::akamai_like_nine();
-        let states = [UsState::NY];
-        let demand = [2000.0];
-        let prices = nine_prices(60.0);
-        let shared = Arc::new(CompiledPreferences::build(&clusters, &states));
-        let mut policy: Box<dyn RoutingPolicy> =
-            Box::new(PriceConsciousPolicy::with_distance_threshold(1000.0));
-        policy.attach_preferences(&shared);
-        let c = ctx(&clusters, &states, &demand, &prices);
-        let _ = policy.allocate(&c);
-        // And the default no-op implementation is callable on any policy.
-        let mut baseline: Box<dyn RoutingPolicy> =
-            Box::new(crate::baseline::NearestClusterPolicy::new());
-        baseline.attach_preferences(&shared);
+        let wrong = compile(&other, &states);
+        let _ = ctx(&clusters, &wrong, &[1000.0], &nine_prices(50.0));
     }
 }

@@ -1,5 +1,5 @@
 //! Property test: the carbon-aware policy, now on the price-conscious
-//! policy's compiled geometry and lazily ranked memo, allocates bit for
+//! policy's split of the context's geometry and lazily ranked memo, allocates bit for
 //! bit like its own ranking did before the move, kept below verbatim as
 //! the reference. Rows tie, sit exactly one threshold apart, straddle it
 //! by a hair or differ only in sign; small clusters make the pour walk
@@ -7,12 +7,14 @@
 //! repeat and a new row.
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use wattroute_geo::distance::RankedHub;
 use wattroute_geo::{distance, hubs, UsState};
 use wattroute_market::time::SimHour;
 use wattroute_routing::allocation::Allocation;
 use wattroute_routing::extensions::CarbonAwarePolicy;
 use wattroute_routing::policy::{assign_by_preference, RoutingContext, RoutingPolicy};
+use wattroute_routing::price_conscious::CompiledPreferences;
 use wattroute_workload::ClusterSet;
 
 /// The carbon-aware policy's own ranking before it moved onto the
@@ -72,6 +74,7 @@ proptest! {
             [deployment]
             .scaled(scale);
         let states: Vec<UsState> = UsState::all().collect();
+        let geometry = Arc::new(CompiledPreferences::build(&clusters, &states));
         let prices = vec![50.0; clusters.len()];
         let mut policy = CarbonAwarePolicy::new(threshold_km, Vec::new());
         policy.intensity_threshold = intensity_threshold;
@@ -85,7 +88,7 @@ proptest! {
             let demand: Vec<f64> = (0..states.len() as u64)
                 .map(|s| ((seed + s * 7919 + hour as u64 * 104_729) % 4000) as f64)
                 .collect();
-            let c = RoutingContext::new(&clusters, &states, &demand, &prices, SimHour(0));
+            let c = RoutingContext::new(&clusters, &geometry, &demand, &prices, SimHour(0));
             policy.set_intensities(intensity.clone());
             policy.allocate_into(&mut out, &c);
             let expected = assign_by_preference(&c, |_, state| {

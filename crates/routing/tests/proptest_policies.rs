@@ -4,12 +4,15 @@
 //! ceilings) is always served in full without overrunning any ceiling.
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use wattroute_geo::UsState;
 use wattroute_market::time::SimHour;
-use wattroute_routing::baseline::{NearestClusterPolicy, StaticCheapestPolicy};
+use wattroute_routing::allocation::Allocation;
+use wattroute_routing::baseline::{AkamaiLikePolicy, NearestClusterPolicy, StaticCheapestPolicy};
 use wattroute_routing::constraints::{ConstraintSet, OverflowMode};
+use wattroute_routing::extensions::CarbonAwarePolicy;
 use wattroute_routing::policy::{RoutingContext, RoutingPolicy};
-use wattroute_routing::price_conscious::PriceConsciousPolicy;
+use wattroute_routing::price_conscious::{CompiledPreferences, PriceConsciousPolicy};
 use wattroute_workload::ClusterSet;
 
 const N_CLUSTERS: usize = 9;
@@ -54,7 +57,8 @@ proptest! {
             clusters.clusters().iter().map(|c| c.capacity_hits_per_sec()).sum();
         let demand = scale_demand(&weights, total_cap, fill);
 
-        let ctx = RoutingContext::new(&clusters, &states, &demand, &price_vec, SimHour(0));
+        let geometry = Arc::new(CompiledPreferences::build(&clusters, &states));
+        let ctx = RoutingContext::new(&clusters, &geometry, &demand, &price_vec, SimHour(0));
         let mut policy = PriceConsciousPolicy::with_distance_threshold(threshold);
         let allocation = policy.allocate(&ctx);
 
@@ -97,7 +101,8 @@ proptest! {
             .collect();
         let demand = scale_demand(&weights, effective.iter().sum(), fill);
 
-        let ctx = RoutingContext::new(&clusters, &states, &demand, &price_vec, SimHour(0))
+        let geometry = Arc::new(CompiledPreferences::build(&clusters, &states));
+        let ctx = RoutingContext::new(&clusters, &geometry, &demand, &price_vec, SimHour(0))
             .with_bandwidth_caps(bw_caps);
         let mut policy = PriceConsciousPolicy::with_distance_threshold(threshold);
         let allocation = policy.allocate(&ctx);
@@ -147,7 +152,8 @@ proptest! {
             .map(|c| set.effective_cap(c, nominal[c]))
             .collect();
         let demand = scale_demand(&weights, effective.iter().sum(), fill);
-        let ctx = RoutingContext::new(&clusters, &states, &demand, &price_vec, SimHour(0))
+        let geometry = Arc::new(CompiledPreferences::build(&clusters, &states));
+        let ctx = RoutingContext::new(&clusters, &geometry, &demand, &price_vec, SimHour(0))
             .with_constraints(&set);
 
         let mean_prices = price_vec.clone();
@@ -190,7 +196,8 @@ proptest! {
             clusters.clusters().iter().map(|c| c.capacity_hits_per_sec()).sum();
         let demand = scale_demand(&weights, total_cap, overfill);
 
-        let ctx = RoutingContext::new(&clusters, &states, &demand, &price_vec, SimHour(0));
+        let geometry = Arc::new(CompiledPreferences::build(&clusters, &states));
+        let ctx = RoutingContext::new(&clusters, &geometry, &demand, &price_vec, SimHour(0));
         let mut policy = PriceConsciousPolicy::with_distance_threshold(threshold);
         let allocation = policy.allocate(&ctx);
         prop_assert!(allocation.serves_demand(&demand, 1e-6));
@@ -202,15 +209,16 @@ proptest! {
         price_vec in prices(),
         threshold in 0.0f64..6000.0,
     ) {
-        // The policy compiles per-(deployment, state list) candidate
-        // structures on first use; a fresh policy must produce the same
-        // allocation as a warmed one.
+        // The policy derives per-threshold candidate structures from the
+        // context's geometry on first use; a fresh policy must produce the
+        // same allocation as a warmed one.
         let clusters = ClusterSet::akamai_like_nine();
         let states = states();
         let total_cap: f64 =
             clusters.clusters().iter().map(|c| c.capacity_hits_per_sec()).sum();
         let demand = scale_demand(&weights, total_cap, 0.5);
-        let ctx = RoutingContext::new(&clusters, &states, &demand, &price_vec, SimHour(0));
+        let geometry = Arc::new(CompiledPreferences::build(&clusters, &states));
+        let ctx = RoutingContext::new(&clusters, &geometry, &demand, &price_vec, SimHour(0));
 
         let mut warmed = PriceConsciousPolicy::with_distance_threshold(threshold);
         let first = warmed.allocate(&ctx);
@@ -219,5 +227,55 @@ proptest! {
         let cold = fresh.allocate(&ctx);
         prop_assert_eq!(&first, &second);
         prop_assert_eq!(&first, &cold);
+    }
+}
+
+/// Every bit of an allocation.
+fn bits(a: &Allocation) -> Vec<u64> {
+    a.matrix().iter().flatten().map(|x| x.to_bits()).collect()
+}
+
+/// One long-lived instance of each policy that derives state from the
+/// context's geometry routes the nine-cluster deployment and its reversal
+/// alternately — equal size, different hub order — and must allocate on
+/// every call exactly as a fresh instance does.
+#[test]
+fn one_instance_routes_alternating_geometries_like_a_fresh_one() {
+    let nine = ClusterSet::akamai_like_nine().scaled(0.05);
+    let reversed = ClusterSet::new(nine.clusters().iter().rev().cloned().collect::<Vec<_>>());
+    let states = states();
+    let deployments = [&nine, &reversed];
+    let geometries = deployments.map(|d| Arc::new(CompiledPreferences::build(d, &states)));
+    let intensity: Vec<f64> = (0..N_CLUSTERS).map(|c| 0.3 + 0.05 * ((c * 5) % 7) as f64).collect();
+    let carbon = |side: usize| {
+        let mut row = intensity.clone();
+        if side == 1 {
+            row.reverse();
+        }
+        CarbonAwarePolicy::new(1500.0, row)
+    };
+    let mut price_conscious = PriceConsciousPolicy::with_distance_threshold(1500.0);
+    let mut carbon_aware = carbon(0);
+    let mut akamai = AkamaiLikePolicy::default();
+    for (call, side) in [0, 1, 0, 0, 1, 1, 0, 1].into_iter().enumerate() {
+        let (clusters, geometry) = (deployments[side], &geometries[side]);
+        let prices: Vec<f64> =
+            (0..N_CLUSTERS).map(|c| 20.0 + ((call * 31 + c * 17) % 41) as f64).collect();
+        let demand: Vec<f64> = (0..states.len())
+            .map(|s| 200.0 + ((call * 7919 + s * 104_729) % 3000) as f64)
+            .collect();
+        let ctx = RoutingContext::new(clusters, geometry, &demand, &prices, SimHour(call as u64));
+        carbon_aware.set_intensities(carbon(side).carbon_intensity);
+        let pairs: [(&mut dyn RoutingPolicy, Box<dyn RoutingPolicy>); 3] = [
+            (&mut price_conscious, Box::new(PriceConsciousPolicy::with_distance_threshold(1500.0))),
+            (&mut carbon_aware, Box::new(carbon(side))),
+            (&mut akamai, Box::new(AkamaiLikePolicy::default())),
+        ];
+        for (long_lived, mut fresh) in pairs {
+            let name = long_lived.name().to_string();
+            let mut out = Allocation::zeros(1, 1);
+            long_lived.allocate_into(&mut out, &ctx);
+            assert_eq!(bits(&out), bits(&fresh.allocate(&ctx)), "{name}, call {call}");
+        }
     }
 }

@@ -11,6 +11,7 @@
 //! sort exactly when every aimed total fit its ceiling with the margin.
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use wattroute_geo::UsState;
 use wattroute_market::time::SimHour;
 use wattroute_routing::allocation::Allocation;
@@ -18,6 +19,7 @@ use wattroute_routing::constraints::{ConstraintSet, TierCaps};
 use wattroute_routing::policy::{
     assign_by_preference_into, AssignWorkspace, PreferenceSource, RoutingContext,
 };
+use wattroute_routing::price_conscious::CompiledPreferences;
 use wattroute_workload::ClusterSet;
 
 /// Scratch of the reference pours (the old `AssignWorkspace`'s fields).
@@ -43,7 +45,7 @@ fn reference_pour<F>(
         return reference_tiered_pour(ctx, workspace, out, preferences);
     }
     let n_clusters = ctx.clusters.len();
-    let n_states = ctx.states.len();
+    let n_states = ctx.states().len();
     out.reset(n_clusters, n_states);
     let RefWorkspace { remaining_cap, order, candidates, .. } = workspace;
     remaining_cap.clear();
@@ -60,7 +62,7 @@ fn reference_pour<F>(
             continue;
         }
         candidates.clear();
-        preferences(state_idx, ctx.states[state_idx], candidates);
+        preferences(state_idx, ctx.states()[state_idx], candidates);
         debug_assert!(
             candidates.iter().all(|&c| c < n_clusters),
             "preference list contains an out-of-range cluster index"
@@ -107,7 +109,7 @@ fn reference_tiered_pour<F>(
 {
     let tiers = ctx.constraints.tier_caps().expect("caller checked tier caps");
     let n_clusters = ctx.clusters.len();
-    let n_states = ctx.states.len();
+    let n_states = ctx.states().len();
     out.reset(n_clusters, n_states);
     let RefWorkspace { remaining_cap, order, candidates, metro_rem, region_rem } = workspace;
     remaining_cap.clear();
@@ -135,7 +137,7 @@ fn reference_tiered_pour<F>(
             continue;
         }
         candidates.clear();
-        preferences(state_idx, ctx.states[state_idx], candidates);
+        preferences(state_idx, ctx.states()[state_idx], candidates);
         debug_assert!(
             candidates.iter().all(|&c| c < n_clusters),
             "preference list contains an out-of-range cluster index"
@@ -349,7 +351,8 @@ proptest! {
             ));
         }
         let prices = vec![50.0; n];
-        let ctx = RoutingContext::new(&clusters, &states, &demand, &prices, SimHour(0))
+        let geometry = Arc::new(CompiledPreferences::build(&clusters, &states));
+        let ctx = RoutingContext::new(&clusters, &geometry, &demand, &prices, SimHour(0))
             .with_constraints(&constraints);
 
         let mut expected = Allocation::zeros(n, n_states);
