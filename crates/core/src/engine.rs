@@ -12,7 +12,9 @@
 //! [hierarchical replay](crate::hierarchy)) know the whole trace, so they
 //! advance one allocation epoch per call instead, with the same accumulate
 //! kernel `tick` runs for one step; their reports are bit-identical to
-//! ticking every step.
+//! ticking every step. A lone batch run may split each epoch between two
+//! threads — routing on the calling thread, accounting on a worker one
+//! bounded batch behind — with the same bits (see `docs/engine.md`).
 //!
 //! The accumulated router state is a value: [`SimulationEngine::snapshot`]
 //! captures it, [`SimulationEngine::restore`] reinstates it (into the same
@@ -34,13 +36,13 @@ use crate::report::{
     SimulationReport,
 };
 use crate::simulation::SimulationConfig;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use wattroute_energy::cost::energy_cost_dollars;
 use wattroute_energy::model::{ClusterPowerModel, EnergyModelParams};
 use wattroute_geo::UsState;
 use wattroute_market::time::SimHour;
 use wattroute_routing::allocation::Allocation;
-use wattroute_routing::constraints::OverflowMode;
+use wattroute_routing::constraints::{ConstraintSet, OverflowMode};
 use wattroute_routing::policy::{RoutingContext, RoutingPolicy};
 use wattroute_routing::price_conscious::CompiledPreferences;
 use wattroute_stats::OnlineStats;
@@ -121,6 +123,12 @@ const NO_ALLOC_HOUR: SimHour = SimHour(u64::MAX);
 /// keeps hundreds of datapoints per simulated day, always includes step 0,
 /// and leaves every counter exact.
 pub(crate) const SPAN_SAMPLE_EVERY: usize = 8;
+
+/// Whether a call whose first step is `step` records its duration spans
+/// (see [`SPAN_SAMPLE_EVERY`]).
+fn sampled(step: usize) -> bool {
+    step % SPAN_SAMPLE_EVERY == 0
+}
 
 impl EngineSnapshot {
     fn empty(n_clusters: usize) -> Self {
@@ -500,6 +508,205 @@ fn fill_energy(report: &mut SimulationReport, cost: &[f64], energy_wh: &[f64]) {
     report.total_energy_mwh = energy_wh.iter().sum::<f64>() / 1.0e6;
 }
 
+/// The steps one engine call covers, and whether its first step
+/// re-routes.
+#[derive(Debug, Clone, Copy)]
+struct Epoch {
+    steps: usize,
+    reroute: bool,
+}
+
+/// The routing half of an engine call: what a policy is handed, borrowed
+/// apart from the engine's accounting state so that the two halves can run
+/// on different threads (see [`Threads::Two`]).
+struct Router<'r> {
+    clusters: &'r ClusterSet,
+    geometry: &'r Arc<CompiledPreferences>,
+    constraints: &'r ConstraintSet,
+    interval: usize,
+}
+
+impl<'r> Router<'r> {
+    fn new(
+        clusters: &'r ClusterSet,
+        geometry: &'r Arc<CompiledPreferences>,
+        config: &'r SimulationConfig,
+    ) -> Self {
+        let interval = config.reallocate_every_steps;
+        Self { clusters, geometry, constraints: &config.constraints, interval }
+    }
+
+    /// Check a call's router-visible rows against the deployment and the
+    /// state list.
+    fn check(&self, prices: &PriceSlice<'_>, demand: &DemandSlice<'_>) {
+        assert_eq!(prices.delayed.len(), self.clusters.len(), "delayed price length mismatch");
+        assert_eq!(demand.demand.len(), self.geometry.states().len(), "demand length mismatch");
+    }
+
+    /// The reroute rule: the epoch of a call that starts at `step` in
+    /// `hour`, given the hour of the last re-route (`None` before the
+    /// first). The epoch runs up to the next multiple of the interval, or
+    /// `max_steps` steps if that is fewer. Its first step re-routes when no
+    /// allocation is in force yet, on the configured interval, and
+    /// whenever the hour has changed: prices change hourly, so a cached
+    /// allocation carried across hours would route on the previous hour's
+    /// prices.
+    fn epoch(
+        &self,
+        step: usize,
+        last_alloc_hour: Option<SimHour>,
+        hour: SimHour,
+        max_steps: usize,
+    ) -> Epoch {
+        let interval = self.interval;
+        Epoch {
+            steps: (interval - step % interval).min(max_steps),
+            reroute: last_alloc_hour.is_none()
+                || step % interval == 0
+                || last_alloc_hour != Some(hour),
+        }
+    }
+
+    /// Route one epoch: `policy` allocates the call's demand on its
+    /// router-visible prices into `out`.
+    fn route(
+        &self,
+        policy: &mut dyn RoutingPolicy,
+        out: &mut Allocation,
+        prices: PriceSlice<'_>,
+        demand: DemandSlice<'_>,
+        sampled: bool,
+    ) {
+        let _realloc_span = if sampled {
+            wattroute_obs::span!("engine.tick.realloc")
+        } else {
+            wattroute_obs::Span::disabled()
+        };
+        let ctx = RoutingContext::new(
+            self.clusters,
+            self.geometry,
+            demand.demand,
+            prices.delayed,
+            prices.hour,
+        )
+        .with_constraints(self.constraints);
+        policy.allocate_into(out, &ctx);
+    }
+}
+
+/// Walk `trace` one engine call at a time from its first step. `call`
+/// gets each call's first step, the hour's price rows from `prices`, the
+/// step's demand and the most steps the call may cover — the rest of the
+/// hour — and returns how many it covered, or `None` to stop.
+fn walk_trace<'p>(
+    trace: &Trace,
+    mut prices: impl FnMut(SimHour) -> PriceSlice<'p>,
+    mut call: impl FnMut(usize, PriceSlice<'p>, DemandSlice<'_>, usize) -> Option<usize>,
+) {
+    let steps = trace.steps();
+    let mut i = 0;
+    while i < steps.len() {
+        let prices = {
+            // Sampled on the engine's cadence: timing a sub-µs table
+            // lookup on every call costs more than the lookup itself.
+            let _price_span = if sampled(i) {
+                wattroute_obs::span!("engine.price_view")
+            } else {
+                wattroute_obs::Span::disabled()
+            };
+            prices(trace.step_hour(i))
+        };
+        // A trace's hour changes every `STEPS_PER_HOUR` steps.
+        let left_in_hour = (STEPS_PER_HOUR - i % STEPS_PER_HOUR).min(steps.len() - i);
+        match call(i, prices, DemandSlice::new(&steps[i].us_demand), left_in_hour) {
+            Some(covered) => i += covered,
+            None => return,
+        }
+    }
+}
+
+/// Which threads a batch replay runs on (see
+/// [`SimulationEngine::replay_trace`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Threads {
+    /// Route and account on the calling thread. The worker pools (sweep
+    /// groups, Monte Carlo paths, hierarchy shards) replay this way: they
+    /// already put one replay on every core.
+    One,
+    /// Route on the calling thread while a scoped worker accounts the
+    /// epochs behind it: a lone [`Simulation::execute`](crate::simulation::Simulation::execute).
+    Two,
+}
+
+impl Threads {
+    /// [`Threads::Two`] when the host can run two threads at once
+    /// (`available_parallelism`, which honours the affinity mask, is at
+    /// least 2); [`Threads::One`] on a one-core host.
+    pub(crate) fn available() -> Self {
+        match std::thread::available_parallelism() {
+            Ok(n) if n.get() >= 2 => Threads::Two,
+            _ => Threads::One,
+        }
+    }
+}
+
+/// Batches in circulation between a two-thread replay's threads: one
+/// filling, one accounting, one queued between them.
+pub(crate) const BATCHES: usize = 3;
+
+/// The most routed-allocation bytes a two-thread replay holds in its
+/// batches at once, across all of them — unless a single allocation per
+/// batch is already more (a batch holds at least one epoch).
+pub(crate) const IN_FLIGHT_BYTES: usize = 512 * 1024;
+
+/// Epochs per batch for a deployment whose allocation takes
+/// `allocation_bytes` (clusters × states × 8): as many as keep every
+/// batch's allocations within [`IN_FLIGHT_BYTES`], and at least one.
+pub(crate) fn epochs_per_batch(allocation_bytes: usize) -> usize {
+    (IN_FLIGHT_BYTES / (BATCHES * allocation_bytes.max(1))).max(1)
+}
+
+/// Epochs the routing thread has routed for the accounting worker, in
+/// trace order.
+#[derive(Debug, Default)]
+struct Batch<'p> {
+    epochs: Vec<RoutedEpoch<'p>>,
+    /// One routed allocation per re-routed epoch, in order; the worker
+    /// leaves each slot holding a spent allocation, which routing reuses.
+    allocations: Vec<Allocation>,
+    /// Slots routed into since the batch was emptied.
+    routed: usize,
+}
+
+impl<'p> Batch<'p> {
+    /// The batch, back from the worker, ready to fill again.
+    fn emptied(mut self) -> Self {
+        self.epochs.clear();
+        self.routed = 0;
+        self
+    }
+
+    /// The slot the next re-routed epoch's allocation goes into.
+    fn next_slot(&mut self) -> &mut Allocation {
+        if self.routed == self.allocations.len() {
+            self.allocations.push(Allocation::default());
+        }
+        self.routed += 1;
+        &mut self.allocations[self.routed - 1]
+    }
+}
+
+/// One routed epoch, as the accounting worker needs it.
+#[derive(Debug)]
+struct RoutedEpoch<'p> {
+    hour: SimHour,
+    /// The hour's billing row, borrowed from the price table.
+    billing: &'p [f64],
+    steps: usize,
+    /// Whether the epoch re-routed: its allocation is the batch's next.
+    rerouted: bool,
+}
+
 /// The incremental routing/accounting core: feed it one [`PriceSlice`] and
 /// [`DemandSlice`] per 5-minute step and it maintains exactly the state the
 /// batch simulator accumulates over a whole trace.
@@ -661,6 +868,13 @@ impl<'a> SimulationEngine<'a> {
         self.state.cached_allocation.as_ref().expect("the step routed or reused an allocation")
     }
 
+    /// Name the run after the policy that drives it, on its first call.
+    fn name_policy(&mut self, policy: &dyn RoutingPolicy) {
+        if self.state.policy_name.is_none() {
+            self.state.policy_name = Some(policy.name().to_string());
+        }
+    }
+
     /// Advance the engine by the rest of the current allocation epoch, or
     /// by `max_steps` steps if that is fewer, and return how many steps
     /// were consumed.
@@ -684,51 +898,44 @@ impl<'a> SimulationEngine<'a> {
         max_steps: usize,
     ) -> usize {
         assert!(max_steps >= 1, "an advance covers at least one step");
-        // The epoch cache made a steady-state tick cheap enough that
-        // opening duration spans on *every* call would alone blow the <5%
-        // enabled-telemetry budget, so the phase histograms (including
-        // `engine.tick.realloc`, which fires on every call at the default
-        // one-step reallocation interval) sample the calls whose first
-        // step is a multiple of [`SPAN_SAMPLE_EVERY`] — deterministically,
-        // so step 0, and hence any run, always records. Counters stay
-        // exact on every step.
         let i = self.state.step;
-        let sampled = i % SPAN_SAMPLE_EVERY == 0;
-        let _tick_span = if sampled {
+        let _tick_span = if sampled(i) {
             wattroute_obs::span!("engine.tick")
         } else {
             wattroute_obs::Span::disabled()
         };
-        let n_clusters = self.clusters.len();
-        assert_eq!(prices.delayed.len(), n_clusters, "delayed price length mismatch");
-        assert_eq!(prices.billing.len(), n_clusters, "billing price length mismatch");
-        let n_states = self.geometry.states().len();
-        assert_eq!(demand.demand.len(), n_states, "demand length mismatch");
-
-        let interval = self.config.reallocate_every_steps;
-        let steps = (interval - i % interval).min(max_steps);
-        let constraints = &self.config.constraints;
-        let tariff = self.config.bandwidth_tariff.as_ref();
-        let accounted_caps = tariff.and(constraints.bandwidth_caps());
-
-        let st = &mut self.state;
-        if st.policy_name.is_none() {
-            st.policy_name = Some(policy.name().to_string());
+        self.name_policy(policy);
+        let router = Router::new(self.clusters, &self.geometry, &self.config);
+        router.check(&prices, &demand);
+        let epoch = router.epoch(i, self.last_allocation_hour(), prices.hour, max_steps);
+        if epoch.reroute {
+            let (n_clusters, n_states) = (self.clusters.len(), self.geometry.states().len());
+            let allocation = self
+                .state
+                .cached_allocation
+                .get_or_insert_with(|| Allocation::zeros(n_clusters, n_states));
+            router.route(policy, allocation, prices, demand, sampled(i));
         }
-        let hour = prices.hour;
+        self.account(prices.hour, prices.billing, epoch.steps, epoch.reroute);
+        epoch.steps
+    }
 
-        // Re-route on the configured interval, and additionally whenever
-        // the step crosses an hour boundary: prices change hourly, so a
-        // cached allocation carried across hours would route on the
-        // previous hour's prices.
-        let reallocate =
-            st.cached_allocation.is_none() || i % interval == 0 || hour != st.last_alloc_hour;
+    /// The accounting half of an engine call: account `steps` steps from
+    /// the engine's step counter, all in `hour` and billed at `billing`,
+    /// against the cached allocation — which the caller has just replaced
+    /// when `rerouted`. Refreshes the epoch cache when the allocation is
+    /// new (or restored), then runs the accumulate kernel.
+    ///
+    /// # Panics
+    /// Panics if `billing` does not match the engine's cluster count.
+    fn account(&mut self, hour: SimHour, billing: &[f64], steps: usize, rerouted: bool) {
+        assert_eq!(billing.len(), self.clusters.len(), "billing price length mismatch");
         if wattroute_obs::Telemetry::enabled() {
             // Allocation-reuse visibility, per step: a "miss" runs the
             // policy, a "hit" serves the step from the cached allocation.
             // Gated so the disabled hot path stays at one relaxed load per
             // call.
-            if reallocate {
+            if rerouted {
                 wattroute_obs::counter!("engine.alloc_cache.misses").inc();
             } else {
                 wattroute_obs::counter!("engine.alloc_cache.hits").inc();
@@ -737,95 +944,82 @@ impl<'a> SimulationEngine<'a> {
                 wattroute_obs::counter!("engine.alloc_cache.hits").add(steps as u64 - 1);
             }
         }
-        if reallocate {
-            let _realloc_span = if sampled {
-                wattroute_obs::span!("engine.tick.realloc")
-            } else {
-                wattroute_obs::Span::disabled()
-            };
-            let ctx = RoutingContext::new(
-                self.clusters,
-                &self.geometry,
-                demand.demand,
-                prices.delayed,
-                hour,
-            )
-            .with_constraints(constraints);
-            let allocation =
-                st.cached_allocation.get_or_insert_with(|| Allocation::zeros(n_clusters, n_states));
-            policy.allocate_into(allocation, &ctx);
-            st.last_alloc_hour = hour;
+        if rerouted {
+            self.state.last_alloc_hour = hour;
             self.epoch.valid = false;
         }
-
         if !self.epoch.valid {
-            // Refresh the epoch cache: everything below is constant until
-            // the next reallocation (see [`EpochCache`]).
-            let allocation = st.cached_allocation.as_ref().expect("just populated");
-            let epoch = &mut self.epoch;
-            allocation.cluster_loads_into(&mut epoch.loads);
-            st.distances.prepare_step(allocation, &self.geometry, &mut epoch.distances);
-            epoch.util.clear();
-            epoch.wh_step.clear();
-            epoch.hits_step.clear();
-            epoch.overflow_step.clear();
-            epoch.rejected_step.clear();
-            epoch.binding.clear();
-            for c in 0..n_clusters {
-                let cluster = self.clusters.get(c).expect("index in range");
-                let raw_utilization = cluster.utilization(epoch.loads[c]);
-                let mut served = epoch.loads[c];
-                let mut overflow = 0.0;
-                let mut rejected = 0.0;
-                if raw_utilization > 1.0 {
-                    // Demand beyond capacity. The energy model saturates in
-                    // both modes; the accounting differs: billed as served
-                    // at capacity (overflow), or turned away (rejected).
-                    let over = epoch.loads[c] - self.capacities[c];
-                    match constraints.overflow() {
-                        OverflowMode::BillAtCapacity => {
-                            overflow = over * STEP_SECONDS as f64;
-                        }
-                        OverflowMode::Reject => {
-                            rejected = over * STEP_SECONDS as f64;
-                            served = self.capacities[c];
-                        }
-                    }
-                }
-                let utilization = raw_utilization.min(1.0);
-                epoch.util.push(utilization);
-                epoch.wh_step.push(wh_per_step(&self.power_models[c], utilization));
-                epoch.hits_step.push(served * STEP_SECONDS as f64);
-                epoch.overflow_step.push(overflow);
-                epoch.rejected_step.push(rejected);
-                // A step is "binding" when the allocation sits at (or,
-                // through spill, above) the cluster's 95/5 ceiling —
-                // hours where the constraint actually shaped routing. An
-                // idle cluster is never binding, even at a zero cap
-                // (calibrations against concentrating baselines leave
-                // unused clusters with p95 = 0).
-                epoch.binding.push(accounted_caps.is_some_and(|caps| {
-                    caps[c].is_finite()
-                        && epoch.loads[c] > 0.0
-                        && epoch.loads[c] >= caps[c] * (1.0 - 1e-9)
-                }));
-            }
-            for lane in &mut self.lanes {
-                lane.wh_step.clear();
-                lane.wh_step.extend(
-                    lane.power_models.iter().zip(&epoch.util).map(|(m, &u)| wh_per_step(m, u)),
-                );
-            }
-            epoch.valid = true;
+            self.refresh_epoch();
         }
-
-        let _accumulate_span = if sampled {
+        let _accumulate_span = if sampled(self.state.step) {
             wattroute_obs::span!("engine.tick.accumulate")
         } else {
             wattroute_obs::Span::disabled()
         };
-        self.accumulate(prices.billing, steps);
-        steps
+        self.accumulate(billing, steps);
+    }
+
+    /// Refresh the epoch cache from the cached allocation: everything it
+    /// holds is constant until the next reallocation (see [`EpochCache`]).
+    fn refresh_epoch(&mut self) {
+        let st = &self.state;
+        let allocation = st.cached_allocation.as_ref().expect("an allocation is in force");
+        let constraints = &self.config.constraints;
+        let accounted_caps =
+            self.config.bandwidth_tariff.as_ref().and(constraints.bandwidth_caps());
+        let epoch = &mut self.epoch;
+        allocation.cluster_loads_into(&mut epoch.loads);
+        st.distances.prepare_step(allocation, &self.geometry, &mut epoch.distances);
+        epoch.util.clear();
+        epoch.wh_step.clear();
+        epoch.hits_step.clear();
+        epoch.overflow_step.clear();
+        epoch.rejected_step.clear();
+        epoch.binding.clear();
+        for c in 0..self.clusters.len() {
+            let cluster = self.clusters.get(c).expect("index in range");
+            let raw_utilization = cluster.utilization(epoch.loads[c]);
+            let mut served = epoch.loads[c];
+            let mut overflow = 0.0;
+            let mut rejected = 0.0;
+            if raw_utilization > 1.0 {
+                // Demand beyond capacity. The energy model saturates in
+                // both modes; the accounting differs: billed as served at
+                // capacity (overflow), or turned away (rejected).
+                let over = epoch.loads[c] - self.capacities[c];
+                match constraints.overflow() {
+                    OverflowMode::BillAtCapacity => {
+                        overflow = over * STEP_SECONDS as f64;
+                    }
+                    OverflowMode::Reject => {
+                        rejected = over * STEP_SECONDS as f64;
+                        served = self.capacities[c];
+                    }
+                }
+            }
+            let utilization = raw_utilization.min(1.0);
+            epoch.util.push(utilization);
+            epoch.wh_step.push(wh_per_step(&self.power_models[c], utilization));
+            epoch.hits_step.push(served * STEP_SECONDS as f64);
+            epoch.overflow_step.push(overflow);
+            epoch.rejected_step.push(rejected);
+            // A step is "binding" when the allocation sits at (or, through
+            // spill, above) the cluster's 95/5 ceiling — hours where the
+            // constraint actually shaped routing. An idle cluster is never
+            // binding, even at a zero cap (calibrations against
+            // concentrating baselines leave unused clusters with p95 = 0).
+            epoch.binding.push(accounted_caps.is_some_and(|caps| {
+                caps[c].is_finite()
+                    && epoch.loads[c] > 0.0
+                    && epoch.loads[c] >= caps[c] * (1.0 - 1e-9)
+            }));
+        }
+        for lane in &mut self.lanes {
+            lane.wh_step.clear();
+            lane.wh_step
+                .extend(lane.power_models.iter().zip(&epoch.util).map(|(m, &u)| wh_per_step(m, u)));
+        }
+        epoch.valid = true;
     }
 
     /// The accumulate kernel: account `steps` consecutive steps of the
@@ -897,32 +1091,141 @@ impl<'a> SimulationEngine<'a> {
         st.step += steps;
     }
 
-    /// Replay every step of `trace` from the engine's current state, one
-    /// [`Self::advance`] per allocation epoch. No call spans two hours, so
-    /// each reads one row of prices: `prices(hour)` returns the hour's
-    /// router-visible and billing rows.
+    /// Replay every step of `trace` one allocation epoch at a time, on
+    /// `threads`. No call spans two hours, so each reads one row of
+    /// prices: `prices(hour)` returns the hour's router-visible and
+    /// billing rows. Either way the policy sees the same contexts in the
+    /// same order and the accounting makes the same adds in the same
+    /// order, so the engine ends bit-identical.
+    ///
+    /// On [`Threads::One`] the replay continues from the engine's current
+    /// state, one [`Self::advance`] per epoch. On [`Threads::Two`] see
+    /// [`Self::replay_on_two_threads`].
     pub(crate) fn replay_trace<'p>(
+        &mut self,
+        threads: Threads,
+        policy: &mut dyn RoutingPolicy,
+        trace: &Trace,
+        prices: impl FnMut(SimHour) -> PriceSlice<'p>,
+    ) {
+        match threads {
+            Threads::One => walk_trace(trace, prices, |_, prices, demand, max_steps| {
+                Some(self.advance(policy, prices, demand, max_steps))
+            }),
+            Threads::Two => self.replay_on_two_threads(policy, trace, prices),
+        }
+    }
+
+    /// The two-thread replay: the calling thread walks the trace and
+    /// routes each epoch through `policy` (which need not be `Send`),
+    /// while a scoped worker that holds the engine accounts the routed
+    /// epochs in order, one [`Batch`] behind. Batches travel to the worker
+    /// over one bounded channel and come back empty over another; both
+    /// threads block on them, and a panic on either side ends the other's
+    /// wait and reaches the caller with its own payload.
+    ///
+    /// # Panics
+    /// Panics unless the engine is fresh: the routing thread's reroute
+    /// rule starts from step 0 with no allocation in force.
+    fn replay_on_two_threads<'p>(
         &mut self,
         policy: &mut dyn RoutingPolicy,
         trace: &Trace,
-        mut prices: impl FnMut(SimHour) -> PriceSlice<'p>,
+        prices: impl FnMut(SimHour) -> PriceSlice<'p>,
     ) {
-        let steps = trace.steps();
-        let mut i = 0;
-        while i < steps.len() {
-            let prices = {
-                // Sampled on the engine's cadence: timing a sub-µs table
-                // lookup on every call costs more than the lookup itself.
-                let _price_span = if i % SPAN_SAMPLE_EVERY == 0 {
-                    wattroute_obs::span!("engine.price_view")
-                } else {
-                    wattroute_obs::Span::disabled()
+        assert!(
+            self.state.step == 0 && self.state.cached_allocation.is_none(),
+            "a two-thread replay starts from a fresh engine"
+        );
+        self.name_policy(policy);
+        // The routing thread's own handles on what routing reads; the
+        // engine goes to the worker. The geometry is the engine's own
+        // `Arc`, so a policy that keys derived state on its address keeps
+        // its memo.
+        let (geometry, config) = (Arc::clone(&self.geometry), self.config.clone());
+        let router = Router::new(self.clusters, &geometry, &config);
+        let epochs_per_batch = epochs_per_batch(
+            self.clusters.len() * geometry.states().len() * std::mem::size_of::<f64>(),
+        );
+        let engine = self;
+        std::thread::scope(|scope| {
+            let (full_tx, full_rx) = mpsc::sync_channel::<Batch<'p>>(BATCHES);
+            let (empty_tx, empty_rx) = mpsc::sync_channel::<Batch<'p>>(BATCHES);
+            for _ in 0..BATCHES {
+                empty_tx.send(Batch::default()).expect("the channel holds every batch");
+            }
+            let accounting = scope.spawn(move || loop {
+                let full = {
+                    let _wait = wattroute_obs::span!("engine.replay.account_wait");
+                    full_rx.recv()
                 };
-                prices(trace.step_hour(i))
+                // Routing is done, or it panicked and dropped its sender.
+                let Ok(mut batch) = full else { return };
+                engine.account_batch(&mut batch);
+                if empty_tx.send(batch).is_err() {
+                    return;
+                }
+            });
+
+            let mut filling: Option<Batch<'p>> = None;
+            let mut last_alloc_hour = None;
+            walk_trace(trace, prices, |step, prices, demand, max_steps| {
+                let batch = match &mut filling {
+                    Some(batch) => batch,
+                    None => {
+                        let empty = {
+                            let _wait = wattroute_obs::span!("engine.replay.route_wait");
+                            empty_rx.recv()
+                        };
+                        // An empty batch, or the worker panicked.
+                        filling.insert(empty.ok()?.emptied())
+                    }
+                };
+                router.check(&prices, &demand);
+                let epoch = router.epoch(step, last_alloc_hour, prices.hour, max_steps);
+                if epoch.reroute {
+                    router.route(policy, batch.next_slot(), prices, demand, sampled(step));
+                    last_alloc_hour = Some(prices.hour);
+                }
+                batch.epochs.push(RoutedEpoch {
+                    hour: prices.hour,
+                    billing: prices.billing,
+                    steps: epoch.steps,
+                    rerouted: epoch.reroute,
+                });
+                if batch.epochs.len() == epochs_per_batch {
+                    full_tx.send(filling.take().expect("a batch is filling")).ok()?;
+                }
+                Some(epoch.steps)
+            });
+            if let Some(rest) = filling.filter(|batch| !batch.epochs.is_empty()) {
+                // A send fails only when the worker panicked; join says so.
+                let _ = full_tx.send(rest);
+            }
+            drop(full_tx);
+            crate::join_workers(vec![accounting]);
+        });
+    }
+
+    /// The worker's half of [`Self::replay_on_two_threads`]: account a
+    /// batch's epochs in order, swapping each routed allocation into the
+    /// engine's cached one. The slot keeps the engine's previous
+    /// allocation, which the next `allocate_into` into it fully
+    /// overwrites.
+    fn account_batch(&mut self, batch: &mut Batch<'_>) {
+        let mut routed = batch.allocations.iter_mut();
+        for epoch in &batch.epochs {
+            let _tick_span = if sampled(self.state.step) {
+                wattroute_obs::span!("engine.tick")
+            } else {
+                wattroute_obs::Span::disabled()
             };
-            // A trace's hour changes every `STEPS_PER_HOUR` steps.
-            let left_in_hour = (STEPS_PER_HOUR - i % STEPS_PER_HOUR).min(steps.len() - i);
-            i += self.advance(policy, prices, DemandSlice::new(&steps[i].us_demand), left_in_hour);
+            if epoch.rerouted {
+                let allocation = routed.next().expect("a re-routed epoch carries its allocation");
+                let cached = self.state.cached_allocation.get_or_insert_with(Allocation::default);
+                std::mem::swap(cached, allocation);
+            }
+            self.account(epoch.hour, epoch.billing, epoch.steps, epoch.rerouted);
         }
     }
 

@@ -160,26 +160,22 @@ impl<'a> HierarchicalReplay<'a> {
     /// Replay regions on scoped worker threads (one per region) and merge
     /// deterministically. Shards share nothing, and the merge consumes
     /// results in region index order, so the report is bit-identical to
-    /// [`Self::run`].
+    /// [`Self::run`]. A panic in a shard reaches the caller with the
+    /// shard's own payload.
     pub fn run_sharded(&self, make_policy: &PolicyFactory<'_>) -> SimulationReport {
-        let owners = self.topology.assign_states(&self.trace.states);
-        let n_regions = self.topology.num_regions();
-        let mut slots: Vec<Option<ShardResult>> = Vec::with_capacity(n_regions);
-        slots.resize_with(n_regions, || None);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(n_regions);
-            for (region, slot) in slots.iter_mut().enumerate() {
-                let owners = &owners;
-                handles.push(scope.spawn(move || {
-                    let mut policy = make_policy();
-                    *slot = Some(self.run_region(region, owners, policy.as_mut()));
-                }));
-            }
-            for handle in handles {
-                handle.join().expect("shard thread panicked");
-            }
+        let owners = &self.topology.assign_states(&self.trace.states);
+        let shards = std::thread::scope(|scope| {
+            let workers = (0..self.topology.num_regions())
+                .map(|region| {
+                    scope.spawn(move || {
+                        let mut policy = make_policy();
+                        self.run_region(region, owners, policy.as_mut())
+                    })
+                })
+                .collect();
+            crate::join_workers(workers)
         });
-        self.merge(slots.into_iter().map(|s| s.expect("every shard filled")).collect())
+        self.merge(shards)
     }
 
     /// Replay the whole trace through one region's engine.
@@ -399,6 +395,7 @@ fn slice_constraints(global: &ConstraintSet, topology: &Topology, region: usize)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::panics::{panic_message, Boom};
     use crate::run::RunOptions;
     use crate::simulation::Simulation;
     use wattroute_market::generator::PriceGenerator;
@@ -492,6 +489,18 @@ mod tests {
         let config = SimulationConfig::default()
             .with_constraints(ConstraintSet::unconstrained().with_tier_caps(tiers));
         HierarchicalReplay::new(&topology, &trace, &prices, config);
+    }
+
+    #[test]
+    fn a_shard_panic_reaches_the_caller_with_its_own_payload() {
+        let topology = Topology::synthetic(7, 60);
+        let range = short_range(6);
+        let trace = SyntheticWorkloadConfig::default().generate(range);
+        let prices = PriceGenerator::new(MarketModel::calibrated(), 9).realtime_hourly(range);
+        let replay =
+            HierarchicalReplay::new(&topology, &trace, &prices, SimulationConfig::default());
+        let boom = || -> Box<dyn RoutingPolicy> { Box::new(Boom::on_call(20)) };
+        assert_eq!(panic_message(|| drop(replay.run_sharded(&boom))), "boom from the policy");
     }
 
     #[test]

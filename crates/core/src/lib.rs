@@ -70,6 +70,71 @@ pub mod sweep;
 #[doc = include_str!("../../../README.md")]
 pub struct ReadmeDoctest;
 
+/// Join a pool's scoped workers in order and return what each returned.
+/// Once every worker is joined, the first that panicked has its panic
+/// re-raised here with its own payload; left to `std::thread::scope`, the
+/// caller would see only "a scoped thread panicked".
+pub(crate) fn join_workers<T>(workers: Vec<std::thread::ScopedJoinHandle<'_, T>>) -> Vec<T> {
+    let mut results = Vec::with_capacity(workers.len());
+    let mut panic = None;
+    for worker in workers {
+        match worker.join() {
+            Ok(result) => results.push(result),
+            Err(payload) => {
+                panic.get_or_insert(payload);
+            }
+        }
+    }
+    if let Some(payload) = panic {
+        std::panic::resume_unwind(payload);
+    }
+    results
+}
+
+/// A policy that panics, and what a panic says, for the tests that follow
+/// a worker's panic to the caller.
+#[cfg(test)]
+pub(crate) mod panics {
+    use wattroute_routing::prelude::*;
+
+    /// Routes nearest-first, and panics with "boom from the policy" on its
+    /// `n`-th allocation.
+    pub(crate) struct Boom {
+        inner: NearestClusterPolicy,
+        calls_left: usize,
+    }
+
+    impl Boom {
+        pub(crate) fn on_call(n: usize) -> Self {
+            Self { inner: NearestClusterPolicy::new(), calls_left: n }
+        }
+    }
+
+    impl RoutingPolicy for Boom {
+        fn name(&self) -> &str {
+            "boom"
+        }
+
+        fn allocate_into(&mut self, out: &mut Allocation, ctx: &RoutingContext<'_>) {
+            self.calls_left -= 1;
+            if self.calls_left == 0 {
+                panic!("boom from the policy");
+            }
+            self.inner.allocate_into(out, ctx);
+        }
+    }
+
+    /// The payload a panic in `f` carries, as text.
+    pub(crate) fn panic_message(f: impl FnOnce()) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("the run must panic");
+        match payload.downcast::<String>() {
+            Ok(message) => *message,
+            Err(payload) => payload.downcast::<&str>().map(|m| m.to_string()).unwrap_or_default(),
+        }
+    }
+}
+
 pub use wattroute_energy as energy;
 pub use wattroute_geo as geo;
 pub use wattroute_market as market;

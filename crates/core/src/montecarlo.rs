@@ -59,7 +59,7 @@
 //! assert!(dist.bill_cvar_dollars >= dist.bill.mean);
 //! ```
 
-use crate::engine::{EngineSnapshot, PriceSlice, SimulationEngine};
+use crate::engine::{EngineSnapshot, PriceSlice, SimulationEngine, Threads};
 use crate::json::{self, JsonValue};
 use crate::report::SimulationReport;
 use crate::simulation::{step_coverage, SimulationConfig};
@@ -363,7 +363,8 @@ impl<'a> MonteCarlo<'a> {
         self
     }
 
-    /// Draw every path, replay it under both policies, and aggregate.
+    /// Draw every path, replay it under both policies, and aggregate. A
+    /// panic in a worker reaches the caller with the worker's own payload.
     pub fn run(&self) -> SavingsDistribution {
         let coverage = step_coverage(self.trace);
         let n_hours = coverage.len_hours() as usize;
@@ -392,12 +393,13 @@ impl<'a> MonteCarlo<'a> {
         let busy_ns_ref = &busy_ns;
         let (tx, rx) = mpsc::sync_channel::<PathResult>(workers);
         std::thread::scope(|scope| {
+            let mut handles = Vec::with_capacity(workers);
             for _ in 0..workers {
                 let tx = tx.clone();
                 let geometry = Arc::clone(&geometry);
                 let hubs = &hubs;
                 let next = &next;
-                scope.spawn(move || {
+                handles.push(scope.spawn(move || {
                     // Per-worker workspaces, reused across paths: one
                     // generator (the model clone), one engine + pristine
                     // snapshot, one flat hour × hub price buffer, one
@@ -477,12 +479,13 @@ impl<'a> MonteCarlo<'a> {
                             break;
                         }
                     }
-                });
+                }));
             }
             drop(tx);
             for result in rx {
                 slots[result.slot] = Some((result.outcome, result.cluster_costs));
             }
+            crate::join_workers(handles);
         });
         if let Some(start) = run_start {
             let wall_secs = start.elapsed().as_secs_f64();
@@ -556,7 +559,7 @@ fn replay(
     delay: usize,
 ) -> SimulationReport {
     engine.restore(pristine);
-    engine.replay_trace(policy, trace, |hour| {
+    engine.replay_trace(Threads::One, policy, trace, |hour| {
         let h_idx = (hour.0 - coverage_start) as usize;
         let delayed = &billing[h_idx.saturating_sub(delay) * n_hubs..][..n_hubs];
         let bill = &billing[h_idx * n_hubs..][..n_hubs];
@@ -568,6 +571,7 @@ fn replay(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::panics::{panic_message, Boom};
     use crate::scenario::Scenario;
     use wattroute_market::time::{HourRange, SimHour};
 
@@ -579,6 +583,14 @@ mod tests {
     fn mc(scenario: &Scenario) -> MonteCarlo<'_> {
         let model = MarketModel::calibrated().restricted_to(&scenario.clusters.hub_ids());
         MonteCarlo::new(&scenario.clusters, &scenario.trace, model, scenario.config.clone(), 2009)
+    }
+
+    #[test]
+    fn a_path_panic_reaches_the_caller_with_its_own_payload() {
+        let scenario = small_scenario();
+        let boom: PathPolicyFactory = Arc::new(|| Box::new(Boom::on_call(20)));
+        let run = mc(&scenario).with_paths(4).with_threads(2).with_policy_factory(boom);
+        assert_eq!(panic_message(|| drop(run.run())), "boom from the policy");
     }
 
     #[test]

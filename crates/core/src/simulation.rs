@@ -9,7 +9,7 @@
 //! client–server distance statistics.
 
 use crate::constraints::BandwidthTariff;
-use crate::engine::{PriceSlice, SimulationEngine};
+use crate::engine::{PriceSlice, SimulationEngine, Threads};
 use crate::report::SimulationReport;
 use crate::run::RunOptions;
 use std::borrow::Cow;
@@ -360,6 +360,12 @@ impl<'a> Simulation<'a> {
     /// Bit-identical to one `tick` per trace step, and to the historical
     /// monolithic loop.
     ///
+    /// On a host that can run two threads at once, the run routes on the
+    /// calling thread while a scoped worker accounts the epochs behind it
+    /// (see `docs/engine.md`); the report is the same bits either way. A
+    /// panic in the policy or the accounting reaches the caller with its
+    /// own payload.
+    ///
     /// Honoured options: [`RunOptions::record_loads`]. A configuration
     /// override or artifact cache belongs to the scenario and sweep layers
     /// respectively and panics here (see [`crate::run`]).
@@ -380,21 +386,23 @@ impl<'a> Simulation<'a> {
              a Simulation already binds one compiled price table"
         );
         let geometry = Arc::new(CompiledPreferences::build(self.clusters, &self.trace.states));
-        let mut reports = self.replay(policy, geometry, &[], recorder);
+        let mut reports = self.replay(Threads::available(), policy, geometry, &[], recorder);
         reports.pop().expect("one report per energy model")
     }
 
-    /// Replay the trace once under `policy`, over `geometry` (compiled for
-    /// this deployment and the trace's states), and account it under the
-    /// configured energy model and, in lanes of one engine, each of
-    /// `energy_lanes` (see [`SimulationEngine`]): one report per model, the
-    /// configured one first. Each report is bit-identical to a run of its
-    /// model on its own, since the energy model never shapes routing.
-    /// [`Self::execute`] is this replay with no extra lanes; a scenario
-    /// sweep replays a group of cells that differ only in energy model
-    /// through it, over its compiled artifacts' geometry.
+    /// Replay the trace once on `threads` under `policy`, over `geometry`
+    /// (compiled for this deployment and the trace's states), and account
+    /// it under the configured energy model and, in lanes of one engine,
+    /// each of `energy_lanes` (see [`SimulationEngine`]): one report per
+    /// model, the configured one first. Each report is bit-identical to a
+    /// run of its model on its own, since the energy model never shapes
+    /// routing. [`Self::execute`] is this replay with no extra lanes; a
+    /// scenario sweep replays a group of cells that differ only in energy
+    /// model through it, over its compiled artifacts' geometry, on one
+    /// thread per replay.
     pub(crate) fn replay(
         &self,
+        threads: Threads,
         policy: &mut dyn RoutingPolicy,
         geometry: Arc<CompiledPreferences>,
         energy_lanes: &[EnergyModelParams],
@@ -405,7 +413,7 @@ impl<'a> Simulation<'a> {
             SimulationEngine::with_geometry(self.clusters, &self.trace.states, geometry, config)
                 .with_clamped_lead_hours(self.table.clamped_lead_hours())
                 .with_energy_lanes(energy_lanes);
-        engine.replay_trace(policy, self.trace, |hour| {
+        engine.replay_trace(threads, policy, self.trace, |hour| {
             PriceSlice::new(
                 hour,
                 self.table.delayed_at(hour).expect("table covers the trace"),
@@ -425,7 +433,9 @@ impl<'a> Simulation<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::panics::{panic_message, Boom};
     use wattroute_market::generator::PriceGenerator;
+    use wattroute_market::model::MarketModel;
     use wattroute_market::time::{HourRange, SimHour};
     use wattroute_routing::prelude::*;
     use wattroute_workload::SyntheticWorkloadConfig;
@@ -687,6 +697,267 @@ mod tests {
             owned.execute(&mut policy, RunOptions::new()),
             borrowed.execute(&mut policy, RunOptions::new())
         );
+    }
+
+    /// Replay `sim` under a fresh policy from `make` on one thread, then on
+    /// two, recording loads each time. The runs must agree bit for bit:
+    /// the report, its JSON and every recorded load. Returns the report.
+    fn assert_two_threads_match_one(
+        sim: &Simulation<'_>,
+        make: &dyn Fn() -> Box<dyn RoutingPolicy>,
+        case: &str,
+    ) -> SimulationReport {
+        let run = |threads| {
+            let geometry = Arc::new(CompiledPreferences::build(sim.clusters, &sim.trace.states));
+            let mut recorder = LoadRecorder::new();
+            let mut reports =
+                sim.replay(threads, make().as_mut(), geometry, &[], Some(&mut recorder));
+            let loads: Vec<Vec<u64>> = recorder
+                .cluster_loads()
+                .iter()
+                .map(|series| series.iter().map(|x| x.to_bits()).collect())
+                .collect();
+            (reports.pop().expect("one report"), loads)
+        };
+        let (one, one_loads) = run(Threads::One);
+        let (two, two_loads) = run(Threads::Two);
+        assert_eq!(two, one, "{case}");
+        assert_eq!(two.to_json(), one.to_json(), "{case}");
+        assert_eq!(two_loads, one_loads, "{case}");
+        assert_eq!(one.steps, sim.trace.num_steps(), "{case}");
+        one
+    }
+
+    /// Builds a fresh policy per run.
+    type MakePolicy = Box<dyn Fn() -> Box<dyn RoutingPolicy>>;
+
+    /// Every built-in policy, fresh per run.
+    fn built_in_policies(clusters: &ClusterSet) -> Vec<(&'static str, MakePolicy)> {
+        let n = clusters.len();
+        let mean_prices: Vec<f64> = (0..n).map(|c| 40.0 + 3.0 * c as f64).collect();
+        let intensity: Vec<f64> = (0..n).map(|c| 300.0 + 50.0 * (c % 4) as f64).collect();
+        vec![
+            ("nearest", Box::new(|| Box::new(NearestClusterPolicy::new()))),
+            ("akamai-like", Box::new(|| Box::new(AkamaiLikePolicy::default()))),
+            (
+                "static-cheapest",
+                Box::new(move || Box::new(StaticCheapestPolicy::new(mean_prices.clone()))),
+            ),
+            (
+                "price-conscious",
+                Box::new(|| Box::new(PriceConsciousPolicy::with_distance_threshold(1500.0))),
+            ),
+            (
+                "carbon-aware",
+                Box::new(move || Box::new(CarbonAwarePolicy::new(1500.0, intensity.clone()))),
+            ),
+            ("joint-cost", Box::new(|| Box::new(JointCostPolicy::new(0.01)))),
+        ]
+    }
+
+    /// The first `steps` steps of `trace`.
+    fn truncated(trace: &Trace, steps: usize) -> Trace {
+        Trace::new(trace.start, trace.states.clone(), trace.steps()[..steps].to_vec())
+    }
+
+    #[test]
+    fn two_threads_replay_every_policy_and_regime_bit_for_bit_like_one() {
+        let (clusters, trace, prices) = small_setup();
+        // A day that ends seven steps into its last hour, and mid-batch at
+        // every interval.
+        let trace = truncated(&trace, 24 * STEPS_PER_HOUR - 7);
+        let tiers = TierCaps::from_topology(
+            &wattroute_workload::hierarchy::single_region_of(&clusters).with_tier_slack(0.5),
+        )
+        .expect("a slack of 0.5 caps every tier");
+        let small = clusters.scaled(0.02);
+        for interval in [1, 5, 12, 13] {
+            let relaxed = SimulationConfig::default().with_reallocation_interval(interval);
+            let baseline = Simulation::new(&clusters, &trace, &prices, relaxed.clone())
+                .execute(&mut AkamaiLikePolicy::default(), RunOptions::new());
+            let caps = baseline.clusters.iter().map(|c| c.p95_hits_per_sec).collect();
+            let follow = relaxed
+                .clone()
+                .with_bandwidth_caps(caps)
+                .with_bandwidth_tariff(BandwidthTariff::default_cdn());
+            let tiered = relaxed
+                .clone()
+                .with_constraints(ConstraintSet::unconstrained().with_tier_caps(tiers.clone()));
+            let reject = relaxed.clone().with_overflow(OverflowMode::Reject);
+            for (regime, deployment, config) in [
+                ("relaxed", &clusters, relaxed),
+                ("follow-95/5", &clusters, follow),
+                ("tier caps", &clusters, tiered),
+                ("reject", &small, reject),
+            ] {
+                let sim = Simulation::new(deployment, &trace, &prices, config);
+                for (policy, make) in built_in_policies(deployment) {
+                    let case = format!("{policy}, {regime}, interval {interval}");
+                    let report = assert_two_threads_match_one(&sim, make.as_ref(), &case);
+                    if regime == "reject" {
+                        assert!(report.total_rejected_hits > 0.0, "{case}: nothing rejected");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn two_threads_replay_a_trace_of_whole_batches_bit_for_bit_like_one() {
+        // Hourly epochs filling exactly two batches: the last send leaves
+        // nothing to flush.
+        let clusters = ClusterSet::akamai_like_nine();
+        let per_batch = crate::engine::epochs_per_batch(clusters.len() * 51 * 8);
+        let start = SimHour::from_date(2008, 12, 19);
+        let range = HourRange::new(start, start.plus_hours(2 * per_batch as u64));
+        let trace = SyntheticWorkloadConfig::default().generate(range);
+        assert_eq!(trace.states.len(), 51);
+        let prices = PriceGenerator::nine_cluster_default(7).realtime_hourly(range);
+        let config = SimulationConfig::default().with_reallocation_interval(12);
+        let sim = Simulation::new(&clusters, &trace, &prices, config);
+        let make = || -> Box<dyn RoutingPolicy> {
+            Box::new(PriceConsciousPolicy::with_distance_threshold(1500.0))
+        };
+        assert_two_threads_match_one(&sim, &make, "two whole batches");
+    }
+
+    /// §6.2's 24-day trace re-routed on every step: 6912 routed epochs,
+    /// over a hundred batches.
+    #[test]
+    fn two_threads_replay_the_paper_scale_24_day_trace_bit_for_bit_like_one() {
+        let scenario = crate::scenario::Scenario::akamai_24_day(2009);
+        assert_eq!(scenario.trace.num_steps(), 6912);
+        assert_eq!(scenario.config.reallocate_every_steps, 1);
+        let sim = Simulation::new(
+            &scenario.clusters,
+            &scenario.trace,
+            &scenario.prices,
+            scenario.config.clone(),
+        );
+        let make = || -> Box<dyn RoutingPolicy> {
+            Box::new(PriceConsciousPolicy::with_distance_threshold(1500.0))
+        };
+        assert_two_threads_match_one(&sim, &make, "24 days at interval 1");
+    }
+
+    /// Routes through `inner`, noting the address of every buffer it is
+    /// handed to route into.
+    struct BufferSpy<P> {
+        inner: P,
+        buffers: std::collections::BTreeSet<usize>,
+    }
+
+    impl<P: RoutingPolicy> RoutingPolicy for BufferSpy<P> {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+
+        fn allocate_into(&mut self, out: &mut Allocation, ctx: &RoutingContext<'_>) {
+            self.inner.allocate_into(out, ctx);
+            self.buffers.insert(out.row(0).as_ptr() as usize);
+        }
+    }
+
+    #[test]
+    fn a_wide_deployment_keeps_one_allocation_per_batch_in_flight() {
+        let topology = wattroute_geo::topology::Topology::synthetic(7, 1000);
+        let clusters = wattroute_workload::hierarchy::site_clusters(&topology);
+        let start = SimHour::from_date(2008, 12, 19);
+        let range = HourRange::new(start, start.plus_hours(3));
+        let trace = SyntheticWorkloadConfig::default().generate(range);
+        let prices = PriceGenerator::new(MarketModel::calibrated(), 9).realtime_hourly(range);
+        let sim = Simulation::new(&clusters, &trace, &prices, SimulationConfig::default());
+        let make = || -> Box<dyn RoutingPolicy> { Box::new(NearestClusterPolicy::new()) };
+        assert_two_threads_match_one(&sim, &make, "1000 sites");
+
+        // A 1000 × 51 allocation is 408 kB, so each batch carries one
+        // epoch: the batches hold at most one buffer each, plus the one
+        // the engine holds.
+        let bytes = clusters.len() * trace.states.len() * 8;
+        assert_eq!(crate::engine::epochs_per_batch(bytes), 1);
+        let geometry = Arc::new(CompiledPreferences::build(&clusters, &trace.states));
+        let mut spy = BufferSpy { inner: NearestClusterPolicy::new(), buffers: Default::default() };
+        sim.replay(Threads::Two, &mut spy, geometry, &[], None);
+        assert!(
+            spy.buffers.len() <= crate::engine::BATCHES + 1,
+            "{} buffers of {bytes} bytes routed into",
+            spy.buffers.len()
+        );
+
+        // The nine-cluster deployment's batches stay within the bound.
+        let (clusters, trace, prices) = small_setup();
+        let bytes = clusters.len() * trace.states.len() * 8;
+        let sim = Simulation::new(&clusters, &trace, &prices, SimulationConfig::default());
+        let geometry = Arc::new(CompiledPreferences::build(&clusters, &trace.states));
+        let mut spy = BufferSpy { inner: NearestClusterPolicy::new(), buffers: Default::default() };
+        sim.replay(Threads::Two, &mut spy, geometry, &[], None);
+        assert!(spy.buffers.len() > 1, "the batches route into buffers of their own");
+        assert!(
+            (spy.buffers.len() - 1) * bytes <= crate::engine::IN_FLIGHT_BYTES,
+            "{} buffers of {bytes} bytes routed into",
+            spy.buffers.len()
+        );
+    }
+
+    #[test]
+    fn a_policy_panic_on_the_routing_thread_reaches_the_caller() {
+        let (clusters, trace, prices) = small_setup();
+        let sim = Simulation::new(&clusters, &trace, &prices, SimulationConfig::default());
+        // Mid-run, with batches in flight, and on the first call.
+        for calls in [500, 1] {
+            let geometry = Arc::new(CompiledPreferences::build(&clusters, &trace.states));
+            let mut boom = Boom::on_call(calls);
+            let message = panic_message(|| {
+                sim.replay(Threads::Two, &mut boom, geometry, &[], None);
+            });
+            assert_eq!(message, "boom from the policy");
+            // Through the public driver too, on either path.
+            let mut boom = Boom::on_call(calls);
+            let message = panic_message(|| {
+                sim.execute(&mut boom, RunOptions::new());
+            });
+            assert_eq!(message, "boom from the policy");
+        }
+    }
+
+    #[test]
+    fn an_accounting_panic_on_the_worker_reaches_the_caller() {
+        let (clusters, trace, prices) = small_setup();
+        let sim = Simulation::new(&clusters, &trace, &prices, SimulationConfig::default());
+        let table = sim.price_table();
+        let short = [50.0; 8];
+        // From the second day on, the billing row is one cluster short.
+        let bad_hour = trace.start.plus_hours(24);
+        let mut engine =
+            SimulationEngine::new(&clusters, &trace.states, SimulationConfig::default());
+        let message = panic_message(|| {
+            engine.replay_trace(Threads::Two, &mut NearestClusterPolicy::new(), &trace, |hour| {
+                let delayed = table.delayed_at(hour).expect("table covers the trace");
+                let billing = table.billing_at(hour).expect("table covers the trace");
+                PriceSlice::new(hour, delayed, if hour < bad_hour { billing } else { &short })
+            });
+        });
+        assert!(message.contains("billing price length mismatch"), "{message}");
+    }
+
+    #[test]
+    #[should_panic(expected = "a two-thread replay starts from a fresh engine")]
+    fn a_two_thread_replay_needs_a_fresh_engine() {
+        let (clusters, trace, prices) = small_setup();
+        let sim = Simulation::new(&clusters, &trace, &prices, SimulationConfig::default());
+        let table = sim.price_table();
+        let rows = |hour| {
+            PriceSlice::new(hour, table.delayed_at(hour).unwrap(), table.billing_at(hour).unwrap())
+        };
+        let mut engine =
+            SimulationEngine::new(&clusters, &trace.states, SimulationConfig::default());
+        let mut policy = NearestClusterPolicy::new();
+        engine.tick(
+            &mut policy,
+            rows(trace.start),
+            crate::engine::DemandSlice::new(&trace.steps()[0].us_demand),
+        );
+        engine.replay_trace(Threads::Two, &mut policy, &trace, rows);
     }
 
     #[test]

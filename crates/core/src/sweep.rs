@@ -67,6 +67,7 @@
 //! ```
 
 use crate::constraints::BandwidthTariff;
+use crate::engine::Threads;
 use crate::json::{self, JsonValue};
 use crate::report::{ReportDecodeError, SimulationReport};
 use crate::run::RunOptions;
@@ -517,7 +518,9 @@ impl<'a> ScenarioSweep<'a> {
     }
 
     /// Compile the shared artifacts and execute every grid point, in
-    /// parallel, returning reports in grid order.
+    /// parallel, returning reports in grid order. A panic in a worker (a
+    /// policy's, or a policy factory's) reaches the caller with its own
+    /// payload.
     ///
     /// Honoured options: [`RunOptions::reuse_artifacts`] (a caller-owned
     /// compiled-artifact cache shared across sweeps). A configuration
@@ -598,13 +601,16 @@ impl<'a> ScenarioSweep<'a> {
         let (tx, rx) = mpsc::sync_channel::<SweepResult>(workers);
 
         std::thread::scope(|scope| {
+            let mut handles = Vec::with_capacity(workers);
             for _ in 0..workers {
                 let tx = tx.clone();
-                scope.spawn(move || loop {
-                    let next = cursor
-                        .lock()
-                        .expect("another worker panicked while resolving a group")
-                        .next_group(points);
+                handles.push(scope.spawn(move || loop {
+                    let next = match cursor.lock() {
+                        Ok(mut cursor) => cursor.next_group(points),
+                        // Another worker panicked resolving a group; its
+                        // join re-raises that panic.
+                        Err(_) => break,
+                    };
                     let Some((cells, mut policy)) = next else { break };
                     let lead = &points[cells[0]];
                     let deployment = &deployments[lead.deployment];
@@ -620,7 +626,7 @@ impl<'a> ScenarioSweep<'a> {
                         cells[1..].iter().map(|&cell| points[cell].config.energy).collect();
                     let geometry = Arc::clone(artifacts_ref.preferences(lead.deployment));
                     let replay_span = wattroute_obs::span!("sweep.replay");
-                    let reports = sim.replay(policy.as_mut(), geometry, &lanes, None);
+                    let reports = sim.replay(Threads::One, policy.as_mut(), geometry, &lanes, None);
                     drop(replay_span);
                     wattroute_obs::counter!("sweep.lanes").add(cells.len() as u64);
                     for (index, report) in cells.into_iter().zip(reports) {
@@ -634,12 +640,13 @@ impl<'a> ScenarioSweep<'a> {
                             return;
                         }
                     }
-                });
+                }));
             }
             drop(tx);
             for result in rx {
                 on_result(result);
             }
+            crate::join_workers(handles);
         });
     }
 }
@@ -867,6 +874,7 @@ impl SweepReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::panics::{panic_message, Boom};
     use crate::scenario::Scenario;
     use wattroute_market::time::{HourRange, SimHour};
     use wattroute_routing::allocation::Allocation;
@@ -913,6 +921,33 @@ mod tests {
                 .execute(&mut PriceConsciousPolicy::with_distance_threshold(*t), RunOptions::new());
             assert_eq!(&report.runs[i + 1].report, &sequential, "threshold {t}");
         }
+    }
+
+    #[test]
+    fn a_worker_panic_reaches_the_caller_with_its_own_payload() {
+        let s = short_scenario();
+        let mut sweep = ScenarioSweep::new(&s.clusters, &s.trace, &s.prices).with_threads(2);
+        sweep.add_point("baseline", s.config.clone(), AkamaiLikePolicy::default);
+        sweep.add_point("boom", s.config.clone(), || Boom::on_call(20));
+        sweep.add_point("pc", s.config.clone(), || {
+            PriceConsciousPolicy::with_distance_threshold(1500.0)
+        });
+        let message = panic_message(|| drop(sweep.execute(RunOptions::new())));
+        assert_eq!(message, "boom from the policy");
+
+        // A factory that panics while a worker resolves its group under
+        // the cursor's lock: the other worker stops, and the caller sees
+        // the factory's panic.
+        let mut sweep = ScenarioSweep::new(&s.clusters, &s.trace, &s.prices).with_threads(2);
+        sweep.add_point("baseline", s.config.clone(), AkamaiLikePolicy::default);
+        sweep.add_point("bad factory", s.config.clone(), || -> AkamaiLikePolicy {
+            panic!("boom from the factory")
+        });
+        sweep.add_point("pc", s.config.clone(), || {
+            PriceConsciousPolicy::with_distance_threshold(1500.0)
+        });
+        let message = panic_message(|| drop(sweep.execute(RunOptions::new())));
+        assert_eq!(message, "boom from the factory");
     }
 
     #[test]

@@ -15,6 +15,7 @@ use crate::constraints::ConstraintSet;
 use crate::price_conscious::CompiledPreferences;
 use std::any::TypeId;
 use std::borrow::Cow;
+use std::cmp::Reverse;
 use std::marker::PhantomData;
 use std::sync::Arc;
 use wattroute_geo::UsState;
@@ -335,14 +336,16 @@ impl AssignWorkspace {
 /// scratch in `workspace`, and the orders lent by `prefs` (see
 /// [`PreferenceSource`]).
 ///
-/// States are poured in descending demand (a stable sort, so equal
-/// demands keep state order), so large states get first pick of scarce
-/// capacity. Each state's demand fills its candidates in order, up to
-/// each cluster's [`RoutingContext::effective_cap`]. Demand no candidate
-/// can absorb spills onto the cluster with the most remaining ceiling,
-/// and, if every ceiling is exhausted, onto the state's first candidate
-/// regardless: requests must be served somewhere, which mirrors the
-/// paper's treatment of capacity as a soft planning constraint.
+/// Positive-demand states are poured in descending demand, equal demands
+/// in state order, so large states get first pick of scarce capacity;
+/// states with zero or negative demand route nothing. A NaN demand
+/// panics with "finite demand". Each state's demand fills its candidates
+/// in order, up to each cluster's [`RoutingContext::effective_cap`].
+/// Demand no candidate can absorb spills onto the cluster with the most
+/// remaining ceiling, and, if every ceiling is exhausted, onto the
+/// state's first candidate regardless: requests must be served
+/// somewhere, which mirrors the paper's treatment of capacity as a soft
+/// planning constraint.
 ///
 /// When the constraints carry [`TierCaps`](crate::constraints::TierCaps),
 /// each take is also bounded by the candidate's metro and region
@@ -462,15 +465,21 @@ fn pour<H: Headroom, P: PreferenceSource + ?Sized>(
     if place_whole(ctx, &mut room, placements, out, prefs) {
         return;
     }
+    // A positive float's bits order like its value, so descending bits,
+    // then ascending index, is the order a stable descending sort of the
+    // demands gives the positive ones — on exact integer keys, and
+    // without the states that route nothing.
     order.clear();
-    order.extend(0..ctx.states().len());
-    order.sort_by(|&a, &b| ctx.demand[b].partial_cmp(&ctx.demand[a]).expect("finite demand"));
+    for (state, &demand) in ctx.demand.iter().enumerate() {
+        assert!(!demand.is_nan(), "finite demand");
+        if demand > 0.0 {
+            order.push(state);
+        }
+    }
+    order.sort_unstable_by_key(|&state| (Reverse(ctx.demand[state].to_bits()), state));
 
     for &state in order.iter() {
         let mut unserved = ctx.demand[state];
-        if unserved <= 0.0 {
-            continue;
-        }
         let head = prefs.head(state);
         let (first, walked) = (head.first().copied(), head.len());
         fill(head, state, &mut unserved, &mut room, out);
@@ -529,7 +538,7 @@ fn place_whole<H: Headroom, P: PreferenceSource + ?Sized>(
         if demand <= 0.0 {
             continue;
         }
-        // A NaN demand fails its aim; the sorted pour's sort reports it.
+        // A NaN demand fails its aim; the sorted pour reports it.
         match prefs.head(state).first() {
             Some(&first) if room.aim(first, demand) => placements.push((state, first)),
             _ => return false,
@@ -628,6 +637,20 @@ mod tests {
         let ctx = two_state_ctx(&clusters, &geometry, &demand, &prices);
         let allocation = assign_by_preference(&ctx, |_, _| vec![0]);
         assert_eq!(allocation.total_load(), 100.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite demand")]
+    fn a_nan_demand_panics_in_the_sorted_pour() {
+        let clusters = ClusterSet::akamai_like_nine();
+        let states = [UsState::MA, UsState::CA, UsState::TX];
+        // The NaN fails its aim, so the sorted pour runs, and must report
+        // it rather than leave the state out as if it had no demand.
+        let demand = [100.0, f64::NAN, 50.0];
+        let prices = vec![50.0; 9];
+        let geometry = compile(&clusters, &states);
+        let ctx = RoutingContext::new(&clusters, &geometry, &demand, &prices, SimHour(0));
+        let _ = assign_by_preference(&ctx, |_, _| vec![0]);
     }
 
     #[test]

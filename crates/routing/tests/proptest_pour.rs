@@ -5,8 +5,9 @@
 //!
 //! Cases aim demand at ceilings to within 10⁻¹² to 10⁻⁶ of them,
 //! relatively, on either side of the sort-free margin; use caps of `0.0`,
-//! `-0.0` and `∞`, zero and `-0.0` demand and empty preference lists; and
-//! put tier caps that bind only at a metro or only at a region. Each case
+//! `-0.0` and `∞`, zero and `-0.0` demand, tied demands, subnormal
+//! demands and demands near 10³⁰², and empty preference lists; and put
+//! tier caps that bind only at a metro or only at a region. Each case
 //! also checks that the data alone chose the path: the pour skipped its
 //! sort exactly when every aimed total fit its ceiling with the margin.
 
@@ -240,6 +241,36 @@ enum Binding {
     Every,
 }
 
+/// The size of a case's positive demands.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Magnitude {
+    /// Tens to thousands of hits per second.
+    Ordinary,
+    /// Below the smallest normal float.
+    Subnormal,
+    /// Within a few powers of ten of the largest float: 51 of them still
+    /// sum, and scale by a ceiling's offset, without overflow.
+    Huge,
+    /// Each demand one of the above.
+    Mixed,
+}
+
+impl Magnitude {
+    const ALL: [Magnitude; 4] =
+        [Magnitude::Ordinary, Magnitude::Subnormal, Magnitude::Huge, Magnitude::Mixed];
+
+    fn draw(self, draws: &mut Draws) -> f64 {
+        match self {
+            Magnitude::Ordinary => 10.0 + 5_000.0 * draws.unit(),
+            Magnitude::Subnormal => f64::from_bits(1 + draws.next() % ((1 << 52) - 1)),
+            Magnitude::Huge => 1.0e300 * (1.0 + 99.0 * draws.unit()),
+            Magnitude::Mixed => draws
+                .pick(&[Magnitude::Ordinary, Magnitude::Subnormal, Magnitude::Huge])
+                .draw(draws),
+        }
+    }
+}
+
 /// Relative offsets of a ceiling from the demand aimed at it: inside,
 /// at and outside the sort-free margin of 10⁻⁹, and far from it.
 const OFFSETS: [f64; 13] =
@@ -303,11 +334,17 @@ proptest! {
             head_len.push(if len == 0 { 0 } else { 1 + draws.below(len) });
             lists.push(all);
         }
+        // Demands of one magnitude per case — ordinary, subnormal, near
+        // the top of the float range, or all three mixed — with ties drawn
+        // from a pool of three values.
+        let magnitude = draws.pick(&Magnitude::ALL);
+        let pool: Vec<f64> = (0..3).map(|_| magnitude.draw(&mut draws)).collect();
         let demand: Vec<f64> = (0..n_states)
             .map(|_| match draws.below(8) {
                 0 => 0.0,
                 1 => -0.0,
-                _ => 10.0 + 5_000.0 * draws.unit(),
+                2 | 3 => draws.pick(&pool),
+                _ => magnitude.draw(&mut draws),
             })
             .collect();
 
