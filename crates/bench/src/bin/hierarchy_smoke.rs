@@ -3,10 +3,12 @@
 //!
 //! CI runs this twice in `--release`: a 200-site two-month tree as the
 //! fast gate, and the acceptance-scale 1000-site two-year replay that must
-//! finish in single-digit seconds. Prints one JSON summary line on stdout
-//! (site/metro/region counts, total cost, elapsed seconds, mode) so the
-//! numbers land in the job log; exits non-zero if `--budget-secs` is
-//! exceeded or if the sharded and sequential replays disagree.
+//! finish in single-digit seconds. Prints one JSON summary line per replay
+//! on stdout (site/metro/region counts, total cost, elapsed seconds,
+//! set-up seconds, mode) so the numbers land in the job log; exits
+//! non-zero if the sharded and sequential replays disagree, or if
+//! `--budget-secs` is exceeded by a replay or by the set-up: building the
+//! topology and generating the trace and prices, timed together.
 //!
 //! ```text
 //! hierarchy_smoke [--sites N] [--days D] [--seed N] [--budget-secs S]
@@ -14,7 +16,8 @@
 //! ```
 //!
 //! `--mode both` (the default) runs sequential then sharded and asserts
-//! bit-identity between them; the budget applies to each run separately.
+//! bit-identity between them; the budget applies to the set-up and to each
+//! run separately.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -41,6 +44,7 @@ fn summary_line(
     topology: &Topology,
     report: &SimulationReport,
     elapsed_secs: f64,
+    setup_secs: f64,
 ) -> JsonValue {
     json::object([
         ("mode", JsonValue::String(mode.to_string())),
@@ -52,7 +56,19 @@ fn summary_line(
         ("total_energy_mwh", JsonValue::Number(report.total_energy_mwh)),
         ("tier_rollup", JsonValue::Bool(report.tiers.is_some())),
         ("elapsed_secs", JsonValue::Number(elapsed_secs)),
+        ("setup_secs", JsonValue::Number(setup_secs)),
     ])
+}
+
+/// Whether `secs` exceeds the budget, if there is one; says so on stderr.
+fn exceeds_budget(budget_secs: Option<f64>, what: &str, secs: f64) -> bool {
+    match budget_secs {
+        Some(budget) if secs > budget => {
+            eprintln!("hierarchy_smoke: {what} took {secs:.2}s > budget {budget}s");
+            true
+        }
+        _ => false,
+    }
 }
 
 fn main() -> ExitCode {
@@ -69,31 +85,29 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
+    let setup = Instant::now();
     let topology = Topology::synthetic(seed, sites).with_tier_slack(1.1);
     let start = SimHour::from_date(2007, 1, 1);
     let range = HourRange::new(start, start.plus_hours(days * 24));
+    let trace =
+        SyntheticWorkloadConfig { seed, ..SyntheticWorkloadConfig::default() }.generate(range);
+    let prices = PriceGenerator::new(MarketModel::calibrated(), seed).realtime_hourly(range);
+    let setup_secs = setup.elapsed().as_secs_f64();
     eprintln!(
-        "hierarchy_smoke: {} sites / {} metros / {} regions, {days} days ({} steps), seed {seed}",
+        "hierarchy_smoke: {} sites / {} metros / {} regions, {days} days ({} steps), seed {seed}, \
+         set up in {setup_secs:.2}s",
         topology.num_sites(),
         topology.num_metros(),
         topology.num_regions(),
         days * 12 * 24,
     );
-    let trace =
-        SyntheticWorkloadConfig { seed, ..SyntheticWorkloadConfig::default() }.generate(range);
-    let prices = PriceGenerator::new(MarketModel::calibrated(), seed).realtime_hourly(range);
     let config = SimulationConfig::default().with_reallocation_interval(12);
     let replay = HierarchicalReplay::new(&topology, &trace, &prices, config);
 
-    let mut over_budget = false;
+    let mut over_budget = exceeds_budget(budget_secs, "set-up", setup_secs);
     let mut timed = |label: &str, report: &SimulationReport, elapsed: f64| {
-        println!("{}", summary_line(label, &topology, report, elapsed));
-        if let Some(budget) = budget_secs {
-            if elapsed > budget {
-                eprintln!("hierarchy_smoke: {label} replay took {elapsed:.2}s > budget {budget}s");
-                over_budget = true;
-            }
-        }
+        println!("{}", summary_line(label, &topology, report, elapsed, setup_secs));
+        over_budget |= exceeds_budget(budget_secs, &format!("{label} replay"), elapsed);
     };
 
     let mut sequential: Option<SimulationReport> = None;

@@ -244,7 +244,7 @@ impl<'a> HierarchicalReplay<'a> {
                 }
             }
             for (d, (&owner, &demand)) in
-                masked_demand.iter_mut().zip(owners.iter().zip(&steps[i].us_demand))
+                masked_demand.iter_mut().zip(owners.iter().zip(steps[i].us_demand.iter()))
             {
                 *d = if owner == region { demand } else { 0.0 };
             }

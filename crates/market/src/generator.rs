@@ -172,6 +172,7 @@ impl PriceGenerator {
         let mut per_hub: Vec<Vec<f64>> = vec![Vec::with_capacity(n_hours); self.model.hubs.len()];
 
         for hour in range.iter() {
+            let year_fraction = hour.year_fraction();
             let fuel = self.model.fuel.deterministic(hour) + fuel_noise.step(&mut rng);
             // Advance shared regional factors once per hour.
             let regional_values: Vec<f64> =
@@ -200,7 +201,7 @@ impl PriceGenerator {
             for (i, params) in self.model.hubs.iter().enumerate() {
                 let rto = hubs::hub(params.hub).rto;
                 let rto_idx = rtos.iter().position(|r| *r == rto).expect("rto present");
-                let seasonal = params.seasonal.factor(hour.year_fraction());
+                let seasonal = params.seasonal.factor(year_fraction);
                 let demand = demand_factor(params, hour);
                 let deterministic = params.base_price * fuel * seasonal * demand;
 

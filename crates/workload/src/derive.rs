@@ -15,6 +15,7 @@
 
 use crate::trace::{Trace, TraceStep, STEPS_PER_HOUR};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use wattroute_geo::UsState;
 use wattroute_market::time::HourRange;
 #[cfg(test)]
@@ -28,8 +29,9 @@ const HOURS_PER_WEEK: usize = 168;
 pub struct WeeklyProfile {
     /// Client states, defining the column order.
     pub states: Vec<UsState>,
-    /// `profile[hour_of_week][state_index]` = average hits/second.
-    profile: Vec<Vec<f64>>,
+    /// `profile[hour_of_week][state_index]` = average hits/second; every
+    /// replayed step of an hour of the week shares its row.
+    profile: Vec<Arc<[f64]>>,
     /// Average non-US demand per hour of week.
     non_us: Vec<f64>,
 }
@@ -81,6 +83,10 @@ impl WeeklyProfile {
     /// 5-minute trace in which every step of an hour carries that hour's
     /// average demand. This is the synthetic workload used for the 39-month
     /// simulations (§6.3).
+    ///
+    /// The trace holds the profile's 168 rows, not a copy per step: every
+    /// step of one hour of the week, in every week, shares that hour's row
+    /// (and a 39-month replay's 341 568 steps share 168 rows).
     pub fn replay(&self, range: HourRange) -> Trace {
         let mut steps = Vec::with_capacity(range.len_hours() as usize * STEPS_PER_HOUR);
         for hour in range.iter() {
@@ -88,7 +94,7 @@ impl WeeklyProfile {
             let row = &self.profile[how];
             let non_us = self.non_us[how];
             for _ in 0..STEPS_PER_HOUR {
-                steps.push(TraceStep { us_demand: row.clone(), non_us_hits_per_sec: non_us });
+                steps.push(TraceStep { us_demand: Arc::clone(row), non_us_hits_per_sec: non_us });
             }
         }
         Trace::new(range.start, self.states.clone(), steps)
@@ -160,6 +166,45 @@ mod tests {
         for i in 0..week_steps {
             assert!((us[i] - us[i + week_steps]).abs() < 1e-6);
         }
+    }
+
+    #[test]
+    fn replayed_steps_share_one_row_per_hour_of_week() {
+        // One week of two states fills every hour of the week, cheaply.
+        let start = SimHour::from_date(2007, 1, 1);
+        let base = SyntheticWorkloadConfig::default().generate_for_states(
+            HourRange::new(start, start.plus_hours(168)),
+            vec![UsState::CA, UsState::NY],
+        );
+        let profile = WeeklyProfile::from_trace(&base).unwrap();
+        let range = HourRange::new(start, start.plus_hours(2 * 168));
+        let replayed = profile.replay(range);
+
+        // Every step of an hour of the week, in both weeks, holds that
+        // hour's row itself, and the trace holds 168 rows in all.
+        let mut rows = std::collections::BTreeSet::new();
+        for (i, step) in replayed.steps().iter().enumerate() {
+            let how = replayed.step_hour(i).hour_of_week() as usize;
+            assert!(Arc::ptr_eq(&step.us_demand, &profile.profile[how]), "step {i}");
+            rows.insert(Arc::as_ptr(&step.us_demand).cast::<f64>());
+        }
+        assert_eq!(rows.len(), HOURS_PER_WEEK);
+
+        // Equal, value for value, to the same replay with a copy of the row
+        // in every step.
+        let mut copies = Vec::new();
+        for hour in range.iter() {
+            let how = hour.hour_of_week() as usize;
+            for _ in 0..STEPS_PER_HOUR {
+                copies.push(TraceStep {
+                    us_demand: profile.profile[how].to_vec().into(),
+                    non_us_hits_per_sec: profile.non_us[how],
+                });
+            }
+        }
+        let copied = Trace::new(range.start, profile.states.clone(), copies);
+        assert!(!Arc::ptr_eq(&copied.steps()[0].us_demand, &replayed.steps()[0].us_demand));
+        assert_eq!(replayed, copied);
     }
 
     #[test]

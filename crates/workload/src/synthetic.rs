@@ -76,6 +76,12 @@ impl SyntheticWorkloadConfig {
     }
 
     /// Generate a trace for a specific set of client states.
+    ///
+    /// The cost is linear in the trace's length: one Box–Muller draw per
+    /// sample (each state at each step, plus the step's non-US demand),
+    /// and per sample only the flash crowds of its state whose window
+    /// covers its step. The diurnal shape is read from a table of the
+    /// 24 × 12 (local hour, step-in-hour) points a sample can fall on.
     pub fn generate_for_states(&self, range: HourRange, states: Vec<UsState>) -> Trace {
         assert!(!states.is_empty(), "need at least one client state");
         let mut rng = StdRng::seed_from_u64(self.seed);
@@ -89,65 +95,70 @@ impl SyntheticWorkloadConfig {
         // Scale so that the US total peaks at roughly us_fraction * peak.
         // The diurnal shape peaks at 1.0, so the scale is simply the target
         // US peak (flash crowds and noise push individual samples slightly
-        // above it, as in the real trace).
+        // above it, as in the real trace). Each state's scale is the
+        // leftmost factor of its demand product.
         let us_peak_target = self.peak_global_hits_per_sec * self.us_fraction;
+        let scales: Vec<f64> = shares.iter().map(|share| us_peak_target * share).collect();
 
-        // Pre-plan flash crowds: (step index, state index, amplitude).
+        // Pre-plan flash crowds, filed under the state each one hits.
         let expected_crowds = self.flash_crowds_per_day * range.len_hours() as f64 / 24.0;
         let n_crowds = expected_crowds.round() as usize;
-        let crowds: Vec<(usize, usize, f64)> = (0..n_crowds)
-            .map(|_| {
-                (
-                    rng.gen_range(0..n_steps.max(1)),
-                    rng.gen_range(0..states.len()),
-                    self.flash_crowd_amplitude * (0.5 + rng.gen::<f64>()),
-                )
+        let mut windows: Vec<CrowdWindow> = states.iter().map(|_| CrowdWindow::default()).collect();
+        for order in 0..n_crowds {
+            let step = rng.gen_range(0..n_steps.max(1));
+            let state = rng.gen_range(0..states.len());
+            let amplitude = self.flash_crowd_amplitude * (0.5 + rng.gen::<f64>());
+            windows[state].planned.push(FlashCrowd { order, step, amplitude });
+        }
+        for window in &mut windows {
+            // Stable, so crowds on one step stay in plan order.
+            window.planned.sort_by_key(|crowd| crowd.step);
+        }
+
+        // The diurnal shape at each (local hour, step-in-hour) point a
+        // sample can fall on, from the argument a direct call would get.
+        let diurnal: Vec<f64> = (0..24 * STEPS_PER_HOUR)
+            .map(|i| {
+                let minute_frac = (i % STEPS_PER_HOUR) as f64 / STEPS_PER_HOUR as f64;
+                self.diurnal_shape((i / STEPS_PER_HOUR) as f64 + minute_frac)
             })
             .collect();
 
         let mut steps = Vec::with_capacity(n_steps);
-        for step_idx in 0..n_steps {
-            let hour = SimHour(range.start.0 + (step_idx / STEPS_PER_HOUR) as u64);
-            let minute_frac = (step_idx % STEPS_PER_HOUR) as f64 / STEPS_PER_HOUR as f64;
-
+        for (hour_idx, hour) in range.iter().enumerate() {
             let holiday = self.holiday_factor(hour);
             let weekend = if hour.is_weekend() { self.weekend_multiplier } else { 1.0 };
-
-            let mut us_demand = Vec::with_capacity(states.len());
-            for (state_idx, state) in states.iter().enumerate() {
-                let local_hour =
-                    hour.hour_of_day_local(state.utc_offset_hours()) as f64 + minute_frac;
-                let diurnal = self.diurnal_shape(local_hour);
-                let noise =
-                    (1.0 + self.noise_sigma * crate::synthetic::gaussian(&mut rng)).max(0.0);
-                let mut demand =
-                    us_peak_target * shares[state_idx] * diurnal * weekend * holiday * noise;
-                // Apply any flash crowd affecting this state near this step.
-                for &(crowd_step, crowd_state, amplitude) in &crowds {
-                    if crowd_state == state_idx {
-                        let distance = (step_idx as f64 - crowd_step as f64).abs();
-                        // Flash crowds ramp up and decay over about two hours.
-                        let width = 24.0;
-                        if distance < width * 4.0 {
-                            demand *= 1.0
-                                + amplitude * (-distance * distance / (2.0 * width * width)).exp();
+            for in_hour in 0..STEPS_PER_HOUR {
+                let step_idx = hour_idx * STEPS_PER_HOUR + in_hour;
+                let us_demand = states
+                    .iter()
+                    .zip(&scales)
+                    .zip(&mut windows)
+                    .map(|((state, scale), window)| {
+                        let local_hour = hour.hour_of_day_local(state.utc_offset_hours()) as usize;
+                        let diurnal = diurnal[local_hour * STEPS_PER_HOUR + in_hour];
+                        let noise = (1.0 + self.noise_sigma * gaussian(&mut rng)).max(0.0);
+                        let mut demand = scale * diurnal * weekend * holiday * noise;
+                        for crowd in window.covering(step_idx) {
+                            demand *= crowd.factor(step_idx);
                         }
-                    }
-                }
-                us_demand.push(demand);
+                        demand
+                    })
+                    .collect();
+
+                // Non-US demand mixes many time zones (Europe + Asia), so it
+                // is much flatter than the US curve and keeps the global
+                // series elevated around the clock, as in Figure 14.
+                let minute_frac = in_hour as f64 / STEPS_PER_HOUR as f64;
+                let overseas_local = (hour.hour_of_day_eastern() as f64 + minute_frac + 7.0) % 24.0;
+                let non_us = self.peak_global_hits_per_sec
+                    * (1.0 - self.us_fraction)
+                    * (0.70 + 0.30 * self.diurnal_shape(overseas_local))
+                    * holiday
+                    * (1.0 + self.noise_sigma * gaussian(&mut rng)).max(0.0);
+
+                steps.push(TraceStep { us_demand, non_us_hits_per_sec: non_us });
             }
-
-            // Non-US demand mixes many time zones (Europe + Asia), so it is
-            // much flatter than the US curve and keeps the global series
-            // elevated around the clock, as in Figure 14.
-            let overseas_local = (hour.hour_of_day_eastern() as f64 + minute_frac + 7.0) % 24.0;
-            let non_us = self.peak_global_hits_per_sec
-                * (1.0 - self.us_fraction)
-                * (0.70 + 0.30 * self.diurnal_shape(overseas_local))
-                * holiday
-                * (1.0 + self.noise_sigma * gaussian(&mut rng)).max(0.0);
-
-            steps.push(TraceStep { us_demand, non_us_hits_per_sec: non_us });
         }
 
         Trace::new(range.start, states, steps)
@@ -177,6 +188,63 @@ impl SyntheticWorkloadConfig {
     }
 }
 
+/// Flash crowds ramp up and decay over about two hours: a Gaussian bump
+/// of this width, in steps.
+const CROWD_WIDTH_STEPS: f64 = 24.0;
+
+/// A crowd's window: it multiplies the samples of its state fewer than
+/// this many steps (four widths) from its peak, and no others.
+const CROWD_REACH_STEPS: usize = 4 * CROWD_WIDTH_STEPS as usize;
+
+/// One planned flash crowd.
+#[derive(Debug, Clone, Copy)]
+struct FlashCrowd {
+    /// Position in the plan: overlapping crowds multiply a sample in this
+    /// order.
+    order: usize,
+    /// The step it peaks at.
+    step: usize,
+    /// Relative amplitude at the peak.
+    amplitude: f64,
+}
+
+impl FlashCrowd {
+    /// The multiplier this crowd applies at `step`, within its window.
+    fn factor(&self, step: usize) -> f64 {
+        let distance = (step as f64 - self.step as f64).abs();
+        let width = CROWD_WIDTH_STEPS;
+        1.0 + self.amplitude * (-distance * distance / (2.0 * width * width)).exp()
+    }
+}
+
+/// One state's planned flash crowds, scanned in step order.
+#[derive(Debug, Default)]
+struct CrowdWindow {
+    /// Every crowd, by step (crowds on one step in plan order).
+    planned: Vec<FlashCrowd>,
+    /// How many of `planned` have entered the window.
+    entered: usize,
+    /// The crowds whose window covers the current step, in plan order.
+    covering: Vec<FlashCrowd>,
+}
+
+impl CrowdWindow {
+    /// Move to `step`, which must not decrease from one call to the next,
+    /// and return the crowds whose window covers it in plan order.
+    fn covering(&mut self, step: usize) -> &[FlashCrowd] {
+        while let Some(&crowd) = self.planned.get(self.entered) {
+            if crowd.step >= step + CROWD_REACH_STEPS {
+                break;
+            }
+            let at = self.covering.partition_point(|c| c.order < crowd.order);
+            self.covering.insert(at, crowd);
+            self.entered += 1;
+        }
+        self.covering.retain(|crowd| crowd.step + CROWD_REACH_STEPS > step);
+        &self.covering
+    }
+}
+
 /// Standard normal sample (module-private helper; Box-Muller).
 fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     let u1: f64 = 1.0 - rng.gen::<f64>();
@@ -188,6 +256,163 @@ fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 mod tests {
     use super::*;
     use wattroute_stats as stats;
+
+    /// The generator before its crowd windows and diurnal table, kept
+    /// verbatim (but for its name and the row's conversion into a shared
+    /// row) as the reference the current one must match bit for bit. It
+    /// tests every planned crowd against every sample.
+    impl SyntheticWorkloadConfig {
+        fn reference_generate_for_states(&self, range: HourRange, states: Vec<UsState>) -> Trace {
+            assert!(!states.is_empty(), "need at least one client state");
+            let mut rng = StdRng::seed_from_u64(self.seed);
+            let n_steps = (range.len_hours() as usize) * STEPS_PER_HOUR;
+
+            // Population shares renormalised over the selected states.
+            let raw_shares: Vec<f64> = states.iter().map(|s| population_share(*s)).collect();
+            let share_sum: f64 = raw_shares.iter().sum();
+            let shares: Vec<f64> = raw_shares.iter().map(|s| s / share_sum).collect();
+
+            // Scale so that the US total peaks at roughly us_fraction * peak.
+            // The diurnal shape peaks at 1.0, so the scale is simply the target
+            // US peak (flash crowds and noise push individual samples slightly
+            // above it, as in the real trace).
+            let us_peak_target = self.peak_global_hits_per_sec * self.us_fraction;
+
+            // Pre-plan flash crowds: (step index, state index, amplitude).
+            let expected_crowds = self.flash_crowds_per_day * range.len_hours() as f64 / 24.0;
+            let n_crowds = expected_crowds.round() as usize;
+            let crowds: Vec<(usize, usize, f64)> = (0..n_crowds)
+                .map(|_| {
+                    (
+                        rng.gen_range(0..n_steps.max(1)),
+                        rng.gen_range(0..states.len()),
+                        self.flash_crowd_amplitude * (0.5 + rng.gen::<f64>()),
+                    )
+                })
+                .collect();
+
+            let mut steps = Vec::with_capacity(n_steps);
+            for step_idx in 0..n_steps {
+                let hour = SimHour(range.start.0 + (step_idx / STEPS_PER_HOUR) as u64);
+                let minute_frac = (step_idx % STEPS_PER_HOUR) as f64 / STEPS_PER_HOUR as f64;
+
+                let holiday = self.holiday_factor(hour);
+                let weekend = if hour.is_weekend() { self.weekend_multiplier } else { 1.0 };
+
+                let mut us_demand = Vec::with_capacity(states.len());
+                for (state_idx, state) in states.iter().enumerate() {
+                    let local_hour =
+                        hour.hour_of_day_local(state.utc_offset_hours()) as f64 + minute_frac;
+                    let diurnal = self.diurnal_shape(local_hour);
+                    let noise =
+                        (1.0 + self.noise_sigma * crate::synthetic::gaussian(&mut rng)).max(0.0);
+                    let mut demand =
+                        us_peak_target * shares[state_idx] * diurnal * weekend * holiday * noise;
+                    // Apply any flash crowd affecting this state near this step.
+                    for &(crowd_step, crowd_state, amplitude) in &crowds {
+                        if crowd_state == state_idx {
+                            let distance = (step_idx as f64 - crowd_step as f64).abs();
+                            // Flash crowds ramp up and decay over about two hours.
+                            let width = 24.0;
+                            if distance < width * 4.0 {
+                                demand *= 1.0
+                                    + amplitude
+                                        * (-distance * distance / (2.0 * width * width)).exp();
+                            }
+                        }
+                    }
+                    us_demand.push(demand);
+                }
+
+                // Non-US demand mixes many time zones (Europe + Asia), so it is
+                // much flatter than the US curve and keeps the global series
+                // elevated around the clock, as in Figure 14.
+                let overseas_local = (hour.hour_of_day_eastern() as f64 + minute_frac + 7.0) % 24.0;
+                let non_us = self.peak_global_hits_per_sec
+                    * (1.0 - self.us_fraction)
+                    * (0.70 + 0.30 * self.diurnal_shape(overseas_local))
+                    * holiday
+                    * (1.0 + self.noise_sigma * gaussian(&mut rng)).max(0.0);
+
+                steps.push(TraceStep { us_demand: us_demand.into(), non_us_hits_per_sec: non_us });
+            }
+
+            Trace::new(range.start, states, steps)
+        }
+    }
+
+    /// Generate with both generators and compare every sample's and every
+    /// non-US value's bits.
+    fn assert_matches_reference(
+        cfg: SyntheticWorkloadConfig,
+        range: HourRange,
+        states: &[UsState],
+    ) {
+        let expected = cfg.reference_generate_for_states(range, states.to_vec());
+        let actual = cfg.generate_for_states(range, states.to_vec());
+        assert_eq!((actual.start, &actual.states), (expected.start, &expected.states));
+        assert_eq!(actual.num_steps(), expected.num_steps());
+        let bits = |row: &[f64]| row.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+        for (i, (a, e)) in actual.steps().iter().zip(expected.steps()).enumerate() {
+            assert_eq!(bits(&a.us_demand), bits(&e.us_demand), "step {i} of {cfg:?}");
+            assert_eq!(
+                a.non_us_hits_per_sec.to_bits(),
+                e.non_us_hits_per_sec.to_bits(),
+                "step {i} of {cfg:?}"
+            );
+        }
+    }
+
+    fn days_from(year: u32, month: u32, day: u32, days: u64) -> HourRange {
+        let start = SimHour::from_date(year, month, day);
+        HourRange::new(start, start.plus_hours(days * 24))
+    }
+
+    /// One client state per continental time zone, plus Alaska and Hawaii.
+    const SPREAD: [UsState; 6] =
+        [UsState::NY, UsState::IL, UsState::CO, UsState::CA, UsState::AK, UsState::HI];
+
+    #[test]
+    fn generator_matches_the_reference_bit_for_bit() {
+        let all: Vec<UsState> = UsState::all().collect();
+        for seed in [2009, 7, 0] {
+            for crowds in [0.0, 1.5] {
+                let cfg = SyntheticWorkloadConfig {
+                    seed,
+                    flash_crowds_per_day: crowds,
+                    ..Default::default()
+                };
+                // One day, every state.
+                assert_matches_reference(cfg, days_from(2006, 1, 1, 1), &all);
+                // Two states.
+                assert_matches_reference(
+                    cfg,
+                    days_from(2007, 1, 1, 3),
+                    &[UsState::CA, UsState::NY],
+                );
+            }
+            let cfg = SyntheticWorkloadConfig { seed, ..Default::default() };
+            // The 24-day window, across the Dec 23 – Jan 2 dip.
+            assert_matches_reference(cfg, HourRange::akamai_24_days(), &SPREAD);
+            // A few days from 2007-01-01, out of the dip on Jan 3.
+            assert_matches_reference(cfg, days_from(2007, 1, 1, 3), &all);
+        }
+    }
+
+    #[test]
+    fn dense_overlapping_crowds_match_the_reference_bit_for_bit() {
+        // At 100 crowds a day each state's windows overlap, so one sample
+        // multiplies several crowds, and crowds land within reach of both
+        // ends of the trace.
+        let all: Vec<UsState> = UsState::all().collect();
+        for seed in [2009, 7, 0] {
+            let cfg =
+                SyntheticWorkloadConfig { seed, flash_crowds_per_day: 100.0, ..Default::default() };
+            assert_matches_reference(cfg, days_from(2008, 12, 31, 1), &all);
+            assert_matches_reference(cfg, days_from(2007, 1, 1, 2), &SPREAD[..4]);
+            assert_matches_reference(cfg, days_from(2007, 1, 1, 2), &[UsState::CA, UsState::NY]);
+        }
+    }
 
     fn akamai_trace() -> Trace {
         SyntheticWorkloadConfig::default().generate(HourRange::akamai_24_days())

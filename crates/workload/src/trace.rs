@@ -10,6 +10,7 @@
 
 use crate::cluster::ClusterSet;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use wattroute_geo::UsState;
 use wattroute_market::time::{HourRange, SimHour};
 
@@ -23,7 +24,13 @@ pub const STEPS_PER_HOUR: usize = 12;
 pub struct TraceStep {
     /// Demand per US state in hits/second, indexed in the order of
     /// [`Trace::states`].
-    pub us_demand: Vec<f64>,
+    ///
+    /// Rows may be shared: every step of one hour of the week in a
+    /// [`WeeklyProfile::replay`](crate::derive::WeeklyProfile::replay)
+    /// points at one row, and clones and [`Trace::slice`]s share their
+    /// source's rows. Read a row as `&[f64]` (`&step.us_demand` coerces);
+    /// equality compares values, not allocations.
+    pub us_demand: Arc<[f64]>,
     /// Demand originating outside the US in hits/second (not routed by the
     /// simulator; shown in Figure 14 only).
     pub non_us_hits_per_sec: f64,
@@ -54,22 +61,35 @@ pub struct Trace {
 impl Trace {
     /// Build a trace from explicit steps.
     ///
+    /// Every step's non-US demand is checked, and so is every step's
+    /// `us_demand` row, except a row that is the same allocation
+    /// ([`Arc::ptr_eq`]) as the previous step's: that one was checked a
+    /// step earlier. A shared row that recurs after a different one is
+    /// checked again.
+    ///
     /// # Panics
     /// Panics if any step's `us_demand` length differs from the state list,
     /// or contains negative or non-finite values.
     pub fn new(start: SimHour, states: Vec<UsState>, steps: Vec<TraceStep>) -> Self {
+        let mut checked: Option<&Arc<[f64]>> = None;
         for (i, step) in steps.iter().enumerate() {
-            assert_eq!(
-                step.us_demand.len(),
-                states.len(),
-                "step {i} has {} demand entries for {} states",
-                step.us_demand.len(),
-                states.len()
-            );
+            let row = &step.us_demand;
+            if !checked.is_some_and(|previous| Arc::ptr_eq(previous, row)) {
+                assert_eq!(
+                    row.len(),
+                    states.len(),
+                    "step {i} has {} demand entries for {} states",
+                    row.len(),
+                    states.len()
+                );
+                assert!(
+                    row.iter().all(|d| d.is_finite() && *d >= 0.0),
+                    "step {i} contains negative or non-finite demand"
+                );
+                checked = Some(row);
+            }
             assert!(
-                step.us_demand.iter().all(|d| d.is_finite() && *d >= 0.0)
-                    && step.non_us_hits_per_sec.is_finite()
-                    && step.non_us_hits_per_sec >= 0.0,
+                step.non_us_hits_per_sec.is_finite() && step.non_us_hits_per_sec >= 0.0,
                 "step {i} contains negative or non-finite demand"
             );
         }
@@ -201,7 +221,7 @@ mod tests {
         let states = vec![UsState::MA, UsState::CA];
         let steps = (0..24)
             .map(|i| TraceStep {
-                us_demand: vec![100.0 + i as f64, 300.0],
+                us_demand: vec![100.0 + i as f64, 300.0].into(),
                 non_us_hits_per_sec: 50.0,
             })
             .collect();
@@ -247,8 +267,10 @@ mod tests {
         let sub = t.slice(HourRange::new(SimHour(11), SimHour(12)));
         assert_eq!(sub.num_steps(), 12);
         assert_eq!(sub.start, SimHour(11));
-        // Values come from the second hour of the original trace.
+        // Values come from the second hour of the original trace, and the
+        // slice shares its rows.
         assert!((sub.steps()[0].us_demand[0] - 112.0).abs() < 1e-9);
+        assert!(Arc::ptr_eq(&sub.steps()[0].us_demand, &t.steps()[12].us_demand));
     }
 
     #[test]
@@ -273,7 +295,7 @@ mod tests {
         let _ = Trace::new(
             SimHour(0),
             vec![UsState::MA],
-            vec![TraceStep { us_demand: vec![1.0, 2.0], non_us_hits_per_sec: 0.0 }],
+            vec![TraceStep { us_demand: vec![1.0, 2.0].into(), non_us_hits_per_sec: 0.0 }],
         );
     }
 
@@ -283,8 +305,61 @@ mod tests {
         let _ = Trace::new(
             SimHour(0),
             vec![UsState::MA],
-            vec![TraceStep { us_demand: vec![-1.0], non_us_hits_per_sec: 0.0 }],
+            vec![TraceStep { us_demand: vec![-1.0].into(), non_us_hits_per_sec: 0.0 }],
         );
+    }
+
+    /// A one-state trace whose steps carry `rows` (shared where the caller
+    /// passes one `Arc` twice) and no non-US demand.
+    fn one_state_trace(rows: &[&Arc<[f64]>]) -> Trace {
+        let steps = rows
+            .iter()
+            .map(|row| TraceStep { us_demand: Arc::clone(row), non_us_hits_per_sec: 0.0 })
+            .collect();
+        Trace::new(SimHour(0), vec![UsState::MA], steps)
+    }
+
+    #[test]
+    #[should_panic(expected = "step 1 contains negative or non-finite demand")]
+    fn a_bad_row_shared_by_consecutive_steps_panics() {
+        let good: Arc<[f64]> = Arc::from([1.0]);
+        let bad: Arc<[f64]> = Arc::from([f64::NAN]);
+        one_state_trace(&[&good, &bad, &bad]);
+    }
+
+    #[test]
+    #[should_panic(expected = "step 2 contains negative or non-finite demand")]
+    fn a_later_distinct_bad_row_panics() {
+        let good: Arc<[f64]> = Arc::from([1.0]);
+        let bad: Arc<[f64]> = Arc::from([-1.0]);
+        one_state_trace(&[&good, &good, &bad]);
+    }
+
+    #[test]
+    #[should_panic(expected = "step 1 has 2 demand entries for 1 states")]
+    fn a_wide_row_shared_by_consecutive_steps_panics() {
+        let good: Arc<[f64]> = Arc::from([1.0]);
+        let wide: Arc<[f64]> = Arc::from([1.0, 2.0]);
+        one_state_trace(&[&good, &wide, &wide]);
+    }
+
+    #[test]
+    #[should_panic(expected = "step 2 has 2 demand entries for 1 states")]
+    fn a_later_distinct_wide_row_panics() {
+        let good: Arc<[f64]> = Arc::from([1.0]);
+        let wide: Arc<[f64]> = Arc::from([1.0, 2.0]);
+        one_state_trace(&[&good, &good, &wide]);
+    }
+
+    #[test]
+    #[should_panic(expected = "step 1 contains negative or non-finite demand")]
+    fn non_us_demand_is_checked_on_a_shared_row() {
+        let row: Arc<[f64]> = Arc::from([1.0]);
+        let steps = [0.0, f64::INFINITY]
+            .into_iter()
+            .map(|non_us| TraceStep { us_demand: Arc::clone(&row), non_us_hits_per_sec: non_us })
+            .collect();
+        let _ = Trace::new(SimHour(0), vec![UsState::MA], steps);
     }
 
     #[test]
