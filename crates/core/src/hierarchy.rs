@@ -41,10 +41,12 @@
 //! engine's own, which is what makes a 1000-site multi-year replay finish
 //! in seconds and what makes the equivalences above hold by construction.
 //!
-//! The one departure is the 95th percentile. The tree reads each site's
-//! from a [`SampleReservoir`] (exact up to the capacity, deterministically
-//! decimated beyond) fed from the engine's load runs when the shard ends;
-//! each reservoir lives only while its site's percentile is read.
+//! The one departure is the 95th percentile. When the shard ends, the tree
+//! reads each site's off the engine's load runs from every s-th sample
+//! alone, where s is the stride a decimating reservoir of the replay's
+//! capacity would settle on ([`LoadRuns::percentile_95_every`]): exact
+//! while the trace fits the capacity, deterministically decimated beyond.
+//! No sample is copied; the runs are the only load store.
 
 use crate::engine::{DemandSlice, PriceSlice, SimulationEngine};
 use crate::report::{
@@ -57,7 +59,8 @@ use wattroute_market::price_table::PriceTable;
 use wattroute_market::types::PriceSet;
 use wattroute_routing::constraints::{ConstraintSet, TierCaps};
 use wattroute_routing::policy::RoutingPolicy;
-use wattroute_stats::{OnlineStats, SampleReservoir};
+use wattroute_stats::OnlineStats;
+use wattroute_workload::bandwidth::LoadRuns;
 use wattroute_workload::hierarchy::site_clusters;
 use wattroute_workload::trace::{Trace, STEPS_PER_HOUR};
 use wattroute_workload::ClusterSet;
@@ -67,9 +70,11 @@ use wattroute_workload::ClusterSet;
 /// caches without synchronisation.
 pub type PolicyFactory<'f> = dyn Fn() -> Box<dyn RoutingPolicy> + Sync + 'f;
 
-/// Default per-site load-series reservoir capacity: exact percentiles for
-/// traces up to ~14 days of 5-minute steps, decimated (still deterministic)
-/// beyond.
+/// Default per-site reservoir capacity: how many of a site's five-minute
+/// loads its 95th percentile reads. Exact for traces up to ~14 days of
+/// 5-minute steps; beyond, the percentile reads every s-th load, for the
+/// smallest power of two s that leaves at most this many (still
+/// deterministic).
 pub const DEFAULT_RESERVOIR_CAPACITY: usize = 4096;
 
 /// What one region's shard hands the merge.
@@ -131,9 +136,9 @@ impl<'a> HierarchicalReplay<'a> {
         Self { topology, trace, prices, config, reservoir_capacity: DEFAULT_RESERVOIR_CAPACITY }
     }
 
-    /// Override the per-site load-series reservoir capacity (minimum 2).
-    /// Percentiles are exact while a trace fits the capacity; longer traces
-    /// are decimated deterministically.
+    /// Override the per-site reservoir capacity (minimum 2; see
+    /// [`DEFAULT_RESERVOIR_CAPACITY`]). Percentiles are exact while a trace
+    /// fits the capacity; longer traces are decimated deterministically.
     pub fn with_reservoir_capacity(mut self, capacity: usize) -> Self {
         self.reservoir_capacity = capacity;
         self
@@ -259,11 +264,8 @@ impl<'a> HierarchicalReplay<'a> {
 
         let capacity = self.reservoir_capacity;
         ShardResult {
-            report: engine.report_with(|runs| {
-                let mut reservoir = SampleReservoir::new(capacity);
-                runs.samples().for_each(|load| reservoir.push(load));
-                reservoir.percentile(95.0)
-            }),
+            report: engine
+                .report_with(|runs| runs.percentile_95_every(reservoir_stride(runs, capacity))),
             energy_wh: engine.energy_wh().to_vec(),
             util_stats: engine.util_stats().to_vec(),
         }
@@ -360,6 +362,22 @@ impl<'a> HierarchicalReplay<'a> {
                 .collect(),
         }
     }
+}
+
+/// The stride a decimating reservoir of `capacity` samples (at least 2)
+/// settles on once fed the finite samples of `runs`: the smallest power of
+/// two `s` with ⌈samples / s⌉ ≤ capacity.
+fn reservoir_stride(runs: &LoadRuns, capacity: usize) -> usize {
+    let samples: usize = runs
+        .runs()
+        .filter(|(load, _)| load.is_finite())
+        .map(|(_, count)| usize::try_from(count).expect("a u32 fits in usize"))
+        .sum();
+    let mut stride = 1;
+    while samples.div_ceil(stride) > capacity.max(2) {
+        stride *= 2;
+    }
+    stride
 }
 
 /// Flatten one region's contiguous site range into a deployable

@@ -26,6 +26,9 @@
 //! step; and sweep-24d's grid shape, whose cells share replays across two
 //! energy models, against each cell run alone.
 
+#[path = "../../workload/tests/reservoir/mod.rs"]
+mod reservoir;
+
 use proptest::prelude::*;
 use std::sync::Arc;
 use wattroute::hierarchy::{HierarchicalReplay, DEFAULT_RESERVOIR_CAPACITY};
@@ -39,7 +42,7 @@ use wattroute_routing::constraints::OverflowMode;
 use wattroute_routing::extensions::JointCostPolicy;
 use wattroute_routing::policy::{RoutingContext, RoutingPolicy};
 use wattroute_routing::price_conscious::CompiledPreferences;
-use wattroute_stats::{quantiles, OnlineStats, SampleReservoir};
+use wattroute_stats::{quantiles, OnlineStats};
 use wattroute_workload::bandwidth::{percentile_95, BandwidthProfile};
 use wattroute_workload::hierarchy::single_region_of;
 use wattroute_workload::trace::STEP_SECONDS;
@@ -400,9 +403,8 @@ fn paper_scale_trivial_tree_reads_each_p95_from_a_decimated_reservoir() {
     let mut expected = flat.clone();
     let mut decimated = 0;
     for (cluster, series) in expected.clusters.iter_mut().zip(loads.cluster_loads()) {
-        let mut reservoir = SampleReservoir::new(DEFAULT_RESERVOIR_CAPACITY);
-        series.iter().for_each(|&load| reservoir.push(load));
-        let p95 = reservoir.percentile(95.0).expect("a non-empty series");
+        let (kept, _) = reservoir::decimate(series.iter().copied(), DEFAULT_RESERVOIR_CAPACITY);
+        let p95 = quantiles::percentile(&kept, 95.0).expect("a non-empty series");
         decimated += usize::from(p95.to_bits() != cluster.p95_hits_per_sec.to_bits());
         cluster.p95_hits_per_sec = p95;
     }

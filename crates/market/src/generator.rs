@@ -4,7 +4,7 @@
 //! experiment in the workspace can reproduce exactly the same "historical"
 //! price data set without shipping any proprietary data.
 
-use crate::model::{demand_factor, HubPriceParams, MarketModel};
+use crate::model::{demand_swing, diurnal_shape, HubPriceParams, MarketModel, SeasonalProfile};
 use crate::rng::{exponential, normal, Ar1};
 #[cfg(test)]
 use crate::time::SimHour;
@@ -136,10 +136,13 @@ impl PriceGenerator {
             v.dedup();
             v
         };
-        let mut regional: Vec<Ar1> = rtos
+        let rto_params: Vec<_> = rtos
             .iter()
-            .map(|rto| {
-                let p = self.model.rto_params(*rto).expect("rto params present");
+            .map(|rto| self.model.rto_params(*rto).expect("rto params present"))
+            .collect();
+        let mut regional: Vec<Ar1> = rto_params
+            .iter()
+            .map(|p| {
                 let sigma = match product {
                     Product::RealTime => p.regional_sigma,
                     // The day-ahead market clears on expectations; its
@@ -151,6 +154,17 @@ impl PriceGenerator {
                 ar
             })
             .collect();
+        // Region-wide congestion spike events. The shared-spike rate
+        // scales with each RTO's `shared_spike_fraction`; hubs in RTOs
+        // with a high fraction (e.g. CAISO) see most of their spikes
+        // arrive as region-wide events, which is what couples LA and
+        // Palo Alto so tightly (§3.2).
+        let base_rate = match product {
+            Product::RealTime => 0.040,
+            Product::DayAhead => 0.004,
+        };
+        let shared_spike_rates: Vec<f64> =
+            rto_params.iter().map(|p| base_rate * p.shared_spike_fraction).collect();
 
         // One idiosyncratic factor per hub.
         let mut local: Vec<Ar1> = self
@@ -168,45 +182,64 @@ impl PriceGenerator {
             })
             .collect();
 
+        // What each hub reads every hour, looked up once: its RTO's slot,
+        // its time zone and its seasonal profile's slot.
+        let mut profiles: Vec<SeasonalProfile> = Vec::new();
+        let hub_slots: Vec<HubSlots> = self
+            .model
+            .hubs
+            .iter()
+            .map(|params| {
+                let hub = hubs::hub(params.hub);
+                let profile =
+                    profiles.iter().position(|p| *p == params.seasonal).unwrap_or_else(|| {
+                        profiles.push(params.seasonal);
+                        profiles.len() - 1
+                    });
+                HubSlots {
+                    rto: rtos.iter().position(|r| *r == hub.rto).expect("rto present"),
+                    utc_offset_hours: hub.state.utc_offset_hours(),
+                    profile,
+                }
+            })
+            .collect();
+        let diurnal: [f64; 24] = std::array::from_fn(|local_hour| diurnal_shape(local_hour as u64));
+
         let n_hours = range.len_hours() as usize;
-        let mut per_hub: Vec<Vec<f64>> = vec![Vec::with_capacity(n_hours); self.model.hubs.len()];
+        // One buffer of the range's length per hub (`vec![v; n]` would
+        // clone `v` without its capacity, leaving every hub but the last
+        // to grow by doubling).
+        let mut per_hub: Vec<Vec<f64>> =
+            self.model.hubs.iter().map(|_| Vec::with_capacity(n_hours)).collect();
+        let mut seasonal = vec![0.0; profiles.len()];
+        let mut regional_values = Vec::with_capacity(rtos.len());
+        let mut shared_spikes = Vec::with_capacity(rtos.len());
 
         for hour in range.iter() {
             let year_fraction = hour.year_fraction();
+            for (factor, profile) in seasonal.iter_mut().zip(&profiles) {
+                *factor = profile.factor(year_fraction);
+            }
+            let weekend = hour.is_weekend();
             let fuel = self.model.fuel.deterministic(hour) + fuel_noise.step(&mut rng);
             // Advance shared regional factors once per hour.
-            let regional_values: Vec<f64> =
-                regional.iter_mut().map(|ar| ar.step(&mut rng)).collect();
-            // Region-wide congestion spike events. The shared-spike rate
-            // scales with each RTO's `shared_spike_fraction`; hubs in RTOs
-            // with a high fraction (e.g. CAISO) see most of their spikes
-            // arrive as region-wide events, which is what couples LA and
-            // Palo Alto so tightly (§3.2).
-            let shared_spikes: Vec<f64> = rtos
-                .iter()
-                .map(|rto| {
-                    let p = self.model.rto_params(*rto).expect("rto params present");
-                    let base_rate = match product {
-                        Product::RealTime => 0.040,
-                        Product::DayAhead => 0.004,
-                    };
-                    if rng.gen::<f64>() < base_rate * p.shared_spike_fraction {
-                        exponential(&mut rng, 60.0)
-                    } else {
-                        0.0
-                    }
-                })
-                .collect();
+            regional_values.clear();
+            regional_values.extend(regional.iter_mut().map(|ar| ar.step(&mut rng)));
+            shared_spikes.clear();
+            shared_spikes.extend(shared_spike_rates.iter().map(|&rate| {
+                if rng.gen::<f64>() < rate {
+                    exponential(&mut rng, 60.0)
+                } else {
+                    0.0
+                }
+            }));
 
-            for (i, params) in self.model.hubs.iter().enumerate() {
-                let rto = hubs::hub(params.hub).rto;
-                let rto_idx = rtos.iter().position(|r| *r == rto).expect("rto present");
-                let seasonal = params.seasonal.factor(year_fraction);
-                let demand = demand_factor(params, hour);
-                let deterministic = params.base_price * fuel * seasonal * demand;
+            for (i, (params, slots)) in self.model.hubs.iter().zip(&hub_slots).enumerate() {
+                let shape = diurnal[hour.hour_of_day_local(slots.utc_offset_hours) as usize];
+                let demand = demand_swing(params, shape, weekend);
+                let deterministic = params.base_price * fuel * seasonal[slots.profile] * demand;
 
-                let shared_fraction =
-                    self.model.rto_params(rto).expect("rto params present").shared_spike_fraction;
+                let rto_idx = slots.rto;
                 let mut price = deterministic + regional_values[rto_idx] + local[i].step(&mut rng);
 
                 match product {
@@ -216,7 +249,7 @@ impl PriceGenerator {
                             params,
                             demand,
                             shared_spikes[rto_idx],
-                            shared_fraction,
+                            rto_params[rto_idx].shared_spike_fraction,
                         );
                         price -= self.negative_dip(&mut rng, params, demand);
                     }
@@ -293,6 +326,16 @@ impl PriceGenerator {
             0.0
         }
     }
+}
+
+/// A hub's per-hour lookups, resolved once per generated range.
+struct HubSlots {
+    /// Index of the hub's RTO among the model's RTOs.
+    rto: usize,
+    /// The hub's time zone, for its local hour of day.
+    utc_offset_hours: i8,
+    /// Index of the hub's seasonal profile among the model's distinct ones.
+    profile: usize,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]

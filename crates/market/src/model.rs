@@ -331,13 +331,25 @@ impl MarketModel {
 /// in the hub's local time. Returns a multiplicative factor around 1.0.
 pub fn demand_factor(params: &HubPriceParams, hour: SimHour) -> f64 {
     let state = hubs::hub(params.hub).state;
-    let local_hour = hour.hour_of_day_local(state.utc_offset_hours()) as f64;
+    let local_hour = hour.hour_of_day_local(state.utc_offset_hours());
+    demand_swing(params, diurnal_shape(local_hour), hour.is_weekend())
+}
+
+/// The daily load shape at a local hour of day (0-23), common to all hubs:
+/// about 0 at 4am and 1 at 4pm, with an evening bump.
+pub(crate) fn diurnal_shape(local_hour: u64) -> f64 {
+    let local_hour = local_hour as f64;
     // Smooth double-peaked daily load shape: morning ramp, evening peak.
     let phase = (local_hour - 4.0) / 24.0 * std::f64::consts::TAU;
     let base_shape = 0.5 * (1.0 - phase.cos()); // 0 at ~4am, 1 at ~4pm
     let evening = 0.25 * gaussian_bump(local_hour, 19.0, 2.5);
-    let shape = (base_shape + evening).min(1.3);
-    let weekend_scale = if hour.is_weekend() { params.weekend_discount } else { 1.0 };
+    (base_shape + evening).min(1.3)
+}
+
+/// [`demand_factor`] for a hub whose local hour has the diurnal `shape`,
+/// on a weekend or not.
+pub(crate) fn demand_swing(params: &HubPriceParams, shape: f64, weekend: bool) -> f64 {
+    let weekend_scale = if weekend { params.weekend_discount } else { 1.0 };
     // Centre the swing so the long-run mean stays near 1.0.
     1.0 + params.diurnal_amplitude * weekend_scale * (shape - 0.55)
 }

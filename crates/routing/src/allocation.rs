@@ -12,20 +12,43 @@ use wattroute_workload::ClusterSet;
 /// `states[state]` served by `clusters[cluster]`. Storage is one flat
 /// row-major buffer (`num_states` is the row stride): a policy allocates
 /// exactly once per reallocation however many clusters it routes, and the
-/// row scans in [`Self::cluster_loads`] / [`Self::for_each_distance_sample`]
-/// stay on contiguous memory — this is the allocation-epoch hot path of
-/// both the batch engine and the hierarchical replay shards.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// row scans stay on contiguous memory.
+///
+/// Beside the values the allocation keeps its *support*: the entries that
+/// carry load, as a row-major bitset of `num_states.div_ceil(64)` words per
+/// cluster row. Every entry outside the support is `+0.0`, bit for bit:
+/// [`Self::add`] puts its entry in, [`Self::from_matrix`] puts in every
+/// entry whose bits are not `+0.0` (a `-0.0` too), and [`Self::reset`]
+/// takes them all out. So [`Self::reset`], [`Self::cluster_loads_into`]
+/// and [`Self::for_each_distance_sample`] walk the support alone: the
+/// allocation-epoch hot path of both the batch engine and the
+/// hierarchical replay shards costs what the allocation serves, not
+/// clusters × states. Equality compares shapes and values, never supports.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Allocation {
     num_clusters: usize,
     num_states: usize,
     loads: Vec<f64>,
+    support: Vec<u64>,
+}
+
+impl PartialEq for Allocation {
+    fn eq(&self, other: &Self) -> bool {
+        self.num_clusters == other.num_clusters
+            && self.num_states == other.num_states
+            && self.loads == other.loads
+    }
 }
 
 impl Allocation {
     /// An empty allocation for a given number of clusters and states.
     pub fn zeros(num_clusters: usize, num_states: usize) -> Self {
-        Self { num_clusters, num_states, loads: vec![0.0; num_clusters * num_states] }
+        Self {
+            num_clusters,
+            num_states,
+            loads: vec![0.0; num_clusters * num_states],
+            support: vec![0; num_clusters * num_states.div_ceil(64)],
+        }
     }
 
     /// Reset this allocation in place to all-zeros with the given shape,
@@ -33,12 +56,21 @@ impl Allocation {
     /// buffer-recycling entry point behind
     /// [`RoutingPolicy::allocate_into`](crate::policy::RoutingPolicy::allocate_into):
     /// an engine hands its one cached allocation back to the policy every
-    /// reallocation instead of allocating a fresh matrix.
+    /// reallocation instead of allocating a fresh matrix. At an unchanged
+    /// shape only the support's entries are zeroed.
     pub fn reset(&mut self, num_clusters: usize, num_states: usize) {
+        if (num_clusters, num_states) == (self.num_clusters, self.num_states) {
+            let Self { loads, support, .. } = self;
+            let words = support.iter_mut().map(std::mem::take);
+            for_each_in_support(words, num_states, |c, s| loads[c * num_states + s] = 0.0);
+            return;
+        }
         self.num_clusters = num_clusters;
         self.num_states = num_states;
         self.loads.clear();
         self.loads.resize(num_clusters * num_states, 0.0);
+        self.support.clear();
+        self.support.resize(num_clusters * num_states.div_ceil(64), 0);
     }
 
     /// Build from an explicit matrix (`loads[cluster][state]`).
@@ -54,11 +86,21 @@ impl Allocation {
                 "allocation for cluster {c} contains negative or non-finite demand"
             );
         }
-        Self {
-            num_clusters: loads.len(),
-            num_states: width,
-            loads: loads.into_iter().flatten().collect(),
+        let mut allocation = Self::zeros(loads.len(), width);
+        for (c, row) in loads.iter().enumerate() {
+            for (s, &load) in row.iter().enumerate() {
+                if load.to_bits() != 0.0f64.to_bits() {
+                    allocation.loads[c * width + s] = load;
+                    allocation.mark(c, s);
+                }
+            }
         }
+        allocation
+    }
+
+    /// Put entry `(cluster, state)` in the support.
+    fn mark(&mut self, cluster: usize, state: usize) {
+        self.support[cluster * self.num_states.div_ceil(64) + state / 64] |= 1 << (state % 64);
     }
 
     /// Number of clusters.
@@ -80,6 +122,7 @@ impl Allocation {
         assert!(hits_per_sec >= 0.0 && hits_per_sec.is_finite());
         assert!(cluster < self.num_clusters && state < self.num_states, "index out of range");
         self.loads[cluster * self.num_states + state] += hits_per_sec;
+        self.mark(cluster, state);
     }
 
     /// One cluster's per-state loads.
@@ -103,6 +146,14 @@ impl Allocation {
 
     /// [`Self::cluster_loads`] into a caller-owned buffer (cleared first),
     /// so per-epoch accounting loops can reuse one allocation.
+    ///
+    /// Each cluster's load is `row.iter().sum::<f64>()` bit for bit, read
+    /// off the support. That sum adds every entry in state order from the
+    /// empty sum, `-0.0`. An entry outside the support is `+0.0`, which
+    /// turns a `-0.0` running sum into `+0.0` and leaves any other sum as
+    /// it is. So the support's entries, summed in state order from `+0.0`
+    /// when the row has any entry outside the support and from the empty
+    /// sum otherwise, give the same bits.
     pub fn cluster_loads_into(&self, out: &mut Vec<f64>) {
         out.clear();
         out.reserve(self.num_clusters);
@@ -110,7 +161,14 @@ impl Allocation {
             out.extend((0..self.num_clusters).map(|_| 0.0));
             return;
         }
-        out.extend(self.loads.chunks_exact(self.num_states).map(|row| row.iter().sum::<f64>()));
+        let empty_sum: f64 = std::iter::empty::<f64>().sum();
+        let rows = self.loads.chunks_exact(self.num_states);
+        for (row, words) in rows.zip(self.support.chunks_exact(self.num_states.div_ceil(64))) {
+            let served: usize = words.iter().map(|word| word.count_ones() as usize).sum();
+            let mut load = if served < self.num_states { 0.0 } else { empty_sum };
+            for_each_in_support(words.iter().copied(), self.num_states, |_, s| load += row[s]);
+            out.push(load);
+        }
     }
 
     /// Total load per state in hits/second (how much of each state's demand
@@ -174,17 +232,36 @@ impl Allocation {
     ) {
         assert_eq!(self.num_clusters(), geometry.hub_ids().len(), "cluster count mismatch");
         assert_eq!(self.num_states(), geometry.states().len(), "state count mismatch");
-        if self.num_states == 0 {
-            return;
-        }
-        for (c, row) in self.loads.chunks_exact(self.num_states).enumerate() {
-            let km = geometry.row(c);
-            for (s, &load) in row.iter().enumerate() {
-                if load > 0.0 {
-                    visit(km[s], load);
-                }
+        // Entries outside the support are `+0.0`, which serve nothing.
+        for_each_in_support(self.support.iter().copied(), self.num_states, |c, s| {
+            let load = self.loads[c * self.num_states + s];
+            if load > 0.0 {
+                visit(geometry.km(c, s), load);
             }
-        }
+        });
+    }
+
+    /// Visit every entry in this allocation's support or `other`'s, in
+    /// row-major order, as `visit(cluster, state, own load, other's load)`.
+    /// Every entry outside both supports is `+0.0` in both.
+    ///
+    /// # Panics
+    /// Panics if the two allocations differ in shape.
+    pub(crate) fn for_each_in_either_support(
+        &self,
+        other: &Allocation,
+        mut visit: impl FnMut(usize, usize, f64, f64),
+    ) {
+        assert_eq!(
+            (self.num_clusters, self.num_states),
+            (other.num_clusters, other.num_states),
+            "allocation shape mismatch"
+        );
+        let either = self.support.iter().zip(&other.support).map(|(a, b)| a | b);
+        for_each_in_support(either, self.num_states, |c, s| {
+            let k = c * self.num_states + s;
+            visit(c, s, self.loads[k], other.loads[k]);
+        });
     }
 
     /// Demand-weighted mean client–server distance in km, or `None` if the
@@ -208,6 +285,27 @@ impl Allocation {
             .iter()
             .zip(demand)
             .all(|(served, want)| (served - want).abs() <= tolerance * want.max(1.0))
+    }
+}
+
+/// Call `visit(row, column)` for each set bit of a row-major bitset of
+/// `num_states` columns per row (`num_states.div_ceil(64)` words), in
+/// row-major order.
+fn for_each_in_support(
+    words: impl Iterator<Item = u64>,
+    num_states: usize,
+    mut visit: impl FnMut(usize, usize),
+) {
+    let (mut row, mut base) = (0, 0);
+    for mut bits in words {
+        while bits != 0 {
+            visit(row, base + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+        base += 64;
+        if base >= num_states {
+            (row, base) = (row + 1, 0);
+        }
     }
 }
 

@@ -167,16 +167,16 @@ impl RoutingPolicy for AkamaiLikePolicy {
             &mut second_first,
         );
 
+        // Outside both supports each share is `+0.0`, so their sum is not
+        // above zero and adds nothing: every add is made over the union,
+        // in row-major order.
         out.reset(n_clusters, n_states);
-        for c in 0..n_clusters {
-            let (primary_row, secondary_row) = (primary.row(c), secondary.row(c));
-            for s in 0..n_states {
-                let total = primary_row[s] + secondary_row[s];
-                if total > 0.0 {
-                    out.add(c, s, total);
-                }
+        primary.for_each_in_either_support(secondary, |c, s, primary_load, secondary_load| {
+            let total = primary_load + secondary_load;
+            if total > 0.0 {
+                out.add(c, s, total);
             }
-        }
+        });
     }
 
     fn routing_key(&self) -> Option<RoutingKey> {

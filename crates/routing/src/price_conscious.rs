@@ -156,12 +156,6 @@ impl CompiledPreferences {
         self.km[cluster * self.states.len() + state_idx]
     }
 
-    /// One cluster's distances to every state, in km.
-    pub(crate) fn row(&self, cluster: usize) -> &[f64] {
-        let n = self.states.len();
-        &self.km[cluster * n..(cluster + 1) * n]
-    }
-
     /// One client state's clusters, nearest first. Stable-sorted from
     /// cluster-index order, so equidistant clusters keep their deployment
     /// order — the same tie-break every in-crate distance sort uses, which

@@ -48,6 +48,6 @@ pub mod timeseries;
 pub use correlation::{mutual_information, pearson, spearman};
 pub use descriptive::{kurtosis, mean, skewness, std_dev, trimmed, variance, TrimmedStats};
 pub use histogram::Histogram;
-pub use online::{OnlineStats, SampleReservoir};
+pub use online::OnlineStats;
 pub use quantiles::{cvar, iqr, median, percentile, quantile, quartiles};
 pub use timeseries::{diff_series, window_average};

@@ -1,10 +1,9 @@
 //! Streaming (single-pass) statistics.
 //!
-//! The simulation engine accumulates per-cluster cost, utilization and
-//! client–server distance over hundreds of thousands of 5-minute steps;
-//! [`OnlineStats`] (Welford's algorithm) lets it do so without storing every
-//! sample, tracking minima and maxima alongside, and [`SampleReservoir`]
-//! keeps a bounded uniform sample when the full distribution is needed.
+//! The simulation engine accumulates per-cluster utilization over hundreds
+//! of thousands of 5-minute steps; [`OnlineStats`] (Welford's algorithm)
+//! lets it do so without storing every sample, tracking minima and maxima
+//! alongside, and merges accumulators across shards.
 
 use serde::{Deserialize, Serialize};
 
@@ -39,32 +38,6 @@ impl OnlineStats {
         self.max = self.max.max(x);
     }
 
-    /// Add a weighted observation by pushing it `weight` times' worth of mass.
-    ///
-    /// Weights must be positive and finite; other weights are ignored.
-    /// This supports population-weighted distance statistics where each
-    /// client state contributes according to its request volume.
-    pub fn push_weighted(&mut self, x: f64, weight: f64) {
-        if !x.is_finite() || !weight.is_finite() || weight <= 0.0 {
-            return;
-        }
-        // Weighted Welford update (West 1979). We fold the weight into the
-        // count as fractional mass; `count` keeps integral observations, so
-        // we track weighted aggregates through mean/m2/sum only.
-        // For simplicity and robustness we treat the weight as a repeat
-        // count scaled to preserve the mean exactly.
-        let w_count = self.count as f64 + weight;
-        let delta = x - self.mean;
-        self.mean += delta * (weight / w_count);
-        self.m2 += weight * delta * (x - self.mean);
-        self.sum += x * weight;
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-        // Round the stored count up by the integer part of the weight,
-        // minimum 1, so `count()` still reflects "observations seen".
-        self.count += weight.max(1.0) as u64;
-    }
-
     /// Rebuild an accumulator from its raw parts — the inverse of reading
     /// [`Self::count`]/[`Self::mean`]/[`Self::m2`]/[`Self::min`]/
     /// [`Self::max`]/[`Self::sum`]. Callers that persist an accumulator
@@ -89,7 +62,7 @@ impl OnlineStats {
         self.m2
     }
 
-    /// Sum of observations (weighted where applicable).
+    /// Sum of observations.
     pub fn sum(&self) -> f64 {
         self.sum
     }
@@ -141,69 +114,6 @@ impl OnlineStats {
     }
 }
 
-/// A small reservoir that keeps *all* samples up to a cap, after which it
-/// keeps a uniformly-spaced subsample. Exact percentiles for bounded runs,
-/// bounded memory for very long runs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SampleReservoir {
-    cap: usize,
-    stride: usize,
-    seen: u64,
-    samples: Vec<f64>,
-}
-
-impl SampleReservoir {
-    /// Create a reservoir that holds at most `cap` samples (`cap >= 2`).
-    pub fn new(cap: usize) -> Self {
-        Self { cap: cap.max(2), stride: 1, seen: 0, samples: Vec::new() }
-    }
-
-    /// Offer a sample to the reservoir.
-    pub fn push(&mut self, x: f64) {
-        if !x.is_finite() {
-            return;
-        }
-        // The stride starts at 1 and only ever doubles, so it is always a
-        // power of two and the stride test is a mask, not a division —
-        // this is the hottest branch in long replays.
-        debug_assert!(self.stride.is_power_of_two());
-        if self.seen & (self.stride as u64 - 1) == 0 {
-            if self.samples.len() >= self.cap {
-                // Decimate: keep every other retained sample and double the stride.
-                let mut kept = Vec::with_capacity(self.cap / 2 + 1);
-                for (i, &s) in self.samples.iter().enumerate() {
-                    if i % 2 == 0 {
-                        kept.push(s);
-                    }
-                }
-                self.samples = kept;
-                self.stride *= 2;
-                if self.seen & (self.stride as u64 - 1) == 0 {
-                    self.samples.push(x);
-                }
-            } else {
-                self.samples.push(x);
-            }
-        }
-        self.seen += 1;
-    }
-
-    /// Number of samples offered so far.
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// The retained samples (unsorted).
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
-    }
-
-    /// Approximate percentile (exact while under the cap).
-    pub fn percentile(&self, p: f64) -> Option<f64> {
-        crate::quantiles::percentile(&self.samples, p)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,16 +158,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_mean_matches_expanded() {
-        let mut w = OnlineStats::new();
-        w.push_weighted(10.0, 3.0);
-        w.push_weighted(20.0, 1.0);
-        // Equivalent expanded sample: [10, 10, 10, 20]
-        assert_close(w.mean().unwrap(), 12.5, 1e-9);
-        assert_close(w.sum(), 50.0, 1e-9);
-    }
-
-    #[test]
     fn merge_matches_single_pass() {
         let xs: Vec<f64> = (0..100).map(|i| i as f64).collect();
         let (a, b) = xs.split_at(37);
@@ -290,36 +190,5 @@ mod tests {
         let mut c = OnlineStats::new();
         c.merge(&a);
         assert_eq!(c.mean(), a.mean());
-    }
-
-    #[test]
-    fn reservoir_exact_under_cap() {
-        let mut r = SampleReservoir::new(1000);
-        for i in 0..500 {
-            r.push(i as f64);
-        }
-        assert_eq!(r.samples().len(), 500);
-        assert_close(r.percentile(95.0).unwrap(), 474.05, 0.5);
-    }
-
-    #[test]
-    fn reservoir_bounded_over_cap() {
-        let mut r = SampleReservoir::new(100);
-        for i in 0..100_000 {
-            r.push(i as f64);
-        }
-        assert!(r.samples().len() <= 101);
-        assert_eq!(r.seen(), 100_000);
-        // Median of 0..100k should still be roughly 50k.
-        let med = r.percentile(50.0).unwrap();
-        assert!((med - 50_000.0).abs() < 5_000.0, "median drifted: {med}");
-    }
-
-    #[test]
-    fn reservoir_ignores_nan() {
-        let mut r = SampleReservoir::new(10);
-        r.push(f64::NAN);
-        assert_eq!(r.seen(), 0);
-        assert!(r.samples().is_empty());
     }
 }

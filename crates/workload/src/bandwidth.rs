@@ -108,13 +108,54 @@ impl LoadRuns {
     /// [`percentile_95`] of the series: the R-7 order statistics read off
     /// the stably sorted finite runs.
     pub fn percentile_95(&self) -> Option<f64> {
-        // Sort the finite runs' indices (4 bytes each, where a copied run
-        // takes 16) by value; the sort is stable, so equal values keep
-        // series order.
+        self.percentile_95_weighted(&self.counts)
+    }
+
+    /// [`percentile_95`] of every `stride`-th finite sample: the finite
+    /// samples at indices 0, `stride`, 2 × `stride`, … counted over the
+    /// finite samples alone, in series order. A decimating reservoir that
+    /// keeps every sample up to its capacity and then keeps every other
+    /// one, doubling its stride, holds exactly these once its stride is
+    /// `stride`. Each finite run counts its samples that land on a multiple
+    /// of the stride, and the order statistics are read off the stably
+    /// sorted runs as [`Self::percentile_95`] reads them.
+    ///
+    /// # Panics
+    /// Panics unless `stride` is a power of two.
+    pub fn percentile_95_every(&self, stride: usize) -> Option<f64> {
+        assert!(stride.is_power_of_two(), "the stride is a power of two");
+        if stride == 1 {
+            return self.percentile_95();
+        }
+        // Multiples of the stride below `index`: ⌈index / stride⌉.
+        let shift = stride.trailing_zeros();
+        let multiples_below = |index: usize| (index + (stride - 1)) >> shift;
+        let mut start = 0;
+        let kept: Vec<u32> = self
+            .runs()
+            .map(|(value, count)| {
+                if !value.is_finite() {
+                    return 0;
+                }
+                let end = start + widen(count);
+                let kept = multiples_below(end) - multiples_below(start);
+                start = end;
+                u32::try_from(kept).expect("a run keeps at most its own samples")
+            })
+            .collect();
+        self.percentile_95_weighted(&kept)
+    }
+
+    /// The R-7 95th percentile of the series in which finite run `k` stands
+    /// for `weights[k]` samples, read off the stably sorted runs.
+    fn percentile_95_weighted(&self, weights: &[u32]) -> Option<f64> {
+        // Sort the indices of the finite runs that hold a sample (4 bytes
+        // each, where a copied run takes 16) by value; the sort is stable,
+        // so equal values keep series order.
         let mut sorted: Vec<u32> = Vec::with_capacity(self.num_runs());
         sorted.extend(
             (0..self.num_runs())
-                .filter(|&k| self.values[k].is_finite())
+                .filter(|&k| weights[k] > 0 && self.values[k].is_finite())
                 .map(|k| u32::try_from(k).expect("a store holds fewer than 2^32 runs")),
         );
         if sorted.is_empty() {
@@ -124,11 +165,11 @@ impl LoadRuns {
         sorted.sort_by(|&a, &b| {
             value(a).partial_cmp(&value(b)).expect("finite values are comparable")
         });
-        let n = sorted.iter().map(|&k| widen(self.counts[widen(k)])).sum();
+        let n = sorted.iter().map(|&k| widen(weights[widen(k)])).sum();
         let at = |i: usize| {
             let mut seen = 0;
             for &k in &sorted {
-                seen += widen(self.counts[widen(k)]);
+                seen += widen(weights[widen(k)]);
                 if i < seen {
                     return value(k);
                 }

@@ -4,7 +4,10 @@
 //! Series are built from random runs over a small pool of values that
 //! holds both zeros, NaN and both infinities, so runs of equal values
 //! recur, adjacent runs may merge, and the stable order of `+0.0` and
-//! `-0.0` decides which zero an order statistic returns.
+//! `-0.0` decides which zero an order statistic returns. The strided 95th
+//! percentile is checked against a decimating reservoir fed the series.
+
+mod reservoir;
 
 use proptest::prelude::*;
 use wattroute_workload::bandwidth::{percentile_95, LoadRuns};
@@ -32,6 +35,7 @@ fn assert_exact(runs: &LoadRuns, series: &[f64]) {
     let raw: Vec<u64> = series.iter().map(|x| x.to_bits()).collect();
     assert_eq!(expanded, raw, "expansion");
     assert_eq!(bits(runs.percentile_95()), bits(percentile_95(series)), "p95 of {series:?}");
+    assert_eq!(bits(runs.percentile_95_every(1)), bits(runs.percentile_95()), "stride 1");
     for init in [0.0, f64::NAN, f64::NEG_INFINITY] {
         let want = series.iter().copied().fold(init, f64::max);
         assert_eq!(runs.fold_max(init).to_bits(), want.to_bits(), "max from {init}");
@@ -40,7 +44,41 @@ fn assert_exact(runs: &LoadRuns, series: &[f64]) {
     assert_eq!(run_bits(&LoadRuns::from_series(&runs.expand())), run_bits(runs), "round trip");
 }
 
+/// The reservoir settles on the smallest power-of-two stride that leaves
+/// it at most `cap` samples (at least 2), keeps exactly the finite samples
+/// at multiples of that stride, and the runs read its 95th percentile at
+/// that stride bit for bit.
+fn assert_reads_the_reservoirs_p95(series: &[f64], cap: usize) {
+    let (kept, stride) = reservoir::decimate(series.iter().copied(), cap);
+    let finite: Vec<f64> = series.iter().copied().filter(|x| x.is_finite()).collect();
+    let smallest = (0..usize::BITS)
+        .map(|k| 1usize << k)
+        .find(|&s| finite.len().div_ceil(s) <= cap.max(2))
+        .expect("a stride fits");
+    assert_eq!(stride, smallest, "stride for {} finite samples, cap {cap}", finite.len());
+    let every: Vec<u64> = finite.iter().step_by(stride).map(|x| x.to_bits()).collect();
+    assert_eq!(kept.iter().map(|x| x.to_bits()).collect::<Vec<_>>(), every, "kept samples");
+    let runs = LoadRuns::from_series(series);
+    assert_eq!(
+        bits(runs.percentile_95_every(stride)),
+        bits(percentile_95(&kept)),
+        "p95 at stride {stride}, cap {cap}"
+    );
+}
+
 proptest! {
+    // Run lengths scaled up to cross many stride boundaries, so caps of 2,
+    // 3 and 97 decimate most series and 4096 the longest.
+    #[test]
+    fn the_strided_p95_is_the_decimating_reservoirs_bit_for_bit(
+        picks in prop::collection::vec((0usize..POOL.len(), 1usize..41), 1..60),
+        scale in prop::sample::select(vec![1usize, 5, 129]),
+        cap in prop::sample::select(vec![2usize, 3, 97, 4096]),
+    ) {
+        let runs: Vec<(f64, usize)> = picks.iter().map(|&(v, n)| (POOL[v], n * scale)).collect();
+        assert_reads_the_reservoirs_p95(&expand(&runs), cap);
+    }
+
     #[test]
     fn run_statistics_equal_the_expanded_series_bit_for_bit(
         picks in prop::collection::vec((0usize..POOL.len(), 1usize..41), 1..60),
@@ -93,6 +131,27 @@ fn a_single_sample_and_an_all_equal_series() {
     assert_exact(&empty, &[]);
     assert_eq!(empty.percentile_95(), None);
     assert_eq!(empty.mean(), None);
+}
+
+#[test]
+fn a_reservoir_past_its_capacity_keeps_every_strided_sample() {
+    // 5000 finite samples among non-finite runs: a 4096-sample reservoir
+    // keeps every other one, a 97-sample one every 64th.
+    let mut series: Vec<f64> = (0..5000).map(|i| f64::from(i % 613) * 0.5).collect();
+    series.splice(100..100, [f64::NAN; 7]);
+    series.splice(4000..4000, [f64::INFINITY, f64::NEG_INFINITY]);
+    for cap in [0, 2, 3, 97, 4096, 5000] {
+        assert_reads_the_reservoirs_p95(&series, cap);
+    }
+    assert_eq!(reservoir::decimate(series.iter().copied(), 4096).1, 2);
+    assert_eq!(reservoir::decimate(series.iter().copied(), 97).1, 64);
+    assert_eq!(LoadRuns::new().percentile_95_every(8), None);
+}
+
+#[test]
+#[should_panic(expected = "power of two")]
+fn a_stride_that_is_not_a_power_of_two_is_rejected() {
+    LoadRuns::from_series(&[1.0, 2.0, 3.0]).percentile_95_every(3);
 }
 
 #[test]
