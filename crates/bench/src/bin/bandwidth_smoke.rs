@@ -1,17 +1,17 @@
-//! Golden-file smoke test for the calibrate → constrain → account
+//! Golden-file smoke run for the calibrate → constrain → account
 //! pipeline: a tiny deterministic grid — one baseline calibration pass,
 //! then the price-conscious optimizer under the calibrated 95/5 caps at
 //! three slack multipliers (1.0×, 1.2×, ∞), all priced under the default
 //! CDN transit tariff so every report carries the new bandwidth
 //! accounting fields — whose `SweepReport` JSON is checked into
-//! `crates/bench/golden/bandwidth_smoke.json`. CI runs this with
-//! `--check`; any change to constraint derivation, cap enforcement or
-//! 95/5 billing fails the diff instead of silently shifting results.
+//! `crates/bench/golden/bandwidth_smoke.json`. The fixture is checked by
+//! `crates/bench/tests/goldens.rs` in tier-1; any change to constraint
+//! derivation, cap enforcement or 95/5 billing fails it instead of
+//! silently shifting results.
 //!
-//! Without arguments the binary prints the JSON to stdout (pipe it to the
-//! golden file to re-bless after an *intentional* behaviour change).
+//! The binary prints the JSON to stdout (pipe it to the golden file to
+//! re-bless after an *intentional* behaviour change).
 
-use wattroute::json::JsonValue;
 use wattroute::prelude::*;
 use wattroute::sweep::{ScenarioSweep, SweepReport};
 use wattroute_bench::HARNESS_SEED;
@@ -22,33 +22,9 @@ use wattroute_routing::baseline::AkamaiLikePolicy;
 const THRESHOLD_KM: f64 = 1500.0;
 const MULTIPLIERS: [f64; 3] = [1.0, 1.2, f64::INFINITY];
 
-/// Relative tolerance for numeric comparison against the golden file (see
-/// `sweep_smoke` for why byte equality is too strict across libm builds).
-const REL_TOLERANCE: f64 = 1e-9;
-
-/// Structural JSON comparison with a relative tolerance on numbers.
-fn approx_eq(a: &JsonValue, b: &JsonValue) -> bool {
-    match (a, b) {
-        (JsonValue::Number(x), JsonValue::Number(y)) => {
-            x == y || (x - y).abs() <= REL_TOLERANCE * x.abs().max(y.abs()).max(1.0)
-        }
-        (JsonValue::Array(xs), JsonValue::Array(ys)) => {
-            xs.len() == ys.len() && xs.iter().zip(ys.iter()).all(|(x, y)| approx_eq(x, y))
-        }
-        (JsonValue::Object(xs), JsonValue::Object(ys)) => {
-            xs.len() == ys.len()
-                && xs
-                    .iter()
-                    .zip(ys.iter())
-                    .all(|((ka, va), (kb, vb))| ka == kb && approx_eq(va, vb))
-        }
-        _ => a == b,
-    }
-}
-
 fn smoke_report() -> SweepReport {
     // Three days at the turn of 2008/2009 — enough for the caps to bind,
-    // short enough for a CI smoke job.
+    // short enough for a smoke run.
     let start = SimHour::from_date(2008, 12, 19);
     let range = HourRange::new(start, start.plus_hours(3 * 24));
     let scenario = Scenario::custom_window(HARNESS_SEED, range)
@@ -75,60 +51,7 @@ fn smoke_report() -> SweepReport {
     sweep.execute(RunOptions::new())
 }
 
-fn golden_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("golden/bandwidth_smoke.json")
-}
-
 fn main() {
     wattroute_obs::Telemetry::enable_from_env();
-    let check = std::env::args().any(|a| a == "--check");
-    let report = smoke_report();
-
-    if !check {
-        println!("{}", report.to_json());
-        return;
-    }
-
-    let golden_text = std::fs::read_to_string(golden_path())
-        .unwrap_or_else(|e| panic!("cannot read {:?}: {e}", golden_path()));
-    let golden =
-        SweepReport::from_json(golden_text.trim()).expect("golden file parses as a SweepReport");
-    if approx_eq(&report.to_json_value(), &golden.to_json_value()) {
-        println!(
-            "bandwidth_smoke: OK — {} runs match {:?} (rel tolerance {REL_TOLERANCE:e})",
-            report.runs.len(),
-            golden_path()
-        );
-        return;
-    }
-    // Pinpoint the diverging runs to make CI failures actionable.
-    for (got, want) in report.runs.iter().zip(&golden.runs) {
-        if got.label != want.label
-            || !approx_eq(&got.report.to_json_value(), &want.report.to_json_value())
-        {
-            eprintln!(
-                "bandwidth_smoke: run '{}' diverged from golden '{}': cost {} vs {}, \
-                 bandwidth {} vs {}",
-                got.label,
-                want.label,
-                got.report.total_cost_dollars,
-                want.report.total_cost_dollars,
-                got.report.total_bandwidth_cost_dollars,
-                want.report.total_bandwidth_cost_dollars,
-            );
-        }
-    }
-    if report.runs.len() != golden.runs.len() {
-        eprintln!(
-            "bandwidth_smoke: run count changed: {} vs golden {}",
-            report.runs.len(),
-            golden.runs.len()
-        );
-    }
-    eprintln!(
-        "bandwidth_smoke: FAILED — the calibrate → constrain → account pipeline no longer \
-         matches the golden file. If the change is intentional, re-bless with \
-         `cargo run --release --bin bandwidth_smoke > crates/bench/golden/bandwidth_smoke.json`."
-    );
-    std::process::exit(1);
+    println!("{}", smoke_report().to_json());
 }

@@ -1,45 +1,21 @@
-//! Golden-file smoke test for the Monte Carlo price engine: a small, fully
+//! Golden-file smoke run for the Monte Carlo price engine: a small, fully
 //! deterministic 16-path replay of the two-day harness scenario — the
 //! price-conscious policy against the Akamai-like baseline, with a CVaR
 //! tail summary — whose [`SavingsDistribution`] JSON is checked into
-//! `crates/bench/golden/mc_smoke.json`. CI runs this with `--check`; any
-//! change to the path-seed stream, the generator, the replay core or the
-//! aggregation fails the diff instead of silently shifting results.
+//! `crates/bench/golden/mc_smoke.json`. The fixture is checked by
+//! `crates/bench/tests/goldens.rs` in tier-1, with telemetry off and on;
+//! any change to the path-seed stream, the generator, the replay core or
+//! the aggregation fails it instead of silently shifting results.
 //!
-//! Without arguments the binary prints the JSON to stdout (pipe it to the
-//! golden file to re-bless after an *intentional* behaviour change).
+//! The binary prints the JSON to stdout (pipe it to the golden file to
+//! re-bless after an *intentional* behaviour change).
 
-use wattroute::json::JsonValue;
 use wattroute::montecarlo::{MonteCarlo, SavingsDistribution};
 use wattroute::prelude::*;
 use wattroute_bench::HARNESS_SEED;
 use wattroute_market::time::SimHour;
 
 const N_PATHS: usize = 16;
-
-/// Relative tolerance for numeric comparison against the golden file (see
-/// `sweep_smoke` for why byte equality is too strict across libm builds).
-const REL_TOLERANCE: f64 = 1e-9;
-
-/// Structural JSON comparison with a relative tolerance on numbers.
-fn approx_eq(a: &JsonValue, b: &JsonValue) -> bool {
-    match (a, b) {
-        (JsonValue::Number(x), JsonValue::Number(y)) => {
-            x == y || (x - y).abs() <= REL_TOLERANCE * x.abs().max(y.abs()).max(1.0)
-        }
-        (JsonValue::Array(xs), JsonValue::Array(ys)) => {
-            xs.len() == ys.len() && xs.iter().zip(ys.iter()).all(|(x, y)| approx_eq(x, y))
-        }
-        (JsonValue::Object(xs), JsonValue::Object(ys)) => {
-            xs.len() == ys.len()
-                && xs
-                    .iter()
-                    .zip(ys.iter())
-                    .all(|((ka, va), (kb, vb))| ka == kb && approx_eq(va, vb))
-        }
-        _ => a == b,
-    }
-}
 
 fn smoke_distribution() -> SavingsDistribution {
     // Two days at the turn of 2008/2009, matching the other smoke grids.
@@ -48,7 +24,7 @@ fn smoke_distribution() -> SavingsDistribution {
     let scenario = Scenario::custom_window(HARNESS_SEED, range);
     let model = MarketModel::calibrated().restricted_to(&scenario.clusters.hub_ids());
     // Two worker threads on purpose: the aggregate is pinned to be
-    // thread-count invariant, so CI exercising the parallel path costs
+    // thread-count invariant, so exercising the parallel path here costs
     // nothing in reproducibility.
     MonteCarlo::new(
         &scenario.clusters,
@@ -62,72 +38,7 @@ fn smoke_distribution() -> SavingsDistribution {
     .run()
 }
 
-fn golden_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("golden/mc_smoke.json")
-}
-
 fn main() {
     wattroute_obs::Telemetry::enable_from_env();
-    let check = std::env::args().any(|a| a == "--check");
-    let dist = smoke_distribution();
-
-    if !check {
-        println!("{}", dist.to_json());
-        return;
-    }
-
-    let golden_text = std::fs::read_to_string(golden_path())
-        .unwrap_or_else(|e| panic!("cannot read {:?}: {e}", golden_path()));
-    let golden = JsonValue::parse(golden_text.trim()).expect("golden file parses as JSON");
-    let got = dist.to_json_value();
-    if approx_eq(&got, &golden) {
-        println!(
-            "mc_smoke: OK — {N_PATHS} paths match {:?} (rel tolerance {REL_TOLERANCE:e})",
-            golden_path()
-        );
-        return;
-    }
-    // Pinpoint the diverging paths to make CI failures actionable.
-    let costs = |v: &JsonValue| -> Vec<(f64, f64)> {
-        v.get("per_path")
-            .and_then(JsonValue::as_array)
-            .map(|paths| {
-                paths
-                    .iter()
-                    .map(|p| {
-                        (
-                            p.get("cost_dollars").and_then(JsonValue::as_f64).unwrap_or(f64::NAN),
-                            p.get("baseline_cost_dollars")
-                                .and_then(JsonValue::as_f64)
-                                .unwrap_or(f64::NAN),
-                        )
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
-    };
-    let (got_costs, want_costs) = (costs(&got), costs(&golden));
-    if got_costs.len() != want_costs.len() {
-        eprintln!(
-            "mc_smoke: path count changed: {} vs golden {}",
-            got_costs.len(),
-            want_costs.len()
-        );
-    }
-    for (k, (g, w)) in got_costs.iter().zip(&want_costs).enumerate() {
-        if (g.0 - w.0).abs() > REL_TOLERANCE * g.0.abs().max(1.0)
-            || (g.1 - w.1).abs() > REL_TOLERANCE * g.1.abs().max(1.0)
-        {
-            eprintln!(
-                "mc_smoke: path {k} diverged: cost {} vs {}, baseline {} vs {}",
-                g.0, w.0, g.1, w.1
-            );
-        }
-    }
-    eprintln!(
-        "mc_smoke: FAILED — Monte Carlo output no longer matches the golden file. If the \
-         change is intentional, re-bless with:\n  cargo run --release -p wattroute_bench \
-         --bin mc_smoke > crates/bench/golden/mc_smoke.json"
-    );
-    std::process::exit(1);
+    println!("{}", smoke_distribution().to_json());
 }

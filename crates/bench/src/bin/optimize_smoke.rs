@@ -1,14 +1,14 @@
-//! Golden-file smoke test for the deployment optimizer: a tiny, fully
+//! Golden-file smoke run for the deployment optimizer: a tiny, fully
 //! deterministic five-hub search — greedy descent plus seeded local
 //! search on a 36-hour window — whose `OptimizerReport` JSON (both
 //! strategies, full audit trails) is checked into
-//! `crates/bench/golden/optimize_smoke.json`. CI runs this with
-//! `--check`; any change to the search order, the objective arithmetic,
-//! the evaluator or the engine underneath fails the diff instead of
-//! silently shifting placements.
+//! `crates/bench/golden/optimize_smoke.json`. The fixture is checked by
+//! `crates/bench/tests/goldens.rs` in tier-1; any change to the search
+//! order, the objective arithmetic, the evaluator or the engine
+//! underneath fails it instead of silently shifting placements.
 //!
-//! Without arguments the binary prints the JSON to stdout (pipe it to the
-//! golden file to re-bless after an *intentional* behaviour change).
+//! The binary prints the JSON to stdout (pipe it to the golden file to
+//! re-bless after an *intentional* behaviour change).
 
 use wattroute::json::{self, JsonValue};
 use wattroute::objective::Objective;
@@ -21,31 +21,6 @@ use wattroute_optimizer::{
 };
 use wattroute_workload::ClusterSet;
 
-/// Relative tolerance for numeric comparison against the golden file (see
-/// `sweep_smoke` for why exact equality is too strict across libm
-/// builds). Splits and counts are integers and compare exactly.
-const REL_TOLERANCE: f64 = 1e-9;
-
-/// Structural JSON comparison with a relative tolerance on numbers.
-fn approx_eq(a: &JsonValue, b: &JsonValue) -> bool {
-    match (a, b) {
-        (JsonValue::Number(x), JsonValue::Number(y)) => {
-            x == y || (x - y).abs() <= REL_TOLERANCE * x.abs().max(y.abs()).max(1.0)
-        }
-        (JsonValue::Array(xs), JsonValue::Array(ys)) => {
-            xs.len() == ys.len() && xs.iter().zip(ys.iter()).all(|(x, y)| approx_eq(x, y))
-        }
-        (JsonValue::Object(xs), JsonValue::Object(ys)) => {
-            xs.len() == ys.len()
-                && xs
-                    .iter()
-                    .zip(ys.iter())
-                    .all(|((ka, va), (kb, vb))| ka == kb && approx_eq(va, vb))
-        }
-        _ => a == b,
-    }
-}
-
 fn smoke_json() -> JsonValue {
     let start = SimHour::from_date(2008, 12, 19);
     let scenario =
@@ -54,7 +29,7 @@ fn smoke_json() -> JsonValue {
     let config = scenario.config.clone().with_overflow(OverflowMode::Reject);
 
     // Five of the nine clusters, coarse quantum: a space small enough
-    // that the whole search fits a CI smoke job.
+    // that the whole search fits a smoke run.
     let five = ClusterSet::new(
         scenario
             .clusters
@@ -80,52 +55,7 @@ fn smoke_json() -> JsonValue {
     ])
 }
 
-fn golden_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("golden/optimize_smoke.json")
-}
-
 fn main() {
     wattroute_obs::Telemetry::enable_from_env();
-    let check = std::env::args().any(|a| a == "--check");
-    let report = smoke_json();
-
-    if !check {
-        println!("{report}");
-        return;
-    }
-
-    let golden_text = std::fs::read_to_string(golden_path())
-        .unwrap_or_else(|e| panic!("cannot read {:?}: {e}", golden_path()));
-    let golden = JsonValue::parse(golden_text.trim()).expect("golden file parses as JSON");
-    if approx_eq(&report, &golden) {
-        println!(
-            "optimize_smoke: OK — both strategy trails match {:?} (rel tolerance {REL_TOLERANCE:e})",
-            golden_path()
-        );
-        return;
-    }
-    for key in ["greedy", "local_search"] {
-        match (report.get(key), golden.get(key)) {
-            (Some(got), Some(want)) if !approx_eq(got, want) => {
-                let total = |v: &JsonValue| {
-                    v.get("best")
-                        .and_then(|b| b.get("terms"))
-                        .and_then(|t| t.get("total_dollars"))
-                        .and_then(JsonValue::as_f64)
-                };
-                eprintln!(
-                    "optimize_smoke: '{key}' diverged from golden: best objective {:?} vs {:?}",
-                    total(got),
-                    total(want)
-                );
-            }
-            _ => {}
-        }
-    }
-    eprintln!(
-        "optimize_smoke: FAILED — the optimizer no longer reproduces the golden search. If \
-         the change is intentional, re-bless with:\n  cargo run --release -p wattroute_bench \
-         --bin optimize_smoke > crates/bench/golden/optimize_smoke.json"
-    );
-    std::process::exit(1);
+    println!("{}", smoke_json());
 }

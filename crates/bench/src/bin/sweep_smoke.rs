@@ -1,15 +1,15 @@
-//! Golden-file smoke test for the sweep engine: a small, fully
+//! Golden-file smoke run for the sweep engine: a small, fully
 //! deterministic Figure-17-style grid — three thresholds × two bandwidth
 //! regimes plus one multi-deployment point routing a five-cluster eastern
 //! subset — whose `SweepReport` JSON is checked into
-//! `crates/bench/golden/sweep_smoke.json`. CI runs this with `--check`;
-//! any engine refactor that changes a simulated number fails the diff
-//! instead of silently shifting results.
+//! `crates/bench/golden/sweep_smoke.json`. The fixture is checked by
+//! `crates/bench/tests/goldens.rs` in tier-1, with telemetry off and on;
+//! any engine refactor that changes a simulated number fails it instead
+//! of silently shifting results.
 //!
-//! Without arguments the binary prints the JSON to stdout (pipe it to the
-//! golden file to re-bless after an *intentional* behaviour change).
+//! The binary prints the JSON to stdout (pipe it to the golden file to
+//! re-bless after an *intentional* behaviour change).
 
-use wattroute::json::JsonValue;
 use wattroute::prelude::*;
 use wattroute::sweep::{ScenarioSweep, SweepReport};
 use wattroute_bench::HARNESS_SEED;
@@ -19,36 +19,9 @@ use wattroute_routing::baseline::AkamaiLikePolicy;
 
 const THRESHOLDS: [f64; 3] = [0.0, 1100.0, 1500.0];
 
-/// Relative tolerance for numeric comparison against the golden file. The
-/// simulation is deterministic, but costs flow through `powf` and trig
-/// whose last few ulps may differ across libm implementations (glibc
-/// versions, macOS, non-x86 runners); a refactor that changes results
-/// moves numbers by far more than this.
-const REL_TOLERANCE: f64 = 1e-9;
-
-/// Structural JSON comparison with a relative tolerance on numbers.
-fn approx_eq(a: &JsonValue, b: &JsonValue) -> bool {
-    match (a, b) {
-        (JsonValue::Number(x), JsonValue::Number(y)) => {
-            x == y || (x - y).abs() <= REL_TOLERANCE * x.abs().max(y.abs()).max(1.0)
-        }
-        (JsonValue::Array(xs), JsonValue::Array(ys)) => {
-            xs.len() == ys.len() && xs.iter().zip(ys.iter()).all(|(x, y)| approx_eq(x, y))
-        }
-        (JsonValue::Object(xs), JsonValue::Object(ys)) => {
-            xs.len() == ys.len()
-                && xs
-                    .iter()
-                    .zip(ys.iter())
-                    .all(|((ka, va), (kb, vb))| ka == kb && approx_eq(va, vb))
-        }
-        _ => a == b,
-    }
-}
-
 fn smoke_report() -> SweepReport {
     // Four days at the turn of 2008/2009 — long enough for price structure
-    // to matter, short enough for a CI smoke job.
+    // to matter, short enough for a smoke run.
     let start = SimHour::from_date(2008, 12, 19);
     let range = HourRange::new(start, start.plus_hours(4 * 24));
     let scenario = Scenario::custom_window(HARNESS_SEED, range)
@@ -88,59 +61,7 @@ fn smoke_report() -> SweepReport {
     sweep.execute(RunOptions::new())
 }
 
-fn golden_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("golden/sweep_smoke.json")
-}
-
 fn main() {
     wattroute_obs::Telemetry::enable_from_env();
-    let check = std::env::args().any(|a| a == "--check");
-    let report = smoke_report();
-
-    if !check {
-        println!("{}", report.to_json());
-        return;
-    }
-
-    let golden_text = std::fs::read_to_string(golden_path())
-        .unwrap_or_else(|e| panic!("cannot read {:?}: {e}", golden_path()));
-    let golden =
-        SweepReport::from_json(golden_text.trim()).expect("golden file parses as a SweepReport");
-    if approx_eq(&report.to_json_value(), &golden.to_json_value()) {
-        println!(
-            "sweep_smoke: OK — {} runs match {:?} (rel tolerance {REL_TOLERANCE:e})",
-            report.runs.len(),
-            golden_path()
-        );
-        return;
-    }
-    // Pinpoint the diverging runs to make CI failures actionable.
-    for (got, want) in report.runs.iter().zip(&golden.runs) {
-        if got.label != want.label
-            || !approx_eq(&got.report.to_json_value(), &want.report.to_json_value())
-        {
-            eprintln!(
-                "sweep_smoke: run '{}' diverged from golden '{}': cost {} vs {}, energy {} vs {}",
-                got.label,
-                want.label,
-                got.report.total_cost_dollars,
-                want.report.total_cost_dollars,
-                got.report.total_energy_mwh,
-                want.report.total_energy_mwh,
-            );
-        }
-    }
-    if report.runs.len() != golden.runs.len() {
-        eprintln!(
-            "sweep_smoke: run count changed: {} vs golden {}",
-            report.runs.len(),
-            golden.runs.len()
-        );
-    }
-    eprintln!(
-        "sweep_smoke: FAILED — engine output no longer matches the golden file. If the \
-         change is intentional, re-bless with:\n  cargo run --release -p wattroute_bench \
-         --bin sweep_smoke > crates/bench/golden/sweep_smoke.json"
-    );
-    std::process::exit(1);
+    println!("{}", smoke_report().to_json());
 }

@@ -497,7 +497,8 @@ impl<'a> MonteCarlo<'a> {
         }
 
         let mut per_path = Vec::with_capacity(n_paths);
-        let mut cluster_costs: Vec<Vec<f64>> = vec![Vec::with_capacity(n_paths); n_hubs];
+        let mut cluster_costs: Vec<Vec<f64>> =
+            (0..n_hubs).map(|_| Vec::with_capacity(n_paths)).collect();
         for slot in slots {
             let (outcome, costs) = slot.expect("every path index was drawn exactly once");
             for (samples, cost) in cluster_costs.iter_mut().zip(costs) {

@@ -46,8 +46,9 @@
 //! [`reuse_artifacts`](RunOptions::reuse_artifacts) option shares one
 //! compiled-artifact cache across a sequence of sweeps. The report
 //! serializes through the same dependency-free JSON module as individual
-//! [`SimulationReport`]s — CI diffs one against a golden file so engine
-//! refactors cannot silently change results.
+//! [`SimulationReport`]s; two golden sweep reports are checked by
+//! `crates/bench/tests/goldens.rs` in tier-1, so engine refactors cannot
+//! silently change results.
 //!
 //! ```
 //! use wattroute::prelude::*;

@@ -5,9 +5,10 @@
 //! across policies, constraint regimes, and both execution topologies
 //! (the flat batch driver and the sharded hierarchical replay).
 //!
-//! This is the contract that lets CI re-run every golden with
-//! `WATTROUTE_TELEMETRY=1` and diff against the same fixtures: telemetry
-//! observes the engine, it never steers it.
+//! This is the contract that lets `crates/bench/tests/goldens.rs` re-run
+//! `sweep_smoke` and `mc_smoke` with `WATTROUTE_TELEMETRY=1` against the
+//! same fixtures in tier-1: telemetry observes the engine, it never
+//! steers it.
 //!
 //! The enabled flag and the trace sink are process globals, so this binary
 //! holds no test that assumes telemetry is off (see the `[[test]]` entry in
