@@ -6,7 +6,8 @@
 //! per-cluster cost bands, and the shrinking confidence interval on the
 //! mean savings as the path budget grows. A throughput table reports
 //! paths/sec at 16/64/256 paths — first run cold (process start, fresh
-//! compiled preferences), second run warm — for the perf trajectory file.
+//! compiled preferences), second run warm — the yardstick for Monte Carlo
+//! speed-ups.
 
 use std::time::Instant;
 use wattroute::montecarlo::MonteCarlo;

@@ -1,54 +1,37 @@
-//! `obs_report` — exercise every instrumented subsystem with telemetry
-//! on, snapshot the [`wattroute_obs`] registry, and emit the PR's
-//! `BENCH_09.json` (or gate CI on the enabled-telemetry overhead).
+//! `obs_report` — the CI gate on the cost of enabled telemetry.
 //!
 //! ```text
-//! obs_report [--out PATH] [--date YYYY-MM-DD] [--reps N]
-//! obs_report --check-overhead [--max-overhead-pct P] [--reps N]
+//! obs_report
 //! ```
 //!
-//! Default mode runs a representative instrumented workload of each
-//! subsystem — a one-week batch replay, a sharded hierarchical replay, a
-//! scenario sweep, and a small Monte Carlo — with spans enabled, measures
-//! the off-vs-on overhead of the two replay hot paths (untimed warmups,
-//! then the median of `--reps` *interleaved* off/on timed pairs; the
-//! per-side minimum is recorded alongside), and writes one JSON document
-//! whose `registry` section is
-//! the live [`Telemetry::snapshot`] rendered by the crate's own JSON
-//! exposition: nothing in the file is hand-written.
-//!
-//! `--check-overhead` skips the document and exits non-zero when either
-//! replay's enabled overhead — the median of the per-pair on/off ratios,
-//! the noise-robust statistic — exceeds `--max-overhead-pct` (default 5):
-//! the CI gate backing the "zero-cost when off, cheap when on" claim.
+//! Times the two replay hot paths — a two-week batch replay and a
+//! 120-site four-week sharded hierarchical replay — with telemetry off
+//! and on (untimed warmups, then [`REPS`] *interleaved* off/on timed
+//! pairs), prints each path's medians and overhead to stderr, and exits
+//! non-zero when either overhead — the median of the per-pair on/off
+//! ratios, the noise-robust statistic — exceeds [`MAX_OVERHEAD_PCT`]:
+//! the gate backing the "zero-cost when off, cheap when on" claim.
 
 use std::process::ExitCode;
 use std::time::Instant;
 use wattroute::hierarchy::HierarchicalReplay;
-use wattroute::json::{self, JsonValue};
-use wattroute::montecarlo::MonteCarlo;
 use wattroute::prelude::*;
-use wattroute::sweep::ScenarioSweep;
 use wattroute_bench::HARNESS_SEED;
 use wattroute_geo::topology::Topology;
 use wattroute_market::generator::PriceGenerator;
 use wattroute_market::model::MarketModel;
 use wattroute_market::time::SimHour;
-use wattroute_obs::{telemetry, Telemetry};
-use wattroute_optimizer::{DeploymentOptimizer, GreedyDescent, SearchBudget, SearchSpace};
+use wattroute_obs::Telemetry;
 use wattroute_routing::policy::RoutingPolicy;
 
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(String::as_str)
-}
+/// Interleaved off/on timed pairs per replay path.
+const REPS: usize = 5;
+
+/// The largest enabled-telemetry overhead either replay path may show.
+const MAX_OVERHEAD_PCT: f64 = 5.0;
 
 fn make_policy() -> Box<dyn RoutingPolicy> {
     Box::new(PriceConsciousPolicy::with_distance_threshold(1500.0))
-}
-
-fn week_scenario() -> Scenario {
-    let start = SimHour::from_date(2008, 12, 19);
-    Scenario::custom_window(HARNESS_SEED, HourRange::new(start, start.plus_hours(7 * 24)))
 }
 
 /// Median of a sample set (mean of the middle pair for even counts).
@@ -63,17 +46,13 @@ fn median(samples: &[f64]) -> f64 {
     }
 }
 
-fn minimum(timings: &[f64]) -> f64 {
-    timings.iter().copied().fold(f64::INFINITY, f64::min)
-}
-
 /// One off/on overhead datapoint for telemetry disabled vs enabled
 /// (spans only, no trace sink — tracing is a diagnostic mode, not the
 /// overhead claim). Methodology, tuned for a noisy shared 1-vCPU box:
 ///
 /// * one untimed warmup run per side, so cold caches, lazy statics, and
 ///   the allocator's first growth never land in a timed repetition;
-/// * `reps` **interleaved** off/on pairs — measuring all-off then all-on
+/// * [`REPS`] **interleaved** off/on pairs — measuring all-off then all-on
 ///   turns any drift in background load into systematic bias, which is
 ///   how BENCH_09 recorded a spurious −7.8% "overhead" (best-of-N over
 ///   back-to-back blocks); alternating sides makes drift hit both series
@@ -82,16 +61,15 @@ fn minimum(timings: &[f64]) -> f64 {
 ///   ratios**: a background burst longer than one pair skews a
 ///   ratio-of-medians, but it lands on both runs of the pairs it covers,
 ///   so the per-pair ratio stays honest and its median shrugs off the
-///   pairs a burst straddles. Per-side medians and minimums are recorded
-///   alongside as references, never gated on (the minimum is too easily
-///   won by whichever side caught a quiet scheduler slice).
+///   pairs a burst straddles. Per-side medians are printed alongside as
+///   references, never gated on.
 struct Overhead {
     off_secs: Vec<f64>,
     on_secs: Vec<f64>,
 }
 
 impl Overhead {
-    fn measure(reps: usize, mut workload: impl FnMut()) -> Self {
+    fn measure(mut workload: impl FnMut()) -> Self {
         let timed = |f: &mut dyn FnMut()| {
             let t0 = Instant::now();
             f();
@@ -103,9 +81,9 @@ impl Overhead {
         Telemetry::enable();
         workload();
 
-        let mut off_secs = Vec::with_capacity(reps);
-        let mut on_secs = Vec::with_capacity(reps);
-        for _ in 0..reps.max(1) {
+        let mut off_secs = Vec::with_capacity(REPS);
+        let mut on_secs = Vec::with_capacity(REPS);
+        for _ in 0..REPS {
             Telemetry::disable();
             off_secs.push(timed(&mut workload));
             Telemetry::enable();
@@ -128,28 +106,18 @@ impl Overhead {
             self.off_secs.iter().zip(&self.on_secs).map(|(off, on)| on / off).collect();
         (median(&ratios) - 1.0) * 100.0
     }
-
-    fn to_json(&self) -> JsonValue {
-        json::object([
-            ("off_median_ms", JsonValue::Number(self.off_median() * 1.0e3)),
-            ("off_min_ms", JsonValue::Number(minimum(&self.off_secs) * 1.0e3)),
-            ("on_median_ms", JsonValue::Number(self.on_median() * 1.0e3)),
-            ("on_min_ms", JsonValue::Number(minimum(&self.on_secs) * 1.0e3)),
-            ("overhead_pct", JsonValue::Number(self.overhead_pct())),
-        ])
-    }
 }
 
-/// The two replay hot paths the <5% acceptance gate covers. The windows
-/// are twice the subsystem-exercise ones: with the epoch-cached tick a
-/// one-week batch replay finishes in ~15ms, small enough for scheduler
-/// jitter on a 1-vCPU box to swamp a few percent of signal even in a
-/// median; doubling the work halves the relative noise at trivial cost.
-fn measure_overheads(reps: usize) -> (Overhead, Overhead) {
+/// The two replay hot paths the gate covers. The windows are two and four
+/// weeks long: with the epoch-cached tick a one-week batch replay finishes
+/// in ~15ms, small enough for scheduler jitter on a 1-vCPU box to swamp a
+/// few percent of signal even in a median; doubling the work halves the
+/// relative noise at trivial cost.
+fn measure_overheads() -> (Overhead, Overhead) {
     let start = SimHour::from_date(2008, 12, 19);
     let scenario =
         Scenario::custom_window(HARNESS_SEED, HourRange::new(start, start.plus_hours(14 * 24)));
-    let engine = Overhead::measure(reps, || {
+    let engine = Overhead::measure(|| {
         let mut policy = PriceConsciousPolicy::with_distance_threshold(1500.0);
         let _ = scenario.execute(&mut policy, RunOptions::new());
     });
@@ -163,182 +131,30 @@ fn measure_overheads(reps: usize) -> (Overhead, Overhead) {
         PriceGenerator::new(MarketModel::calibrated(), HARNESS_SEED).realtime_hourly(range);
     let config = SimulationConfig::default().with_reallocation_interval(12);
     let replay = HierarchicalReplay::new(&topology, &trace, &prices, config);
-    let hierarchy = Overhead::measure(reps, || {
+    let hierarchy = Overhead::measure(|| {
         let _ = replay.run_sharded(&make_policy);
     });
     (engine, hierarchy)
 }
 
-/// Run one representative workload of every instrumented subsystem with
-/// telemetry on, so the registry snapshot covers each metric family.
-fn exercise_subsystems() {
-    Telemetry::enable();
-    let scenario = week_scenario();
-
-    // Batch replay: engine.tick phases, price view, alloc cache.
-    let mut policy = PriceConsciousPolicy::with_distance_threshold(1500.0);
-    let _ = scenario.execute(&mut policy, RunOptions::new());
-
-    // Scenario sweep: per-cell latency plus artifact-cache hits/misses
-    // (the mirror deployment shares the default's hub list, so its
-    // compiled artifacts come from the cache).
-    let mut sweep = ScenarioSweep::new(&scenario.clusters, &scenario.trace, &scenario.prices);
-    let mirror = sweep.add_deployment("mirror", &scenario.clusters);
-    sweep.add_point("pc", scenario.config.clone(), || {
-        PriceConsciousPolicy::with_distance_threshold(1500.0)
-    });
-    sweep.add_point("baseline", scenario.config.clone(), AkamaiLikePolicy::default);
-    sweep.add_point_on(mirror, "pc-mirror", scenario.config.clone(), || {
-        PriceConsciousPolicy::with_distance_threshold(1500.0)
-    });
-    let _ = sweep.execute(RunOptions::new());
-
-    // Hierarchical replay: shard + merge timings.
-    let topology = Topology::synthetic(HARNESS_SEED, 60).with_tier_slack(1.1);
-    let start = SimHour::from_date(2007, 1, 1);
-    let range = HourRange::new(start, start.plus_hours(7 * 24));
-    let trace =
-        SyntheticWorkloadConfig { seed: HARNESS_SEED, ..Default::default() }.generate(range);
-    let prices =
-        PriceGenerator::new(MarketModel::calibrated(), HARNESS_SEED).realtime_hourly(range);
-    let replay = HierarchicalReplay::new(
-        &topology,
-        &trace,
-        &prices,
-        SimulationConfig::default().with_reallocation_interval(12),
-    );
-    let _ = replay.run_sharded(&make_policy);
-
-    // Optimizer: candidate-evaluation counter, over a tiny 36-hour
-    // greedy search on the full nine-hub deployment.
-    let day_and_half = HourRange::new(
-        SimHour::from_date(2008, 12, 19),
-        SimHour::from_date(2008, 12, 19).plus_hours(36),
-    );
-    let opt_scenario = Scenario::custom_window(HARNESS_SEED, day_and_half);
-    let (space, start) = SearchSpace::from_deployment(&opt_scenario.clusters, 800);
-    let _ = DeploymentOptimizer::new(
-        space,
-        &opt_scenario.trace,
-        &opt_scenario.prices,
-        opt_scenario.config.clone(),
-    )
-    .with_budget(SearchBudget::smoke())
-    .with_start(start)
-    .run(&mut GreedyDescent::default());
-
-    // Monte Carlo: per-path durations and worker utilization.
-    let two_days = HourRange::new(
-        SimHour::from_date(2008, 12, 19),
-        SimHour::from_date(2008, 12, 19).plus_hours(2 * 24),
-    );
-    let mc_scenario = Scenario::custom_window(HARNESS_SEED, two_days);
-    let model = MarketModel::calibrated().restricted_to(&mc_scenario.clusters.hub_ids());
-    let _ = MonteCarlo::new(
-        &mc_scenario.clusters,
-        &mc_scenario.trace,
-        model,
-        mc_scenario.config.clone(),
-        HARNESS_SEED,
-    )
-    .with_paths(8)
-    .with_threads(2)
-    .run();
-
-    Telemetry::disable();
-}
-
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let reps: usize = flag_value(&args, "--reps").map_or(5, |v| v.parse().expect("--reps N"));
-
-    if args.iter().any(|a| a == "--check-overhead") {
-        let max_pct: f64 = flag_value(&args, "--max-overhead-pct")
-            .map_or(5.0, |v| v.parse().expect("--max-overhead-pct P"));
-        let (engine, hierarchy) = measure_overheads(reps);
-        let mut failed = false;
-        for (label, o) in [("simulation_engine", &engine), ("hierarchical_replay", &hierarchy)] {
-            eprintln!(
-                "obs_report: {label}: off median {:.1}ms on median {:.1}ms -> {:+.2}% (max {max_pct}%)",
-                o.off_median() * 1.0e3,
-                o.on_median() * 1.0e3,
-                o.overhead_pct(),
-            );
-            if o.overhead_pct() > max_pct {
-                eprintln!("obs_report: {label} enabled-telemetry overhead exceeds the budget");
-                failed = true;
-            }
+    let (engine, hierarchy) = measure_overheads();
+    let mut failed = false;
+    for (label, o) in [("batch replay", &engine), ("sharded hierarchy", &hierarchy)] {
+        eprintln!(
+            "obs_report: {label}: off median {:.1}ms on median {:.1}ms -> {:+.2}% (max {MAX_OVERHEAD_PCT}%)",
+            o.off_median() * 1.0e3,
+            o.on_median() * 1.0e3,
+            o.overhead_pct(),
+        );
+        if o.overhead_pct() > MAX_OVERHEAD_PCT {
+            eprintln!("obs_report: {label} enabled-telemetry overhead exceeds the budget");
+            failed = true;
         }
-        return if failed { ExitCode::FAILURE } else { ExitCode::SUCCESS };
     }
-
-    let date = flag_value(&args, "--date").unwrap_or("unknown").to_string();
-    let (engine, hierarchy) = measure_overheads(reps);
-    exercise_subsystems();
-
-    // The registry section is the obs crate's own JSON exposition of the
-    // live snapshot — parsed back only to embed it in the document.
-    let registry =
-        JsonValue::parse(&telemetry().snapshot_json()).expect("snapshot_json emits valid JSON");
-
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let doc = json::object([
-        ("pr", JsonValue::Number(9.0)),
-        (
-            "title",
-            JsonValue::String(
-                "wattroute_obs telemetry layer: metrics registry, phase tracing, daemon metrics endpoint"
-                    .to_string(),
-            ),
-        ),
-        ("date", JsonValue::String(date)),
-        (
-            "environment",
-            json::object([
-                ("profile", JsonValue::String(if cfg!(debug_assertions) {
-                    "debug".to_string()
-                } else {
-                    "release".to_string()
-                })),
-                ("cores", JsonValue::Number(cores as f64)),
-                (
-                    "note",
-                    JsonValue::String(
-                        "Generated by obs_report: overheads are warmed-up medians over N \
-                         interleaved off/on wall-clock pairs (minimum also recorded) for the \
-                         telemetry-off vs telemetry-on (spans, no trace sink) replays; the \
-                         registry section is Telemetry::snapshot_json() after one instrumented \
-                         run of each subsystem (batch replay, sweep, sharded hierarchy, Monte \
-                         Carlo). Histogram units are seconds."
-                            .to_string(),
-                    ),
-                ),
-            ]),
-        ),
-        (
-            "groups",
-            json::object([(
-                "telemetry_overhead",
-                json::object([
-                    ("simulation_engine", engine.to_json()),
-                    ("hierarchical_replay", hierarchy.to_json()),
-                    ("budget_pct", JsonValue::Number(5.0)),
-                ]),
-            )]),
-        ),
-        ("registry", registry),
-    ]);
-
-    let text = format!("{doc}\n");
-    match flag_value(&args, "--out") {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &text) {
-                eprintln!("obs_report: cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("obs_report: wrote {path}");
-        }
-        None => print!("{text}"),
+    if failed {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
     }
-    ExitCode::SUCCESS
 }

@@ -46,6 +46,7 @@ use wattroute::engine::{DemandSlice, PriceSlice, SimulationEngine};
 use wattroute::json::{self, JsonValue};
 use wattroute::prelude::*;
 use wattroute::report::SimulationReport;
+use wattroute_geo::topology::Topology;
 use wattroute_geo::UsState;
 use wattroute_market::feed::PriceFeed;
 use wattroute_routing::policy::RoutingPolicy;
@@ -170,6 +171,17 @@ impl DaemonMetrics {
     }
 }
 
+/// What the replay loop shares with every connection handler.
+struct Shared<'a> {
+    engine: Mutex<SimulationEngine<'a>>,
+    /// The deployment embedded as a one-region tree, built once: the
+    /// `stats` reply's `tier_load` aggregates the current loads up it.
+    tiers: Topology,
+    shutdown: AtomicBool,
+    metrics: DaemonMetrics,
+    started: Instant,
+}
+
 /// Replay `scenario` through a tick engine, serving queries on a Unix
 /// socket, until the trace ends (and, with [`DaemonOptions::linger`], a
 /// `shutdown` command arrives). Returns the final flushed
@@ -194,14 +206,17 @@ pub fn serve(
         .collect();
     let mut feed = PriceFeed::new(hubs, scenario.config.reaction_delay_hours);
 
-    let engine = Mutex::new(SimulationEngine::new(
-        &scenario.clusters,
-        &scenario.trace.states,
-        scenario.config.clone(),
-    ));
-    let shutdown = AtomicBool::new(false);
-    let metrics = DaemonMetrics::default();
-    let started = Instant::now();
+    let shared = Shared {
+        engine: Mutex::new(SimulationEngine::new(
+            &scenario.clusters,
+            &scenario.trace.states,
+            scenario.config.clone(),
+        )),
+        tiers: single_region_of(&scenario.clusters),
+        shutdown: AtomicBool::new(false),
+        metrics: DaemonMetrics::default(),
+        started: Instant::now(),
+    };
 
     // Pre-register the engine series the `metrics` verb promises, so the
     // exposition carries them from the first scrape (at zero) instead of
@@ -211,13 +226,11 @@ pub fn serve(
     wattroute_obs::histogram!("engine.tick").count();
 
     std::thread::scope(|scope| {
-        scope.spawn(|| {
-            accept_loop(&listener, &engine, &shutdown, options.max_connections, &metrics, started)
-        });
+        scope.spawn(|| accept_loop(&listener, &shared, options.max_connections));
 
         let mut row = Vec::with_capacity(series.len());
         for (i, step) in scenario.trace.steps().iter().enumerate() {
-            if shutdown.load(Ordering::SeqCst) {
+            if shared.shutdown.load(Ordering::SeqCst) {
                 break;
             }
             let hour = scenario.trace.step_hour(i);
@@ -229,7 +242,7 @@ pub fn serve(
                 feed.ingest(hour, &row).expect("trace hours are contiguous");
             }
             {
-                let mut engine = engine.lock().expect("engine lock");
+                let mut engine = shared.engine.lock().expect("engine lock");
                 engine.set_clamped_lead_hours(feed.clamped_lead_hours());
                 engine.tick(
                     policy,
@@ -246,15 +259,15 @@ pub fn serve(
             }
         }
         if options.linger {
-            while !shutdown.load(Ordering::SeqCst) {
+            while !shared.shutdown.load(Ordering::SeqCst) {
                 std::thread::sleep(Duration::from_millis(5));
             }
         } else {
-            shutdown.store(true, Ordering::SeqCst);
+            shared.shutdown.store(true, Ordering::SeqCst);
         }
     });
 
-    let report = engine.into_inner().expect("all threads joined").report();
+    let report = shared.engine.into_inner().expect("all threads joined").report();
     let _ = std::fs::remove_file(&options.socket_path);
     Ok(report)
 }
@@ -263,14 +276,8 @@ pub fn serve(
 /// the shared engine. At most `max_connections` handler threads are live
 /// at once; a connection beyond the cap gets one JSON error reply and is
 /// closed.
-fn accept_loop(
-    listener: &UnixListener,
-    engine: &Mutex<SimulationEngine<'_>>,
-    shutdown: &AtomicBool,
-    max_connections: usize,
-    metrics: &DaemonMetrics,
-    started: Instant,
-) {
+fn accept_loop(listener: &UnixListener, shared: &Shared<'_>, max_connections: usize) {
+    let metrics = &shared.metrics;
     let live = AtomicUsize::new(0);
     let live = &live;
     std::thread::scope(|scope| loop {
@@ -295,16 +302,16 @@ fn accept_loop(
                     let _ = stream.write_all(reply.as_bytes());
                 } else {
                     scope.spawn(move || {
-                        let _ = handle_connection(stream, engine, shutdown, metrics, started);
+                        let _ = handle_connection(stream, shared);
                         live.fetch_sub(1, Ordering::SeqCst);
                     });
                 }
-                if shutdown.load(Ordering::SeqCst) {
+                if shared.shutdown.load(Ordering::SeqCst) {
                     break;
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if shutdown.load(Ordering::SeqCst) {
+                if shared.shutdown.load(Ordering::SeqCst) {
                     break;
                 }
                 std::thread::sleep(Duration::from_millis(2));
@@ -316,13 +323,7 @@ fn accept_loop(
 
 /// Serve one connection: a sequence of newline-delimited request objects,
 /// answered in order, until EOF or shutdown.
-fn handle_connection(
-    stream: UnixStream,
-    engine: &Mutex<SimulationEngine<'_>>,
-    shutdown: &AtomicBool,
-    metrics: &DaemonMetrics,
-    started: Instant,
-) -> io::Result<()> {
+fn handle_connection(stream: UnixStream, shared: &Shared<'_>) -> io::Result<()> {
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
     // One request-line buffer and one reply buffer per connection: at
@@ -346,28 +347,28 @@ fn handle_connection(
         match reader.by_ref().take(room as u64).read_until(b'\n', &mut line) {
             Ok(_) if line.is_empty() => return Ok(()), // EOF
             Ok(_) if line.len() == MAX_REQUEST_LINE && line.last() != Some(&b'\n') => {
-                metrics.record_error();
+                shared.metrics.record_error();
                 let error = format!("request line longer than {MAX_REQUEST_LINE} bytes");
                 return answer(error_reply(&error));
             }
             Ok(_) => {
                 let reply = match std::str::from_utf8(&line) {
-                    Ok(text) => handle_request(text.trim(), engine, shutdown, metrics, started),
+                    Ok(text) => handle_request(text.trim(), shared),
                     Err(_) => {
-                        metrics.record_error();
+                        shared.metrics.record_error();
                         error_reply("request line is not UTF-8")
                     }
                 };
                 line.clear();
                 answer(reply)?;
-                if shutdown.load(Ordering::SeqCst) {
+                if shared.shutdown.load(Ordering::SeqCst) {
                     return Ok(());
                 }
             }
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
-                if shutdown.load(Ordering::SeqCst) {
+                if shared.shutdown.load(Ordering::SeqCst) {
                     return Ok(());
                 }
             }
@@ -379,29 +380,18 @@ fn handle_connection(
 /// Answer one request line. Always produces a reply object; never panics
 /// on malformed input. Wraps the dispatch in a `daemon.request` latency
 /// span and books the verb / error counters.
-fn handle_request(
-    line: &str,
-    engine: &Mutex<SimulationEngine<'_>>,
-    shutdown: &AtomicBool,
-    metrics: &DaemonMetrics,
-    started: Instant,
-) -> JsonValue {
+fn handle_request(line: &str, shared: &Shared<'_>) -> JsonValue {
     let _request_span = wattroute_obs::span!("daemon.request");
-    let reply = dispatch_request(line, engine, shutdown, metrics, started);
+    let reply = dispatch_request(line, shared);
     if reply.get("ok").and_then(JsonValue::as_bool) != Some(true) {
-        metrics.record_error();
+        shared.metrics.record_error();
     }
     reply
 }
 
 /// The verb dispatch behind [`handle_request`].
-fn dispatch_request(
-    line: &str,
-    engine: &Mutex<SimulationEngine<'_>>,
-    shutdown: &AtomicBool,
-    metrics: &DaemonMetrics,
-    started: Instant,
-) -> JsonValue {
+fn dispatch_request(line: &str, shared: &Shared<'_>) -> JsonValue {
+    let Shared { engine, tiers, shutdown, metrics, started } = shared;
     if line.is_empty() {
         return error_reply("empty request line");
     }
@@ -426,35 +416,21 @@ fn dispatch_request(
         }
         "stats" => {
             let engine = engine.lock().expect("engine lock");
-            let health = [
-                ("uptime_secs", JsonValue::Number(started.elapsed().as_secs_f64())),
-                (
-                    "connections_total",
-                    JsonValue::Number(metrics.connections_total.load(Ordering::Relaxed) as f64),
-                ),
-                ("requests_by_verb", metrics.requests_by_verb()),
-            ];
-            match tier_load_reply(&engine) {
-                Some(tier_load) => json::object_iter(
-                    [
-                        ("ok", JsonValue::Bool(true)),
-                        ("steps", JsonValue::Number(engine.steps() as f64)),
-                        ("report", engine.report().to_json_value()),
-                        ("tier_load", tier_load),
-                    ]
-                    .into_iter()
-                    .chain(health),
-                ),
-                None => json::object_iter(
-                    [
-                        ("ok", JsonValue::Bool(true)),
-                        ("steps", JsonValue::Number(engine.steps() as f64)),
-                        ("report", engine.report().to_json_value()),
-                    ]
-                    .into_iter()
-                    .chain(health),
-                ),
-            }
+            json::object_iter(
+                [
+                    ("ok", JsonValue::Bool(true)),
+                    ("steps", JsonValue::Number(engine.steps() as f64)),
+                    ("report", engine.report().to_json_value()),
+                    ("uptime_secs", JsonValue::Number(started.elapsed().as_secs_f64())),
+                    (
+                        "connections_total",
+                        JsonValue::Number(metrics.connections_total.load(Ordering::Relaxed) as f64),
+                    ),
+                    ("requests_by_verb", metrics.requests_by_verb()),
+                ]
+                .into_iter()
+                .chain(tier_load_reply(&engine, tiers).map(|tier_load| ("tier_load", tier_load))),
+            )
         }
         "metrics" => json::object([
             ("ok", JsonValue::Bool(true)),
@@ -502,19 +478,18 @@ fn route_reply(engine: &SimulationEngine<'_>, state: UsState, code: &str) -> Jso
     ])
 }
 
-/// The `stats` reply's tier-level view of the allocation in force: the
-/// daemon's flat deployment embedded as a one-region tree, with
-/// [`TierLoads`] aggregating the current per-cluster loads up it. `None`
-/// until the first tick installs an allocation.
-fn tier_load_reply(engine: &SimulationEngine<'_>) -> Option<JsonValue> {
+/// The `stats` reply's tier-level view of the allocation in force:
+/// [`TierLoads`] aggregating the current per-cluster loads up `tiers`, the
+/// daemon's flat deployment embedded as a one-region tree. `None` until
+/// the first tick installs an allocation.
+fn tier_load_reply(engine: &SimulationEngine<'_>, tiers: &Topology) -> Option<JsonValue> {
     let allocation = engine.current_allocation()?;
-    let topology = single_region_of(engine.clusters());
-    let loads = TierLoads::aggregate(&topology, &allocation.cluster_loads());
+    let loads = TierLoads::aggregate(tiers, &allocation.cluster_loads());
     Some(json::object([
         (
             "metros",
             json::object_iter(
-                topology
+                tiers
                     .metro_labels()
                     .iter()
                     .zip(&loads.metro)
@@ -524,7 +499,7 @@ fn tier_load_reply(engine: &SimulationEngine<'_>) -> Option<JsonValue> {
         (
             "regions",
             json::object_iter(
-                topology
+                tiers
                     .region_labels()
                     .iter()
                     .zip(&loads.region)

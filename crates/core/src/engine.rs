@@ -119,7 +119,7 @@ const NO_ALLOC_HOUR: SimHour = SimHour(u64::MAX);
 /// record a call only when its first step is a multiple of this. A
 /// steady-state tick is a sub-microsecond add loop; timing every one would
 /// cost more than the phase being timed and break the enabled-telemetry
-/// overhead budget (`obs_report --check-overhead`). A deterministic sample
+/// overhead budget (`obs_report`, a CI gate). A deterministic sample
 /// keeps hundreds of datapoints per simulated day, always includes step 0,
 /// and leaves every counter exact.
 pub(crate) const SPAN_SAMPLE_EVERY: usize = 8;

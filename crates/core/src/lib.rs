@@ -55,7 +55,6 @@ pub mod constraints;
 pub mod engine;
 pub mod hierarchy;
 pub mod json;
-pub mod jsonl;
 pub mod montecarlo;
 pub mod objective;
 pub mod report;

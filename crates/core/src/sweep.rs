@@ -750,40 +750,6 @@ pub struct SweepResult {
     pub report: SimulationReport,
 }
 
-impl SweepResult {
-    /// Encode as a JSON value (one self-contained object per cell — the
-    /// line format of [`crate::jsonl`]).
-    pub fn to_json_value(&self) -> JsonValue {
-        json::object([
-            ("index", JsonValue::Number(self.index as f64)),
-            ("label", JsonValue::String(self.label.clone())),
-            ("deployment", JsonValue::String(self.deployment.clone())),
-            ("report", self.report.to_json_value()),
-        ])
-    }
-
-    /// Decode from a JSON value produced by [`Self::to_json_value`].
-    pub fn from_json_value(v: &JsonValue) -> Result<Self, ReportDecodeError> {
-        let index = v.get("index").and_then(JsonValue::as_count).ok_or_else(|| {
-            ReportDecodeError::new("cell 'index' is missing or not a non-negative integer")
-        })?;
-        let label = v
-            .get("label")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| ReportDecodeError::new("cell missing 'label'"))?
-            .to_string();
-        let deployment = v
-            .get("deployment")
-            .and_then(JsonValue::as_str)
-            .unwrap_or(DEFAULT_DEPLOYMENT)
-            .to_string();
-        let report = SimulationReport::from_json_value(
-            v.get("report").ok_or_else(|| ReportDecodeError::new("cell missing 'report'"))?,
-        )?;
-        Ok(Self { index: index as usize, label, deployment, report })
-    }
-}
-
 /// One completed sweep run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepRun {
@@ -1230,24 +1196,6 @@ mod tests {
         // A different window (and therefore coverage) must be refused —
         // the cache would otherwise serve the first scenario's prices.
         build(&other).execute_streaming(RunOptions::new().reuse_artifacts(&mut cache), |_| {});
-    }
-
-    #[test]
-    fn sweep_result_round_trips_through_json() {
-        let s = short_scenario();
-        let mut sweep = ScenarioSweep::new(&s.clusters, &s.trace, &s.prices);
-        sweep.add_point("only", s.config.clone(), AkamaiLikePolicy::default);
-        let mut results: Vec<SweepResult> = Vec::new();
-        sweep.execute_streaming(RunOptions::new(), |r| results.push(r));
-        let cell = &results[0];
-        let back = SweepResult::from_json_value(&cell.to_json_value()).expect("round trip");
-        assert_eq!(&back, cell);
-        for bad in [-3.0, 2.5, 1e300, -1.0] {
-            let mut v = cell.to_json_value();
-            let JsonValue::Object(fields) = &mut v else { panic!("a cell is an object") };
-            fields.insert("index".into(), JsonValue::Number(bad));
-            assert!(SweepResult::from_json_value(&v).is_err(), "index = {bad}");
-        }
     }
 
     #[test]

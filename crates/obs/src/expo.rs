@@ -1,6 +1,5 @@
 //! Rendering a [`RegistrySnapshot`] as text: the Prometheus-style
-//! exposition the daemon's `metrics` verb serves, and the JSON dump
-//! `obs_report` builds `BENCH_*.json` entries from.
+//! exposition the daemon's `metrics` verb serves.
 //!
 //! Naming: registry names are dotted `subsystem.phase.metric` paths; the
 //! exposition mangles them to `wattroute_subsystem_phase_metric`, with
@@ -8,7 +7,6 @@
 //! `_seconds` for histograms (every registry histogram is a duration
 //! histogram), gauges bare.
 
-use crate::metrics::HistogramSnapshot;
 use crate::registry::RegistrySnapshot;
 use std::fmt::Write;
 
@@ -88,59 +86,6 @@ pub fn prometheus(snapshot: &RegistrySnapshot) -> String {
     out
 }
 
-/// One histogram as a JSON object: count, sum, mean, and the p50/p95/p99
-/// extracted from the bucket counts.
-fn histogram_json(hist: &HistogramSnapshot) -> String {
-    let pct = |p: f64| hist.percentile(p).map_or("null".to_string(), json_f64);
-    format!(
-        "{{\"count\":{},\"sum_secs\":{},\"mean_secs\":{},\"p50_secs\":{},\"p95_secs\":{},\"p99_secs\":{}}}",
-        hist.count,
-        json_f64(hist.sum),
-        hist.mean().map_or("null".to_string(), json_f64),
-        pct(50.0),
-        pct(95.0),
-        pct(99.0),
-    )
-}
-
-/// Render the snapshot as one JSON object:
-///
-/// ```json
-/// {"counters":{"market.billing_matrix.builds":3},
-///  "gauges":{"sweep.artifact_cache.hit_rate":0.5},
-///  "histograms":{"engine.tick":{"count":2016,"sum_secs":0.02,
-///    "mean_secs":1.0e-5,"p50_secs":9.1e-6,"p95_secs":1.4e-5,"p99_secs":2.8e-5}}}
-/// ```
-///
-/// Keys are the raw dotted registry names, sorted; values for
-/// histograms carry the derived summary, not the raw buckets (the
-/// Prometheus exposition is the bucket-level view).
-pub fn snapshot_json(snapshot: &RegistrySnapshot) -> String {
-    let mut out = String::from("{\"counters\":{");
-    for (i, (name, value)) in snapshot.counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{}\":{}", escape_json(name), value);
-    }
-    out.push_str("},\"gauges\":{");
-    for (i, (name, value)) in snapshot.gauges.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{}\":{}", escape_json(name), json_f64(*value));
-    }
-    out.push_str("},\"histograms\":{");
-    for (i, (name, hist)) in snapshot.histograms.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{}\":{}", escape_json(name), histogram_json(hist));
-    }
-    out.push_str("}}");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,18 +119,6 @@ mod tests {
             assert!(v >= last, "bucket counts must be cumulative: {line}");
             last = v;
         }
-    }
-
-    #[test]
-    fn snapshot_json_is_valid_and_complete() {
-        let json = snapshot_json(&sample_registry().snapshot());
-        assert!(json.contains("\"daemon.requests.stats\":3"));
-        assert!(json.contains("\"montecarlo.worker_utilization\":0.875"));
-        assert!(json.contains("\"engine.tick\":{\"count\":2"));
-        // Braces balance (cheap structural sanity; full parsing happens in
-        // the bench harness, which has a real JSON parser).
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.starts_with('{') && json.ends_with('}'));
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //! monotonic [`Counter`]s, [`Gauge`]s and log₂-bucketed duration
 //! [`Histogram`]s, fed by [`Span`] timers in the instrumented
 //! subsystems, rendered as a Prometheus-style text exposition (the
-//! `routed` daemon's `metrics` verb) or a JSON dump (the `obs_report`
-//! bench harness). See `docs/observability.md`.
+//! `routed` daemon's `metrics` verb). See `docs/observability.md`.
 //!
 //! # Cost model
 //!
@@ -17,9 +16,8 @@
 //!   Simulated results are byte-identical either way (telemetry never
 //!   touches engine state; pinned by the transparency property test).
 //! * **Telemetry on**: spans cost two `Instant::now` calls plus a
-//!   lock-free histogram record. The `telemetry_overhead` criterion
-//!   bench and the CI gate hold the end-to-end replay overhead under
-//!   5%.
+//!   lock-free histogram record. `obs_report`, a CI gate, holds the
+//!   end-to-end replay overhead under 5%.
 //! * **Counters are always live** regardless of the flag: they are cold
 //!   (artifact compiles, daemon requests) and the compile-count test
 //!   pins (`BillingMatrix::build_count` et al.) rely on them counting
@@ -143,13 +141,6 @@ impl Telemetry {
     /// Freeze every registered metric into a [`RegistrySnapshot`].
     pub fn snapshot(&self) -> RegistrySnapshot {
         self.registry.snapshot()
-    }
-
-    /// The registry as one JSON object (counters, gauges, histogram
-    /// summaries with p50/p95/p99) — the payload `obs_report` builds
-    /// `BENCH_*.json` entries from. See [`expo::snapshot_json`].
-    pub fn snapshot_json(&self) -> String {
-        expo::snapshot_json(&self.snapshot())
     }
 
     /// The registry as a Prometheus-style text exposition — the payload

@@ -102,8 +102,8 @@ fn kind_name(handle: &Handle) -> &'static str {
     }
 }
 
-/// A frozen, name-sorted copy of every registered metric — what the JSON
-/// and Prometheus-style expositions are rendered from.
+/// A frozen, name-sorted copy of every registered metric — what the
+/// Prometheus-style exposition is rendered from.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RegistrySnapshot {
     /// `(name, value)` for every counter, sorted by name.
