@@ -46,9 +46,8 @@ fn median(samples: &[f64]) -> f64 {
     }
 }
 
-/// One off/on overhead datapoint for telemetry disabled vs enabled
-/// (spans only, no trace sink — tracing is a diagnostic mode, not the
-/// overhead claim). Methodology, tuned for a noisy shared 1-vCPU box:
+/// One off/on overhead datapoint for telemetry disabled vs enabled.
+/// Methodology, tuned for a noisy shared 1-vCPU box:
 ///
 /// * one untimed warmup run per side, so cold caches, lazy statics, and
 ///   the allocator's first growth never land in a timed repetition;

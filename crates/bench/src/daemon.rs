@@ -92,13 +92,6 @@ impl DaemonOptions {
             max_connections: DEFAULT_MAX_CONNECTIONS,
         }
     }
-
-    /// Override the concurrent-connection cap (minimum 1).
-    pub fn with_max_connections(mut self, max_connections: usize) -> Self {
-        assert!(max_connections >= 1, "the daemon needs at least one connection slot");
-        self.max_connections = max_connections;
-        self
-    }
 }
 
 /// Per-daemon health counters surfaced in the `stats` reply. The same

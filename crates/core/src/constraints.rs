@@ -8,12 +8,11 @@
 //! dollars. That turns every constrained experiment into a two-phase
 //! pipeline:
 //!
-//! 1. **calibrate** — replay the baseline policy once, recording every
-//!    cluster's five-minute load series (a [`LoadRecorder`] sink via
-//!    [`RunOptions::record_loads`](crate::run::RunOptions::record_loads)
-//!    on [`Simulation::execute`]), and derive the per-cluster 95th
-//!    percentiles via
-//!    [`BandwidthProfile::from_cluster_loads`](wattroute_workload::bandwidth::BandwidthProfile::from_cluster_loads);
+//! 1. **calibrate** — replay the baseline policy once through
+//!    [`Scenario::execute`]; its report's per-cluster
+//!    [`p95_hits_per_sec`](crate::report::ClusterReport::p95_hits_per_sec)
+//!    — the 95th percentile of each cluster's five-minute load series,
+//!    read off the engine's exact load runs — are the levels;
 //! 2. **constrain** — turn those levels (optionally scaled by a slack
 //!    multiplier) into the [`ConstraintSet`] that constrained runs borrow;
 //! 3. **account** — price the observed 95th percentiles under a
@@ -27,11 +26,10 @@
 use crate::report::SimulationReport;
 use crate::run::RunOptions;
 use crate::scenario::Scenario;
-use crate::simulation::{LoadRecorder, Simulation, SimulationConfig};
+use crate::simulation::SimulationConfig;
 use wattroute_geo::HubId;
 use wattroute_routing::baseline::AkamaiLikePolicy;
 use wattroute_routing::policy::RoutingPolicy;
-use wattroute_workload::bandwidth::BandwidthProfile;
 use wattroute_workload::trace::STEP_SECONDS;
 
 pub use wattroute_routing::constraints::{ConstraintSet, HubBandwidthCaps, OverflowMode};
@@ -79,14 +77,14 @@ impl BandwidthTariff {
 }
 
 /// A scenario with its baseline calibration pass already run: the baseline
-/// report, the observed per-cluster 95/5 bandwidth profile, and factories
-/// for the constraint sets (positional or hub-keyed) that constrained runs
-/// and searches need.
+/// report, its per-cluster 95th percentiles as caps, and factories for the
+/// constraint sets (positional or hub-keyed) that constrained runs and
+/// searches need.
 #[derive(Debug, Clone)]
 pub struct CalibratedScenario {
     hub_ids: Vec<HubId>,
     baseline: SimulationReport,
-    profile: BandwidthProfile,
+    caps: Vec<f64>,
 }
 
 impl CalibratedScenario {
@@ -99,18 +97,9 @@ impl CalibratedScenario {
     /// Run the calibration pass with an arbitrary policy — the "original
     /// assignment" whose 95th percentiles become the caps.
     pub fn calibrate_with(scenario: &Scenario, policy: &mut dyn RoutingPolicy) -> Self {
-        let mut recorder = LoadRecorder::new();
-        let sim = Simulation::new(
-            &scenario.clusters,
-            &scenario.trace,
-            &scenario.prices,
-            scenario.config.clone(),
-        );
-        let baseline = sim.execute(policy, RunOptions::new().record_loads(&mut recorder));
-        let profile = recorder
-            .bandwidth_profile()
-            .expect("a non-empty trace always yields per-cluster load series");
-        Self { hub_ids: scenario.clusters.hub_ids(), baseline, profile }
+        let baseline = scenario.execute(policy, RunOptions::new());
+        let caps = baseline.clusters.iter().map(|c| c.p95_hits_per_sec).collect();
+        Self { hub_ids: scenario.clusters.hub_ids(), baseline, caps }
     }
 
     /// The calibration run's report — the denominator of every
@@ -119,15 +108,11 @@ impl CalibratedScenario {
         &self.baseline
     }
 
-    /// The observed 95/5 bandwidth profile of the calibration run.
-    pub fn profile(&self) -> &BandwidthProfile {
-        &self.profile
-    }
-
     /// The per-cluster 95th-percentile caps at multiplier 1.0 (the paper's
-    /// "follow original 95/5 constraints" levels).
+    /// "follow original 95/5 constraints" levels): the calibration run's
+    /// per-cluster `p95_hits_per_sec`.
     pub fn p95_caps(&self) -> &[f64] {
-        &self.profile.p95_hits_per_sec
+        &self.caps
     }
 
     /// Derive the constraint set for a constrained run: `base` with its
@@ -138,7 +123,7 @@ impl CalibratedScenario {
     /// unconstrained run.
     pub fn constraints(&self, base: &ConstraintSet, cap_multiplier: f64) -> ConstraintSet {
         base.clone()
-            .with_bandwidth_caps(self.profile.p95_hits_per_sec.clone())
+            .with_bandwidth_caps(self.caps.clone())
             .with_bandwidth_caps_scaled(cap_multiplier)
     }
 
@@ -162,22 +147,19 @@ impl CalibratedScenario {
     /// calibrated one — the placement optimizer resolves these against
     /// every candidate it visits.
     pub fn hub_caps(&self, cap_multiplier: f64) -> HubBandwidthCaps {
-        HubBandwidthCaps::new(
-            self.hub_ids
-                .iter()
-                .copied()
-                .zip(self.profile.p95_hits_per_sec.iter().copied())
-                .collect(),
-        )
-        .scaled(cap_multiplier)
+        HubBandwidthCaps::new(self.hub_ids.iter().copied().zip(self.caps.iter().copied()).collect())
+            .scaled(cap_multiplier)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{DemandSlice, PriceSlice, SimulationEngine};
+    use crate::simulation::Simulation;
     use wattroute_market::time::{HourRange, SimHour};
     use wattroute_routing::price_conscious::PriceConsciousPolicy;
+    use wattroute_workload::bandwidth::percentile_95;
 
     fn short_scenario() -> Scenario {
         let start = SimHour::from_date(2008, 12, 19);
@@ -204,15 +186,40 @@ mod tests {
 
     #[test]
     fn calibration_matches_the_baseline_reports_p95() {
+        // The caps are the calibration report's p95 levels. Pin them, bit
+        // for bit, to the 95th percentile of each cluster's per-step load
+        // series in an engine ticked once per step.
         let s = short_scenario();
-        let calibrated = CalibratedScenario::calibrate(&s);
-        // The profile's p95 levels are exactly the baseline report's — one
-        // quantile implementation, two consumers.
-        for (cap, cluster) in calibrated.p95_caps().iter().zip(&calibrated.baseline().clusters) {
-            assert_eq!(*cap, cluster.p95_hits_per_sec);
+        let capped = CalibratedScenario::calibrate(&s).constrained_config(&s.config, 1.0);
+        for config in [s.config.clone(), s.config.clone().with_reallocation_interval(5), capped] {
+            let mut scenario = s.clone();
+            scenario.config = config.clone();
+            let calibrated = CalibratedScenario::calibrate(&scenario);
+            assert_eq!(calibrated.baseline().policy, "akamai-like");
+
+            let sim = Simulation::new(&s.clusters, &s.trace, &s.prices, config.clone());
+            let table = sim.price_table();
+            let mut engine = SimulationEngine::new(&s.clusters, &s.trace.states, config)
+                .with_clamped_lead_hours(table.clamped_lead_hours());
+            let mut policy = AkamaiLikePolicy::default();
+            for (i, step) in s.trace.steps().iter().enumerate() {
+                let hour = s.trace.step_hour(i);
+                let prices = PriceSlice::new(
+                    hour,
+                    table.delayed_at(hour).expect("table covers the trace"),
+                    table.billing_at(hour).expect("table covers the trace"),
+                );
+                engine.tick(&mut policy, prices, DemandSlice::new(&step.us_demand));
+            }
+            assert_eq!(&engine.report(), calibrated.baseline());
+            let ticked: Vec<u64> = engine
+                .into_load_series()
+                .iter()
+                .map(|series| percentile_95(series).expect("a non-empty series").to_bits())
+                .collect();
+            let caps: Vec<u64> = calibrated.p95_caps().iter().map(|c| c.to_bits()).collect();
+            assert_eq!(caps, ticked, "caps != p95 of the ticked series");
         }
-        assert_eq!(calibrated.profile().len(), s.clusters.len());
-        assert_eq!(calibrated.baseline().policy, "akamai-like");
     }
 
     #[test]

@@ -743,10 +743,7 @@ impl<'a> SimulationEngine<'a> {
     ///
     /// # Panics
     /// Panics on an empty deployment or on constraint vectors whose length
-    /// does not match it — configuration errors, not data conditions
-    /// (validate ahead of time with
-    /// [`SimulationConfig::validate_for`](crate::simulation::SimulationConfig::validate_for)
-    /// for a `Result` instead).
+    /// does not match it — configuration errors, not data conditions.
     pub fn new(clusters: &'a ClusterSet, states: &[UsState], config: SimulationConfig) -> Self {
         let geometry = Arc::new(CompiledPreferences::build(clusters, states));
         Self::with_geometry(clusters, states, geometry, config)
@@ -1367,13 +1364,6 @@ impl<'a> SimulationEngine<'a> {
     pub fn into_load_series(self) -> Vec<Vec<f64>> {
         self.state.loads.iter().map(LoadRuns::expand).collect()
     }
-
-    /// Consume the engine, yielding each cluster's load series as runs —
-    /// what a [`LoadRecorder`](crate::simulation::LoadRecorder) sink
-    /// receives from the batch drivers.
-    pub(crate) fn into_load_runs(self) -> Vec<LoadRuns> {
-        self.state.loads
-    }
 }
 
 #[cfg(test)]
@@ -1486,7 +1476,7 @@ mod tests {
             let sim =
                 crate::simulation::Simulation::new(&clusters, &trace, &prices, config.clone());
             let mut policy = PriceConsciousPolicy::with_distance_threshold(1500.0);
-            let uninterrupted = sim.execute(&mut policy, crate::run::RunOptions::new());
+            let uninterrupted = sim.execute(&mut policy);
             let table = sim.price_table();
             let engine = || {
                 SimulationEngine::new(&clusters, &trace.states, config.clone())

@@ -414,7 +414,6 @@ fn slice_constraints(global: &ConstraintSet, topology: &Topology, region: usize)
 mod tests {
     use super::*;
     use crate::panics::{panic_message, Boom};
-    use crate::run::RunOptions;
     use crate::simulation::Simulation;
     use wattroute_market::generator::PriceGenerator;
     use wattroute_market::model::MarketModel;
@@ -441,8 +440,8 @@ mod tests {
         let prices = PriceGenerator::nine_cluster_default(42).realtime_hourly(range);
         let config = SimulationConfig::default();
 
-        let flat = Simulation::new(&clusters, &trace, &prices, config.clone())
-            .execute(&mut *pc_factory(), RunOptions::new());
+        let flat =
+            Simulation::new(&clusters, &trace, &prices, config.clone()).execute(&mut *pc_factory());
         let replay = HierarchicalReplay::new(&topology, &trace, &prices, config);
         let tree = replay.run(&pc_factory);
         assert_eq!(tree, flat, "trivial embedding must replay bit-identical");

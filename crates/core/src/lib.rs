@@ -154,7 +154,7 @@ pub mod prelude {
     pub use crate::report::{PolicyComparison, SimulationReport};
     pub use crate::run::RunOptions;
     pub use crate::scenario::Scenario;
-    pub use crate::simulation::{ConfigError, LoadRecorder, Simulation, SimulationConfig};
+    pub use crate::simulation::{Simulation, SimulationConfig};
     pub use crate::sweep::{ScenarioSweep, SweepReport};
     pub use wattroute_energy::model::EnergyModelParams;
     pub use wattroute_geo::{HubId, Rto, UsState};

@@ -4,7 +4,8 @@
 //! `run_with`, `Scenario::run` / `run_with_config`, `ScenarioSweep::run` /
 //! `run_streaming` / `run_streaming_with` — each threading one more
 //! optional argument through. [`RunOptions`] collapses the optional
-//! arguments into a single builder that every `execute` method accepts:
+//! arguments into a single builder that the scenario and sweep `execute`
+//! methods accept:
 //!
 //! ```
 //! use wattroute::prelude::*;
@@ -13,35 +14,30 @@
 //! let mut policy = PriceConsciousPolicy::with_distance_threshold(1500.0);
 //! let report = scenario.execute(&mut policy, RunOptions::new());
 //!
-//! // The same surface carries the optional sinks and overrides:
-//! let mut recorder = LoadRecorder::new();
+//! // The same surface carries the configuration override:
 //! let report = scenario.execute(
 //!     &mut policy,
-//!     RunOptions::new()
-//!         .with_config(SimulationConfig::default().with_reaction_delay(3))
-//!         .record_loads(&mut recorder),
+//!     RunOptions::new().with_config(SimulationConfig::default().with_reaction_delay(3)),
 //! );
 //! assert_eq!(report.reaction_delay_hours, 3);
-//! assert!(!recorder.cluster_loads().is_empty());
 //! ```
 //!
-//! Each option applies at the layer that owns the concept: a configuration
-//! override at the scenario layer (a bare [`Simulation`](crate::simulation::Simulation) is already bound
-//! to its configuration), a [`LoadRecorder`] sink at the simulation and
-//! scenario layers, a caller-owned [`CompiledArtifacts`] cache at the sweep
-//! layer. Passing an option to a layer that cannot honour it is a
-//! configuration error and panics with a message naming the right layer —
-//! silently ignoring a requested sink would corrupt calibration passes.
+//! Each option applies at the one layer that owns the concept: a
+//! configuration override at the scenario layer (a bare
+//! [`Simulation`](crate::simulation::Simulation) is already bound to its
+//! configuration and takes no options), a caller-owned
+//! [`CompiledArtifacts`] cache at the sweep layer. Passing an option to
+//! the other layer is a configuration error and panics with a message
+//! naming the right one.
 //!
 //! The `execute` methods are the only entry points: the historical
 //! `run`/`run_with`/`run_with_config`/`run_streaming` shims have been
 //! removed after a deprecation cycle.
 
-use crate::simulation::{LoadRecorder, SimulationConfig};
+use crate::simulation::SimulationConfig;
 use crate::sweep::CompiledArtifacts;
 
 /// Options for one run: the optional knobs shared by
-/// [`Simulation::execute`](crate::simulation::Simulation::execute),
 /// [`Scenario::execute`](crate::scenario::Scenario::execute) and
 /// [`ScenarioSweep::execute`](crate::sweep::ScenarioSweep::execute) /
 /// [`execute_streaming`](crate::sweep::ScenarioSweep::execute_streaming).
@@ -49,7 +45,6 @@ use crate::sweep::CompiledArtifacts;
 #[derive(Default)]
 pub struct RunOptions<'r> {
     pub(crate) config: Option<SimulationConfig>,
-    pub(crate) recorder: Option<&'r mut LoadRecorder>,
     pub(crate) artifacts: Option<&'r mut CompiledArtifacts>,
 }
 
@@ -57,35 +52,24 @@ impl std::fmt::Debug for RunOptions<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RunOptions")
             .field("config", &self.config)
-            .field("recorder", &self.recorder.is_some())
             .field("artifacts", &self.artifacts.is_some())
             .finish()
     }
 }
 
 impl<'r> RunOptions<'r> {
-    /// No overrides: run with the target's own configuration, no load
-    /// recording, a fresh artifact cache.
+    /// No overrides: run with the target's own configuration and a fresh
+    /// artifact cache.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Override the scenario's [`SimulationConfig`] for this run only.
     /// Honoured by [`Scenario::execute`](crate::scenario::Scenario::execute);
-    /// a bare `Simulation` is already bound to its configuration and a
-    /// sweep's points each carry their own, so those layers reject it.
+    /// a sweep's points each carry their own configuration, so a sweep
+    /// rejects it.
     pub fn with_config(mut self, config: SimulationConfig) -> Self {
         self.config = Some(config);
-        self
-    }
-
-    /// Record the per-step per-cluster load series into `recorder` — the
-    /// raw series a 95/5 calibration pass needs. Honoured by
-    /// [`Simulation::execute`](crate::simulation::Simulation::execute) and
-    /// [`Scenario::execute`](crate::scenario::Scenario::execute). Recording
-    /// does not change the report.
-    pub fn record_loads(mut self, recorder: &'r mut LoadRecorder) -> Self {
-        self.recorder = Some(recorder);
         self
     }
 
@@ -94,7 +78,8 @@ impl<'r> RunOptions<'r> {
     /// [`ScenarioSweep::execute`](crate::sweep::ScenarioSweep::execute) and
     /// [`execute_streaming`](crate::sweep::ScenarioSweep::execute_streaming);
     /// the grid-sweep evaluator holds one cache across a whole placement
-    /// search this way.
+    /// search this way. A single scenario run compiles its own price
+    /// table and rejects it.
     pub fn reuse_artifacts(mut self, artifacts: &'r mut CompiledArtifacts) -> Self {
         self.artifacts = Some(artifacts);
         self

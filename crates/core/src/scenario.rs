@@ -91,28 +91,22 @@ impl Scenario {
 
     /// Run an arbitrary policy over this scenario.
     ///
-    /// Honoured options: [`RunOptions::with_config`] (replacing the
-    /// scenario's default configuration for this run) and
-    /// [`RunOptions::record_loads`]. An artifact cache belongs to the sweep
-    /// layer and panics here (see [`crate::run`]).
+    /// Honoured option: [`RunOptions::with_config`] (replacing the
+    /// scenario's default configuration for this run). An artifact cache
+    /// belongs to the sweep layer and panics here (see [`crate::run`]).
     pub fn execute(
         &self,
         policy: &mut dyn RoutingPolicy,
         options: RunOptions<'_>,
     ) -> SimulationReport {
-        let RunOptions { config, recorder, artifacts } = options;
+        let RunOptions { config, artifacts } = options;
         assert!(
             artifacts.is_none(),
             "RunOptions::reuse_artifacts applies to scenario sweeps; \
              a single scenario run compiles its own price table"
         );
         let config = config.unwrap_or_else(|| self.config.clone());
-        let sim = Simulation::new(&self.clusters, &self.trace, &self.prices, config);
-        let mut options = RunOptions::new();
-        if let Some(recorder) = recorder {
-            options = options.record_loads(recorder);
-        }
-        sim.execute(policy, options)
+        Simulation::new(&self.clusters, &self.trace, &self.prices, config).execute(policy)
     }
 
     /// The Akamai-like baseline report for this scenario (the denominator of

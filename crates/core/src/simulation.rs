@@ -11,7 +11,6 @@
 use crate::constraints::BandwidthTariff;
 use crate::engine::{PriceSlice, SimulationEngine, Threads};
 use crate::report::SimulationReport;
-use crate::run::RunOptions;
 use std::borrow::Cow;
 use std::sync::Arc;
 use wattroute_energy::model::EnergyModelParams;
@@ -21,7 +20,6 @@ use wattroute_market::types::PriceSet;
 use wattroute_routing::constraints::{ConstraintSet, OverflowMode};
 use wattroute_routing::policy::RoutingPolicy;
 use wattroute_routing::price_conscious::CompiledPreferences;
-use wattroute_workload::bandwidth::{BandwidthProfile, LoadRuns};
 use wattroute_workload::trace::{Trace, STEPS_PER_HOUR};
 use wattroute_workload::ClusterSet;
 
@@ -113,161 +111,6 @@ impl SimulationConfig {
     pub fn with_bandwidth_tariff(mut self, tariff: BandwidthTariff) -> Self {
         self.bandwidth_tariff = Some(tariff);
         self
-    }
-
-    /// Check this configuration against a deployment, returning every
-    /// inconsistency as a [`ConfigError`] instead of panicking: a
-    /// non-positive reallocation interval, negative or NaN caps/ceilings
-    /// (zero and `+∞` are meaningful: "send nothing here" and
-    /// "unconstrained"), an empty deployment, or constraint vectors whose
-    /// length does not match the deployment. The drivers panic on an
-    /// empty or mismatched deployment, so configuration read from outside
-    /// the program is checked here first.
-    ///
-    /// ```
-    /// use wattroute::prelude::*;
-    ///
-    /// let clusters = ClusterSet::akamai_like_nine();
-    /// let config = SimulationConfig::default()
-    ///     .with_reaction_delay(2)
-    ///     .with_bandwidth_caps(vec![1.0e6; clusters.len()])
-    ///     .with_overflow(OverflowMode::Reject);
-    /// assert_eq!(config.validate_for(&clusters), Ok(()));
-    ///
-    /// let mismatched = SimulationConfig::default().with_bandwidth_caps(vec![1.0e6; 3]);
-    /// assert_eq!(
-    ///     mismatched.validate_for(&clusters),
-    ///     Err(ConfigError::BandwidthCapLength { caps: 3, clusters: 9 })
-    /// );
-    /// ```
-    pub fn validate_for(&self, clusters: &ClusterSet) -> Result<(), ConfigError> {
-        if self.reallocate_every_steps < 1 {
-            return Err(ConfigError::ZeroReallocationInterval);
-        }
-        if let Some(caps) = self.constraints.bandwidth_caps() {
-            if let Some(i) = caps.iter().position(|c| c.is_nan() || *c < 0.0) {
-                return Err(ConfigError::NegativeBandwidthCap { cluster: i });
-            }
-        }
-        if let Some(ceilings) = self.constraints.capacity_ceilings() {
-            if let Some(i) = ceilings.iter().position(|c| c.is_nan() || *c < 0.0) {
-                return Err(ConfigError::NegativeCapacityCeiling { cluster: i });
-            }
-        }
-        if clusters.is_empty() {
-            return Err(ConfigError::EmptyDeployment);
-        }
-        let n = clusters.len();
-        if let Some(caps) = self.constraints.bandwidth_caps() {
-            if caps.len() != n {
-                return Err(ConfigError::BandwidthCapLength { caps: caps.len(), clusters: n });
-            }
-        }
-        if let Some(ceilings) = self.constraints.capacity_ceilings() {
-            if ceilings.len() != n {
-                return Err(ConfigError::CapacityCeilingLength {
-                    ceilings: ceilings.len(),
-                    clusters: n,
-                });
-            }
-        }
-        Ok(())
-    }
-}
-
-/// An inconsistency between a [`SimulationConfig`] and the deployment it is
-/// applied to, reported by [`SimulationConfig::validate_for`] instead of
-/// the panics the drivers raise.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ConfigError {
-    /// The deployment has no clusters to route over.
-    EmptyDeployment,
-    /// The reallocation interval is zero (the router would never route).
-    ZeroReallocationInterval,
-    /// The 95/5 bandwidth cap vector does not match the deployment size.
-    BandwidthCapLength {
-        /// Entries in the cap vector.
-        caps: usize,
-        /// Clusters in the deployment.
-        clusters: usize,
-    },
-    /// The capacity ceiling vector does not match the deployment size.
-    CapacityCeilingLength {
-        /// Entries in the ceiling vector.
-        ceilings: usize,
-        /// Clusters in the deployment.
-        clusters: usize,
-    },
-    /// A bandwidth cap is negative or NaN (a cap of zero or `+∞` is valid).
-    NegativeBandwidthCap {
-        /// Index of the offending cluster.
-        cluster: usize,
-    },
-    /// A capacity ceiling is negative or NaN.
-    NegativeCapacityCeiling {
-        /// Index of the offending cluster.
-        cluster: usize,
-    },
-}
-
-impl std::fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ConfigError::EmptyDeployment => write!(f, "deployment has no clusters"),
-            ConfigError::ZeroReallocationInterval => {
-                write!(f, "reallocation interval must be at least one step")
-            }
-            ConfigError::BandwidthCapLength { caps, clusters } => {
-                write!(f, "{caps} bandwidth caps for {clusters} clusters")
-            }
-            ConfigError::CapacityCeilingLength { ceilings, clusters } => {
-                write!(f, "{ceilings} capacity ceilings for {clusters} clusters")
-            }
-            ConfigError::NegativeBandwidthCap { cluster } => {
-                write!(f, "bandwidth cap for cluster {cluster} is negative or NaN")
-            }
-            ConfigError::NegativeCapacityCeiling { cluster } => {
-                write!(f, "capacity ceiling for cluster {cluster} is negative or NaN")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ConfigError {}
-
-/// An optional sink for the per-step, per-cluster loads a simulation
-/// routes — the series a 95/5 calibration pass needs (the report only
-/// keeps distribution statistics). Hand one to a run via
-/// [`RunOptions::record_loads`](crate::run::RunOptions::record_loads);
-/// afterwards [`LoadRecorder::bandwidth_profile`] derives the per-cluster
-/// 95th-percentile levels that
-/// [`CalibratedScenario`](crate::constraints::CalibratedScenario) turns
-/// into a [`ConstraintSet`]. The series are kept as the engine's exact
-/// run-length [`LoadRuns`].
-#[derive(Debug, Clone, Default)]
-pub struct LoadRecorder {
-    loads: Vec<LoadRuns>,
-}
-
-impl LoadRecorder {
-    /// An empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The recorded series, expanded: `cluster_loads()[cluster][step]` in
-    /// hits/second at 5-minute resolution. Empty before a run.
-    pub fn cluster_loads(&self) -> Vec<Vec<f64>> {
-        self.loads.iter().map(LoadRuns::expand).collect()
-    }
-
-    /// Derive the 95/5 bandwidth profile of the recorded run (`None`
-    /// before a run).
-    pub fn bandwidth_profile(&self) -> Option<BandwidthProfile> {
-        if self.loads.is_empty() {
-            return None;
-        }
-        BandwidthProfile::from_load_runs(&self.loads)
     }
 }
 
@@ -365,49 +208,28 @@ impl<'a> Simulation<'a> {
     /// (see `docs/engine.md`); the report is the same bits either way. A
     /// panic in the policy or the accounting reaches the caller with its
     /// own payload.
-    ///
-    /// Honoured options: [`RunOptions::record_loads`]. A configuration
-    /// override or artifact cache belongs to the scenario and sweep layers
-    /// respectively and panics here (see [`crate::run`]).
-    pub fn execute(
-        &self,
-        policy: &mut dyn RoutingPolicy,
-        options: RunOptions<'_>,
-    ) -> SimulationReport {
-        let RunOptions { config, recorder, artifacts } = options;
-        assert!(
-            config.is_none(),
-            "RunOptions::with_config overrides a scenario's configuration; \
-             a Simulation is already bound to one — build it with the desired config instead"
-        );
-        assert!(
-            artifacts.is_none(),
-            "RunOptions::reuse_artifacts applies to scenario sweeps; \
-             a Simulation already binds one compiled price table"
-        );
+    pub fn execute(&self, policy: &mut dyn RoutingPolicy) -> SimulationReport {
         let geometry = Arc::new(CompiledPreferences::build(self.clusters, &self.trace.states));
-        let mut reports = self.replay(Threads::available(), policy, geometry, &[], recorder);
-        reports.pop().expect("one report per energy model")
+        self.replay(Threads::available(), policy, geometry, &[]).report()
     }
 
     /// Replay the trace once on `threads` under `policy`, over `geometry`
-    /// (compiled for this deployment and the trace's states), and account
+    /// (compiled for this deployment and the trace's states), accounting
     /// it under the configured energy model and, in lanes of one engine,
-    /// each of `energy_lanes` (see [`SimulationEngine`]): one report per
-    /// model, the configured one first. Each report is bit-identical to a
-    /// run of its model on its own, since the energy model never shapes
-    /// routing. [`Self::execute`] is this replay with no extra lanes; a
-    /// scenario sweep replays a group of cells that differ only in energy
-    /// model through it, over its compiled artifacts' geometry, on one
-    /// thread per replay.
+    /// each of `energy_lanes` (see [`SimulationEngine`]), and return that
+    /// engine. Its `reports()` hold one report per model, the configured
+    /// one first, each bit-identical to a run of its model on its own,
+    /// since the energy model never shapes routing. [`Self::execute`] is
+    /// this replay with no extra lanes; a scenario sweep replays a group
+    /// of cells that differ only in energy model through it, over its
+    /// compiled artifacts' geometry, on one thread per replay.
     pub(crate) fn replay(
         &self,
         threads: Threads,
         policy: &mut dyn RoutingPolicy,
         geometry: Arc<CompiledPreferences>,
         energy_lanes: &[EnergyModelParams],
-        recorder: Option<&mut LoadRecorder>,
-    ) -> Vec<SimulationReport> {
+    ) -> SimulationEngine<'a> {
         let config = self.config.clone();
         let mut engine =
             SimulationEngine::with_geometry(self.clusters, &self.trace.states, geometry, config)
@@ -422,11 +244,7 @@ impl<'a> Simulation<'a> {
                 self.table.billing_at(hour).expect("table covers the trace"),
             )
         });
-        let reports = engine.reports();
-        if let Some(recorder) = recorder {
-            recorder.loads = engine.into_load_runs();
-        }
-        reports
+        engine
     }
 }
 
@@ -455,7 +273,7 @@ mod tests {
     fn energy_and_cost_are_positive_and_consistent() {
         let (clusters, trace, prices) = small_setup();
         let sim = Simulation::new(&clusters, &trace, &prices, SimulationConfig::default());
-        let report = sim.execute(&mut NearestClusterPolicy::new(), RunOptions::new());
+        let report = sim.execute(&mut NearestClusterPolicy::new());
         assert_eq!(report.steps, trace.num_steps());
         assert!(report.total_cost_dollars > 0.0);
         assert!(report.total_energy_mwh > 0.0);
@@ -472,9 +290,8 @@ mod tests {
         let config =
             SimulationConfig::default().with_energy(EnergyModelParams::optimistic_future());
         let sim = Simulation::new(&clusters, &trace, &prices, config);
-        let baseline = sim.execute(&mut AkamaiLikePolicy::default(), RunOptions::new());
-        let optimized = sim
-            .execute(&mut PriceConsciousPolicy::with_distance_threshold(1500.0), RunOptions::new());
+        let baseline = sim.execute(&mut AkamaiLikePolicy::default());
+        let optimized = sim.execute(&mut PriceConsciousPolicy::with_distance_threshold(1500.0));
         assert!(
             optimized.total_cost_dollars < baseline.total_cost_dollars,
             "optimizer {} should beat baseline {}",
@@ -500,13 +317,13 @@ mod tests {
         let mut optimizer = PriceConsciousPolicy::with_distance_threshold(1500.0);
 
         let elastic_savings = {
-            let base = elastic_sim.execute(&mut baseline, RunOptions::new());
-            let opt = elastic_sim.execute(&mut optimizer, RunOptions::new());
+            let base = elastic_sim.execute(&mut baseline);
+            let opt = elastic_sim.execute(&mut optimizer);
             opt.savings_percent_vs(&base)
         };
         let inelastic_savings = {
-            let base = inelastic_sim.execute(&mut baseline, RunOptions::new());
-            let opt = inelastic_sim.execute(&mut optimizer, RunOptions::new());
+            let base = inelastic_sim.execute(&mut baseline);
+            let opt = inelastic_sim.execute(&mut optimizer);
             opt.savings_percent_vs(&base)
         };
         assert!(
@@ -521,15 +338,15 @@ mod tests {
         let (clusters, trace, prices) = small_setup();
         let unconstrained_cfg = SimulationConfig::default();
         let sim = Simulation::new(&clusters, &trace, &prices, unconstrained_cfg.clone());
-        let baseline = sim.execute(&mut AkamaiLikePolicy::default(), RunOptions::new());
+        let baseline = sim.execute(&mut AkamaiLikePolicy::default());
 
         let caps: Vec<f64> = baseline.clusters.iter().map(|c| c.p95_hits_per_sec).collect();
         let constrained_cfg = unconstrained_cfg.with_bandwidth_caps(caps.clone());
         let constrained_sim = Simulation::new(&clusters, &trace, &prices, constrained_cfg);
 
         let mut optimizer = PriceConsciousPolicy::with_distance_threshold(2500.0);
-        let unconstrained = sim.execute(&mut optimizer, RunOptions::new());
-        let constrained = constrained_sim.execute(&mut optimizer, RunOptions::new());
+        let unconstrained = sim.execute(&mut optimizer);
+        let constrained = constrained_sim.execute(&mut optimizer);
 
         assert!(constrained.bandwidth_constrained);
         assert!(!unconstrained.bandwidth_constrained);
@@ -559,10 +376,8 @@ mod tests {
         let per_step_cfg = SimulationConfig::default();
         let hourly_cfg = SimulationConfig::default().with_reallocation_interval(12);
         let mut policy = PriceConsciousPolicy::with_distance_threshold(1500.0);
-        let a = Simulation::new(&clusters, &trace, &prices, per_step_cfg)
-            .execute(&mut policy, RunOptions::new());
-        let b = Simulation::new(&clusters, &trace, &prices, hourly_cfg)
-            .execute(&mut policy, RunOptions::new());
+        let a = Simulation::new(&clusters, &trace, &prices, per_step_cfg).execute(&mut policy);
+        let b = Simulation::new(&clusters, &trace, &prices, hourly_cfg).execute(&mut policy);
         assert!((a.total_cost_dollars - b.total_cost_dollars).abs() < 1e-6 * a.total_cost_dollars);
     }
 
@@ -572,7 +387,7 @@ mod tests {
         // Shrink the deployment until demand far exceeds total capacity.
         let tiny = clusters.scaled(1e-6);
         let sim = Simulation::new(&tiny, &trace, &prices, SimulationConfig::default());
-        let report = sim.execute(&mut NearestClusterPolicy::new(), RunOptions::new());
+        let report = sim.execute(&mut NearestClusterPolicy::new());
         assert!(
             report.total_overflow_hits > 0.0,
             "demand beyond capacity must be reported, not silently billed as served"
@@ -583,7 +398,7 @@ mod tests {
 
         // A comfortably provisioned run reports none.
         let roomy = Simulation::new(&clusters, &trace, &prices, SimulationConfig::default());
-        let ok = roomy.execute(&mut NearestClusterPolicy::new(), RunOptions::new());
+        let ok = roomy.execute(&mut NearestClusterPolicy::new());
         assert_eq!(ok.total_overflow_hits, 0.0);
         assert!(ok.clusters.iter().all(|c| c.overflow_hits == 0.0));
     }
@@ -596,9 +411,9 @@ mod tests {
         let reject_cfg = SimulationConfig::default().with_overflow(OverflowMode::Reject);
 
         let billed = Simulation::new(&tiny, &trace, &prices, billed_cfg)
-            .execute(&mut NearestClusterPolicy::new(), RunOptions::new());
+            .execute(&mut NearestClusterPolicy::new());
         let rejected = Simulation::new(&tiny, &trace, &prices, reject_cfg)
-            .execute(&mut NearestClusterPolicy::new(), RunOptions::new());
+            .execute(&mut NearestClusterPolicy::new());
 
         // The same over-capacity demand lands in exactly one bucket per mode.
         assert!(billed.total_overflow_hits > 0.0);
@@ -626,7 +441,7 @@ mod tests {
         // A comfortably provisioned run rejects nothing in either mode.
         let roomy_cfg = SimulationConfig::default().with_overflow(OverflowMode::Reject);
         let ok = Simulation::new(&clusters, &trace, &prices, roomy_cfg)
-            .execute(&mut NearestClusterPolicy::new(), RunOptions::new());
+            .execute(&mut NearestClusterPolicy::new());
         assert_eq!(ok.total_rejected_hits, 0.0);
     }
 
@@ -638,7 +453,7 @@ mod tests {
         // report must say so rather than quietly reusing the first sample.
         let config = SimulationConfig::default().with_reaction_delay(24);
         let sim = Simulation::new(&clusters, &trace, &prices, config);
-        let report = sim.execute(&mut NearestClusterPolicy::new(), RunOptions::new());
+        let report = sim.execute(&mut NearestClusterPolicy::new());
         assert_eq!(report.delay_clamped_hours, 24);
 
         // With history extending a day before the trace, nothing clamps.
@@ -646,7 +461,7 @@ mod tests {
         let wide = PriceGenerator::nine_cluster_default(7).realtime_hourly(wide_range);
         let config = SimulationConfig::default().with_reaction_delay(24);
         let sim = Simulation::new(&clusters, &trace, &wide, config);
-        let report = sim.execute(&mut NearestClusterPolicy::new(), RunOptions::new());
+        let report = sim.execute(&mut NearestClusterPolicy::new());
         assert_eq!(report.delay_clamped_hours, 0);
     }
 
@@ -668,10 +483,8 @@ mod tests {
         let per_step_cfg = SimulationConfig::default();
         let ragged_cfg = SimulationConfig::default().with_reallocation_interval(5);
         let mut policy = PriceConsciousPolicy::with_distance_threshold(1500.0);
-        let a = Simulation::new(&clusters, &trace, &prices, per_step_cfg)
-            .execute(&mut policy, RunOptions::new());
-        let b = Simulation::new(&clusters, &trace, &prices, ragged_cfg)
-            .execute(&mut policy, RunOptions::new());
+        let a = Simulation::new(&clusters, &trace, &prices, per_step_cfg).execute(&mut policy);
+        let b = Simulation::new(&clusters, &trace, &prices, ragged_cfg).execute(&mut policy);
         assert!(
             (a.total_cost_dollars - b.total_cost_dollars).abs() < 1e-9 * a.total_cost_dollars,
             "allocations must re-trigger on hour change: {} vs {}",
@@ -693,15 +506,12 @@ mod tests {
             config,
         );
         let mut policy = PriceConsciousPolicy::with_distance_threshold(1500.0);
-        assert_eq!(
-            owned.execute(&mut policy, RunOptions::new()),
-            borrowed.execute(&mut policy, RunOptions::new())
-        );
+        assert_eq!(owned.execute(&mut policy), borrowed.execute(&mut policy));
     }
 
     /// Replay `sim` under a fresh policy from `make` on one thread, then on
-    /// two, recording loads each time. The runs must agree bit for bit:
-    /// the report, its JSON and every recorded load. Returns the report.
+    /// two. The runs must agree bit for bit: the report, its JSON and every
+    /// load the replayed engine holds. Returns the report.
     fn assert_two_threads_match_one(
         sim: &Simulation<'_>,
         make: &dyn Fn() -> Box<dyn RoutingPolicy>,
@@ -709,15 +519,14 @@ mod tests {
     ) -> SimulationReport {
         let run = |threads| {
             let geometry = Arc::new(CompiledPreferences::build(sim.clusters, &sim.trace.states));
-            let mut recorder = LoadRecorder::new();
-            let mut reports =
-                sim.replay(threads, make().as_mut(), geometry, &[], Some(&mut recorder));
-            let loads: Vec<Vec<u64>> = recorder
-                .cluster_loads()
+            let engine = sim.replay(threads, make().as_mut(), geometry, &[]);
+            let report = engine.report();
+            let loads: Vec<Vec<u64>> = engine
+                .into_load_series()
                 .iter()
                 .map(|series| series.iter().map(|x| x.to_bits()).collect())
                 .collect();
-            (reports.pop().expect("one report"), loads)
+            (report, loads)
         };
         let (one, one_loads) = run(Threads::One);
         let (two, two_loads) = run(Threads::Two);
@@ -774,7 +583,7 @@ mod tests {
         for interval in [1, 5, 12, 13] {
             let relaxed = SimulationConfig::default().with_reallocation_interval(interval);
             let baseline = Simulation::new(&clusters, &trace, &prices, relaxed.clone())
-                .execute(&mut AkamaiLikePolicy::default(), RunOptions::new());
+                .execute(&mut AkamaiLikePolicy::default());
             let caps = baseline.clusters.iter().map(|c| c.p95_hits_per_sec).collect();
             let follow = relaxed
                 .clone()
@@ -877,7 +686,7 @@ mod tests {
         assert_eq!(crate::engine::epochs_per_batch(bytes), 1);
         let geometry = Arc::new(CompiledPreferences::build(&clusters, &trace.states));
         let mut spy = BufferSpy { inner: NearestClusterPolicy::new(), buffers: Default::default() };
-        sim.replay(Threads::Two, &mut spy, geometry, &[], None);
+        sim.replay(Threads::Two, &mut spy, geometry, &[]);
         assert!(
             spy.buffers.len() <= crate::engine::BATCHES + 1,
             "{} buffers of {bytes} bytes routed into",
@@ -890,7 +699,7 @@ mod tests {
         let sim = Simulation::new(&clusters, &trace, &prices, SimulationConfig::default());
         let geometry = Arc::new(CompiledPreferences::build(&clusters, &trace.states));
         let mut spy = BufferSpy { inner: NearestClusterPolicy::new(), buffers: Default::default() };
-        sim.replay(Threads::Two, &mut spy, geometry, &[], None);
+        sim.replay(Threads::Two, &mut spy, geometry, &[]);
         assert!(spy.buffers.len() > 1, "the batches route into buffers of their own");
         assert!(
             (spy.buffers.len() - 1) * bytes <= crate::engine::IN_FLIGHT_BYTES,
@@ -908,13 +717,13 @@ mod tests {
             let geometry = Arc::new(CompiledPreferences::build(&clusters, &trace.states));
             let mut boom = Boom::on_call(calls);
             let message = panic_message(|| {
-                sim.replay(Threads::Two, &mut boom, geometry, &[], None);
+                sim.replay(Threads::Two, &mut boom, geometry, &[]);
             });
             assert_eq!(message, "boom from the policy");
             // Through the public driver too, on either path.
             let mut boom = Boom::on_call(calls);
             let message = panic_message(|| {
-                sim.execute(&mut boom, RunOptions::new());
+                sim.execute(&mut boom);
             });
             assert_eq!(message, "boom from the policy");
         }

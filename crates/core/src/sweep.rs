@@ -77,14 +77,12 @@ use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{mpsc, Arc, Mutex};
 use wattroute_energy::model::EnergyModelParams;
-use wattroute_geo::topology::Topology;
 use wattroute_market::price_table::{BillingMatrix, PriceTable};
 use wattroute_market::time::HourRange;
 use wattroute_market::types::PriceSet;
-use wattroute_routing::constraints::{ConstraintSet, TierCaps};
+use wattroute_routing::constraints::ConstraintSet;
 use wattroute_routing::policy::RoutingPolicy;
 use wattroute_routing::price_conscious::CompiledPreferences;
-use wattroute_workload::hierarchy::site_clusters;
 use wattroute_workload::trace::Trace;
 use wattroute_workload::ClusterSet;
 
@@ -100,17 +98,13 @@ pub type PolicyFactory = Box<dyn Fn() -> Box<dyn RoutingPolicy> + Send + Sync>;
 /// deployment.
 pub const DEFAULT_DEPLOYMENT: &str = "default";
 
-/// One deployment registered with a sweep: a label and the cluster set it
-/// names. Most deployments borrow a caller-owned [`ClusterSet`]
-/// (`Cow::Borrowed`); deployments derived on the fly — such as the
-/// site-level flattening of a [`Topology`] registered through
-/// [`ScenarioSweep::add_topology_axis`] — are owned by the sweep itself
-/// (`Cow::Owned`).
+/// One deployment registered with a sweep: a label and the caller-owned
+/// cluster set it names.
 pub struct Deployment<'a> {
     /// Stable label identifying the deployment in run results.
     pub label: String,
     /// The cluster set routed over.
-    pub clusters: Cow<'a, ClusterSet>,
+    pub clusters: &'a ClusterSet,
 }
 
 /// One grid point: a label, the deployment it routes over, a simulation
@@ -177,25 +171,13 @@ impl CompiledArtifacts {
         Self::default()
     }
 
-    /// Compile the artifacts a grid needs: `cells` lists the
-    /// (deployment index, reaction delay) of every grid point. Each
-    /// artifact is compiled at most once however many cells reference it.
-    pub fn compile(
-        deployments: &[Deployment<'_>],
-        trace: &Trace,
-        prices: &PriceSet,
-        cells: &[(usize, u64)],
-    ) -> Self {
-        let mut artifacts = Self::new();
-        artifacts.extend(deployments, trace, prices, cells);
-        artifacts
-    }
-
     /// Compile whatever the given grid needs that this cache does not hold
     /// yet, and re-point the deployment-index mapping at the new grid's
-    /// deployments. Deployments whose hub list was already compiled — by
-    /// this call or any earlier one — reuse the cached artifacts
-    /// (counted in [`Self::hub_list_hits`]).
+    /// deployments. `cells` lists the (deployment index, reaction delay)
+    /// of every grid point; each artifact is compiled at most once however
+    /// many cells reference it. Deployments whose hub list was already
+    /// compiled — by this call or any earlier one — reuse the cached
+    /// artifacts (counted in [`Self::hub_list_hits`]).
     ///
     /// All grids extending one cache must share the trace's state list and
     /// the price set, as sweeps over one scenario do; the per-hub-list
@@ -224,7 +206,7 @@ impl CompiledArtifacts {
         }
         self.slot_of = vec![None; deployments.len()];
         for &(deployment, delay_hours) in cells {
-            let clusters: &ClusterSet = &deployments[deployment].clusters;
+            let clusters = deployments[deployment].clusters;
             let slot = match self.slot_of[deployment] {
                 Some(slot) => slot,
                 None => {
@@ -333,10 +315,7 @@ impl<'a> ScenarioSweep<'a> {
     /// [`Self::add_deployment`].
     pub fn new(clusters: &'a ClusterSet, trace: &'a Trace, prices: &'a PriceSet) -> Self {
         Self {
-            deployments: vec![Deployment {
-                label: DEFAULT_DEPLOYMENT.into(),
-                clusters: Cow::Borrowed(clusters),
-            }],
+            deployments: vec![Deployment { label: DEFAULT_DEPLOYMENT.into(), clusters }],
             trace,
             prices,
             points: Vec::new(),
@@ -356,25 +335,8 @@ impl<'a> ScenarioSweep<'a> {
     /// [`Self::add_point_on`]. The price set must cover every hub the
     /// deployment uses (validated when the sweep runs).
     pub fn add_deployment(&mut self, label: impl Into<String>, clusters: &'a ClusterSet) -> usize {
-        self.deployments
-            .push(Deployment { label: label.into(), clusters: Cow::Borrowed(clusters) });
+        self.deployments.push(Deployment { label: label.into(), clusters });
         self.deployments.len() - 1
-    }
-
-    /// Register a deployment the sweep owns (for cluster sets derived on
-    /// the fly rather than borrowed from the caller) and return its index.
-    pub fn add_owned_deployment(
-        &mut self,
-        label: impl Into<String>,
-        clusters: ClusterSet,
-    ) -> usize {
-        self.deployments.push(Deployment { label: label.into(), clusters: Cow::Owned(clusters) });
-        self.deployments.len() - 1
-    }
-
-    /// Number of deployments registered (including the default).
-    pub fn num_deployments(&self) -> usize {
-        self.deployments.len()
     }
 
     /// Add one grid point on the default deployment.
@@ -439,45 +401,6 @@ impl<'a> ScenarioSweep<'a> {
         }
     }
 
-    /// Sweep the **topology regime** as a grid dimension: flatten the
-    /// tree's sites into an owned site-level deployment (one cluster per
-    /// site, metros sharing hubs) and add a `"{label}@flat"` point that
-    /// routes it with sites individually capped only. When the topology
-    /// carries metro/region bandwidth caps a second `"{label}@tiered"`
-    /// point is added whose constraint set enforces them through
-    /// [`TierCaps`], so one grid quantifies what the aggregation layers
-    /// cost. Returns the registered deployment's index so callers can pin
-    /// further points on the same site set.
-    ///
-    /// The price set must cover every hub the topology's metros use; the
-    /// trace is per-client-state and therefore topology-independent.
-    pub fn add_topology_axis<F, P>(
-        &mut self,
-        topology: &Topology,
-        label: impl AsRef<str>,
-        config: SimulationConfig,
-        policy: F,
-    ) -> usize
-    where
-        F: Fn() -> P + Clone + Send + Sync + 'static,
-        P: RoutingPolicy + 'static,
-    {
-        let label = label.as_ref();
-        let deployment =
-            self.add_owned_deployment(format!("{label}-sites"), site_clusters(topology));
-        self.add_point_on(deployment, format!("{label}@flat"), config.clone(), policy.clone());
-        if let Some(tiers) = TierCaps::from_topology(topology) {
-            let constraints = config.constraints.clone().with_tier_caps(tiers);
-            self.add_point_on(
-                deployment,
-                format!("{label}@tiered"),
-                config.with_constraints(constraints),
-                policy,
-            );
-        }
-        deployment
-    }
-
     /// Add a pre-boxed grid point on the default deployment (for
     /// heterogeneous policy grids).
     pub fn add_boxed_point(
@@ -523,10 +446,10 @@ impl<'a> ScenarioSweep<'a> {
     /// policy's, or a policy factory's) reaches the caller with its own
     /// payload.
     ///
-    /// Honoured options: [`RunOptions::reuse_artifacts`] (a caller-owned
+    /// Honoured option: [`RunOptions::reuse_artifacts`] (a caller-owned
     /// compiled-artifact cache shared across sweeps). A configuration
-    /// override or load recorder belongs to the single-run layers and
-    /// panics here (see [`crate::run`]).
+    /// override belongs to the scenario layer and panics here (see
+    /// [`crate::run`]).
     pub fn execute(self, options: RunOptions<'_>) -> SweepReport {
         let mut slots: Vec<Option<SweepRun>> = Vec::new();
         slots.resize_with(self.points.len(), || None);
@@ -556,16 +479,11 @@ impl<'a> ScenarioSweep<'a> {
     where
         F: FnMut(SweepResult),
     {
-        let RunOptions { config, recorder, artifacts } = options;
+        let RunOptions { config, artifacts } = options;
         assert!(
             config.is_none(),
             "RunOptions::with_config applies to single scenario runs; \
              each sweep point already carries its own configuration"
-        );
-        assert!(
-            recorder.is_none(),
-            "RunOptions::record_loads applies to single simulation runs; \
-             a sweep's cells run in parallel and have no one load series"
         );
         match artifacts {
             Some(cache) => self.stream_into(cache, on_result),
@@ -618,7 +536,7 @@ impl<'a> ScenarioSweep<'a> {
                     let table =
                         artifacts_ref.table(lead.deployment, lead.config.reaction_delay_hours);
                     let sim = Simulation::with_price_table(
-                        &deployment.clusters,
+                        deployment.clusters,
                         trace,
                         Cow::Borrowed(table),
                         lead.config.clone(),
@@ -627,7 +545,8 @@ impl<'a> ScenarioSweep<'a> {
                         cells[1..].iter().map(|&cell| points[cell].config.energy).collect();
                     let geometry = Arc::clone(artifacts_ref.preferences(lead.deployment));
                     let replay_span = wattroute_obs::span!("sweep.replay");
-                    let reports = sim.replay(Threads::One, policy.as_mut(), geometry, &lanes, None);
+                    let reports =
+                        sim.replay(Threads::One, policy.as_mut(), geometry, &lanes).reports();
                     drop(replay_span);
                     wattroute_obs::counter!("sweep.lanes").add(cells.len() as u64);
                     for (index, report) in cells.into_iter().zip(reports) {
@@ -967,11 +886,8 @@ mod tests {
         // deployment (per-run compile, no sharing).
         for (clusters, label) in [(&s.clusters, "nine"), (&east, "east")] {
             let sim = Simulation::new(clusters, &s.trace, &s.prices, s.config.clone());
-            let pc = sim.execute(
-                &mut PriceConsciousPolicy::with_distance_threshold(1500.0),
-                RunOptions::new(),
-            );
-            let base = sim.execute(&mut AkamaiLikePolicy::default(), RunOptions::new());
+            let pc = sim.execute(&mut PriceConsciousPolicy::with_distance_threshold(1500.0));
+            let base = sim.execute(&mut AkamaiLikePolicy::default());
             assert_eq!(report.get(&format!("{label}:pc")), Some(&pc));
             assert_eq!(report.get(&format!("{label}:base")), Some(&base));
         }
@@ -1058,6 +974,7 @@ mod tests {
         use wattroute_geo::topology::Topology;
         use wattroute_market::generator::PriceGenerator;
         use wattroute_market::model::MarketModel;
+        use wattroute_routing::constraints::TierCaps;
         use wattroute_workload::hierarchy::site_clusters;
         use wattroute_workload::SyntheticWorkloadConfig;
 
@@ -1068,38 +985,29 @@ mod tests {
         let nine = ClusterSet::akamai_like_nine();
         let config = SimulationConfig::default();
 
+        // A site-level deployment flattened from a capped tree, swept flat
+        // (sites individually capped only) and under the tree's tier caps.
         let capped = Topology::synthetic(5, 40).with_tier_slack(0.8);
-        let uncapped = Topology::synthetic(5, 40);
-
-        let mut sweep = ScenarioSweep::new(&nine, &trace, &prices).with_threads(2);
-        sweep.add_topology_axis(&capped, "tree", config.clone(), || {
-            PriceConsciousPolicy::with_distance_threshold(1500.0)
-        });
-        sweep.add_topology_axis(&uncapped, "open", config.clone(), || {
-            PriceConsciousPolicy::with_distance_threshold(1500.0)
-        });
-        // Capped tree contributes flat+tiered, uncapped only flat.
-        assert_eq!(sweep.len(), 3);
-        let report = sweep.execute(RunOptions::new());
-        assert!(report.get_on("open-sites", "open@tiered").is_none());
-
-        // The flat point is bit-identical to a sequential run over the
-        // flattened site deployment; the tiered point to one with the
-        // tree's caps installed.
         let sites = site_clusters(&capped);
-        let flat_sim = Simulation::new(&sites, &trace, &prices, config.clone());
-        let flat = flat_sim
-            .execute(&mut PriceConsciousPolicy::with_distance_threshold(1500.0), RunOptions::new());
-        assert_eq!(report.get_on("tree-sites", "tree@flat"), Some(&flat));
-
-        let tiers = wattroute_routing::constraints::TierCaps::from_topology(&capped)
-            .expect("capped tree has tier caps");
+        let tiers = TierCaps::from_topology(&capped).expect("capped tree has tier caps");
         let tiered_config =
             config.clone().with_constraints(config.constraints.clone().with_tier_caps(tiers));
-        let tiered_sim = Simulation::new(&sites, &trace, &prices, tiered_config);
-        let tiered = tiered_sim
-            .execute(&mut PriceConsciousPolicy::with_distance_threshold(1500.0), RunOptions::new());
-        assert_eq!(report.get_on("tree-sites", "tree@tiered"), Some(&tiered));
+        let policy = || PriceConsciousPolicy::with_distance_threshold(1500.0);
+
+        let mut sweep = ScenarioSweep::new(&nine, &trace, &prices).with_threads(2);
+        let tree = sweep.add_deployment("tree-sites", &sites);
+        sweep.add_point_on(tree, "tree@flat", config.clone(), policy);
+        sweep.add_point_on(tree, "tree@tiered", tiered_config.clone(), policy);
+        let report = sweep.execute(RunOptions::new());
+
+        // Each point is bit-identical to a sequential run over the
+        // flattened site deployment, the tiered one with the tree's caps
+        // installed.
+        for (label, config) in [("tree@flat", config), ("tree@tiered", tiered_config)] {
+            let sequential =
+                Simulation::new(&sites, &trace, &prices, config).execute(&mut policy());
+            assert_eq!(report.get_on("tree-sites", label), Some(&sequential), "{label}");
+        }
     }
 
     #[test]
@@ -1108,9 +1016,9 @@ mod tests {
         let east = east_coast(&s.clusters);
         let scaled = s.clusters.scaled(0.5); // same hub list as the default
         let deployments = [
-            Deployment { label: "nine".into(), clusters: Cow::Borrowed(&s.clusters) },
-            Deployment { label: "east".into(), clusters: Cow::Borrowed(&east) },
-            Deployment { label: "scaled".into(), clusters: Cow::Borrowed(&scaled) },
+            Deployment { label: "nine".into(), clusters: &s.clusters },
+            Deployment { label: "east".into(), clusters: &east },
+            Deployment { label: "scaled".into(), clusters: &scaled },
         ];
         // 3 deployments × 2 delays, every cell listed twice over.
         let mut cells = Vec::new();
@@ -1120,7 +1028,8 @@ mod tests {
                 cells.push((dep, delay));
             }
         }
-        let artifacts = CompiledArtifacts::compile(&deployments, &s.trace, &s.prices, &cells);
+        let mut artifacts = CompiledArtifacts::new();
+        artifacts.extend(&deployments, &s.trace, &s.prices, &cells);
         // "nine" and "scaled" share a hub list, so two distinct hub lists.
         assert_eq!(artifacts.billing_matrices(), 2);
         assert_eq!(artifacts.compiled_preferences(), 2);

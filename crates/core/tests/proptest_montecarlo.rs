@@ -51,11 +51,8 @@ proptest! {
         let prices =
             PriceGenerator::new(model.clone(), path_seed(master, k)).realtime_hourly(range);
         let sim = Simulation::new(&clusters, &trace, &prices, config.clone());
-        let optimized = sim.execute(
-            &mut PriceConsciousPolicy::with_distance_threshold(1500.0),
-            RunOptions::new(),
-        );
-        let baseline = sim.execute(&mut AkamaiLikePolicy::default(), RunOptions::new());
+        let optimized = sim.execute(&mut PriceConsciousPolicy::with_distance_threshold(1500.0));
+        let baseline = sim.execute(&mut AkamaiLikePolicy::default());
 
         let dist = MonteCarlo::new(&clusters, &trace, model, config, master)
             .with_paths(1)

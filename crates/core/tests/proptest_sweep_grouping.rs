@@ -139,7 +139,7 @@ proptest! {
             let config = config.with_energy(energy(energy_kind));
             let clusters = if deployment == 1 { &inputs.small } else { &s.clusters };
             let sim = Simulation::new(clusters, &s.trace, &s.prices, config.clone());
-            alone.push(sim.execute(policy(policy_kind).as_mut(), RunOptions::new()));
+            alone.push(sim.execute(policy(policy_kind).as_mut()));
             let on = if deployment == 1 { small } else { 0 };
             sweep.add_boxed_point_on(on, format!("cell{i}"), config, Box::new(move || {
                 policy(policy_kind)

@@ -1,16 +1,16 @@
 //! Property-based proof that telemetry is *transparent*: running the same
-//! simulation with telemetry fully on — spans recording, trace sink
-//! appending JSONL events to a temp file — produces a [`SimulationReport`]
-//! byte-identical (through the JSON encoding) to the telemetry-off run,
-//! across policies, constraint regimes, and both execution topologies
-//! (the flat batch driver and the sharded hierarchical replay).
+//! simulation with telemetry on — every span recording into its
+//! histogram — produces a [`SimulationReport`] byte-identical (through the
+//! JSON encoding) to the telemetry-off run, across policies, constraint
+//! regimes, and both execution topologies (the flat batch driver and the
+//! sharded hierarchical replay).
 //!
 //! This is the contract that lets `crates/bench/tests/goldens.rs` re-run
 //! `sweep_smoke` and `mc_smoke` with `WATTROUTE_TELEMETRY=1` against the
 //! same fixtures in tier-1: telemetry observes the engine, it never
 //! steers it.
 //!
-//! The enabled flag and the trace sink are process globals, so this binary
+//! The enabled flag and the registry are process globals, so this binary
 //! holds no test that assumes telemetry is off (see the `[[test]]` entry in
 //! `Cargo.toml`), and its two properties take turns: each case body holds
 //! [`TELEMETRY`] while it toggles telemetry, so one test's `disable` never
@@ -21,7 +21,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use wattroute::hierarchy::HierarchicalReplay;
 use wattroute::prelude::*;
 use wattroute_market::time::{HourRange, SimHour};
-use wattroute_obs::Telemetry;
+use wattroute_obs::{telemetry, Telemetry};
 use wattroute_routing::policy::RoutingPolicy;
 use wattroute_workload::hierarchy::single_region_of;
 
@@ -50,25 +50,26 @@ fn policy_for(threshold: f64) -> Box<dyn RoutingPolicy> {
     }
 }
 
-/// Run `f` with telemetry fully on: spans enabled and a JSONL trace sink
-/// installed at a temp path. Restores the off state afterwards and
-/// removes the trace file, returning how many event lines it held.
-fn with_telemetry_on<T>(tag: &str, f: impl FnOnce() -> T) -> (T, usize) {
-    let path =
-        std::env::temp_dir().join(format!("wr_transparency_{tag}_{}.jsonl", std::process::id()));
+/// How many spans the `span` histogram has recorded so far.
+fn spans_recorded(span: &str) -> u64 {
+    telemetry().snapshot().histogram(span).map_or(0, |h| h.count)
+}
+
+/// Run `f` with telemetry on, then restore the off state. Returns how many
+/// `span` spans the run recorded: the histogram's count after it less the
+/// count before. The caller holds [`TELEMETRY`], so no other case records
+/// in between.
+fn with_telemetry_on<T>(span: &str, f: impl FnOnce() -> T) -> (T, u64) {
+    let before = spans_recorded(span);
     Telemetry::enable();
-    Telemetry::trace_to(&path).expect("install trace sink");
     let result = f();
-    Telemetry::trace_close();
     Telemetry::disable();
-    let events = std::fs::read_to_string(&path).map_or(0, |text| text.lines().count());
-    let _ = std::fs::remove_file(&path);
-    (result, events)
+    (result, spans_recorded(span) - before)
 }
 
 proptest! {
-    // Full-on telemetry (spans + trace sink) must not change a single
-    // byte of the batch driver's report.
+    // Telemetry on must not change a single byte of the batch driver's
+    // report.
     #[test]
     fn batch_report_is_byte_identical_with_telemetry_on(
         seed in 0u64..500,
@@ -93,13 +94,13 @@ proptest! {
         Telemetry::disable();
         let off = scenario.execute(&mut *policy_for(threshold), RunOptions::new());
 
-        let (on, events) = with_telemetry_on("batch", || {
+        let (on, events) = with_telemetry_on("engine.tick", || {
             scenario.execute(&mut *policy_for(threshold), RunOptions::new())
         });
 
         prop_assert_eq!(&off, &on, "telemetry changed the report");
         prop_assert_eq!(off.to_json_value().to_string(), on.to_json_value().to_string());
-        prop_assert!(events > 0, "a fully-on run must have traced span events");
+        prop_assert!(events > 0, "a telemetry-on run must record engine.tick spans");
     }
 
     // Same transparency through the sharded hierarchical topology.
@@ -124,12 +125,12 @@ proptest! {
         );
         let off = replay.run_sharded(&move || policy_for(threshold));
 
-        let (on, events) = with_telemetry_on("tree", || {
+        let (on, events) = with_telemetry_on("hierarchy.shard", || {
             replay.run_sharded(&move || policy_for(threshold))
         });
 
         prop_assert_eq!(&off, &on, "telemetry changed the sharded replay report");
         prop_assert_eq!(off.to_json_value().to_string(), on.to_json_value().to_string());
-        prop_assert!(events > 0, "sharded replay must have traced span events");
+        prop_assert!(events > 0, "a sharded replay must record hierarchy.shard spans");
     }
 }

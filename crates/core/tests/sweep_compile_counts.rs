@@ -79,7 +79,7 @@ fn two_deployments_times_two_delays_compile_each_artifact_once() {
     // cell against a fresh, per-run-compiled sequential simulation.
     let config = scenario.config.clone().with_reaction_delay(4);
     let sequential = Simulation::new(&east, &scenario.trace, &scenario.prices, config)
-        .execute(&mut PriceConsciousPolicy::with_distance_threshold(1500.0), RunOptions::new());
+        .execute(&mut PriceConsciousPolicy::with_distance_threshold(1500.0));
     assert_eq!(report.get(&format!("pc:{east_id}:4")), Some(&sequential));
 
     // Scenario 2: a persistent cache across *sequences* of sweeps (what

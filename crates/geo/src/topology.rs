@@ -58,7 +58,8 @@ pub struct Topology {
 /// Incrementally builds a [`Topology`]. Regions, metros and sites are
 /// appended in order; a metro always attaches to the most recently added
 /// region and a site to the most recently added metro, which makes child
-/// ranges contiguous by construction.
+/// ranges contiguous by construction. The built tree is uncapped;
+/// [`Topology::with_tier_slack`] derives a capped copy.
 #[derive(Debug, Clone, Default)]
 pub struct TopologyBuilder {
     region_labels: Vec<String>,
@@ -69,8 +70,6 @@ pub struct TopologyBuilder {
     site_hub: Vec<HubId>,
     site_servers: Vec<u32>,
     site_hits_per_server: Vec<f64>,
-    metro_cap_hits_per_sec: Vec<f64>,
-    region_cap_hits_per_sec: Vec<f64>,
 }
 
 impl TopologyBuilder {
@@ -79,10 +78,9 @@ impl TopologyBuilder {
         Self::default()
     }
 
-    /// Append a region (uncapped by default) and return its index.
+    /// Append a region and return its index.
     pub fn add_region(&mut self, label: impl Into<String>) -> usize {
         self.region_labels.push(label.into());
-        self.region_cap_hits_per_sec.push(f64::INFINITY);
         self.region_labels.len() - 1
     }
 
@@ -95,7 +93,6 @@ impl TopologyBuilder {
         assert!(!self.region_labels.is_empty(), "add a region before adding metros");
         self.metro_labels.push(label.into());
         self.metro_region.push(self.region_labels.len() - 1);
-        self.metro_cap_hits_per_sec.push(f64::INFINITY);
         self.metro_labels.len() - 1
     }
 
@@ -125,18 +122,6 @@ impl TopologyBuilder {
         self.site_labels.len() - 1
     }
 
-    /// Cap a region's aggregate bandwidth (hits/second; `∞` relaxes).
-    pub fn set_region_cap(&mut self, region: usize, cap_hits_per_sec: f64) {
-        assert!(!cap_hits_per_sec.is_nan() && cap_hits_per_sec >= 0.0, "cap must be >= 0");
-        self.region_cap_hits_per_sec[region] = cap_hits_per_sec;
-    }
-
-    /// Cap a metro's aggregate bandwidth (hits/second; `∞` relaxes).
-    pub fn set_metro_cap(&mut self, metro: usize, cap_hits_per_sec: f64) {
-        assert!(!cap_hits_per_sec.is_nan() && cap_hits_per_sec >= 0.0, "cap must be >= 0");
-        self.metro_cap_hits_per_sec[metro] = cap_hits_per_sec;
-    }
-
     /// Finalize the tree: derive the contiguous child ranges and the
     /// site → region parent vector.
     ///
@@ -150,6 +135,7 @@ impl TopologyBuilder {
         let site_region: Vec<usize> =
             self.site_metro.iter().map(|&m| self.metro_region[m]).collect();
         let region_sites = child_ranges(&site_region, self.region_labels.len());
+        let (num_metros, num_regions) = (self.metro_labels.len(), self.region_labels.len());
         Topology {
             region_labels: self.region_labels,
             metro_labels: self.metro_labels,
@@ -163,8 +149,8 @@ impl TopologyBuilder {
             site_hub: self.site_hub,
             site_servers: self.site_servers,
             site_hits_per_server: self.site_hits_per_server,
-            metro_cap_hits_per_sec: self.metro_cap_hits_per_sec,
-            region_cap_hits_per_sec: self.region_cap_hits_per_sec,
+            metro_cap_hits_per_sec: vec![f64::INFINITY; num_metros],
+            region_cap_hits_per_sec: vec![f64::INFINITY; num_regions],
         }
     }
 }

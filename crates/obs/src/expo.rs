@@ -10,25 +10,6 @@
 use crate::registry::RegistrySnapshot;
 use std::fmt::Write;
 
-/// Escape a string for embedding in a JSON double-quoted literal.
-pub(crate) fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Format an `f64` for JSON: finite shortest round-trip representation;
 /// non-finite values (unrepresentable in JSON) become `null`.
 fn json_f64(v: f64) -> String {
@@ -125,11 +106,5 @@ mod tests {
     fn name_mangling() {
         assert_eq!(prometheus_name("engine.tick.realloc"), "wattroute_engine_tick_realloc");
         assert_eq!(prometheus_name("a-b c"), "wattroute_a_b_c");
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(escape_json("plain"), "plain");
-        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 }

@@ -53,17 +53,13 @@ pub mod expo;
 mod metrics;
 mod registry;
 mod span;
-mod trace;
 
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS, HISTOGRAM_LO_SECONDS,
 };
 pub use registry::{Registry, RegistrySnapshot};
 pub use span::Span;
-pub use trace::TraceWriter;
 
-use std::io;
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
@@ -74,8 +70,8 @@ pub const TELEMETRY_ENV: &str = "WATTROUTE_TELEMETRY";
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// The process-wide telemetry handle: the global flag, the global
-/// registry, the trace sink, and the exposition renderers. All methods
-/// are callable from any thread.
+/// registry and the exposition renderers. All methods are callable from
+/// any thread.
 #[derive(Debug)]
 pub struct Telemetry {
     registry: Registry,
@@ -148,20 +144,6 @@ impl Telemetry {
     pub fn prometheus(&self) -> String {
         expo::prometheus(&self.snapshot())
     }
-
-    /// Install the JSONL trace sink at `path` (truncated): from now on
-    /// every span close appends one event line.
-    ///
-    /// # Errors
-    /// Returns the file-creation error; on error no sink is installed.
-    pub fn trace_to(path: &Path) -> io::Result<()> {
-        trace::install(path)
-    }
-
-    /// Flush and remove the trace sink, if one is installed.
-    pub fn trace_close() {
-        trace::uninstall();
-    }
 }
 
 /// Resolve a counter by literal name, caching the registry lookup at the
@@ -209,7 +191,7 @@ macro_rules! histogram {
 macro_rules! span {
     ($name:literal) => {
         if $crate::Telemetry::enabled() {
-            $crate::Span::active($name, $crate::histogram!($name))
+            $crate::Span::active($crate::histogram!($name))
         } else {
             $crate::Span::disabled()
         }
@@ -218,8 +200,8 @@ macro_rules! span {
 
 #[cfg(test)]
 pub(crate) fn test_guard() -> std::sync::MutexGuard<'static, ()> {
-    // Tests that toggle the global enabled flag or the trace sink must
-    // not interleave; everything else is lock-free and order-free.
+    // Tests that toggle the global enabled flag must not interleave;
+    // everything else is lock-free and order-free.
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
@@ -265,23 +247,6 @@ mod tests {
         Telemetry::disable();
         let snap = telemetry().snapshot();
         assert_eq!(snap.histogram("lib.test.inert_span").map(|h| h.count), Some(1));
-    }
-
-    #[test]
-    fn spans_feed_trace_sink_when_installed() {
-        let _guard = test_guard();
-        let path =
-            std::env::temp_dir().join(format!("wr_obs_lib_trace_{}.jsonl", std::process::id()));
-        Telemetry::enable();
-        Telemetry::trace_to(&path).expect("install sink");
-        {
-            let _span = span!("lib.test.traced_span");
-        }
-        Telemetry::trace_close();
-        Telemetry::disable();
-        let text = std::fs::read_to_string(&path).expect("trace file");
-        assert!(text.contains("\"name\":\"lib.test.traced_span\""), "got: {text}");
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -1,15 +1,13 @@
-//! Lightweight span timers: time a scope, record the duration into a
-//! histogram on drop, and optionally emit a structured trace event.
+//! Lightweight span timers: time a scope and record the duration into a
+//! histogram on drop.
 
 use crate::metrics::Histogram;
-use crate::trace;
 use crate::Telemetry;
 use std::time::Instant;
 
 /// A scope timer. While a `Span` is alive the phase is "open"; dropping
 /// it records the elapsed wall time (seconds) into the phase's duration
-/// histogram and, when a [`TraceWriter`](crate::TraceWriter) is
-/// installed, appends one JSONL event.
+/// histogram.
 ///
 /// A span obtained while telemetry is disabled is *inert*: it holds no
 /// timestamp (no `Instant::now` call was made) and its drop does
@@ -24,7 +22,6 @@ pub struct Span {
 
 #[derive(Debug)]
 struct ActiveSpan {
-    name: &'static str,
     histogram: &'static Histogram,
     start: Instant,
 }
@@ -40,14 +37,14 @@ impl Span {
         if !Telemetry::enabled() {
             return Self::disabled();
         }
-        Self::active(name, crate::telemetry().histogram(name))
+        Self::active(crate::telemetry().histogram(name))
     }
 
     /// Open a span onto an already-resolved histogram (what the
     /// [`span!`](crate::span) macro expands to). The caller has already
     /// checked [`Telemetry::enabled`].
-    pub fn active(name: &'static str, histogram: &'static Histogram) -> Self {
-        Self { active: Some(ActiveSpan { name, histogram, start: Instant::now() }) }
+    pub fn active(histogram: &'static Histogram) -> Self {
+        Self { active: Some(ActiveSpan { histogram, start: Instant::now() }) }
     }
 
     /// An inert span: no timestamp, records nothing on drop.
@@ -64,9 +61,7 @@ impl Span {
 impl Drop for Span {
     fn drop(&mut self) {
         if let Some(span) = self.active.take() {
-            let secs = span.start.elapsed().as_secs_f64();
-            span.histogram.record(secs);
-            trace::emit_span(span.name, secs);
+            span.histogram.record(span.start.elapsed().as_secs_f64());
         }
     }
 }
@@ -89,7 +84,7 @@ mod tests {
         static HIST: std::sync::OnceLock<Histogram> = std::sync::OnceLock::new();
         let hist = HIST.get_or_init(Histogram::duration);
         {
-            let _span = Span::active("test.span", hist);
+            let _span = Span::active(hist);
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
         assert_eq!(hist.count(), 1);

@@ -209,10 +209,7 @@ mod tests {
         assert_eq!(reports.len(), 2);
         for (candidate, report) in [(&nine, &reports[0]), (&rescaled, &reports[1])] {
             let sequential = Simulation::new(candidate, &s.trace, &s.prices, s.config.clone())
-                .execute(
-                    &mut PriceConsciousPolicy::with_distance_threshold(1500.0),
-                    RunOptions::new(),
-                );
+                .execute(&mut PriceConsciousPolicy::with_distance_threshold(1500.0));
             assert_eq!(report, &sequential);
         }
         // Both candidates share one hub list: one miss, one hit.
@@ -272,10 +269,8 @@ mod tests {
         for (candidate, report) in [(&nine, &reports[0]), (&east, &reports[1])] {
             let config = constrained.candidate_config(candidate);
             assert_eq!(config.constraints.bandwidth_caps(), Some(&hub_caps.resolve(candidate)[..]));
-            let sequential = Simulation::new(candidate, &s.trace, &s.prices, config).execute(
-                &mut PriceConsciousPolicy::with_distance_threshold(1500.0),
-                RunOptions::new(),
-            );
+            let sequential = Simulation::new(candidate, &s.trace, &s.prices, config)
+                .execute(&mut PriceConsciousPolicy::with_distance_threshold(1500.0));
             assert_eq!(report, &sequential);
         }
 

@@ -69,16 +69,20 @@ use wattroute_market::types::PriceSet;
 use wattroute_routing::constraints::HubBandwidthCaps;
 use wattroute_workload::trace::Trace;
 
+/// The distance threshold of the price-conscious routing every candidate
+/// is evaluated under: the paper's preferred 1500 km.
+const CANDIDATE_THRESHOLD_KM: f64 = 1500.0;
+
 /// The optimizer driver: binds a search space to a scenario (trace,
-/// prices, simulation configuration), an objective, a policy and a
-/// budget, and runs strategies over it.
+/// prices, simulation configuration), an objective and a budget, and runs
+/// strategies over it. Every candidate is routed price-consciously at the
+/// paper's preferred 1500 km threshold.
 pub struct DeploymentOptimizer<'a> {
     space: SearchSpace,
     trace: &'a Trace,
     prices: &'a PriceSet,
     config: SimulationConfig,
     objective: Objective,
-    policy: SharedPolicyFactory,
     budget: SearchBudget,
     threads: Option<usize>,
     start: Option<CandidateSplit>,
@@ -86,8 +90,7 @@ pub struct DeploymentOptimizer<'a> {
 }
 
 impl<'a> DeploymentOptimizer<'a> {
-    /// Bind an optimizer. Defaults: price-conscious routing at the
-    /// paper's preferred 1500 km threshold, the
+    /// Bind an optimizer. Defaults: the
     /// [`Objective::default_qos`] objective, the default
     /// [`SearchBudget`], the sweep engine's default worker count, and an
     /// even starting split.
@@ -108,7 +111,6 @@ impl<'a> DeploymentOptimizer<'a> {
             prices,
             config,
             objective: Objective::default_qos(),
-            policy: price_conscious_factory(1500.0),
             budget: SearchBudget::default(),
             threads: None,
             start: None,
@@ -132,12 +134,6 @@ impl<'a> DeploymentOptimizer<'a> {
     /// Replace the objective.
     pub fn with_objective(mut self, objective: Objective) -> Self {
         self.objective = objective;
-        self
-    }
-
-    /// Replace the routing policy evaluated for every candidate.
-    pub fn with_policy(mut self, policy: SharedPolicyFactory) -> Self {
-        self.policy = policy;
         self
     }
 
@@ -203,7 +199,7 @@ impl<'a> DeploymentOptimizer<'a> {
         let mut best_total = f64::INFINITY;
         let space = &self.space;
         let objective = &self.objective;
-        let policy = &self.policy;
+        let policy = &price_conscious_factory(CANDIDATE_THRESHOLD_KM);
         let mut score = |splits: &[CandidateSplit]| -> Vec<ScoredCandidate> {
             let candidates: Vec<_> = splits.iter().map(|s| space.materialize(s)).collect();
             let reports = evaluator.evaluate(&candidates, policy);

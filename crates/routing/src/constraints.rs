@@ -167,12 +167,6 @@ impl ConstraintSet {
         self
     }
 
-    /// Remove the bandwidth caps (back to the relaxed regime).
-    pub fn without_bandwidth_caps(mut self) -> Self {
-        self.bandwidth_caps = None;
-        self
-    }
-
     /// Attach per-cluster capacity ceilings (hits/second) that tighten the
     /// clusters' nominal capacities for routing.
     pub fn with_capacity_ceilings(mut self, ceilings: Vec<f64>) -> Self {
