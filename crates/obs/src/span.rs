@@ -2,7 +2,6 @@
 //! histogram on drop.
 
 use crate::metrics::Histogram;
-use crate::Telemetry;
 use std::time::Instant;
 
 /// A scope timer. While a `Span` is alive the phase is "open"; dropping
@@ -27,22 +26,9 @@ struct ActiveSpan {
 }
 
 impl Span {
-    /// Open a span by name, resolving the histogram through the global
-    /// registry. Convenient for cold paths; hot paths should prefer the
-    /// [`span!`](crate::span) macro, which caches the registry lookup at
-    /// the call site.
-    ///
-    /// Returns an inert span when telemetry is disabled.
-    pub fn enter(name: &'static str) -> Self {
-        if !Telemetry::enabled() {
-            return Self::disabled();
-        }
-        Self::active(crate::telemetry().histogram(name))
-    }
-
     /// Open a span onto an already-resolved histogram (what the
     /// [`span!`](crate::span) macro expands to). The caller has already
-    /// checked [`Telemetry::enabled`].
+    /// checked [`Telemetry::enabled`](crate::Telemetry::enabled).
     pub fn active(histogram: &'static Histogram) -> Self {
         Self { active: Some(ActiveSpan { histogram, start: Instant::now() }) }
     }

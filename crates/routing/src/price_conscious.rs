@@ -47,15 +47,16 @@ impl Default for PriceConsciousConfig {
 /// reallocations, next to the memo of the state's preference order.
 /// Geography never changes within a split; the cost row changes at most
 /// hourly, so the order ranked from it is reused until it does.
+///
+/// The candidates are the clusters within the distance threshold (or the
+/// paper's nearest + 50 km fallback set), and they are a prefix of the
+/// state's nearest-first order: its first `runs` hub runs, which hold its
+/// first `clusters` clusters. The rest of that order is the tail, the
+/// last-resort overflow appended after the priced candidates.
 #[derive(Debug, Clone)]
 struct StateCandidates {
-    /// Clusters within the distance threshold (or the paper's nearest +
-    /// 50 km fallback set), by ascending distance, equal distances in
-    /// cluster order.
-    candidates: Vec<usize>,
-    /// The remaining clusters, by ascending distance — the last-resort
-    /// overflow tail appended after the priced candidates.
-    tail: Vec<usize>,
+    runs: usize,
+    clusters: usize,
     /// The order ranked so far in generation `ranked_in`: the cheap set
     /// (its first `head_len` entries, the pour's head), then — once
     /// `whole` — the other candidates by cost, then the tail.
@@ -67,6 +68,14 @@ struct StateCandidates {
     /// (never a live generation) until the pour first asks for the state.
     ranked_in: u64,
     whole: bool,
+}
+
+/// A maximal run of consecutive clusters at one hub, `start..end` in
+/// cluster order. Every client state is equally far from each of them.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    start: usize,
+    end: usize,
 }
 
 // Compile-count instrumentation lives on the `wattroute_obs` registry: the
@@ -91,6 +100,13 @@ struct StateCandidates {
 /// reads its distance samples from the same table. Per-threshold
 /// candidate splits and per-step rankings are derived from it without
 /// computing or sorting a distance.
+///
+/// It also records the deployment's *hub runs*: maximal runs of
+/// consecutive clusters at one hub, such as a tree region's metro of
+/// sites. A distance is a property of the hub, so each state ranks its
+/// runs by distance once, stably, and its cluster order is that run order
+/// expanded run by run, in index order — exactly the stable per-cluster
+/// sort. Two runs at one hub with another hub between them stay two runs.
 #[derive(Debug, Clone)]
 pub struct CompiledPreferences {
     hub_ids: Vec<HubId>,
@@ -98,8 +114,14 @@ pub struct CompiledPreferences {
     /// The distance of every (cluster, state) pair in km, in the flat
     /// row-major `cluster × state` layout of an [`Allocation`].
     km: Vec<f64>,
+    /// The hub runs, in cluster order.
+    runs: Vec<Run>,
+    /// Per state, state after state: every hub run by ascending distance,
+    /// equidistant runs in cluster order.
+    run_orders: Vec<Run>,
     /// Per state, state after state: every cluster index by ascending
-    /// distance, so a pour can borrow a state's order as one slice.
+    /// distance (the state's run order expanded), so a pour can borrow a
+    /// state's order as one slice.
     orders: Vec<usize>,
 }
 
@@ -117,17 +139,28 @@ impl CompiledPreferences {
             let hub = hubs::hub(id);
             km.extend(states.iter().map(|&state| state_to_hub_km(state, hub)));
         }
+        let mut runs: Vec<Run> = Vec::new();
+        for (cluster, &id) in hub_ids.iter().enumerate() {
+            match runs.last_mut() {
+                Some(run) if hub_ids[run.start] == id => run.end = cluster + 1,
+                _ => runs.push(Run { start: cluster, end: cluster + 1 }),
+            }
+        }
+        let mut run_orders = Vec::with_capacity(n_states * runs.len());
         let mut orders = Vec::with_capacity(n_states * n_clusters);
         for state in 0..n_states {
-            let start = orders.len();
-            orders.extend(0..n_clusters);
-            orders[start..].sort_by(|&a, &b| {
-                km[a * n_states + state]
-                    .partial_cmp(&km[b * n_states + state])
+            let start = run_orders.len();
+            run_orders.extend_from_slice(&runs);
+            run_orders[start..].sort_by(|a, b| {
+                km[a.start * n_states + state]
+                    .partial_cmp(&km[b.start * n_states + state])
                     .expect("distances are finite")
             });
+            for run in &run_orders[start..] {
+                orders.extend(run.start..run.end);
+            }
         }
-        Self { hub_ids, states: states.to_vec(), km, orders }
+        Self { hub_ids, states: states.to_vec(), km, runs, run_orders, orders }
     }
 
     /// The hub list this geometry was compiled for, in cluster order.
@@ -166,32 +199,33 @@ impl CompiledPreferences {
         &self.orders[state_idx * n..(state_idx + 1) * n]
     }
 
-    /// [`Self::order`] with each cluster's distance: ascending.
-    pub(crate) fn ranked(&self, state_idx: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
-        self.order(state_idx).iter().map(move |&c| (c, self.km(c, state_idx)))
+    /// One client state's hub runs, nearest first, equidistant runs in
+    /// cluster order: [`Self::order`] run by run.
+    fn run_order(&self, state_idx: usize) -> &[Run] {
+        let n = self.runs.len();
+        &self.run_orders[state_idx * n..(state_idx + 1) * n]
     }
 
     /// Derive the per-threshold candidate/tail split from the ranked
-    /// geometry: candidates are the clusters within `threshold_km` (with
+    /// geometry: candidates are the hub runs within `threshold_km` (with
     /// the paper's nearest + 50 km fallback when none are), the tail is
-    /// every other cluster, both in ascending-distance order.
+    /// every other cluster. Distances ascend along a run order, so the
+    /// candidates are a prefix of it.
     fn threshold_split(&self, threshold_km: f64) -> Vec<StateCandidates> {
         (0..self.states.len())
             .map(|state| {
-                let closer_than = |limit_km: f64| -> Vec<usize> {
-                    self.ranked(state).filter(|&(_, d)| d <= limit_km).map(|(c, _)| c).collect()
-                };
-                let within = closer_than(threshold_km);
-                let candidates = match self.ranked(state).next() {
+                let order = self.run_order(state);
+                let km = |run: &Run| self.km(run.start, state);
+                let within =
+                    |limit_km: f64| order.iter().take_while(|&run| km(run) <= limit_km).count();
+                let runs = match (within(threshold_km), order.first()) {
                     // Fallback: nearest cluster plus any within 50 km of it.
-                    Some((_, nearest)) if within.is_empty() => closer_than(nearest + 50.0),
-                    _ => within,
+                    (0, Some(nearest)) => within(km(nearest) + 50.0),
+                    (runs, _) => runs,
                 };
-                let order = self.order(state);
-                let tail = order.iter().copied().filter(|i| !candidates.contains(i)).collect();
                 StateCandidates {
-                    candidates,
-                    tail,
+                    runs,
+                    clusters: order[..runs].iter().map(|run| run.end - run.start).sum(),
                     order: Vec::new(),
                     head_len: 0,
                     cheap_limit: 0.0,
@@ -200,6 +234,81 @@ impl CompiledPreferences {
                 }
             })
             .collect()
+    }
+}
+
+/// What one generation ranks: single clusters, or hub runs whose clusters
+/// all share one cost.
+trait Ranked: Copy {
+    /// The cluster whose cost and rank stand for this item's.
+    fn first(self) -> usize;
+
+    /// Append this item's clusters to an order, in index order.
+    fn write(self, order: &mut Vec<usize>);
+}
+
+impl Ranked for usize {
+    fn first(self) -> usize {
+        self
+    }
+
+    fn write(self, order: &mut Vec<usize>) {
+        order.push(self);
+    }
+}
+
+impl Ranked for Run {
+    fn first(self) -> usize {
+        self.start
+    }
+
+    fn write(self, order: &mut Vec<usize>) {
+        order.extend(self.start..self.end);
+    }
+}
+
+/// Write the cheap set of `candidates` into `order`: those costing at most
+/// the cheapest plus `cost_threshold`, in candidate order. Returns that
+/// limit.
+fn cheap_set<R: Ranked>(
+    candidates: &[R],
+    costs: &[f64],
+    cost_threshold: f64,
+    order: &mut Vec<usize>,
+) -> f64 {
+    let cheapest = candidates.iter().map(|r| costs[r.first()]).fold(f64::INFINITY, f64::min);
+    let limit = cheapest + cost_threshold;
+    order.clear();
+    for &r in candidates {
+        if costs[r.first()] <= limit {
+            r.write(order);
+        }
+    }
+    limit
+}
+
+/// Append the candidates that cost more than `cheap_limit` to `order`, by
+/// (cost rank, candidate position) as integer keys.
+fn rank_costlier<R: Ranked>(
+    candidates: &[R],
+    costs: &[f64],
+    cheap_limit: f64,
+    rank: &[u32],
+    keys: &mut Vec<u64>,
+    order: &mut Vec<usize>,
+) {
+    let cheap = |r: &R| costs[r.first()] <= cheap_limit;
+    keys.clear();
+    keys.extend(
+        candidates
+            .iter()
+            .enumerate()
+            .filter(|&(_, r)| !cheap(r))
+            .map(|(position, r)| (u64::from(rank[r.first()]) << 32) | position as u64),
+    );
+    keys.sort_unstable();
+    for &key in keys.iter() {
+        candidates[key as u32 as usize].write(order);
     }
 }
 
@@ -226,6 +335,19 @@ impl CompiledPreferences {
 /// (cost, distance) order of a stable float sort, ties included. When the
 /// cheap set is empty (a negative or NaN cost threshold), the head is the
 /// whole order.
+///
+/// A generation whose cost row compares equal (`==`) across every hub run
+/// ranks hub runs instead of clusters: the scan, the dense rank and the
+/// (rank, position) sort each see one item per run, and a run is expanded
+/// into its clusters, in index order, only when the head or the rest is
+/// written. That is exact: a run's clusters share a distance, so they are
+/// consecutive in the state's nearest-first order, and they share a cost,
+/// so they share a rank and cheapness; a stable order by a key constant on
+/// contiguous index ranges, expanded range by range, is the per-cluster
+/// order. Price rows are per hub, so they rank runs. A row that differs
+/// inside a run (per-site carbon intensities) ranks runs of one — single
+/// clusters — in the same code, as does every generation of a deployment
+/// whose hub runs are all single clusters.
 #[derive(Debug, Clone)]
 struct ThresholdSplit {
     /// The geometry the split was derived from, kept alive so that a
@@ -241,10 +363,15 @@ struct ThresholdSplit {
     costs: Vec<f64>,
     /// The cost threshold of the current generation.
     cost_threshold: f64,
-    /// Dense rank of each cluster's cost, made in generation `rank_in`.
+    /// Whether the current generation ranks hub runs: some run holds more
+    /// than one cluster, and the cost row is equal across every run.
+    by_hub: bool,
+    /// Dense rank of each ranked item's cost, indexed by the item's first
+    /// cluster, made in generation `rank_in`.
     rank: Vec<u32>,
     rank_in: u64,
-    /// Scratch: clusters by cost, and a state's (rank, position) keys.
+    /// Scratch: ranked items' first clusters by cost, and a state's
+    /// (rank, position) keys.
     by_cost: Vec<usize>,
     keys: Vec<u64>,
 }
@@ -258,6 +385,7 @@ impl ThresholdSplit {
             generation: 0,
             costs: Vec::new(),
             cost_threshold: 0.0,
+            by_hub: false,
             rank: Vec::new(),
             rank_in: 0,
             by_cost: Vec::new(),
@@ -277,23 +405,30 @@ impl ThresholdSplit {
             self.costs.clear();
             self.costs.extend_from_slice(costs);
             self.cost_threshold = cost_threshold;
+            let runs = &self.geometry.runs;
+            self.by_hub = runs.len() < costs.len()
+                && runs.iter().all(|run| {
+                    costs[run.start + 1..run.end].iter().all(|&cost| cost == costs[run.start])
+                });
         }
     }
 
     /// Restamp `state`'s memo with its cheap set in the current generation,
     /// unless it already holds this generation's ranking.
     fn scan(&mut self, state: usize) {
-        let Self { per_state, generation, costs, cost_threshold, .. } = self;
+        let Self { geometry, per_state, generation, costs, cost_threshold, by_hub, .. } = self;
         let entry = &mut per_state[state];
         if entry.ranked_in == *generation {
             return;
         }
-        let cheapest = entry.candidates.iter().map(|&i| costs[i]).fold(f64::INFINITY, f64::min);
-        let limit = cheapest + *cost_threshold;
-        entry.order.clear();
-        entry.order.extend(entry.candidates.iter().copied().filter(|&i| costs[i] <= limit));
+        entry.cheap_limit = if *by_hub {
+            let candidates = &geometry.run_order(state)[..entry.runs];
+            cheap_set(candidates, costs, *cost_threshold, &mut entry.order)
+        } else {
+            let candidates = &geometry.order(state)[..entry.clusters];
+            cheap_set(candidates, costs, *cost_threshold, &mut entry.order)
+        };
         entry.head_len = entry.order.len();
-        entry.cheap_limit = limit;
         entry.ranked_in = *generation;
         entry.whole = false;
         if entry.head_len == 0 {
@@ -307,35 +442,34 @@ impl ThresholdSplit {
     /// candidates by (cost rank, distance position), then the tail.
     fn rank_rest(&mut self, state: usize) {
         self.rank_row();
-        let Self { per_state, costs, rank, keys, .. } = self;
+        let Self { geometry, per_state, costs, by_hub, rank, keys, .. } = self;
         let entry = &mut per_state[state];
-        let cheap = |i: usize| costs[i] <= entry.cheap_limit;
-        keys.clear();
-        keys.extend(
-            entry
-                .candidates
-                .iter()
-                .enumerate()
-                .filter(|&(_, &i)| !cheap(i))
-                .map(|(position, &i)| (u64::from(rank[i]) << 32) | position as u64),
-        );
-        keys.sort_unstable();
-        let StateCandidates { candidates, tail, order, whole, .. } = entry;
-        order.extend(keys.iter().map(|&key| candidates[key as u32 as usize]));
-        order.extend_from_slice(tail);
-        *whole = true;
+        let (limit, order) = (entry.cheap_limit, &mut entry.order);
+        if *by_hub {
+            let candidates = &geometry.run_order(state)[..entry.runs];
+            rank_costlier(candidates, costs, limit, rank, keys, order);
+        } else {
+            let candidates = &geometry.order(state)[..entry.clusters];
+            rank_costlier(candidates, costs, limit, rank, keys, order);
+        }
+        order.extend_from_slice(&geometry.order(state)[entry.clusters..]);
+        entry.whole = true;
     }
 
-    /// Rank the current cost row densely, once per generation: the
-    /// cheapest clusters get rank 0, and equal costs (`0.0` and `-0.0`
-    /// included) share a rank.
+    /// Rank the current cost row densely, once per generation, over the
+    /// items it ranks (hub runs or clusters): the cheapest get rank 0, and
+    /// equal costs (`0.0` and `-0.0` included) share a rank.
     fn rank_row(&mut self) {
         if self.rank_in == self.generation {
             return;
         }
-        let Self { costs, rank, by_cost, .. } = self;
+        let Self { geometry, costs, by_hub, rank, by_cost, .. } = self;
         by_cost.clear();
-        by_cost.extend(0..costs.len());
+        if *by_hub {
+            by_cost.extend(geometry.runs.iter().map(|run| run.start));
+        } else {
+            by_cost.extend(0..costs.len());
+        }
         by_cost.sort_unstable_by(|&a, &b| costs[a].partial_cmp(&costs[b]).expect("finite prices"));
         rank.clear();
         rank.resize(costs.len(), 0);
@@ -457,8 +591,10 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use wattroute_geo::distance::{self, RankedHub};
+    use wattroute_geo::topology::Topology;
     use wattroute_geo::HubId;
     use wattroute_market::time::SimHour;
+    use wattroute_workload::hierarchy::site_clusters;
     use wattroute_workload::ClusterSet;
 
     fn ctx<'a>(
@@ -826,31 +962,71 @@ mod tests {
         1.0e300,
     ];
 
-    /// Deployments with 9 and 29 clusters, and one of 18 that places two
-    /// clusters at every hub, so equal distances tie.
-    fn deployments() -> Vec<ClusterSet> {
+    /// One region of a synthetic 200-site tree: one hub run per metro.
+    fn tree_region(seed: u64) -> ClusterSet {
+        let topology = Topology::synthetic(seed, 200);
+        let (s0, s1) = topology.region_sites(seed as usize % topology.num_regions());
+        ClusterSet::with_shared_hubs(site_clusters(&topology).clusters()[s0..s1].to_vec())
+    }
+
+    /// Deployments whose hub runs are single clusters: 9 and 29 clusters,
+    /// and 18 that place two clusters at every hub, nine apart, so equal
+    /// distances tie across runs. Then three whose runs are longer: each of
+    /// the nine hubs three times in a row, an `A A B A` layout that puts
+    /// two runs at one hub, and one region of a synthetic tree.
+    fn deployments(tree_seed: u64) -> Vec<ClusterSet> {
         let nine = ClusterSet::akamai_like_nine();
         let doubled = nine.clusters().iter().chain(nine.clusters()).cloned().collect::<Vec<_>>();
-        vec![nine, ClusterSet::even_29_hub(1000), ClusterSet::with_shared_hubs(doubled)]
+        let tripled = nine.clusters().iter().flat_map(|c| [c, c, c]).cloned().collect::<Vec<_>>();
+        let (a, b) = (&nine.clusters()[0], &nine.clusters()[3]);
+        let split_runs = [a, a, b, a].into_iter().cloned().collect::<Vec<_>>();
+        vec![
+            nine,
+            ClusterSet::even_29_hub(1000),
+            ClusterSet::with_shared_hubs(doubled),
+            ClusterSet::with_shared_hubs(tripled),
+            ClusterSet::with_shared_hubs(split_runs),
+            tree_region(tree_seed),
+        ]
+    }
+
+    /// Whether some hub run of `clusters` holds more than one cluster.
+    fn has_long_runs(clusters: &ClusterSet) -> bool {
+        clusters.clusters().windows(2).any(|pair| pair[0].hub == pair[1].hub)
     }
 
     proptest! {
         #[test]
         fn head_then_rest_equals_the_comparator_ranking(
-            deployment in 0usize..3,
+            deployment in 0usize..6,
+            tree_seed in 0u64..1000,
             picks in prop::collection::vec(0usize..PALETTE.len(), 29..30),
             threshold_km in prop::sample::select(vec![0.0, 300.0, 800.0, 1500.0, 2500.0, 5.0e4]),
             price_threshold in prop::sample::select(vec![5.0, 2.5, 0.0, -0.0, -1.0, f64::INFINITY]),
             asks in prop::collection::vec(0usize..3, 51..52),
         ) {
-            let clusters = &deployments()[deployment];
+            let clusters = &deployments(tree_seed)[deployment];
             let states: Vec<UsState> = UsState::all().collect();
             let compiled = compile(clusters, &states);
-            let prices: Vec<f64> = (0..clusters.len()).map(|c| PALETTE[picks[c % 29]]).collect();
+            let n = clusters.len();
+            // The first cluster at each cluster's hub: rows drawn by it are
+            // per hub, equal across every run, as price rows are.
+            let hub_of = |c: usize| clusters.index_of_hub(clusters.clusters()[c].hub).unwrap();
+            let by_hub: Vec<f64> = (0..n).map(|c| PALETTE[picks[hub_of(c) % 29]]).collect();
+            let by_cluster: Vec<f64> = (0..n).map(|c| PALETTE[picks[c % 29]]).collect();
+            // Per hub, except that the first hub's clusters alternate 0.0
+            // and -0.0: equal inside every run, though not bit for bit.
+            let signed_zeros: Vec<f64> = (0..n)
+                .map(|c| if hub_of(c) == 0 { [0.0, -0.0][c % 2] } else { by_hub[c] })
+                .collect();
             let mut split = ThresholdSplit::new(&compiled, threshold_km);
-            // Two generations, so the second re-stamps what the first ranked.
-            for row in [prices.clone(), prices.iter().rev().copied().collect()] {
+            // One generation per row, so each re-stamps what the last ranked
+            // and the ranking switches between hub runs and clusters.
+            for (row, per_hub) in [(by_hub, true), (by_cluster, false), (signed_zeros, true)] {
                 split.key_on(&row, price_threshold);
+                if per_hub {
+                    prop_assert_eq!(split.by_hub, has_long_runs(clusters), "ranks hub runs");
+                }
                 for (s, &ask) in asks.iter().enumerate() {
                     let (cheap, whole) =
                         reference_order(&compiled, s, threshold_km, &row, price_threshold);
@@ -868,6 +1044,58 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_nan_cost_anywhere_panics_when_the_rest_is_ranked() {
+        let states: Vec<UsState> = UsState::all().collect();
+        for clusters in deployments(7) {
+            let compiled = compile(&clusters, &states);
+            for nan_at in 0..clusters.len() {
+                let mut row = vec![40.0; clusters.len()];
+                row[nan_at] = f64::NAN;
+                let mut split = ThresholdSplit::new(&compiled, 1500.0);
+                split.key_on(&row, 5.0);
+                let ranked =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| split.order(0).len()));
+                let payload = ranked.expect_err("a NaN cost must not rank");
+                let message = payload
+                    .downcast_ref::<&str>()
+                    .map(|m| m.to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned());
+                assert_eq!(message.as_deref(), Some("finite prices"), "NaN at {nan_at}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_price_row_policy_over_a_tree_shard_builds_its_split_once() {
+        // A region of the 1000-site tree, shrunk so that demand overflows
+        // the cheap sets and the rest is ranked too.
+        let topology = Topology::synthetic(2009, 1000);
+        let (s0, s1) = topology.region_sites(0);
+        let region = site_clusters(&topology).clusters()[s0..s1].to_vec();
+        let clusters = ClusterSet::with_shared_hubs(region).scaled(0.05);
+        assert!(has_long_runs(&clusters));
+        let states: Vec<UsState> = UsState::all().collect();
+        let geometry = compile(&clusters, &states);
+        let demand: Vec<f64> = (0..states.len()).map(|i| 500.0 + 373.0 * (i % 11) as f64).collect();
+        let mut policy = PriceConsciousPolicy::with_distance_threshold(1500.0);
+        for hour in 1..=48u64 {
+            // One price per hub, read through a site → hub indirection as
+            // the tree's shards read theirs; every hub's changes hourly.
+            let prices: Vec<f64> = (0..clusters.len())
+                .map(|c| clusters.index_of_hub(clusters.clusters()[c].hub).unwrap() as u64)
+                .map(|first| 20.0 + ((hour * 7919 + first * 104_729) % 97) as f64)
+                .collect();
+            let a = policy.allocate(&ctx(&clusters, &geometry, &demand, &prices));
+            assert!(a.serves_demand(&demand, 1e-6));
+            let split = policy.router.split.as_ref().expect("routed");
+            assert!(Arc::ptr_eq(&split.geometry, &geometry));
+            assert_eq!(split.generation, hour, "one split across every hour, no rebuild");
+            assert!(split.by_hub, "a price row ranks hub runs");
+            assert_eq!(split.rank_in, hour, "the rest was ranked this hour");
         }
     }
 

@@ -251,24 +251,6 @@ impl BandwidthProfile {
     pub fn is_empty(&self) -> bool {
         self.p95_hits_per_sec.is_empty()
     }
-
-    /// Headroom (in hits/second) between a cluster's current load and its
-    /// 95th-percentile ceiling; negative when the ceiling is already
-    /// exceeded.
-    pub fn headroom(&self, cluster: usize, current_load: f64) -> Option<f64> {
-        self.p95_hits_per_sec.get(cluster).map(|p| p - current_load)
-    }
-
-    /// Scale every ceiling by a factor — "relaxing" (factor > 1) or
-    /// tightening the 95/5 constraints, as explored in Figures 15, 16 and 18.
-    pub fn scaled(&self, factor: f64) -> BandwidthProfile {
-        assert!(factor >= 0.0, "scale factor must be non-negative");
-        BandwidthProfile {
-            p95_hits_per_sec: self.p95_hits_per_sec.iter().map(|p| p * factor).collect(),
-            peak_hits_per_sec: self.peak_hits_per_sec.clone(),
-            mean_hits_per_sec: self.mean_hits_per_sec.clone(),
-        }
-    }
 }
 
 /// Estimate cluster request capacities from observed peak loads and a target
@@ -316,41 +298,6 @@ mod tests {
     fn empty_cluster_series_rejected() {
         let loads = vec![vec![1.0, 2.0], vec![]];
         assert!(BandwidthProfile::from_cluster_loads(&loads).is_none());
-    }
-
-    #[test]
-    fn headroom() {
-        let profile = BandwidthProfile {
-            p95_hits_per_sec: vec![1000.0],
-            peak_hits_per_sec: vec![1200.0],
-            mean_hits_per_sec: vec![600.0],
-        };
-        assert_eq!(profile.headroom(0, 400.0), Some(600.0));
-        assert_eq!(profile.headroom(0, 1400.0), Some(-400.0));
-        assert_eq!(profile.headroom(3, 0.0), None);
-    }
-
-    #[test]
-    fn scaling_relaxes_ceilings() {
-        let profile = BandwidthProfile {
-            p95_hits_per_sec: vec![1000.0, 2000.0],
-            peak_hits_per_sec: vec![1100.0, 2100.0],
-            mean_hits_per_sec: vec![500.0, 900.0],
-        };
-        let relaxed = profile.scaled(1.5);
-        assert_eq!(relaxed.p95_hits_per_sec, vec![1500.0, 3000.0]);
-        assert_eq!(relaxed.peak_hits_per_sec, profile.peak_hits_per_sec);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn negative_scale_rejected() {
-        let profile = BandwidthProfile {
-            p95_hits_per_sec: vec![1.0],
-            peak_hits_per_sec: vec![1.0],
-            mean_hits_per_sec: vec![1.0],
-        };
-        let _ = profile.scaled(-1.0);
     }
 
     #[test]
