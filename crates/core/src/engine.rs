@@ -45,6 +45,7 @@ use wattroute_routing::allocation::Allocation;
 use wattroute_routing::constraints::{ConstraintSet, OverflowMode};
 use wattroute_routing::policy::{RoutingContext, RoutingPolicy};
 use wattroute_routing::price_conscious::CompiledPreferences;
+use wattroute_stats::online::welford_step;
 use wattroute_stats::OnlineStats;
 use wattroute_workload::bandwidth::LoadRuns;
 use wattroute_workload::trace::{Trace, STEPS_PER_HOUR, STEP_SECONDS};
@@ -435,14 +436,23 @@ fn allocation_from_json(v: &JsonValue, n_clusters: usize) -> Result<Allocation, 
 /// no heap allocation, no haversine walk and no histogram binning.
 ///
 /// The cache is *derived* state: it lives on the engine, not in
-/// [`EngineSnapshot`], and is rebuilt from the cached allocation whenever
+/// [`EngineSnapshot`], and is refreshed from the cached allocation whenever
 /// `valid` is false (after a reallocation or a [`SimulationEngine::restore`]).
-/// Because the rebuild depends only on the allocation and run constants, a
-/// mid-epoch rebuild reproduces the pre-snapshot values bit for bit.
+/// A refresh sums every cluster's load and prepares the distance entries
+/// anew, but re-derives a cluster's utilization, Wh per step (the engine's
+/// and every energy lane's), hits split and binding flag only when its
+/// load differs in bits from the load they were derived from: they are
+/// pure functions of that load and the engine's fixed constants, so a
+/// cluster whose load did not move keeps them, bit for bit — across a
+/// restore too, mid-epoch or not.
 #[derive(Debug, Clone, Default)]
 struct EpochCache {
     valid: bool,
+    /// Each cluster's load, and the load its derived values below were
+    /// derived from. Empty until the first refresh derives every cluster.
     loads: Vec<f64>,
+    /// The loads the refresh has just summed, compared with `loads`.
+    fresh_loads: Vec<f64>,
     util: Vec<f64>,
     wh_step: Vec<f64>,
     hits_step: Vec<f64>,
@@ -471,6 +481,10 @@ struct EnergyLane {
     energy_wh: Vec<f64>,
     cost: Vec<f64>,
 }
+
+/// Clusters the accumulate kernel accounts side by side (see
+/// [`SimulationEngine::accumulate`]).
+const BLOCK: usize = 8;
 
 /// Each cluster's power curve under `energy`.
 fn power_models(clusters: &ClusterSet, energy: EnergyModelParams) -> Vec<ClusterPowerModel> {
@@ -791,11 +805,13 @@ impl<'a> SimulationEngine<'a> {
             .iter()
             .map(|&energy| EnergyLane {
                 power_models: power_models(self.clusters, energy),
-                wh_step: Vec::with_capacity(n_clusters),
+                wh_step: vec![0.0; n_clusters],
                 energy_wh: vec![0.0; n_clusters],
                 cost: vec![0.0; n_clusters],
             })
             .collect();
+        // The next refresh derives every cluster, the lanes' Wh included.
+        self.epoch = EpochCache::default();
         self
     }
 
@@ -957,7 +973,8 @@ impl<'a> SimulationEngine<'a> {
     }
 
     /// Refresh the epoch cache from the cached allocation: everything it
-    /// holds is constant until the next reallocation (see [`EpochCache`]).
+    /// holds is constant until the next reallocation. Only the clusters
+    /// whose load moved are re-derived (see [`EpochCache`]).
     fn refresh_epoch(&mut self) {
         let st = &self.state;
         let allocation = st.cached_allocation.as_ref().expect("an allocation is in force");
@@ -965,25 +982,34 @@ impl<'a> SimulationEngine<'a> {
         let accounted_caps =
             self.config.bandwidth_tariff.as_ref().and(constraints.bandwidth_caps());
         let epoch = &mut self.epoch;
-        allocation.cluster_loads_into(&mut epoch.loads);
+        allocation.cluster_loads_into(&mut epoch.fresh_loads);
         st.distances.prepare_step(allocation, &self.geometry, &mut epoch.distances);
-        epoch.util.clear();
-        epoch.wh_step.clear();
-        epoch.hits_step.clear();
-        epoch.overflow_step.clear();
-        epoch.rejected_step.clear();
-        epoch.binding.clear();
-        for c in 0..self.clusters.len() {
-            let cluster = self.clusters.get(c).expect("index in range");
-            let raw_utilization = cluster.utilization(epoch.loads[c]);
-            let mut served = epoch.loads[c];
+        let n_clusters = self.clusters.len();
+        let derived = epoch.loads.len() == n_clusters;
+        if !derived {
+            epoch.loads.resize(n_clusters, 0.0);
+            epoch.util.resize(n_clusters, 0.0);
+            epoch.wh_step.resize(n_clusters, 0.0);
+            epoch.hits_step.resize(n_clusters, 0.0);
+            epoch.overflow_step.resize(n_clusters, 0.0);
+            epoch.rejected_step.resize(n_clusters, 0.0);
+            epoch.binding.resize(n_clusters, false);
+        }
+        for (c, cluster) in self.clusters.clusters().iter().enumerate() {
+            let load = epoch.fresh_loads[c];
+            if derived && load.to_bits() == epoch.loads[c].to_bits() {
+                continue;
+            }
+            epoch.loads[c] = load;
+            let raw_utilization = cluster.utilization(load);
+            let mut served = load;
             let mut overflow = 0.0;
             let mut rejected = 0.0;
             if raw_utilization > 1.0 {
                 // Demand beyond capacity. The energy model saturates in
                 // both modes; the accounting differs: billed as served at
                 // capacity (overflow), or turned away (rejected).
-                let over = epoch.loads[c] - self.capacities[c];
+                let over = load - self.capacities[c];
                 match constraints.overflow() {
                     OverflowMode::BillAtCapacity => {
                         overflow = over * STEP_SECONDS as f64;
@@ -995,26 +1021,22 @@ impl<'a> SimulationEngine<'a> {
                 }
             }
             let utilization = raw_utilization.min(1.0);
-            epoch.util.push(utilization);
-            epoch.wh_step.push(wh_per_step(&self.power_models[c], utilization));
-            epoch.hits_step.push(served * STEP_SECONDS as f64);
-            epoch.overflow_step.push(overflow);
-            epoch.rejected_step.push(rejected);
+            epoch.util[c] = utilization;
+            epoch.wh_step[c] = wh_per_step(&self.power_models[c], utilization);
+            epoch.hits_step[c] = served * STEP_SECONDS as f64;
+            epoch.overflow_step[c] = overflow;
+            epoch.rejected_step[c] = rejected;
             // A step is "binding" when the allocation sits at (or, through
             // spill, above) the cluster's 95/5 ceiling — hours where the
             // constraint actually shaped routing. An idle cluster is never
             // binding, even at a zero cap (calibrations against
             // concentrating baselines leave unused clusters with p95 = 0).
-            epoch.binding.push(accounted_caps.is_some_and(|caps| {
-                caps[c].is_finite()
-                    && epoch.loads[c] > 0.0
-                    && epoch.loads[c] >= caps[c] * (1.0 - 1e-9)
-            }));
-        }
-        for lane in &mut self.lanes {
-            lane.wh_step.clear();
-            lane.wh_step
-                .extend(lane.power_models.iter().zip(&epoch.util).map(|(m, &u)| wh_per_step(m, u)));
+            epoch.binding[c] = accounted_caps.is_some_and(|caps| {
+                caps[c].is_finite() && load > 0.0 && load >= caps[c] * (1.0 - 1e-9)
+            });
+            for lane in &mut self.lanes {
+                lane.wh_step[c] = wh_per_step(&lane.power_models[c], utilization);
+            }
         }
         epoch.valid = true;
     }
@@ -1026,61 +1048,116 @@ impl<'a> SimulationEngine<'a> {
     /// Dollars are the one quantity that varies within an epoch, and only
     /// between hours, so each cluster's per-step dollars are computed once
     /// per call. Every accumulator still sees one add (and every
-    /// utilization accumulator one push) per step, in step order: adding a
-    /// constant `n` times does not round like adding `n ×` it once. The
-    /// clusters share no accumulator, so running each cluster's steps back
-    /// to back in locals changes no sum; nor do the energy lanes, whose
-    /// [`add_energy`] makes the same adds. Distance entries do share the
-    /// histogram's sums, so they go step by step. The integer binding
-    /// count and the load runs take the whole call at once, which is
-    /// exact. Adding the zero overflow/rejected entries unconditionally is
-    /// bitwise-exact too: the accumulators are never negative, and
-    /// `x + 0.0 == x` for every non-negative `x`.
+    /// utilization accumulator one Welford step) per step, in step order:
+    /// adding a constant `n` times does not round like adding `n ×` it
+    /// once.
+    ///
+    /// The clusters are accounted in blocks of [`BLOCK`]. A cluster's five
+    /// sums run their steps back to back in locals: each add waits only on
+    /// the add before it in its own sum, about four cycles, and the five
+    /// sums interleave. A Welford step waits about twenty, on its subtract,
+    /// divide and add, so the utilization accumulators are stepped across
+    /// the block: each cluster is a lane of local arrays holding its
+    /// utilization and its running mean, second moment and sum, stepped
+    /// with steps outer and lanes inner, so that the block's lanes, which
+    /// share no accumulator, fill each divide's wait with each other's
+    /// steps. Only the interleaving across clusters changes, so no sum
+    /// does. The last block runs its spare lanes on zeros and never writes
+    /// them back. The lanes share one divisor per step, because every
+    /// cluster's utilization count is the engine's step count, and they
+    /// skip `push`'s finiteness check, because utilization is saturated to
+    /// at most 1 and so always finite. The minimum and the maximum are
+    /// taken once per call, which is exact because both are idempotent.
+    ///
+    /// Each energy lane's [`add_energy`] makes the engine's own energy and
+    /// dollar adds. Distance entries share the histogram's sums, so they go
+    /// step by step. The integer binding count and the load runs take the
+    /// whole call at once, which is exact. Adding the zero
+    /// overflow/rejected entries unconditionally is bitwise-exact too: the
+    /// accumulators are never negative, and `x + 0.0 == x` for every
+    /// non-negative `x`.
     fn accumulate(&mut self, billing: &[f64], steps: usize) {
         let st = &mut self.state;
         let epoch = &self.epoch;
-        for (c, &price) in billing.iter().enumerate() {
-            // The energy and dollar adds stay in this loop with the rest (a
-            // loop of their own measured slower on the 39-month replay);
-            // they are `add_energy`'s adds, in its order.
-            let wh_step = epoch.wh_step[c];
-            let cost_step = energy_cost_dollars(wh_step, price);
-            let hits_step = epoch.hits_step[c];
-            let overflow_step = epoch.overflow_step[c];
-            let rejected_step = epoch.rejected_step[c];
-            let util = epoch.util[c];
-            let mut energy_wh = st.energy_wh[c];
-            let mut cost = st.cost[c];
-            let mut hits = st.hits[c];
-            let mut overflow_hits = st.overflow_hits[c];
-            let mut rejected_hits = st.rejected_hits[c];
-            let util_stats = &mut st.util_stats[c];
-            for _ in 0..steps {
-                energy_wh += wh_step;
-                cost += cost_step;
-                hits += hits_step;
-                overflow_hits += overflow_step;
-                rejected_hits += rejected_step;
-                util_stats.push(util);
+        for first in (0..billing.len()).step_by(BLOCK) {
+            let block = first..billing.len().min(first + BLOCK);
+            // Per lane: utilization, and its running mean, second moment
+            // and sum.
+            let (mut util, mut mean, mut m2, mut util_sum) =
+                ([0.0f64; BLOCK], [0.0f64; BLOCK], [0.0f64; BLOCK], [0.0f64; BLOCK]);
+            for (lane, c) in block.clone().enumerate() {
+                // The energy and dollar adds stay in this loop with the
+                // rest (a loop of their own measured slower on the
+                // 39-month replay); they are `add_energy`'s adds, in its
+                // order.
+                let wh_step = epoch.wh_step[c];
+                let cost_step = energy_cost_dollars(wh_step, billing[c]);
+                let hits_step = epoch.hits_step[c];
+                let overflow_step = epoch.overflow_step[c];
+                let rejected_step = epoch.rejected_step[c];
+                let mut energy_wh = st.energy_wh[c];
+                let mut cost = st.cost[c];
+                let mut hits = st.hits[c];
+                let mut overflow_hits = st.overflow_hits[c];
+                let mut rejected_hits = st.rejected_hits[c];
+                for _ in 0..steps {
+                    energy_wh += wh_step;
+                    cost += cost_step;
+                    hits += hits_step;
+                    overflow_hits += overflow_step;
+                    rejected_hits += rejected_step;
+                }
+                st.energy_wh[c] = energy_wh;
+                st.cost[c] = cost;
+                st.hits[c] = hits;
+                st.overflow_hits[c] = overflow_hits;
+                st.rejected_hits[c] = rejected_hits;
+                let stats = &st.util_stats[c];
+                debug_assert_eq!(stats.count(), st.step as u64, "cluster {c}'s utilization count");
+                util[lane] = epoch.util[c];
+                // An empty accumulator's running mean is `+0.0`.
+                mean[lane] = stats.mean().unwrap_or(0.0);
+                m2[lane] = stats.m2();
+                util_sum[lane] = stats.sum();
             }
-            st.energy_wh[c] = energy_wh;
-            st.cost[c] = cost;
-            st.hits[c] = hits;
-            st.overflow_hits[c] = overflow_hits;
-            st.rejected_hits[c] = rejected_hits;
-            st.loads[c].push(epoch.loads[c], steps);
-            if epoch.binding[c] {
-                st.binding_steps[c] += steps;
+            let mut count = st.step as f64;
+            for _ in 0..steps {
+                count += 1.0;
+                for lane in 0..BLOCK {
+                    welford_step(
+                        count,
+                        &mut mean[lane],
+                        &mut m2[lane],
+                        &mut util_sum[lane],
+                        util[lane],
+                    );
+                }
+            }
+            for (lane, c) in block.enumerate() {
+                let stats = &mut st.util_stats[c];
+                let u = util[lane];
+                *stats = OnlineStats::from_parts(
+                    stats.count() + steps as u64,
+                    mean[lane],
+                    m2[lane],
+                    stats.min().map_or(u, |min| min.min(u)),
+                    stats.max().map_or(u, |max| max.max(u)),
+                    util_sum[lane],
+                );
+                st.loads[c].push(epoch.loads[c], steps);
+                if epoch.binding[c] {
+                    st.binding_steps[c] += steps;
+                }
             }
         }
-        for lane in &mut self.lanes {
+        for energy_lane in &mut self.lanes {
             for (c, &price) in billing.iter().enumerate() {
                 add_energy(
-                    lane.wh_step[c],
+                    energy_lane.wh_step[c],
                     price,
                     steps,
-                    &mut lane.energy_wh[c],
-                    &mut lane.cost[c],
+                    &mut energy_lane.energy_wh[c],
+                    &mut energy_lane.cost[c],
                 );
             }
         }
@@ -1352,9 +1429,10 @@ impl<'a> SimulationEngine<'a> {
         }
         self.state = snapshot.clone();
         // The epoch cache describes the *previous* cached allocation; the
-        // next tick rebuilds it from the restored one. The rebuild depends
-        // only on the allocation and run constants, so a mid-epoch restore
-        // stays bit-identical to an uninterrupted run.
+        // next tick refreshes it from the restored one. A cluster keeps
+        // its derived values only if its restored load has the same bits,
+        // and they depend only on that load and run constants, so a
+        // mid-epoch restore stays bit-identical to an uninterrupted run.
         self.epoch.valid = false;
     }
 
@@ -1512,6 +1590,81 @@ mod tests {
             let report = resumed.report();
             assert_eq!(report, uninterrupted, "interval {interval}");
             assert_eq!(report.to_json(), uninterrupted.to_json(), "interval {interval}");
+        }
+    }
+
+    /// Advance `engine` one epoch per call up to step `end` of `trace`,
+    /// over the prices `table` compiles.
+    fn advance_to(
+        engine: &mut SimulationEngine<'_>,
+        policy: &mut dyn RoutingPolicy,
+        trace: &Trace,
+        table: &wattroute_market::price_table::PriceTable,
+        end: usize,
+    ) {
+        while engine.steps() < end {
+            let i = engine.steps();
+            let hour = trace.step_hour(i);
+            let prices = PriceSlice::new(
+                hour,
+                table.delayed_at(hour).unwrap(),
+                table.billing_at(hour).unwrap(),
+            );
+            let left = (STEPS_PER_HOUR - i % STEPS_PER_HOUR).min(end - i);
+            engine.advance(policy, prices, DemandSlice::new(&trace.steps()[i].us_demand), left);
+        }
+    }
+
+    /// A step-k snapshot restored mid-epoch into the engine that took it,
+    /// after that engine ticked on: the epoch cache then holds loads from
+    /// later epochs, and the refresh after the restore reuses every
+    /// cluster's derived values whose load is the same in bits. The
+    /// finished report must equal an uninterrupted run's, byte for byte;
+    /// and since energy lanes are not part of a snapshot, each lane's sums
+    /// must equal those of the same calls on an engine whose cache the
+    /// restore left cold.
+    #[test]
+    fn a_snapshot_restored_into_its_warm_engine_resumes_bit_for_bit() {
+        let (clusters, trace, prices) = setup();
+        let split = 3 * STEPS_PER_HOUR + 7;
+        let later = split + 5 * STEPS_PER_HOUR + 4;
+        let models =
+            [EnergyModelParams::new(250.0, 0.0, 1.1), EnergyModelParams::new(250.0, 0.65, 1.3)];
+        for interval in [12, 5] {
+            let config = SimulationConfig::default().with_reallocation_interval(interval);
+            let sim =
+                crate::simulation::Simulation::new(&clusters, &trace, &prices, config.clone());
+            let uninterrupted =
+                sim.execute(&mut PriceConsciousPolicy::with_distance_threshold(1500.0));
+            let table = sim.price_table();
+            let run = |lanes: &[EnergyModelParams], cold: bool| {
+                let mut engine = SimulationEngine::new(&clusters, &trace.states, config.clone())
+                    .with_clamped_lead_hours(table.clamped_lead_hours())
+                    .with_energy_lanes(lanes);
+                let mut policy = PriceConsciousPolicy::with_distance_threshold(1500.0);
+                advance_to(&mut engine, &mut policy, &trace, table, split);
+                let (snapshot, loads_at_split) = (engine.snapshot(), engine.epoch.loads.clone());
+                advance_to(&mut engine, &mut policy, &trace, table, later);
+                let bits = |loads: &[f64]| loads.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_ne!(bits(&engine.epoch.loads), bits(&loads_at_split), "a warm cache");
+                engine.restore(&snapshot);
+                if cold {
+                    engine.epoch = EpochCache::default();
+                }
+                advance_to(&mut engine, &mut policy, &trace, table, trace.num_steps());
+                engine.reports()
+            };
+            let warm = run(&[], false);
+            assert_eq!(warm.len(), 1);
+            assert_eq!(warm[0], uninterrupted, "interval {interval}");
+            assert_eq!(warm[0].to_json(), uninterrupted.to_json(), "interval {interval}");
+
+            let (warm, cold) = (run(&models, false), run(&models, true));
+            assert_eq!(warm.len(), 1 + models.len());
+            assert_eq!(warm[0].to_json(), uninterrupted.to_json(), "interval {interval}");
+            for (lane, (warm, cold)) in warm.iter().zip(&cold).enumerate() {
+                assert_eq!(warm.to_json(), cold.to_json(), "interval {interval}, report {lane}");
+            }
         }
     }
 

@@ -24,7 +24,11 @@
 //! of 12 and 5 steps, where the batch driver advances a whole allocation
 //! epoch per call and the run-length load store keeps runs longer than one
 //! step; and sweep-24d's grid shape, whose cells share replays across two
-//! energy models, against each cell run alone.
+//! energy models, against each cell run alone. Block-shape cases replay
+//! synthetic deployments of 1, 7, 8, 9, 16, 17 and 175 sites around the
+//! accumulate kernel's blocks of eight, with a scripted policy whose loads
+//! repeat, flip sign at zero and saturate from one epoch to the next, so
+//! the epoch refresh both keeps and re-derives clusters.
 
 #[path = "../../workload/tests/reservoir/mod.rs"]
 mod reservoir;
@@ -36,6 +40,9 @@ use wattroute::prelude::*;
 use wattroute::report::{cluster_labels, ClusterReport, DistanceHistogram, SimulationReport};
 use wattroute_energy::cost::energy_cost_dollars;
 use wattroute_energy::model::ClusterPowerModel;
+use wattroute_geo::topology::Topology;
+use wattroute_market::generator::PriceGenerator;
+use wattroute_market::model::MarketModel;
 use wattroute_market::time::{HourRange, SimHour};
 use wattroute_routing::allocation::Allocation;
 use wattroute_routing::constraints::OverflowMode;
@@ -44,7 +51,7 @@ use wattroute_routing::policy::{RoutingContext, RoutingPolicy};
 use wattroute_routing::price_conscious::CompiledPreferences;
 use wattroute_stats::{quantiles, OnlineStats};
 use wattroute_workload::bandwidth::percentile_95;
-use wattroute_workload::hierarchy::single_region_of;
+use wattroute_workload::hierarchy::{single_region_of, site_clusters};
 use wattroute_workload::trace::STEP_SECONDS;
 
 fn window(days: u64) -> HourRange {
@@ -58,7 +65,45 @@ fn policy_for(kind: usize) -> Box<dyn RoutingPolicy> {
         1 => Box::new(AkamaiLikePolicy::default()),
         2 => Box::new(PriceConsciousPolicy::with_distance_threshold(1500.0)),
         3 => Box::new(PriceConsciousPolicy::unconstrained_distance()),
-        _ => Box::new(JointCostPolicy::new(0.02)),
+        4 => Box::new(JointCostPolicy::new(0.02)),
+        _ => Box::new(Scripted),
+    }
+}
+
+/// A stateless policy that scripts each cluster's load from the hour, in
+/// a five-hour cycle offset by the cluster's index, so that from one epoch
+/// to the next a cluster's load repeats, flips between `+0.0` and `-0.0`,
+/// saturates, or follows demand. Each load sits on one state.
+struct Scripted;
+
+impl RoutingPolicy for Scripted {
+    fn name(&self) -> &str {
+        "scripted"
+    }
+
+    fn allocate_into(&mut self, out: &mut Allocation, ctx: &RoutingContext<'_>) {
+        let n_states = ctx.states().len();
+        let matrix = ctx
+            .clusters
+            .clusters()
+            .iter()
+            .enumerate()
+            .map(|(c, cluster)| {
+                let mut row = vec![0.0; n_states];
+                let s = c % n_states;
+                match (ctx.hour.0 as usize + c) % 5 {
+                    // Idle, at `+0.0`: no entry in the support.
+                    0 => {}
+                    // Idle, at `-0.0`: every entry in the support.
+                    1 => row.fill(-0.0),
+                    2 => row[s] = 0.37 * cluster.capacity_hits_per_sec(),
+                    3 => row[s] = 1.5 * cluster.capacity_hits_per_sec(),
+                    _ => row[s] = ctx.demand[s],
+                }
+                row
+            })
+            .collect();
+        *out = Allocation::from_matrix(matrix);
     }
 }
 
@@ -214,8 +259,9 @@ fn legacy_replay(scenario: &Scenario, kind: usize) -> (SimulationReport, Vec<Vec
 }
 
 /// The engine driven one [`SimulationEngine::tick`] per step, as the
-/// daemon drives it, over the prices [`Simulation`] compiles.
-fn tick_per_step(scenario: &Scenario, kind: usize) -> SimulationReport {
+/// daemon drives it, over the prices [`Simulation`] compiles: its report
+/// and its load series.
+fn tick_per_step(scenario: &Scenario, kind: usize) -> (SimulationReport, Vec<Vec<f64>>) {
     let trace = &scenario.trace;
     let sim = Simulation::new(&scenario.clusters, trace, &scenario.prices, scenario.config.clone());
     let table = sim.price_table();
@@ -232,7 +278,7 @@ fn tick_per_step(scenario: &Scenario, kind: usize) -> SimulationReport {
         );
         engine.tick(policy.as_mut(), prices, DemandSlice::new(&step.us_demand));
     }
-    engine.report()
+    (engine.report(), engine.into_load_series())
 }
 
 proptest! {
@@ -351,7 +397,7 @@ fn assert_paper_scale_interval_matches_legacy(interval: usize) {
     let (akamai_like, price_conscious_1500) = (1, 2);
 
     let (legacy, legacy_loads) = legacy_replay(&scenario, akamai_like);
-    assert_eq!(tick_per_step(&scenario, akamai_like), legacy, "tick per step != legacy");
+    assert_eq!(tick_per_step(&scenario, akamai_like).0, legacy, "tick per step != legacy");
     assert_batch_matches(&scenario, akamai_like, &legacy);
     let calibrated = CalibratedScenario::calibrate(&scenario);
     assert_eq!(calibrated.baseline(), &legacy, "calibration run != legacy");
@@ -367,7 +413,7 @@ fn assert_paper_scale_interval_matches_legacy(interval: usize) {
             scenario.config = scenario.config.with_bandwidth_caps(calibrated.p95_caps().to_vec());
         }
         let (legacy, _) = legacy_replay(&scenario, price_conscious_1500);
-        assert_eq!(tick_per_step(&scenario, price_conscious_1500), legacy, "tick per step");
+        assert_eq!(tick_per_step(&scenario, price_conscious_1500).0, legacy, "tick per step");
         assert_batch_matches(&scenario, price_conscious_1500, &legacy);
     }
 }
@@ -488,4 +534,107 @@ fn paper_scale_grouped_sweep_equals_each_cell_run_alone_under_a_tariff_and_rejec
         .with_bandwidth_tariff(wattroute::constraints::BandwidthTariff::default_cdn())
         .with_overflow(OverflowMode::Reject);
     assert_paper_scale_grouped_sweep_matches_each_cell_alone(config);
+}
+
+/// The seed of every block-shape input.
+const BLOCK_SEED: u64 = 2009;
+
+/// `n` synthetic sites: a tree of fewer sites than metro hubs puts one
+/// site at each of the first `n` hubs, and shares the paper's nine
+/// clusters' total capacity out among them.
+fn synthetic_sites(n: usize) -> ClusterSet {
+    site_clusters(&Topology::synthetic(BLOCK_SEED, n))
+}
+
+/// The second region (NYISO) of the seeded 1000-site tree: a tree-1000
+/// shard's deployment, 175 sites, 35 at each of five metro hubs — 21 whole
+/// blocks and 7 clusters more.
+fn region_sized_sites() -> ClusterSet {
+    let topology = Topology::synthetic(BLOCK_SEED, 1000);
+    let (s0, s1) = topology.region_sites(1);
+    ClusterSet::with_shared_hubs(site_clusters(&topology).clusters()[s0..s1].to_vec())
+}
+
+/// The accumulate kernel accounts clusters in blocks of eight, and the
+/// epoch refresh re-derives only the clusters whose load moved. Over one
+/// day, `clusters` must replay as the legacy per-step path does — through
+/// the batch driver, the sharded trivial embedding and one tick per step,
+/// reports struct-equal and JSON-equal and load series equal in bits — at
+/// intervals 1, 5 and 12, under both overflow modes and under a tariff
+/// whose caps bind, for the price-conscious policy and for [`Scripted`],
+/// whose loads repeat, flip sign at zero and saturate from one epoch to
+/// the next.
+fn assert_block_shape_matches_legacy(clusters: ClusterSet) {
+    let n_clusters = clusters.len();
+    let range = window(1);
+    let trace = SyntheticWorkloadConfig { seed: BLOCK_SEED, ..Default::default() }.generate(range);
+    let prices = PriceGenerator::new(MarketModel::calibrated(), BLOCK_SEED).realtime_hourly(range);
+    let caps: Vec<f64> =
+        clusters.clusters().iter().map(|c| 0.37 * c.capacity_hits_per_sec()).collect();
+    let base = Scenario { clusters, trace, prices, config: SimulationConfig::default() };
+    let (price_conscious_1500, scripted) = (2, 5);
+    for interval in [1, 5, 12] {
+        // 0: overflow billed at capacity · 1: overflow rejected ·
+        // 2: 95/5 caps at the scripted fixed load, billed by a tariff
+        for regime in 0..3 {
+            let mut scenario = base.clone();
+            scenario.config = scenario.config.with_reallocation_interval(interval);
+            match regime {
+                1 => scenario.config = scenario.config.with_overflow(OverflowMode::Reject),
+                2 => {
+                    scenario.config =
+                        scenario.config.with_bandwidth_caps(caps.clone()).with_bandwidth_tariff(
+                            wattroute::constraints::BandwidthTariff::default_cdn(),
+                        )
+                }
+                _ => {}
+            }
+            for kind in [price_conscious_1500, scripted] {
+                let case = format!(
+                    "{n_clusters} clusters, interval {interval}, regime {regime}, policy {kind}"
+                );
+                let (legacy, legacy_loads) = legacy_replay(&scenario, kind);
+                assert_batch_matches(&scenario, kind, &legacy);
+                let (ticked, ticked_loads) = tick_per_step(&scenario, kind);
+                assert_eq!(ticked, legacy, "{case}: tick per step != legacy");
+                assert_eq!(ticked.to_json(), legacy.to_json(), "{case}: JSON encodings differ");
+                let bits = |loads: &[Vec<f64>]| -> Vec<Vec<u64>> {
+                    loads.iter().map(|s| s.iter().map(|x| x.to_bits()).collect()).collect()
+                };
+                assert_eq!(bits(&ticked_loads), bits(&legacy_loads), "{case}: load series differ");
+                if kind == scripted {
+                    let flips = legacy_loads.iter().any(|series| {
+                        series
+                            .windows(2)
+                            .any(|w| w[0].to_bits() == 0 && w[1] == 0.0 && w[1].is_sign_negative())
+                    });
+                    assert!(flips, "{case}: some load must flip from +0.0 to -0.0");
+                    let saturated = legacy.total_overflow_hits + legacy.total_rejected_hits;
+                    assert!(saturated > 0.0, "{case}: some cluster must saturate");
+                    if regime == 2 {
+                        assert!(
+                            legacy.total_bandwidth_binding_hours > 0.0,
+                            "{case}: caps must bind"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn every_block_shape_replays_as_the_legacy_path() {
+    // A lone cluster, a block one short, a whole block, a whole block and
+    // one more (the nine-cluster shape), two whole blocks, and two and one.
+    for n in [1, 7, 8, 9, 16, 17] {
+        assert_block_shape_matches_legacy(synthetic_sites(n));
+    }
+}
+
+#[test]
+fn a_region_sized_deployment_replays_as_the_legacy_path() {
+    let clusters = region_sized_sites();
+    assert_eq!(clusters.len(), 175);
+    assert_block_shape_matches_legacy(clusters);
 }

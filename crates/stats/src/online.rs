@@ -7,6 +7,19 @@
 
 use serde::{Deserialize, Serialize};
 
+/// One step of Welford's update: fold the finite observation `x` into a
+/// running `mean`, `m2` and `sum` whose count, `x` included, is `count`.
+/// [`OnlineStats::push`] makes exactly this step, so a caller that keeps
+/// several accumulators' parts side by side — stepping them together
+/// under one shared count — gets a `push`'s bits in each.
+#[inline]
+pub fn welford_step(count: f64, mean: &mut f64, m2: &mut f64, sum: &mut f64, x: f64) {
+    *sum += x;
+    let delta = x - *mean;
+    *mean += delta / count;
+    *m2 += delta * (x - *mean);
+}
+
 /// Welford online mean / variance accumulator.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct OnlineStats {
@@ -30,10 +43,7 @@ impl OnlineStats {
             return;
         }
         self.count += 1;
-        self.sum += x;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
+        welford_step(self.count as f64, &mut self.mean, &mut self.m2, &mut self.sum, x);
         self.min = self.min.min(x);
         self.max = self.max.max(x);
     }
@@ -118,6 +128,7 @@ impl OnlineStats {
 mod tests {
     use super::*;
     use crate::descriptive;
+    use proptest::prelude::*;
 
     fn assert_close(a: f64, b: f64, eps: f64) {
         assert!((a - b).abs() < eps, "{a} vs {b}");
@@ -177,6 +188,36 @@ mod tests {
         assert_close(oa.mean().unwrap(), all.mean().unwrap(), 1e-9);
         assert_close(oa.variance().unwrap(), all.variance().unwrap(), 1e-9);
         assert_eq!(oa.count(), all.count());
+    }
+
+    // A caller stepping the parts by hand under a shared count, as the
+    // engine's accumulate kernel steps its lanes, must land on the bits
+    // `push` does, from any state.
+    proptest! {
+        #[test]
+        fn welford_steps_under_the_count_match_push_bit_for_bit(
+            count in 0u64..1_000_000,
+            (mean, m2, sum) in (-2.0f64..2.0, 0.0f64..1.0e4, -1.0e6f64..1.0e6),
+            (min, max) in (-2.0f64..0.0, 0.0f64..2.0),
+            xs in prop::collection::vec(-2.0f64..2.0, 1..40),
+        ) {
+            let mut pushed = OnlineStats::from_parts(count, mean, m2, min, max, sum);
+            let (mut mean, mut m2, mut sum) =
+                (pushed.mean().unwrap_or(0.0), pushed.m2(), pushed.sum());
+            let mut n = count as f64;
+            for &x in &xs {
+                // Every sign of zero too.
+                let x = if x.abs() < 0.1 { 0.0f64.copysign(x) } else { x };
+                pushed.push(x);
+                n += 1.0;
+                welford_step(n, &mut mean, &mut m2, &mut sum, x);
+            }
+            prop_assert_eq!(pushed.count(), count + xs.len() as u64);
+            prop_assert_eq!(n, pushed.count() as f64);
+            prop_assert_eq!(mean.to_bits(), pushed.mean().unwrap().to_bits());
+            prop_assert_eq!(m2.to_bits(), pushed.m2().to_bits());
+            prop_assert_eq!(sum.to_bits(), pushed.sum().to_bits());
+        }
     }
 
     #[test]
