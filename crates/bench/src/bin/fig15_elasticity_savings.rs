@@ -26,8 +26,8 @@ fn main() {
     );
     println!("95/5 constraints cuts savings to roughly a third of the relaxed value.");
 
-    // Ablation called out in DESIGN.md: spike-free prices and a linear
-    // utilization curve.
+    // Ablation (§5.1): the linear (r = 1) utilization curve, over the same
+    // energy models.
     println!("\nAblation: linear (r = 1) utilization curve, same sweep:");
     let linear_models: Vec<(String, EnergyModelParams)> = EnergyModelParams::figure_15_sweep()
         .into_iter()

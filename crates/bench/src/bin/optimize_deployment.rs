@@ -78,7 +78,10 @@ fn main() {
     start.resize(space.num_hubs(), 0);
 
     let objective = Objective::default_qos();
-    let budget = SearchBudget { max_evaluations: 400, ..SearchBudget::default() };
+    let optimizer = DeploymentOptimizer::new(space.clone())
+        .with_objective(objective.clone())
+        .with_budget(SearchBudget { max_evaluations: 400, ..SearchBudget::default() })
+        .with_start(start);
 
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut reports: Vec<OptimizerReport> = Vec::new();
@@ -88,13 +91,9 @@ fn main() {
     let strategies: Vec<Box<dyn OptimizerStrategy>> =
         vec![Box::new(GreedyDescent::default()), Box::new(LocalSearch::seeded(HARNESS_SEED))];
     for mut strategy in strategies {
-        let optimizer = DeploymentOptimizer::new(space.clone(), &trace, &prices, config.clone())
-            .with_objective(objective.clone())
-            .with_budget(budget.clone())
-            .with_start(start.clone());
         let mut evaluator = SweepEvaluator::new(&trace, &prices, config.clone());
         let started = Instant::now();
-        let report = optimizer.run_on(strategy.as_mut(), &mut evaluator);
+        let report = optimizer.run(strategy.as_mut(), &mut evaluator);
         let elapsed = started.elapsed().as_secs_f64();
         evaluators.push(evaluator);
         rows.push(vec![
@@ -169,12 +168,7 @@ fn main() {
             strategies.into_iter().zip(&reports).zip(evaluators.iter_mut())
         {
             evaluator.set_hub_caps(Some(hub_caps.clone()));
-            let optimizer =
-                DeploymentOptimizer::new(space.clone(), &trace, &prices, config.clone())
-                    .with_objective(objective.clone())
-                    .with_budget(budget.clone())
-                    .with_start(start.clone());
-            let report = optimizer.run_on(strategy.as_mut(), evaluator);
+            let report = optimizer.run(strategy.as_mut(), evaluator);
             let hit_rate = report.cache.hit_rate().unwrap_or(0.0);
             let unconstrained_hit_rate = unconstrained.cache.hit_rate().unwrap_or(0.0);
             assert!(

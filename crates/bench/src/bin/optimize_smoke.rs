@@ -17,7 +17,7 @@ use wattroute_bench::HARNESS_SEED;
 use wattroute_energy::model::EnergyModelParams;
 use wattroute_market::time::SimHour;
 use wattroute_optimizer::{
-    DeploymentOptimizer, GreedyDescent, LocalSearch, SearchBudget, SearchSpace,
+    DeploymentOptimizer, GreedyDescent, LocalSearch, SearchBudget, SearchSpace, SweepEvaluator,
 };
 use wattroute_workload::ClusterSet;
 
@@ -41,13 +41,13 @@ fn smoke_json() -> JsonValue {
     );
     let (space, start_split) = SearchSpace::from_deployment(&five, 800);
 
+    let optimizer = DeploymentOptimizer::new(space)
+        .with_objective(Objective::default_qos())
+        .with_budget(SearchBudget::smoke())
+        .with_start(start_split);
     let run = |strategy: &mut dyn wattroute_optimizer::OptimizerStrategy| {
-        DeploymentOptimizer::new(space.clone(), &scenario.trace, &scenario.prices, config.clone())
-            .with_objective(Objective::default_qos())
-            .with_budget(SearchBudget::smoke())
-            .with_start(start_split.clone())
-            .run(strategy)
-            .to_json_value()
+        let mut evaluator = SweepEvaluator::new(&scenario.trace, &scenario.prices, config.clone());
+        optimizer.run(strategy, &mut evaluator).to_json_value()
     };
     json::object([
         ("greedy", run(&mut GreedyDescent::default())),

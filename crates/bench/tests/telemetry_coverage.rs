@@ -16,7 +16,9 @@ use wattroute_market::generator::PriceGenerator;
 use wattroute_market::model::MarketModel;
 use wattroute_market::time::SimHour;
 use wattroute_obs::{telemetry, RegistrySnapshot, Telemetry};
-use wattroute_optimizer::{DeploymentOptimizer, GreedyDescent, SearchBudget, SearchSpace};
+use wattroute_optimizer::{
+    DeploymentOptimizer, GreedyDescent, SearchBudget, SearchSpace, SweepEvaluator,
+};
 use wattroute_routing::policy::RoutingPolicy;
 
 fn days(year: u32, month: u32, day: u32, n: u64) -> HourRange {
@@ -80,11 +82,12 @@ fn every_instrumented_subsystem_records_with_telemetry_on() {
 
     // Placement search: candidate evaluations.
     let (space, start) = SearchSpace::from_deployment(&scenario.clusters, 800);
-    let _ =
-        DeploymentOptimizer::new(space, &scenario.trace, &scenario.prices, scenario.config.clone())
-            .with_budget(SearchBudget::smoke())
-            .with_start(start)
-            .run(&mut GreedyDescent::default());
+    let mut evaluator =
+        SweepEvaluator::new(&scenario.trace, &scenario.prices, scenario.config.clone());
+    let _ = DeploymentOptimizer::new(space)
+        .with_budget(SearchBudget::smoke())
+        .with_start(start)
+        .run(&mut GreedyDescent::default(), &mut evaluator);
 
     let after = telemetry().snapshot();
     Telemetry::disable();

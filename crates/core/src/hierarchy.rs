@@ -168,17 +168,10 @@ impl<'a> HierarchicalReplay<'a> {
     /// [`Self::run`]. A panic in a shard reaches the caller with the
     /// shard's own payload.
     pub fn run_sharded(&self, make_policy: &PolicyFactory<'_>) -> SimulationReport {
-        let owners = &self.topology.assign_states(&self.trace.states);
-        let shards = std::thread::scope(|scope| {
-            let workers = (0..self.topology.num_regions())
-                .map(|region| {
-                    scope.spawn(move || {
-                        let mut policy = make_policy();
-                        self.run_region(region, owners, policy.as_mut())
-                    })
-                })
-                .collect();
-            crate::join_workers(workers)
+        let owners = self.topology.assign_states(&self.trace.states);
+        let shards = crate::pool(self.topology.num_regions(), |region| {
+            let mut policy = make_policy();
+            self.run_region(region, &owners, policy.as_mut())
         });
         self.merge(shards)
     }
@@ -395,9 +388,6 @@ fn slice_constraints(global: &ConstraintSet, topology: &Topology, region: usize)
     let mut set = ConstraintSet::unconstrained().with_overflow(global.overflow());
     if let Some(caps) = global.bandwidth_caps() {
         set = set.with_bandwidth_caps(caps[s0..s1].to_vec());
-    }
-    if let Some(ceilings) = global.capacity_ceilings() {
-        set = set.with_capacity_ceilings(ceilings[s0..s1].to_vec());
     }
     if let Some(tiers) = global.tier_caps() {
         let (m0, m1) = topology.region_metros(region);

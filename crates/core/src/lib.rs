@@ -69,6 +69,25 @@ pub mod sweep;
 #[doc = include_str!("../../../README.md")]
 pub struct ReadmeDoctest;
 
+/// How many workers a pool runs for `jobs` jobs: `threads` when the caller
+/// pinned it, else the available parallelism, clamped to `1..=jobs` (one
+/// worker when there are no jobs).
+pub(crate) fn worker_count(threads: Option<usize>, jobs: usize) -> usize {
+    threads
+        .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
+        .clamp(1, jobs.max(1))
+}
+
+/// Run `work(worker)` for each worker in `0..workers` on its own scoped
+/// thread and return what each returned, in worker order. A panic in a
+/// worker reaches the caller with its own payload (see [`join_workers`]).
+pub(crate) fn pool<T: Send>(workers: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let work = &work;
+    std::thread::scope(|scope| {
+        join_workers((0..workers).map(|worker| scope.spawn(move || work(worker))).collect())
+    })
+}
+
 /// Join a pool's scoped workers in order and return what each returned.
 /// Once every worker is joined, the first that panicked has its panic
 /// re-raised here with its own payload; left to `std::thread::scope`, the

@@ -64,7 +64,7 @@ use crate::json::{self, JsonValue};
 use crate::report::SimulationReport;
 use crate::simulation::{step_coverage, SimulationConfig};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use wattroute_market::generator::{path_seed, PriceGenerator};
 use wattroute_market::model::MarketModel;
 use wattroute_routing::baseline::AkamaiLikePolicy;
@@ -275,8 +275,8 @@ impl SavingsDistribution {
     }
 }
 
-/// One worker's answer for one path, tagged with its slot so the collector
-/// can fold results back in path order whatever order threads finish in.
+/// One worker's answer for one path, tagged with its slot so the run can
+/// fold results back in path order whichever worker drew each path.
 struct PathResult {
     slot: usize,
     outcome: PathOutcome,
@@ -378,115 +378,93 @@ impl<'a> MonteCarlo<'a> {
         let policy_name = (self.policy)().name().to_string();
         let baseline_name = AkamaiLikePolicy::default().name().to_string();
         let n_paths = self.n_paths;
-        let workers = self
-            .threads
-            .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
-            .clamp(1, n_paths);
+        let workers = crate::worker_count(self.threads, n_paths);
 
-        let mut slots: Vec<Option<(PathOutcome, Vec<f64>)>> = (0..n_paths).map(|_| None).collect();
         let next = AtomicUsize::new(0);
         wattroute_obs::gauge!("montecarlo.workers").set(workers as f64);
         // Worker-utilization accounting (telemetry only): total busy
         // nanoseconds across workers vs. the pool's wall time.
         let run_start = wattroute_obs::Telemetry::enabled().then(std::time::Instant::now);
         let busy_ns = AtomicU64::new(0);
-        let busy_ns_ref = &busy_ns;
-        let (tx, rx) = mpsc::sync_channel::<PathResult>(workers);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let geometry = Arc::clone(&geometry);
-                let hubs = &hubs;
-                let next = &next;
-                handles.push(scope.spawn(move || {
-                    // Per-worker workspaces, reused across paths: one
-                    // generator (the model clone), one engine + pristine
-                    // snapshot, one flat hour × hub price buffer, one
-                    // instance of each policy.
-                    let mut generator = PriceGenerator::new(self.model.clone(), 0);
-                    let mut engine = SimulationEngine::with_geometry(
-                        self.clusters,
-                        &self.trace.states,
-                        geometry,
-                        self.config.clone(),
-                    )
-                    .with_clamped_lead_hours(clamped);
-                    let pristine = engine.snapshot();
-                    let mut billing = vec![0.0f64; n_hours * n_hubs];
-                    let mut policy = (self.policy)();
-                    let mut baseline = AkamaiLikePolicy::default();
-                    loop {
-                        let slot = next.fetch_add(1, Ordering::Relaxed);
-                        if slot >= n_paths {
-                            break;
-                        }
-                        let path_span = wattroute_obs::span!("montecarlo.path");
-                        let path_start = path_span.is_active().then(std::time::Instant::now);
-                        let path = self.first_path + slot as u64;
-                        let seed = path_seed(self.master_seed, path);
-                        generator.reseed(seed);
-                        let prices = generator.realtime_hourly(coverage);
-                        for (j, hub) in hubs.iter().enumerate() {
-                            let series = prices
-                                .for_hub(*hub)
-                                .expect("the model covers every deployment hub");
-                            for (h, &p) in series.prices.iter().enumerate() {
-                                billing[h * n_hubs + j] = p;
-                            }
-                        }
-                        let optimized = replay(
-                            &mut engine,
-                            &pristine,
-                            policy.as_mut(),
-                            self.trace,
-                            coverage.start.0,
-                            &billing,
-                            n_hubs,
-                            delay,
-                        );
-                        let base = replay(
-                            &mut engine,
-                            &pristine,
-                            &mut baseline,
-                            self.trace,
-                            coverage.start.0,
-                            &billing,
-                            n_hubs,
-                            delay,
-                        );
-                        let served: f64 = optimized.clusters.iter().map(|c| c.total_hits).sum();
-                        let outcome = PathOutcome {
-                            path,
-                            seed,
-                            cost_dollars: optimized.total_cost_dollars,
-                            baseline_cost_dollars: base.total_cost_dollars,
-                            savings_percent: optimized.savings_percent_vs(&base),
-                            unserved_hits: optimized.total_overflow_hits
-                                + optimized.total_rejected_hits,
-                            served_hits: served - optimized.total_overflow_hits,
-                            mean_distance_km: optimized.mean_distance_km,
-                            bandwidth_cost_dollars: optimized.total_bandwidth_cost_dollars,
-                        };
-                        let cluster_costs =
-                            optimized.clusters.iter().map(|c| c.cost_dollars).collect();
-                        if let Some(start) = path_start {
-                            busy_ns_ref
-                                .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                        }
-                        drop(path_span);
-                        if tx.send(PathResult { slot, outcome, cluster_costs }).is_err() {
-                            break;
-                        }
+        let mut results: Vec<PathResult> = crate::pool(workers, |_| {
+            // Per-worker workspaces, reused across paths: one generator
+            // (the model clone), one engine + pristine snapshot, one flat
+            // hour × hub price buffer, one instance of each policy.
+            let mut generator = PriceGenerator::new(self.model.clone(), 0);
+            let mut engine = SimulationEngine::with_geometry(
+                self.clusters,
+                &self.trace.states,
+                Arc::clone(&geometry),
+                self.config.clone(),
+            )
+            .with_clamped_lead_hours(clamped);
+            let pristine = engine.snapshot();
+            let mut billing = vec![0.0f64; n_hours * n_hubs];
+            let mut policy = (self.policy)();
+            let mut baseline = AkamaiLikePolicy::default();
+            let mut results = Vec::new();
+            loop {
+                let slot = next.fetch_add(1, Ordering::Relaxed);
+                if slot >= n_paths {
+                    break;
+                }
+                let path_span = wattroute_obs::span!("montecarlo.path");
+                let path_start = path_span.is_active().then(std::time::Instant::now);
+                let path = self.first_path + slot as u64;
+                let seed = path_seed(self.master_seed, path);
+                generator.reseed(seed);
+                let prices = generator.realtime_hourly(coverage);
+                for (j, hub) in hubs.iter().enumerate() {
+                    let series =
+                        prices.for_hub(*hub).expect("the model covers every deployment hub");
+                    for (h, &p) in series.prices.iter().enumerate() {
+                        billing[h * n_hubs + j] = p;
                     }
-                }));
+                }
+                let optimized = replay(
+                    &mut engine,
+                    &pristine,
+                    policy.as_mut(),
+                    self.trace,
+                    coverage.start.0,
+                    &billing,
+                    n_hubs,
+                    delay,
+                );
+                let base = replay(
+                    &mut engine,
+                    &pristine,
+                    &mut baseline,
+                    self.trace,
+                    coverage.start.0,
+                    &billing,
+                    n_hubs,
+                    delay,
+                );
+                let served: f64 = optimized.clusters.iter().map(|c| c.total_hits).sum();
+                let outcome = PathOutcome {
+                    path,
+                    seed,
+                    cost_dollars: optimized.total_cost_dollars,
+                    baseline_cost_dollars: base.total_cost_dollars,
+                    savings_percent: optimized.savings_percent_vs(&base),
+                    unserved_hits: optimized.total_overflow_hits + optimized.total_rejected_hits,
+                    served_hits: served - optimized.total_overflow_hits,
+                    mean_distance_km: optimized.mean_distance_km,
+                    bandwidth_cost_dollars: optimized.total_bandwidth_cost_dollars,
+                };
+                let cluster_costs = optimized.clusters.iter().map(|c| c.cost_dollars).collect();
+                if let Some(start) = path_start {
+                    busy_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                }
+                drop(path_span);
+                results.push(PathResult { slot, outcome, cluster_costs });
             }
-            drop(tx);
-            for result in rx {
-                slots[result.slot] = Some((result.outcome, result.cluster_costs));
-            }
-            crate::join_workers(handles);
-        });
+            results
+        })
+        .into_iter()
+        .flatten()
+        .collect();
         if let Some(start) = run_start {
             let wall_secs = start.elapsed().as_secs_f64();
             if wall_secs > 0.0 {
@@ -496,11 +474,12 @@ impl<'a> MonteCarlo<'a> {
             }
         }
 
+        // Each slot was drawn once, so sorting by slot restores path order.
+        results.sort_unstable_by_key(|result| result.slot);
         let mut per_path = Vec::with_capacity(n_paths);
         let mut cluster_costs: Vec<Vec<f64>> =
             (0..n_hubs).map(|_| Vec::with_capacity(n_paths)).collect();
-        for slot in slots {
-            let (outcome, costs) = slot.expect("every path index was drawn exactly once");
+        for PathResult { outcome, cluster_costs: costs, .. } in results {
             for (samples, cost) in cluster_costs.iter_mut().zip(costs) {
                 samples.push(cost);
             }

@@ -33,20 +33,30 @@ impl From<json::JsonError> for ReportDecodeError {
     }
 }
 
-fn field<'a>(v: &'a JsonValue, key: &str) -> Result<&'a JsonValue, ReportDecodeError> {
+// The JSON field readers every decoder in this crate shares (reports,
+// sweep reports, engine snapshots). Each error names its field.
+
+pub(crate) fn field<'a>(v: &'a JsonValue, key: &str) -> Result<&'a JsonValue, ReportDecodeError> {
     v.get(key).ok_or_else(|| ReportDecodeError(format!("missing field '{key}'")))
 }
 
-fn f64_field(v: &JsonValue, key: &str) -> Result<f64, ReportDecodeError> {
+pub(crate) fn f64_field(v: &JsonValue, key: &str) -> Result<f64, ReportDecodeError> {
     field(v, key)?
         .as_f64()
         .ok_or_else(|| ReportDecodeError(format!("field '{key}' is not a number")))
 }
 
-fn f64_vec_field(v: &JsonValue, key: &str) -> Result<Vec<f64>, ReportDecodeError> {
+pub(crate) fn array_field<'a>(
+    v: &'a JsonValue,
+    key: &str,
+) -> Result<&'a [JsonValue], ReportDecodeError> {
     field(v, key)?
         .as_array()
-        .ok_or_else(|| ReportDecodeError(format!("field '{key}' is not an array")))?
+        .ok_or_else(|| ReportDecodeError(format!("field '{key}' is not an array")))
+}
+
+pub(crate) fn f64_vec_field(v: &JsonValue, key: &str) -> Result<Vec<f64>, ReportDecodeError> {
+    array_field(v, key)?
         .iter()
         .map(|x| {
             x.as_f64()
@@ -55,13 +65,13 @@ fn f64_vec_field(v: &JsonValue, key: &str) -> Result<Vec<f64>, ReportDecodeError
         .collect()
 }
 
-fn count_field(v: &JsonValue, key: &str) -> Result<u64, ReportDecodeError> {
+pub(crate) fn count_field(v: &JsonValue, key: &str) -> Result<u64, ReportDecodeError> {
     field(v, key)?
         .as_count()
         .ok_or_else(|| ReportDecodeError(format!("field '{key}' is not a non-negative integer")))
 }
 
-fn str_field(v: &JsonValue, key: &str) -> Result<String, ReportDecodeError> {
+pub(crate) fn str_field(v: &JsonValue, key: &str) -> Result<String, ReportDecodeError> {
     Ok(field(v, key)?
         .as_str()
         .ok_or_else(|| ReportDecodeError(format!("field '{key}' is not a string")))?
@@ -440,12 +450,7 @@ impl TierRollup {
     /// Decode from a JSON value produced by [`Self::to_json_value`].
     pub fn from_json_value(v: &JsonValue) -> Result<Self, ReportDecodeError> {
         let nodes = |key: &str| -> Result<Vec<TierNodeReport>, ReportDecodeError> {
-            field(v, key)?
-                .as_array()
-                .ok_or_else(|| ReportDecodeError(format!("field '{key}' is not an array")))?
-                .iter()
-                .map(TierNodeReport::from_json_value)
-                .collect()
+            array_field(v, key)?.iter().map(TierNodeReport::from_json_value).collect()
         };
         Ok(Self { metros: nodes("metros")?, regions: nodes("regions")? })
     }
@@ -562,9 +567,7 @@ impl SimulationReport {
 
     /// Decode from a JSON value produced by [`Self::to_json_value`].
     pub fn from_json_value(v: &JsonValue) -> Result<Self, ReportDecodeError> {
-        let clusters = field(v, "clusters")?
-            .as_array()
-            .ok_or_else(|| ReportDecodeError("field 'clusters' is not an array".to_string()))?
+        let clusters = array_field(v, "clusters")?
             .iter()
             .map(ClusterReport::from_json_value)
             .collect::<Result<Vec<_>, _>>()?;

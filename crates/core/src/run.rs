@@ -39,9 +39,8 @@ use crate::sweep::CompiledArtifacts;
 
 /// Options for one run: the optional knobs shared by
 /// [`Scenario::execute`](crate::scenario::Scenario::execute) and
-/// [`ScenarioSweep::execute`](crate::sweep::ScenarioSweep::execute) /
-/// [`execute_streaming`](crate::sweep::ScenarioSweep::execute_streaming).
-/// See the [module docs](self) for which option applies at which layer.
+/// [`ScenarioSweep::execute`](crate::sweep::ScenarioSweep::execute). See
+/// the [module docs](self) for which option applies at which layer.
 #[derive(Default)]
 pub struct RunOptions<'r> {
     pub(crate) config: Option<SimulationConfig>,
@@ -75,10 +74,9 @@ impl<'r> RunOptions<'r> {
 
     /// Reuse a caller-owned compiled-artifact cache (price tables, ranked
     /// preferences) across runs. Honoured by
-    /// [`ScenarioSweep::execute`](crate::sweep::ScenarioSweep::execute) and
-    /// [`execute_streaming`](crate::sweep::ScenarioSweep::execute_streaming);
-    /// the grid-sweep evaluator holds one cache across a whole placement
-    /// search this way. A single scenario run compiles its own price
+    /// [`ScenarioSweep::execute`](crate::sweep::ScenarioSweep::execute); the
+    /// grid-sweep evaluator holds one cache across a whole placement search
+    /// this way. A single scenario run compiles its own price
     /// table and rejects it.
     pub fn reuse_artifacts(mut self, artifacts: &'r mut CompiledArtifacts) -> Self {
         self.artifacts = Some(artifacts);

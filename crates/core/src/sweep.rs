@@ -37,12 +37,10 @@
 //! policy (the default) is a group of one, built by the worker that runs
 //! it, immediately before its replay — once per cell.
 //!
-//! Results come back either as a buffered [`SweepReport`] from
-//! [`ScenarioSweep::execute`], or incrementally through
-//! [`ScenarioSweep::execute_streaming`], which invokes a callback with each
-//! [`SweepResult`] as workers finish — in completion order, not grid order
-//! — so very large grids can be consumed cell-by-cell without holding every
-//! report in memory. Both take a [`RunOptions`], whose
+//! Results come back as one [`SweepReport`] from [`ScenarioSweep::execute`]:
+//! each worker keeps the reports of the cells it ran until the pool joins,
+//! and the report lists them in grid order whichever worker ran each cell.
+//! `execute` takes a [`RunOptions`], whose
 //! [`reuse_artifacts`](RunOptions::reuse_artifacts) option shares one
 //! compiled-artifact cache across a sequence of sweeps. The report
 //! serializes through the same dependency-free JSON module as individual
@@ -70,12 +68,12 @@
 use crate::constraints::BandwidthTariff;
 use crate::engine::Threads;
 use crate::json::{self, JsonValue};
-use crate::report::{ReportDecodeError, SimulationReport};
+use crate::report::{array_field, field, str_field, ReportDecodeError, SimulationReport};
 use crate::run::RunOptions;
 use crate::simulation::{step_coverage, Simulation, SimulationConfig};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use wattroute_energy::model::EnergyModelParams;
 use wattroute_market::price_table::{BillingMatrix, PriceTable};
 use wattroute_market::time::HourRange;
@@ -138,13 +136,13 @@ pub struct SweepPoint {
 /// every run compiled its own preferences and every distinct delay stored
 /// its own copy of the billing matrix.
 ///
-/// The cache **persists across sweeps**: [`ScenarioSweep::execute_streaming`]
-/// takes one by `&mut` and only compiles what an earlier sweep (over the
-/// same trace and price set) has not already compiled. The deployment
-/// optimizer leans on this — every capacity split over one hub list shares
-/// a single billing matrix and preference geometry across *all* search
-/// iterations, and [`Self::hub_list_hits`] / [`Self::hub_list_misses`]
-/// report how often the cache paid off.
+/// The cache **persists across sweeps**: [`ScenarioSweep::execute`] takes
+/// one through [`RunOptions::reuse_artifacts`] and only compiles what an
+/// earlier sweep (over the same trace and price set) has not already
+/// compiled. The deployment optimizer leans on this — every capacity split
+/// over one hub list shares a single billing matrix and preference
+/// geometry across *all* search iterations, and [`Self::hub_list_hits`] /
+/// [`Self::hub_list_misses`] report how often the cache paid off.
 #[derive(Default)]
 pub struct CompiledArtifacts {
     /// Deployment index → artifact slot for the **most recently extended**
@@ -165,8 +163,8 @@ pub struct CompiledArtifacts {
 }
 
 impl CompiledArtifacts {
-    /// An empty cache, ready to be handed to
-    /// [`ScenarioSweep::execute_streaming`] (and kept across sweeps).
+    /// An empty cache, ready to be handed to [`ScenarioSweep::execute`]
+    /// through [`RunOptions::reuse_artifacts`] (and kept across sweeps).
     pub fn new() -> Self {
         Self::default()
     }
@@ -447,127 +445,66 @@ impl<'a> ScenarioSweep<'a> {
     /// payload.
     ///
     /// Honoured option: [`RunOptions::reuse_artifacts`] (a caller-owned
-    /// compiled-artifact cache shared across sweeps). A configuration
-    /// override belongs to the scenario layer and panics here (see
-    /// [`crate::run`]).
+    /// compiled-artifact cache shared across sweeps; the cache is keyed by
+    /// hub list, so every sweep extending one cache must use the same
+    /// trace and price set). A configuration override belongs to the
+    /// scenario layer and panics here (see [`crate::run`]).
     pub fn execute(self, options: RunOptions<'_>) -> SweepReport {
-        let mut slots: Vec<Option<SweepRun>> = Vec::new();
-        slots.resize_with(self.points.len(), || None);
-        self.execute_streaming(options, |result| {
-            let SweepResult { index, label, deployment, report } = result;
-            slots[index] = Some(SweepRun { label, deployment, report });
-        });
-        let runs = slots.into_iter().map(|slot| slot.expect("every grid point ran")).collect();
-        SweepReport { runs }
-    }
-
-    /// Compile the shared artifacts and execute every grid point in
-    /// parallel, delivering each cell's [`SweepResult`] to `on_result` as
-    /// soon as its worker finishes — in completion order, not grid order.
-    /// Takes the same [`RunOptions`] as [`Self::execute`].
-    ///
-    /// Unlike [`Self::execute`], nothing accumulates: delivery goes
-    /// through a bounded channel holding at most one completed result per
-    /// worker, and each worker holds at most the rest of one group's
-    /// reports (one per cell its replay accounted, see the module docs),
-    /// so a grid of a million cells keeps a handful of groups' reports in
-    /// flight plus whatever the callback retains. The callback runs on the
-    /// calling thread, so it may borrow surrounding state mutably; a
-    /// callback slower than the simulations back-pressures the workers
-    /// rather than buffering results without limit.
-    pub fn execute_streaming<F>(self, options: RunOptions<'_>, on_result: F)
-    where
-        F: FnMut(SweepResult),
-    {
         let RunOptions { config, artifacts } = options;
         assert!(
             config.is_none(),
             "RunOptions::with_config applies to single scenario runs; \
              each sweep point already carries its own configuration"
         );
-        match artifacts {
-            Some(cache) => self.stream_into(cache, on_result),
-            None => {
-                let mut fresh = CompiledArtifacts::new();
-                self.stream_into(&mut fresh, on_result);
-            }
-        }
-    }
-
-    /// The worker pool shared by every execution mode: compile the shared
-    /// artifacts into `artifacts` (reusing whatever earlier sweeps left
-    /// there — the cache is keyed by hub list, so every sweep extending one
-    /// cache must use the same trace and price set), then replay every
-    /// group of grid points and deliver results in completion order.
-    fn stream_into<F>(self, artifacts: &mut CompiledArtifacts, mut on_result: F)
-    where
-        F: FnMut(SweepResult),
-    {
+        let mut fresh = CompiledArtifacts::new();
+        let artifacts = artifacts.unwrap_or(&mut fresh);
         let cells: Vec<(usize, u64)> =
             self.points.iter().map(|p| (p.deployment, p.config.reaction_delay_hours)).collect();
         artifacts.extend(&self.deployments, self.trace, self.prices, &cells);
+        let artifacts: &CompiledArtifacts = artifacts;
 
-        let workers = self
-            .threads
-            .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
-            .clamp(1, self.points.len().max(1));
-
-        let cursor = &Mutex::new(Cursor::new(&self.points));
-        let points = &self.points;
-        let deployments = &self.deployments;
-        let artifacts_ref: &CompiledArtifacts = artifacts;
-        let trace = self.trace;
-        let (tx, rx) = mpsc::sync_channel::<SweepResult>(workers);
-
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for _ in 0..workers {
-                let tx = tx.clone();
-                handles.push(scope.spawn(move || loop {
-                    let next = match cursor.lock() {
-                        Ok(mut cursor) => cursor.next_group(points),
-                        // Another worker panicked resolving a group; its
-                        // join re-raises that panic.
-                        Err(_) => break,
-                    };
-                    let Some((cells, mut policy)) = next else { break };
-                    let lead = &points[cells[0]];
-                    let deployment = &deployments[lead.deployment];
-                    let table =
-                        artifacts_ref.table(lead.deployment, lead.config.reaction_delay_hours);
-                    let sim = Simulation::with_price_table(
-                        deployment.clusters,
-                        trace,
-                        Cow::Borrowed(table),
-                        lead.config.clone(),
-                    );
-                    let lanes: Vec<EnergyModelParams> =
-                        cells[1..].iter().map(|&cell| points[cell].config.energy).collect();
-                    let geometry = Arc::clone(artifacts_ref.preferences(lead.deployment));
-                    let replay_span = wattroute_obs::span!("sweep.replay");
-                    let reports =
-                        sim.replay(Threads::One, policy.as_mut(), geometry, &lanes).reports();
-                    drop(replay_span);
-                    wattroute_obs::counter!("sweep.lanes").add(cells.len() as u64);
-                    for (index, report) in cells.into_iter().zip(reports) {
-                        let result = SweepResult {
-                            index,
-                            label: points[index].label.clone(),
-                            deployment: deployment.label.clone(),
-                            report,
-                        };
-                        if tx.send(result).is_err() {
-                            return;
-                        }
-                    }
+        let cursor = Mutex::new(Cursor::new(&self.points));
+        let workers = crate::worker_count(self.threads, self.points.len());
+        let mut runs: Vec<(usize, SweepRun)> = crate::pool(workers, |_| {
+            let mut runs = Vec::new();
+            loop {
+                let next = match cursor.lock() {
+                    Ok(mut cursor) => cursor.next_group(&self.points),
+                    // Another worker panicked resolving a group; the join
+                    // re-raises that panic.
+                    Err(_) => break,
+                };
+                let Some((cells, mut policy)) = next else { break };
+                let lead = &self.points[cells[0]];
+                let deployment = &self.deployments[lead.deployment];
+                let table = artifacts.table(lead.deployment, lead.config.reaction_delay_hours);
+                let sim = Simulation::with_price_table(
+                    deployment.clusters,
+                    self.trace,
+                    Cow::Borrowed(table),
+                    lead.config.clone(),
+                );
+                let lanes: Vec<EnergyModelParams> =
+                    cells[1..].iter().map(|&cell| self.points[cell].config.energy).collect();
+                let geometry = Arc::clone(artifacts.preferences(lead.deployment));
+                let replay_span = wattroute_obs::span!("sweep.replay");
+                let reports = sim.replay(Threads::One, policy.as_mut(), geometry, &lanes).reports();
+                drop(replay_span);
+                wattroute_obs::counter!("sweep.lanes").add(cells.len() as u64);
+                runs.extend(cells.into_iter().zip(reports).map(|(cell, report)| {
+                    let label = self.points[cell].label.clone();
+                    (cell, SweepRun { label, deployment: deployment.label.clone(), report })
                 }));
             }
-            drop(tx);
-            for result in rx {
-                on_result(result);
-            }
-            crate::join_workers(handles);
-        });
+            runs
+        })
+        .into_iter()
+        .flatten()
+        .collect();
+        // The cursor hands out each cell once, so sorting by cell restores
+        // grid order.
+        runs.sort_unstable_by_key(|&(cell, _)| cell);
+        SweepReport { runs: runs.into_iter().map(|(_, run)| run).collect() }
     }
 }
 
@@ -655,20 +592,6 @@ impl Cursor {
     }
 }
 
-/// One completed sweep cell as delivered by
-/// [`ScenarioSweep::execute_streaming`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepResult {
-    /// Position of the cell in grid order (the order points were added).
-    pub index: usize,
-    /// The grid point's label.
-    pub label: String,
-    /// Label of the deployment the cell routed over.
-    pub deployment: String,
-    /// The simulation report it produced.
-    pub report: SimulationReport,
-}
-
 /// One completed sweep run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepRun {
@@ -727,17 +650,9 @@ impl SweepReport {
     /// Deserialize from JSON text produced by [`Self::to_json`].
     pub fn from_json(text: &str) -> Result<Self, ReportDecodeError> {
         let v = JsonValue::parse(text)?;
-        let runs = v
-            .get("runs")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| ReportDecodeError::new("missing 'runs' array"))?
+        let runs = array_field(&v, "runs")?
             .iter()
             .map(|entry| {
-                let label = entry
-                    .get("label")
-                    .and_then(JsonValue::as_str)
-                    .ok_or_else(|| ReportDecodeError::new("run missing 'label'"))?
-                    .to_string();
                 // Absent in pre-multi-deployment reports; default rather
                 // than reject so old golden files stay readable.
                 let deployment = entry
@@ -745,12 +660,11 @@ impl SweepReport {
                     .and_then(JsonValue::as_str)
                     .unwrap_or(DEFAULT_DEPLOYMENT)
                     .to_string();
-                let report = SimulationReport::from_json_value(
-                    entry
-                        .get("report")
-                        .ok_or_else(|| ReportDecodeError::new("run missing 'report'"))?,
-                )?;
-                Ok(SweepRun { label, deployment, report })
+                Ok(SweepRun {
+                    label: str_field(entry, "label")?,
+                    deployment,
+                    report: SimulationReport::from_json_value(field(entry, "report")?)?,
+                })
             })
             .collect::<Result<Vec<_>, ReportDecodeError>>()?;
         Ok(Self { runs })
@@ -935,41 +849,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_yields_exactly_the_cells_of_run_in_some_order() {
-        fn build<'a>(s: &'a Scenario, east: &'a ClusterSet) -> ScenarioSweep<'a> {
-            let mut sweep = ScenarioSweep::new(&s.clusters, &s.trace, &s.prices).with_threads(3);
-            let east_id = sweep.add_deployment("east", east);
-            for (i, delay) in [0u64, 2, 2, 5].into_iter().enumerate() {
-                let dep = if i % 2 == 0 { 0 } else { east_id };
-                sweep.add_point_on(
-                    dep,
-                    format!("cell{i}"),
-                    s.config.clone().with_reaction_delay(delay),
-                    || PriceConsciousPolicy::with_distance_threshold(1200.0),
-                );
-            }
-            sweep
-        }
-        let s = short_scenario();
-        let east = east_coast(&s.clusters);
-
-        let buffered = build(&s, &east).execute(RunOptions::new());
-
-        let mut streamed: Vec<SweepResult> = Vec::new();
-        build(&s, &east).execute_streaming(RunOptions::new(), |r| streamed.push(r));
-        assert_eq!(streamed.len(), buffered.runs.len());
-        // Every index arrives exactly once, and each cell carries exactly
-        // the run that the buffered API reports at that index.
-        streamed.sort_by_key(|r| r.index);
-        for (i, (got, want)) in streamed.iter().zip(buffered.runs.iter()).enumerate() {
-            assert_eq!(got.index, i);
-            assert_eq!(got.label, want.label);
-            assert_eq!(got.deployment, want.deployment);
-            assert_eq!(got.report, want.report);
-        }
-    }
-
-    #[test]
     fn topology_axis_adds_flat_and_tiered_points_that_match_sequential_runs() {
         use wattroute_geo::topology::Topology;
         use wattroute_market::generator::PriceGenerator;
@@ -1057,32 +936,24 @@ mod tests {
         let east = east_coast(&s.clusters);
 
         let mut cache = CompiledArtifacts::new();
-        let mut first: Vec<SweepResult> = Vec::new();
-        build(&s, &east)
-            .execute_streaming(RunOptions::new().reuse_artifacts(&mut cache), |r| first.push(r));
+        let first = build(&s, &east).execute(RunOptions::new().reuse_artifacts(&mut cache));
         assert_eq!(cache.billing_matrices(), 2);
         assert_eq!(cache.hub_list_misses(), 2);
         assert_eq!(cache.hub_list_hits(), 0);
 
         // The second sweep revisits both hub lists: everything is a cache
         // hit, nothing new is compiled, and results are bit-identical.
-        let mut second: Vec<SweepResult> = Vec::new();
-        build(&s, &east)
-            .execute_streaming(RunOptions::new().reuse_artifacts(&mut cache), |r| second.push(r));
+        let second = build(&s, &east).execute(RunOptions::new().reuse_artifacts(&mut cache));
         assert_eq!(cache.billing_matrices(), 2);
         assert_eq!(cache.compiled_preferences(), 2);
         assert_eq!(cache.delayed_views(), 2);
         assert_eq!(cache.hub_list_misses(), 2);
         assert_eq!(cache.hub_list_hits(), 2);
         assert_eq!(cache.hit_rate(), Some(0.5));
-        first.sort_by_key(|r| r.index);
-        second.sort_by_key(|r| r.index);
         assert_eq!(first, second);
 
-        // And a fresh-cache streaming run agrees too.
-        let mut fresh: Vec<SweepResult> = Vec::new();
-        build(&s, &east).execute_streaming(RunOptions::new(), |r| fresh.push(r));
-        fresh.sort_by_key(|r| r.index);
+        // And a fresh-cache run agrees too.
+        let fresh = build(&s, &east).execute(RunOptions::new());
         assert_eq!(first, fresh);
     }
 
@@ -1101,10 +972,10 @@ mod tests {
             sweep
         }
         let mut cache = CompiledArtifacts::new();
-        build(&s).execute_streaming(RunOptions::new().reuse_artifacts(&mut cache), |_| {});
+        build(&s).execute(RunOptions::new().reuse_artifacts(&mut cache));
         // A different window (and therefore coverage) must be refused —
         // the cache would otherwise serve the first scenario's prices.
-        build(&other).execute_streaming(RunOptions::new().reuse_artifacts(&mut cache), |_| {});
+        build(&other).execute(RunOptions::new().reuse_artifacts(&mut cache));
     }
 
     #[test]
@@ -1277,7 +1148,6 @@ mod tests {
         zero_cap[3] = 0.0;
         let mut negative_zero_cap = zero_cap.clone();
         negative_zero_cap[3] = -0.0;
-        let ceilings = base.constraints.clone().with_capacity_ceilings(vec![1.0e9; n]);
         let cases: Vec<(&str, SimulationConfig, SimulationConfig, usize, f64)> = vec![
             ("energy only", base.clone(), other(base.clone()), 0, 1500.0),
             ("delay", base.clone(), other(base.clone().with_reaction_delay(2)), 0, 1500.0),
@@ -1295,7 +1165,6 @@ mod tests {
                 0,
                 1500.0,
             ),
-            ("ceiling", base.clone(), other(base.clone().with_constraints(ceilings)), 0, 1500.0),
             (
                 "overflow",
                 base.clone(),

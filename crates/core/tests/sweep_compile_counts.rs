@@ -112,13 +112,13 @@ fn two_deployments_times_two_delays_compile_each_artifact_once() {
     let prefs_before = CompiledPreferences::build_count();
 
     let mut cache = CompiledArtifacts::new();
-    build_sweep(false).execute_streaming(RunOptions::new().reuse_artifacts(&mut cache), |_| {});
+    build_sweep(false).execute(RunOptions::new().reuse_artifacts(&mut cache));
     assert_eq!(BillingMatrix::build_count() - billing_before, 2);
     assert_eq!(PriceTable::view_count() - views_before, 2);
     assert_eq!(CompiledPreferences::build_count() - prefs_before, 2);
     assert_eq!((cache.hub_list_hits(), cache.hub_list_misses()), (0, 2));
 
-    build_sweep(true).execute_streaming(RunOptions::new().reuse_artifacts(&mut cache), |_| {});
+    build_sweep(true).execute(RunOptions::new().reuse_artifacts(&mut cache));
     assert_eq!(
         BillingMatrix::build_count() - billing_before,
         2,

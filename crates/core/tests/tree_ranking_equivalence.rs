@@ -61,7 +61,7 @@ impl RoutingPolicy for PerSiteCarbon {
     }
 
     fn allocate_into(&mut self, out: &mut Allocation, ctx: &RoutingContext<'_>) {
-        self.0.set_intensities(intensities(ctx.clusters, ctx.hour));
+        self.0.carbon_intensity = intensities(ctx.clusters, ctx.hour);
         self.0.allocate_into(out, ctx);
     }
 }

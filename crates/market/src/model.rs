@@ -309,18 +309,6 @@ impl MarketModel {
         clone
     }
 
-    /// A variant of the calibration with spike generation disabled; used by
-    /// the ablation benchmarks to quantify how much of the routing savings
-    /// comes from heavy-tailed spikes versus ordinary diurnal variation.
-    pub fn without_spikes(&self) -> Self {
-        let mut clone = self.clone();
-        for h in &mut clone.hubs {
-            h.spike_rate = 0.0;
-            h.negative_rate = 0.0;
-        }
-        clone
-    }
-
     /// Hubs included in this model.
     pub fn hub_ids(&self) -> Vec<HubId> {
         self.hubs.iter().map(|p| p.hub).collect()
@@ -444,12 +432,6 @@ mod tests {
         assert_eq!(r.hubs.len(), 9);
         assert!(r.hub_params(HubId::PortlandOr).is_none());
         assert!(r.hub_params(HubId::NewYorkNy).is_some());
-    }
-
-    #[test]
-    fn spike_free_variant() {
-        let m = MarketModel::calibrated().without_spikes();
-        assert!(m.hubs.iter().all(|h| h.spike_rate == 0.0 && h.negative_rate == 0.0));
     }
 
     #[test]

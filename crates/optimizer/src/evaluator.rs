@@ -3,9 +3,8 @@
 //! Every optimizer iteration produces a batch of candidate deployments
 //! that must all be simulated over the same trace and price history. A
 //! [`SweepEvaluator`] turns each batch into one
-//! [`ScenarioSweep`] and runs it through
-//! [`execute_streaming`](ScenarioSweep::execute_streaming) against a
-//! **persistent** [`CompiledArtifacts`] cache, so:
+//! [`ScenarioSweep`] and runs it through [`execute`](ScenarioSweep::execute)
+//! against a **persistent** [`CompiledArtifacts`] cache, so:
 //!
 //! * the batch executes in parallel on the sweep's worker pool
 //!   (respecting `available_parallelism`, overridable via
@@ -75,22 +74,15 @@ impl<'a> SweepEvaluator<'a> {
         }
     }
 
-    /// Constrain every candidate evaluation under calibrated, hub-keyed
-    /// 95/5 bandwidth caps (see
-    /// [`CalibratedScenario::hub_caps`](wattroute::constraints::CalibratedScenario::hub_caps)):
-    /// each candidate's configuration gets the caps resolved against *its
-    /// own* cluster list — hubs the calibration never observed are
-    /// unconstrained. Constraints are run-state, so this changes no
-    /// compiled artifact and costs no cache reuse.
-    pub fn with_hub_caps(mut self, caps: HubBandwidthCaps) -> Self {
-        self.set_hub_caps(Some(caps));
-        self
-    }
-
-    /// Replace (or remove) the hub-keyed caps on a live evaluator. The
-    /// artifact cache is untouched — constraints are run-state, so an
-    /// evaluator warmed by unconstrained batches keeps every compiled
-    /// artifact when the constraint regime changes.
+    /// Constrain every later candidate evaluation under calibrated,
+    /// hub-keyed 95/5 bandwidth caps (see
+    /// [`CalibratedScenario::hub_caps`](wattroute::constraints::CalibratedScenario::hub_caps)),
+    /// or lift them with `None`: each candidate's configuration gets the
+    /// caps resolved against *its own* cluster list — hubs the calibration
+    /// never observed are unconstrained. The artifact cache is untouched —
+    /// constraints are run-state, so an evaluator warmed by unconstrained
+    /// batches keeps every compiled artifact when the constraint regime
+    /// changes.
     pub fn set_hub_caps(&mut self, caps: Option<HubBandwidthCaps>) {
         self.hub_caps = caps;
     }
@@ -158,24 +150,16 @@ impl<'a> SweepEvaluator<'a> {
                 );
             }
         }
-        let mut slots: Vec<Vec<Option<SimulationReport>>> = Vec::new();
-        slots.resize_with(policies.len(), || {
-            let mut row = Vec::new();
-            row.resize_with(candidates.len(), || None);
-            row
-        });
-        // Points were added candidate-major: index = candidate × policies + policy.
-        sweep.execute_streaming(RunOptions::new().reuse_artifacts(&mut self.artifacts), |result| {
-            slots[result.index % policies.len()][result.index / policies.len()] =
-                Some(result.report);
-        });
-        self.evaluations += candidates.len() * policies.len();
-        wattroute_obs::counter!("optimizer.evaluations")
-            .add((candidates.len() * policies.len()) as u64);
-        slots
-            .into_iter()
-            .map(|row| row.into_iter().map(|slot| slot.expect("every cell ran")).collect())
-            .collect()
+        let runs = sweep.execute(RunOptions::new().reuse_artifacts(&mut self.artifacts)).runs;
+        self.evaluations += runs.len();
+        wattroute_obs::counter!("optimizer.evaluations").add(runs.len() as u64);
+        // Points were added candidate-major, and runs come back in grid
+        // order: row p, column c is runs[c × policies + p].
+        let mut rows = vec![Vec::new(); policies.len()];
+        for (cell, run) in runs.into_iter().enumerate() {
+            rows[cell % policies.len()].push(run.report);
+        }
+        rows
     }
 
     /// The shared artifact cache (hit/miss counters live here).
@@ -258,9 +242,9 @@ mod tests {
                 .collect::<Vec<_>>(),
         );
 
-        let mut constrained = SweepEvaluator::new(&s.trace, &s.prices, s.config.clone())
-            .with_hub_caps(hub_caps.clone())
-            .with_threads(2);
+        let mut constrained =
+            SweepEvaluator::new(&s.trace, &s.prices, s.config.clone()).with_threads(2);
+        constrained.set_hub_caps(Some(hub_caps.clone()));
         let reports = constrained.evaluate(&[nine.clone(), east.clone()], &policy);
         assert!(reports.iter().all(|r| r.bandwidth_constrained));
 

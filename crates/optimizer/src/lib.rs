@@ -27,24 +27,27 @@
 //! * two deterministic, seeded [`OptimizerStrategy`] implementations —
 //!   [`GreedyDescent`] and [`LocalSearch`] — search the simplex with
 //!   early termination;
-//! * a [`DeploymentOptimizer`] drives the loop and emits an
-//!   [`OptimizerReport`] audit trail (every candidate, every objective
-//!   term, the evaluation count, the cache statistics), JSON-serializable
-//!   through `wattroute::json`.
+//! * a [`DeploymentOptimizer`] drives the loop on a caller's evaluator and
+//!   emits an [`OptimizerReport`] audit trail (every candidate, every
+//!   objective term, the evaluation count, the cache statistics),
+//!   JSON-serializable through `wattroute::json`.
 //!
 //! ```
 //! use wattroute::prelude::*;
-//! use wattroute_optimizer::{DeploymentOptimizer, GreedyDescent, SearchBudget, SearchSpace};
+//! use wattroute_optimizer::{
+//!     DeploymentOptimizer, GreedyDescent, SearchBudget, SearchSpace, SweepEvaluator,
+//! };
 //!
 //! let start = SimHour::from_date(2008, 12, 19);
 //! let scenario = Scenario::custom_window(9, HourRange::new(start, start.plus_hours(24)));
 //! // Search the nine-cluster deployment's own hubs at a coarse quantum.
 //! let (space, incumbent) = SearchSpace::from_deployment(&scenario.clusters, 800);
 //! let config = scenario.config.clone().with_overflow(OverflowMode::Reject);
-//! let report = DeploymentOptimizer::new(space, &scenario.trace, &scenario.prices, config)
+//! let mut evaluator = SweepEvaluator::new(&scenario.trace, &scenario.prices, config);
+//! let report = DeploymentOptimizer::new(space)
 //!     .with_budget(SearchBudget::smoke())
 //!     .with_start(incumbent)
-//!     .run(&mut GreedyDescent::default());
+//!     .run(&mut GreedyDescent::default(), &mut evaluator);
 //! assert!(report.best.total_dollars() <= report.start.total_dollars());
 //! ```
 
@@ -64,71 +67,34 @@ pub use space::{CandidateHub, CandidateSplit, SearchSpace};
 pub use strategy::{GreedyDescent, LocalSearch, OptimizerStrategy, ScoredCandidate, SearchBudget};
 
 use wattroute::objective::Objective;
-use wattroute::simulation::SimulationConfig;
-use wattroute_market::types::PriceSet;
-use wattroute_routing::constraints::HubBandwidthCaps;
-use wattroute_workload::trace::Trace;
 
 /// The distance threshold of the price-conscious routing every candidate
 /// is evaluated under: the paper's preferred 1500 km.
 const CANDIDATE_THRESHOLD_KM: f64 = 1500.0;
 
-/// The optimizer driver: binds a search space to a scenario (trace,
-/// prices, simulation configuration), an objective and a budget, and runs
-/// strategies over it. Every candidate is routed price-consciously at the
-/// paper's preferred 1500 km threshold.
-pub struct DeploymentOptimizer<'a> {
+/// The optimizer driver: binds a search space to an objective, a budget
+/// and a starting split, and runs strategies over it on a caller's
+/// [`SweepEvaluator`], which owns the scenario (trace, prices, simulation
+/// configuration, hub caps, worker count). Every candidate is routed
+/// price-consciously at the paper's preferred 1500 km threshold.
+pub struct DeploymentOptimizer {
     space: SearchSpace,
-    trace: &'a Trace,
-    prices: &'a PriceSet,
-    config: SimulationConfig,
     objective: Objective,
     budget: SearchBudget,
-    threads: Option<usize>,
     start: Option<CandidateSplit>,
-    hub_caps: Option<HubBandwidthCaps>,
 }
 
-impl<'a> DeploymentOptimizer<'a> {
-    /// Bind an optimizer. Defaults: the
-    /// [`Objective::default_qos`] objective, the default
-    /// [`SearchBudget`], the sweep engine's default worker count, and an
-    /// even starting split.
-    ///
-    /// Run candidates under
-    /// [`OverflowMode::Reject`](wattroute_routing::constraints::OverflowMode) (set
-    /// it on `config`) so under-provisioned placements surface
-    /// `rejected_hits` for the objective's SLA term to price.
-    pub fn new(
-        space: SearchSpace,
-        trace: &'a Trace,
-        prices: &'a PriceSet,
-        config: SimulationConfig,
-    ) -> Self {
+impl DeploymentOptimizer {
+    /// Bind an optimizer to a search space. Defaults: the
+    /// [`Objective::default_qos`] objective, the default [`SearchBudget`],
+    /// and an even starting split.
+    pub fn new(space: SearchSpace) -> Self {
         Self {
             space,
-            trace,
-            prices,
-            config,
             objective: Objective::default_qos(),
             budget: SearchBudget::default(),
-            threads: None,
             start: None,
-            hub_caps: None,
         }
-    }
-
-    /// Search *under* calibrated 95/5 bandwidth caps: every candidate is
-    /// simulated with the hub-keyed caps resolved against its own active
-    /// hubs (see
-    /// [`CalibratedScenario::hub_caps`](wattroute::constraints::CalibratedScenario::hub_caps)).
-    /// Hubs the calibration never observed are unconstrained. Constraints
-    /// are run-state, not compiled geometry, so the artifact cache works
-    /// exactly as hard as an unconstrained search over the same
-    /// trajectory.
-    pub fn with_hub_caps(mut self, caps: HubBandwidthCaps) -> Self {
-        self.hub_caps = Some(caps);
-        self
     }
 
     /// Replace the objective.
@@ -140,14 +106,6 @@ impl<'a> DeploymentOptimizer<'a> {
     /// Replace the search budget.
     pub fn with_budget(mut self, budget: SearchBudget) -> Self {
         self.budget = budget;
-        self
-    }
-
-    /// Pin the evaluator's worker-pool size (default:
-    /// `std::thread::available_parallelism`).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        assert!(threads >= 1, "worker pool needs at least one thread");
-        self.threads = Some(threads);
         self
     }
 
@@ -163,32 +121,21 @@ impl<'a> DeploymentOptimizer<'a> {
         &self.space
     }
 
-    /// Run one strategy to completion and return the audit trail. Each
-    /// call builds a fresh evaluator (and artifact cache) so separate
-    /// runs are independent and individually reproducible.
-    pub fn run(&self, strategy: &mut dyn OptimizerStrategy) -> OptimizerReport {
-        let mut evaluator = SweepEvaluator::new(self.trace, self.prices, self.config.clone());
-        if let Some(threads) = self.threads {
-            evaluator = evaluator.with_threads(threads);
-        }
-        if let Some(caps) = &self.hub_caps {
-            evaluator = evaluator.with_hub_caps(caps.clone());
-        }
-        self.run_on(strategy, &mut evaluator)
-    }
-
-    /// Like [`Self::run`], but on a caller-supplied evaluator, so a
-    /// *sequence* of searches — an unconstrained pass followed by a
-    /// capped one, or several strategies — shares one persistent
-    /// [`CompiledArtifacts`](wattroute::sweep::CompiledArtifacts) cache:
-    /// hub lists any earlier run compiled are never recompiled, whatever
-    /// the constraint regime. The evaluator's own configuration and hub
-    /// caps define the simulation regime (this optimizer's `config` /
-    /// `with_hub_caps` settings only shape the evaluator [`Self::run`]
-    /// builds internally); the report's `evaluations` counts this run
-    /// alone, while its cache statistics are the evaluator's cumulative
-    /// totals.
-    pub fn run_on(
+    /// Run one strategy to completion on `evaluator` and return the audit
+    /// trail. The evaluator's configuration and hub caps define the
+    /// simulation regime: run candidates under
+    /// [`OverflowMode::Reject`](wattroute_routing::constraints::OverflowMode)
+    /// (set it on the evaluator's configuration) so under-provisioned
+    /// placements surface `rejected_hits` for the objective's SLA term to
+    /// price. A *sequence* of searches on one evaluator — an unconstrained
+    /// pass followed by a capped one, or several strategies — shares its
+    /// persistent [`CompiledArtifacts`](wattroute::sweep::CompiledArtifacts)
+    /// cache: hub lists any earlier run compiled are never recompiled,
+    /// whatever the constraint regime. The report's `evaluations` counts
+    /// this run alone, while its cache statistics are the evaluator's
+    /// cumulative totals; a fresh evaluator per run makes runs independent
+    /// and individually reproducible.
+    pub fn run(
         &self,
         strategy: &mut dyn OptimizerStrategy,
         evaluator: &mut SweepEvaluator<'_>,

@@ -44,11 +44,12 @@ fn same_seed_and_grid_reproduce_the_identical_report_json() {
     let s = scenario();
     let run = |seed: u64| {
         let (space, start) = SearchSpace::from_deployment(&s.clusters, QUANTUM);
-        DeploymentOptimizer::new(space, &s.trace, &s.prices, reject_config(&s))
+        let mut evaluator =
+            SweepEvaluator::new(&s.trace, &s.prices, reject_config(&s)).with_threads(2);
+        DeploymentOptimizer::new(space)
             .with_budget(SearchBudget::smoke())
             .with_start(start)
-            .with_threads(2)
-            .run(&mut LocalSearch::seeded(seed))
+            .run(&mut LocalSearch::seeded(seed), &mut evaluator)
     };
     let a = run(17);
     let b = run(17);
@@ -58,10 +59,11 @@ fn same_seed_and_grid_reproduce_the_identical_report_json() {
     // Greedy draws no randomness at all: two runs are identical too.
     let greedy = |_| {
         let (space, start) = SearchSpace::from_deployment(&s.clusters, QUANTUM);
-        DeploymentOptimizer::new(space, &s.trace, &s.prices, reject_config(&s))
+        let mut evaluator = SweepEvaluator::new(&s.trace, &s.prices, reject_config(&s));
+        DeploymentOptimizer::new(space)
             .with_budget(SearchBudget::smoke())
             .with_start(start)
-            .run(&mut GreedyDescent::default())
+            .run(&mut GreedyDescent::default(), &mut evaluator)
     };
     assert_eq!(greedy(()).to_json(), greedy(()).to_json());
 }
@@ -133,7 +135,7 @@ fn optimizer_matches_or_beats_every_hand_picked_split() {
     // Seed the search with the incumbent nine-cluster split (one of the
     // hand-picked candidates): greedy monotonicity then guarantees the
     // acceptance bar, and in practice the search improves well past it.
-    let optimizer = DeploymentOptimizer::new(space, &s.trace, &s.prices, config)
+    let optimizer = DeploymentOptimizer::new(space)
         .with_objective(objective)
         .with_budget(SearchBudget {
             max_evaluations: 240,
@@ -141,7 +143,8 @@ fn optimizer_matches_or_beats_every_hand_picked_split() {
             ..SearchBudget::default()
         })
         .with_start(incumbent_split);
-    let report = optimizer.run(&mut GreedyDescent::default());
+    let report = optimizer
+        .run(&mut GreedyDescent::default(), &mut SweepEvaluator::new(&s.trace, &s.prices, config));
 
     assert!(
         report.best.total_dollars() <= best_hand_picked + 1e-9,
@@ -157,10 +160,11 @@ fn optimizer_matches_or_beats_every_hand_picked_split() {
 
     // A seeded local search from the same start also never regresses.
     let (space2, start2) = SearchSpace::from_deployment(&nine, QUANTUM);
-    let local = DeploymentOptimizer::new(space2, &s.trace, &s.prices, reject_config(&s))
+    let mut evaluator = SweepEvaluator::new(&s.trace, &s.prices, reject_config(&s));
+    let local = DeploymentOptimizer::new(space2)
         .with_budget(SearchBudget::smoke())
         .with_start(start2)
-        .run(&mut LocalSearch::seeded(5));
+        .run(&mut LocalSearch::seeded(5), &mut evaluator);
     assert!(local.best.total_dollars() <= local.start.total_dollars());
 }
 
@@ -169,10 +173,11 @@ fn budget_caps_evaluations_and_cache_reuses_hub_lists() {
     let s = scenario();
     let (space, start) = SearchSpace::from_deployment(&s.clusters, QUANTUM);
     let budget = SearchBudget { max_evaluations: 30, ..SearchBudget::smoke() };
-    let report = DeploymentOptimizer::new(space, &s.trace, &s.prices, reject_config(&s))
+    let mut evaluator = SweepEvaluator::new(&s.trace, &s.prices, reject_config(&s));
+    let report = DeploymentOptimizer::new(space)
         .with_budget(budget)
         .with_start(start)
-        .run(&mut GreedyDescent::default());
+        .run(&mut GreedyDescent::default(), &mut evaluator);
     // The cap binds the strategy's own batches; the driver adds exactly
     // one start evaluation on top.
     assert!(report.evaluations <= 31, "evaluated {} > 31", report.evaluations);

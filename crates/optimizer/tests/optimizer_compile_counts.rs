@@ -74,10 +74,11 @@ fn optimizer_compiles_each_visited_hub_list_exactly_once() {
     let prefs_before = CompiledPreferences::build_count();
 
     let (space, start) = SearchSpace::from_deployment(&scenario.clusters, 800);
-    let report = DeploymentOptimizer::new(space, &scenario.trace, &scenario.prices, config)
+    let mut evaluator = SweepEvaluator::new(&scenario.trace, &scenario.prices, config);
+    let report = DeploymentOptimizer::new(space)
         .with_budget(SearchBudget::smoke())
         .with_start(start)
-        .run(&mut GreedyDescent::default());
+        .run(&mut GreedyDescent::default(), &mut evaluator);
 
     let distinct_hub_sets: BTreeSet<Vec<usize>> = report
         .iterations
@@ -116,16 +117,16 @@ fn optimizer_compiles_each_visited_hub_list_exactly_once() {
     let billing_before = BillingMatrix::build_count();
 
     let (space, start) = SearchSpace::from_deployment(&scenario.clusters, 800);
-    let constrained = DeploymentOptimizer::new(
-        space,
+    let mut evaluator = SweepEvaluator::new(
         &scenario.trace,
         &scenario.prices,
         scenario.config.clone().with_overflow(OverflowMode::Reject),
-    )
-    .with_budget(SearchBudget::smoke())
-    .with_start(start)
-    .with_hub_caps(calibrated.hub_caps(1.0))
-    .run(&mut GreedyDescent::default());
+    );
+    evaluator.set_hub_caps(Some(calibrated.hub_caps(1.0)));
+    let constrained = DeploymentOptimizer::new(space)
+        .with_budget(SearchBudget::smoke())
+        .with_start(start)
+        .run(&mut GreedyDescent::default(), &mut evaluator);
 
     let constrained_distinct: BTreeSet<Vec<usize>> = constrained
         .iterations

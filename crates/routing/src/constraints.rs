@@ -4,10 +4,10 @@
 //! router is *constrained*: it may not raise any cluster's 95th-percentile
 //! bandwidth above the level observed under the original assignment (§4,
 //! §6.1), and it may not route demand beyond a cluster's request capacity.
-//! A [`ConstraintSet`] gathers everything of that kind — per-cluster
-//! capacity ceilings, per-cluster 95/5 bandwidth caps, and the
-//! [`OverflowMode`] governing what happens to demand that no ceiling can
-//! absorb — into one value that a simulation configuration owns and a
+//! A [`ConstraintSet`] gathers everything of that kind — per-cluster 95/5
+//! bandwidth caps, metro/region tier caps, and the [`OverflowMode`]
+//! governing what happens to demand that no ceiling can absorb — into one
+//! value that a simulation configuration owns and a
 //! [`RoutingContext`](crate::policy::RoutingContext) *borrows*. Borrowing
 //! matters: the simulator re-routes up to every five-minute step, and the
 //! constraint set is immutable run-state, so the hot loop must not clone
@@ -138,10 +138,6 @@ impl TierCaps {
 /// every reallocation by reference.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ConstraintSet {
-    /// Optional per-cluster request-capacity ceilings in hits/second,
-    /// overriding (tightening) each cluster's nominal capacity for
-    /// routing purposes. `None` uses the nominal capacities.
-    capacity_ceilings: Option<Vec<f64>>,
     /// Optional per-cluster 95/5 bandwidth ceilings in hits/second,
     /// typically derived from a baseline calibration pass ("follow
     /// original 95/5 constraints"). `None` relaxes the constraint.
@@ -167,22 +163,9 @@ impl ConstraintSet {
         self
     }
 
-    /// Attach per-cluster capacity ceilings (hits/second) that tighten the
-    /// clusters' nominal capacities for routing.
-    pub fn with_capacity_ceilings(mut self, ceilings: Vec<f64>) -> Self {
-        self.capacity_ceilings = Some(ceilings);
-        self
-    }
-
     /// Attach aggregate metro/region tier caps (hierarchical deployments).
     pub fn with_tier_caps(mut self, tier_caps: TierCaps) -> Self {
         self.tier_caps = Some(tier_caps);
-        self
-    }
-
-    /// Remove the tier caps (back to per-cluster-only constraints).
-    pub fn without_tier_caps(mut self) -> Self {
-        self.tier_caps = None;
         self
     }
 
@@ -195,11 +178,6 @@ impl ConstraintSet {
     /// The per-cluster 95/5 bandwidth ceilings, if any.
     pub fn bandwidth_caps(&self) -> Option<&[f64]> {
         self.bandwidth_caps.as_deref()
-    }
-
-    /// The per-cluster capacity ceilings, if any.
-    pub fn capacity_ceilings(&self) -> Option<&[f64]> {
-        self.capacity_ceilings.as_deref()
     }
 
     /// The aggregate metro/region tier caps, if any.
@@ -218,16 +196,11 @@ impl ConstraintSet {
     }
 
     /// The effective routing ceiling for one cluster: the minimum of its
-    /// capacity (nominal, or the explicit ceiling when one is set) and its
-    /// bandwidth cap (when one is set).
+    /// nominal capacity and its bandwidth cap (when one is set).
     pub fn effective_cap(&self, cluster: usize, nominal_capacity: f64) -> f64 {
-        let capacity = match &self.capacity_ceilings {
-            Some(ceilings) => nominal_capacity.min(ceilings[cluster]),
-            None => nominal_capacity,
-        };
         match &self.bandwidth_caps {
-            Some(caps) => capacity.min(caps[cluster]),
-            None => capacity,
+            Some(caps) => nominal_capacity.min(caps[cluster]),
+            None => nominal_capacity,
         }
     }
 
@@ -256,29 +229,24 @@ impl ConstraintSet {
         if let Some(caps) = &self.bandwidth_caps {
             assert_eq!(caps.len(), n_clusters, "bandwidth cap length mismatch");
         }
-        if let Some(ceilings) = &self.capacity_ceilings {
-            assert_eq!(ceilings.len(), n_clusters, "capacity ceiling length mismatch");
-        }
         if let Some(tiers) = &self.tier_caps {
             assert_eq!(tiers.num_sites(), n_clusters, "tier cap site count mismatch");
         }
     }
 
     /// Append the set to `key` as exact bits: two sets append equal words
-    /// exactly when every ceiling, cap, tier and the overflow mode agree
+    /// exactly when every cap, tier and the overflow mode agree
     /// bit for bit, so a `0.0` cap and a `-0.0` cap differ. A scenario
     /// sweep keys the cells that may share one routing stream on it.
     pub fn push_bits(&self, key: &mut Vec<u64>) {
         // Field by field, so a new field must be keyed before it compiles.
-        let Self { capacity_ceilings, bandwidth_caps, tier_caps, overflow } = self;
+        let Self { bandwidth_caps, tier_caps, overflow } = self;
         let push_all = |key: &mut Vec<u64>, values: &[f64]| {
             key.push(values.len() as u64);
             key.extend(values.iter().map(|v| v.to_bits()));
         };
-        for values in [capacity_ceilings, bandwidth_caps] {
-            key.push(u64::from(values.is_some()));
-            push_all(key, values.as_deref().unwrap_or_default());
-        }
+        key.push(u64::from(bandwidth_caps.is_some()));
+        push_all(key, bandwidth_caps.as_deref().unwrap_or_default());
         key.push(u64::from(tier_caps.is_some()));
         if let Some(TierCaps { site_metro, site_region, metro_caps, region_caps }) = tier_caps {
             for parents in [site_metro, site_region] {
@@ -352,7 +320,7 @@ impl HubBandwidthCaps {
     }
 
     /// Derive a deployment's [`ConstraintSet`] from a base set: everything
-    /// (overflow mode, capacity ceilings) is kept, the bandwidth caps are
+    /// (overflow mode, tier caps) is kept, the bandwidth caps are
     /// replaced by this calibration's resolution — unless every resolved
     /// cap is infinite, in which case the set is left bandwidth-relaxed.
     pub fn apply(&self, clusters: &ClusterSet, base: &ConstraintSet) -> ConstraintSet {
@@ -379,10 +347,8 @@ mod tests {
 
     #[test]
     fn effective_cap_is_the_minimum_of_all_ceilings() {
-        let set = ConstraintSet::unconstrained()
-            .with_capacity_ceilings(vec![800.0, 2000.0])
-            .with_bandwidth_caps(vec![500.0, 1500.0]);
-        // capacity ∧ ceiling ∧ bandwidth cap, per cluster.
+        let set = ConstraintSet::unconstrained().with_bandwidth_caps(vec![500.0, 1500.0]);
+        // capacity ∧ bandwidth cap, per cluster.
         assert_eq!(set.effective_cap(0, 1000.0), 500.0);
         assert_eq!(set.effective_cap(1, 1000.0), 1000.0);
         assert_eq!(set.effective_cap(1, 1800.0), 1500.0);
@@ -463,7 +429,6 @@ mod tests {
         let set = ConstraintSet::unconstrained().with_tier_caps(tiers.clone());
         set.validate(3);
         assert_eq!(set.tier_caps(), Some(&tiers));
-        assert!(set.clone().without_tier_caps().tier_caps().is_none());
         // Tier caps survive bandwidth-cap scaling and hub-cap application.
         let scaled = set.clone().with_bandwidth_caps_scaled(2.0);
         assert_eq!(scaled.tier_caps(), Some(&tiers));

@@ -47,11 +47,6 @@ impl CarbonAwarePolicy {
             router: ThresholdRouter::default(),
         }
     }
-
-    /// Update the per-cluster carbon intensities for the current hour.
-    pub fn set_intensities(&mut self, carbon_intensity: Vec<f64>) {
-        self.carbon_intensity = carbon_intensity;
-    }
 }
 
 impl RoutingPolicy for CarbonAwarePolicy {
@@ -219,13 +214,6 @@ mod tests {
         let a = policy.allocate(&c);
         assert_eq!(a.matrix()[pa][0], 0.0);
         assert!(a.serves_demand(&demand, 1e-9));
-    }
-
-    #[test]
-    fn set_intensities_replaces_vector() {
-        let mut policy = CarbonAwarePolicy::new(1000.0, vec![0.5; 9]);
-        policy.set_intensities(vec![0.1; 9]);
-        assert_eq!(policy.carbon_intensity, vec![0.1; 9]);
     }
 
     #[test]

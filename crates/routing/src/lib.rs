@@ -10,7 +10,7 @@
 //!   demand, prices, and the constraint set in force), and the shared
 //!   greedy assignment engine;
 //! * [`constraints`] — the unified [`constraints::ConstraintSet`]
-//!   (capacity ceilings, 95/5 bandwidth caps, overflow mode) that
+//!   (95/5 bandwidth caps, tier caps, overflow mode) that
 //!   simulations own and routing contexts borrow, plus the hub-keyed
 //!   [`constraints::HubBandwidthCaps`] used to carry one calibration
 //!   across deployments;

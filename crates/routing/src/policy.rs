@@ -46,8 +46,8 @@ pub struct RoutingContext<'a> {
     pub prices: &'a [f64],
     /// The hour this step belongs to.
     pub hour: SimHour,
-    /// The constraints in force: capacity ceilings, 95/5 bandwidth caps,
-    /// overflow mode. Usually a *borrow* of the run's one
+    /// The constraints in force: 95/5 bandwidth caps, tier caps, overflow
+    /// mode. Usually a *borrow* of the run's one
     /// [`ConstraintSet`] — the simulator builds a context per
     /// reallocation, so an owned cap vector here would be a per-step
     /// allocation on the hot path (it used to be).
@@ -109,9 +109,8 @@ impl<'a> RoutingContext<'a> {
         self
     }
 
-    /// The effective ceiling for a cluster: the minimum of its capacity
-    /// (nominal, or the constraint set's explicit ceiling) and, when 95/5
-    /// caps are in force, its bandwidth cap.
+    /// The effective ceiling for a cluster: the minimum of its nominal
+    /// capacity and, when 95/5 caps are in force, its bandwidth cap.
     pub fn effective_cap(&self, cluster: usize) -> f64 {
         let nominal = self.clusters.get(cluster).expect("index in range").capacity_hits_per_sec();
         self.constraints.effective_cap(cluster, nominal)

@@ -89,7 +89,7 @@ proptest! {
                 .map(|s| ((seed + s * 7919 + hour as u64 * 104_729) % 4000) as f64)
                 .collect();
             let c = RoutingContext::new(&clusters, &geometry, &demand, &prices, SimHour(0));
-            policy.set_intensities(intensity.clone());
+            policy.carbon_intensity = intensity.clone();
             policy.allocate_into(&mut out, &c);
             let expected = assign_by_preference(&c, |_, state| {
                 preference_by_cost(&c, state, &intensity, threshold_km, intensity_threshold)

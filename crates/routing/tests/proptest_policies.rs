@@ -123,7 +123,6 @@ proptest! {
         weights in demand_weights(),
         price_vec in prices(),
         threshold in 0.0f64..6000.0,
-        ceiling_fracs in prop::collection::vec(0.5f64..1.5, N_CLUSTERS..N_CLUSTERS + 1),
         cap_fracs in prop::collection::vec(0.3f64..1.2, N_CLUSTERS..N_CLUSTERS + 1),
         overflow in prop::sample::select(
             vec![OverflowMode::BillAtCapacity, OverflowMode::Reject]
@@ -131,20 +130,17 @@ proptest! {
         fill in 0.05f64..0.9,
     ) {
         // A ConstraintSet of the general shape a calibration pass derives:
-        // explicit capacity ceilings (possibly above nominal — routing
-        // still clamps at nominal capacity), 95/5 bandwidth caps, and
-        // either overflow mode. No feasible allocation may ever exceed any
-        // cluster's effective (capacity ∧ ceiling ∧ bandwidth) cap, for
-        // the baseline policies and the price-conscious optimizer alike.
+        // 95/5 bandwidth caps (possibly above nominal — routing still
+        // clamps at nominal capacity) and either overflow mode. No feasible
+        // allocation may ever exceed any cluster's effective (capacity ∧
+        // bandwidth) cap, for the baseline policies and the
+        // price-conscious optimizer alike.
         let clusters = ClusterSet::akamai_like_nine();
         let states = states();
         let nominal: Vec<f64> =
             clusters.clusters().iter().map(|c| c.capacity_hits_per_sec()).collect();
-        let ceilings: Vec<f64> =
-            nominal.iter().zip(&ceiling_fracs).map(|(n, f)| n * f).collect();
         let bw_caps: Vec<f64> = nominal.iter().zip(&cap_fracs).map(|(n, f)| n * f).collect();
         let set = ConstraintSet::unconstrained()
-            .with_capacity_ceilings(ceilings.clone())
             .with_bandwidth_caps(bw_caps.clone())
             .with_overflow(overflow);
 
@@ -265,7 +261,7 @@ fn one_instance_routes_alternating_geometries_like_a_fresh_one() {
             .map(|s| 200.0 + ((call * 7919 + s * 104_729) % 3000) as f64)
             .collect();
         let ctx = RoutingContext::new(clusters, geometry, &demand, &prices, SimHour(call as u64));
-        carbon_aware.set_intensities(carbon(side).carbon_intensity);
+        carbon_aware.carbon_intensity = carbon(side).carbon_intensity;
         let pairs: [(&mut dyn RoutingPolicy, Box<dyn RoutingPolicy>); 3] = [
             (&mut price_conscious, Box::new(PriceConsciousPolicy::with_distance_threshold(1500.0))),
             (&mut carbon_aware, Box::new(carbon(side))),
