@@ -324,12 +324,10 @@ fn handle_connection(stream: UnixStream, shared: &Shared<'_>) -> io::Result<()> 
     // --watch`) is served with zero per-request allocations on the framing
     // path, however many lines it sends.
     let mut line = Vec::new();
-    let mut reply_buf = String::new();
-    let mut answer = |reply: JsonValue| -> io::Result<()> {
-        reply_buf.clear();
-        reply.write_to(&mut reply_buf);
-        reply_buf.push('\n');
-        writer.write_all(reply_buf.as_bytes())?;
+    let mut reply = String::new();
+    let mut send = |reply: &mut String| -> io::Result<()> {
+        reply.push('\n');
+        writer.write_all(reply.as_bytes())?;
         writer.flush()
     };
     loop {
@@ -341,19 +339,22 @@ fn handle_connection(stream: UnixStream, shared: &Shared<'_>) -> io::Result<()> 
             Ok(_) if line.is_empty() => return Ok(()), // EOF
             Ok(_) if line.len() == MAX_REQUEST_LINE && line.last() != Some(&b'\n') => {
                 shared.metrics.record_error();
-                let error = format!("request line longer than {MAX_REQUEST_LINE} bytes");
-                return answer(error_reply(&error));
+                reply.clear();
+                error_reply(&format!("request line longer than {MAX_REQUEST_LINE} bytes"))
+                    .write_to(&mut reply);
+                return send(&mut reply);
             }
             Ok(_) => {
-                let reply = match std::str::from_utf8(&line) {
-                    Ok(text) => handle_request(text.trim(), shared),
+                reply.clear();
+                match std::str::from_utf8(&line) {
+                    Ok(text) => handle_request(text.trim(), shared, &mut reply),
                     Err(_) => {
                         shared.metrics.record_error();
-                        error_reply("request line is not UTF-8")
+                        error_reply("request line is not UTF-8").write_to(&mut reply);
                     }
-                };
+                }
                 line.clear();
-                answer(reply)?;
+                send(&mut reply)?;
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return Ok(());
                 }
@@ -370,46 +371,46 @@ fn handle_connection(stream: UnixStream, shared: &Shared<'_>) -> io::Result<()> 
     }
 }
 
-/// Answer one request line. Always produces a reply object; never panics
-/// on malformed input. Wraps the dispatch in a `daemon.request` latency
-/// span and books the verb / error counters.
-fn handle_request(line: &str, shared: &Shared<'_>) -> JsonValue {
+/// Answer one request line, appending the reply object to `reply`; never
+/// panics on malformed input. Wraps the dispatch and the reply's encoding
+/// in a `daemon.request` latency span and books the verb / error counters.
+fn handle_request(line: &str, shared: &Shared<'_>, reply: &mut String) {
     let _request_span = wattroute_obs::span!("daemon.request");
-    let reply = dispatch_request(line, shared);
-    if reply.get("ok").and_then(JsonValue::as_bool) != Some(true) {
+    if let Err(error) = dispatch_request(line, shared, reply) {
         shared.metrics.record_error();
+        error_reply(&error).write_to(reply);
     }
-    reply
 }
 
-/// The verb dispatch behind [`handle_request`].
-fn dispatch_request(line: &str, shared: &Shared<'_>) -> JsonValue {
+/// The verb dispatch behind [`handle_request`]: appends a successful
+/// reply to `reply`, or returns the message of an error reply having
+/// appended nothing.
+fn dispatch_request(line: &str, shared: &Shared<'_>, reply: &mut String) -> Result<(), String> {
     let Shared { engine, tiers, shutdown, metrics, started } = shared;
     if line.is_empty() {
-        return error_reply("empty request line");
+        return Err("empty request line".to_string());
     }
-    let request = match JsonValue::parse(line) {
-        Ok(v) => v,
-        Err(e) => return error_reply(&format!("malformed request: {e}")),
-    };
+    let request = JsonValue::parse(line).map_err(|e| format!("malformed request: {e}"))?;
     let Some(cmd) = request.get("cmd").and_then(JsonValue::as_str) else {
-        return error_reply("request has no string 'cmd' field");
+        return Err("request has no string 'cmd' field".to_string());
     };
     metrics.record_verb(cmd);
     match cmd {
         "route?" => {
             let Some(code) = request.get("state").and_then(JsonValue::as_str) else {
-                return error_reply("route? needs a 'state' field (two-letter postal code)");
+                return Err("route? needs a 'state' field (two-letter postal code)".to_string());
             };
             let Some(state) = UsState::from_abbreviation(code) else {
-                return error_reply(&format!("unknown state '{code}'"));
+                return Err(format!("unknown state '{code}'"));
             };
-            let engine = engine.lock().expect("engine lock");
-            route_reply(&engine, state, code)
+            // The guard is a temporary: the lock, which the tick thread
+            // waits on, is released before the reply is encoded.
+            let route = route_reply(&engine.lock().expect("engine lock"), state, code)?;
+            route.write_to(reply);
         }
         "stats" => {
             let engine = engine.lock().expect("engine lock");
-            json::object_iter(
+            let stats = json::object_iter(
                 [
                     ("ok", JsonValue::Bool(true)),
                     ("steps", JsonValue::Number(engine.steps() as f64)),
@@ -423,38 +424,51 @@ fn dispatch_request(line: &str, shared: &Shared<'_>) -> JsonValue {
                 ]
                 .into_iter()
                 .chain(tier_load_reply(&engine, tiers).map(|tier_load| ("tier_load", tier_load))),
-            )
+            );
+            // Encode the report after releasing the lock.
+            drop(engine);
+            stats.write_to(reply);
         }
         "metrics" => json::object([
             ("ok", JsonValue::Bool(true)),
             ("uptime_secs", JsonValue::Number(started.elapsed().as_secs_f64())),
             ("telemetry_enabled", JsonValue::Bool(wattroute_obs::Telemetry::enabled())),
             ("exposition", JsonValue::String(wattroute_obs::telemetry().prometheus())),
-        ]),
+        ])
+        .write_to(reply),
         "snapshot" => {
-            let engine = engine.lock().expect("engine lock");
-            json::object([
-                ("ok", JsonValue::Bool(true)),
-                ("steps", JsonValue::Number(engine.steps() as f64)),
-                ("snapshot", engine.state().to_json_value()),
-            ])
+            // Written in place under the lock, in the key order an object
+            // keeps: the engine formats only the load samples added since
+            // its last snapshot and copies the rest.
+            let mut engine = engine.lock().expect("engine lock");
+            reply.push_str(r#"{"ok":true,"snapshot":"#);
+            engine.write_snapshot_json(reply);
+            reply.push_str(r#","steps":"#);
+            JsonValue::Number(engine.steps() as f64).write_to(reply);
+            reply.push('}');
         }
         "shutdown" => {
             shutdown.store(true, Ordering::SeqCst);
             json::object([("ok", JsonValue::Bool(true)), ("shutting_down", JsonValue::Bool(true))])
+                .write_to(reply);
         }
-        other => error_reply(&format!("unknown command '{other}'")),
+        other => return Err(format!("unknown command '{other}'")),
     }
+    Ok(())
 }
 
 /// The `route?` reply: where the allocation in force sends one state's
 /// demand, as hits/second per cluster label.
-fn route_reply(engine: &SimulationEngine<'_>, state: UsState, code: &str) -> JsonValue {
+fn route_reply(
+    engine: &SimulationEngine<'_>,
+    state: UsState,
+    code: &str,
+) -> Result<JsonValue, String> {
     let Some(allocation) = engine.current_allocation() else {
-        return error_reply("no allocation yet (no tick has run)");
+        return Err("no allocation yet (no tick has run)".to_string());
     };
     let Some(s) = engine.states().iter().position(|x| *x == state) else {
-        return error_reply(&format!("state '{code}' is not in this scenario's client set"));
+        return Err(format!("state '{code}' is not in this scenario's client set"));
     };
     let hour = engine.last_allocation_hour().expect("allocation implies an hour");
     let per_cluster =
@@ -463,12 +477,12 @@ fn route_reply(engine: &SimulationEngine<'_>, state: UsState, code: &str) -> Jso
                 (cluster.label.as_str(), JsonValue::Number(allocation.row(c)[s]))
             }),
         );
-    json::object([
+    Ok(json::object([
         ("ok", JsonValue::Bool(true)),
         ("state", JsonValue::String(code.to_uppercase())),
         ("hour", JsonValue::Number(hour.0 as f64)),
         ("hits_per_sec", per_cluster),
-    ])
+    ]))
 }
 
 /// The `stats` reply's tier-level view of the allocation in force:

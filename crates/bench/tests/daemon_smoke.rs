@@ -363,3 +363,83 @@ fn an_overlong_request_line_gets_one_error_reply_and_its_connection_closes() {
     let stats = stats.expect("stats");
     assert_eq!(stats.get("ok").and_then(JsonValue::as_bool), Some(true), "{stats}");
 }
+
+/// The engine's `load_series` rows in a `snapshot` reply.
+fn load_rows(reply: &JsonValue) -> Vec<Vec<u64>> {
+    let snapshot = reply.get("snapshot").expect("snapshot field");
+    let rows = snapshot.get("load_series").and_then(JsonValue::as_array).expect("load_series");
+    rows.iter()
+        .map(|row| {
+            let samples = row.as_array().expect("a row is an array");
+            samples.iter().map(|x| x.as_f64().expect("a number").to_bits()).collect()
+        })
+        .collect()
+}
+
+/// The daemon keeps the text of the load samples its earlier snapshots
+/// encoded and formats only the ones added since. Three snapshots across
+/// a replay must each decode, each row must extend the earlier one, and
+/// the last, taken after the replay, must restore into a fresh engine
+/// that reports the daemon's flushed report.
+#[test]
+fn snapshots_across_a_replay_extend_each_other_and_the_last_restores_the_final_report() {
+    let scenario = short_scenario(48);
+    let path = socket_path("snaps");
+    let _ = std::fs::remove_file(&path);
+    let options = lingering(&path);
+    let steps = scenario.trace.num_steps();
+    let (replies, flushed) = std::thread::scope(|scope| {
+        let (scenario_ref, options_ref) = (&scenario, &options);
+        let server = scope.spawn(move || {
+            let mut policy = PriceConsciousPolicy::with_distance_threshold(1500.0);
+            serve(scenario_ref, &mut policy, options_ref).expect("serve")
+        });
+        let mut client = DaemonClient::connect(&path, Duration::from_secs(10)).expect("connect");
+        let steps_now = |client: &mut DaemonClient| {
+            let stats = client.command("stats").expect("stats");
+            stats.get("steps").and_then(JsonValue::as_count).expect("steps") as usize
+        };
+        let mut replies = vec![client.command("snapshot").expect("first snapshot")];
+        // The second once the replay has moved on, the third once it ended.
+        let first = replies[0].get("steps").and_then(JsonValue::as_count).expect("steps") as usize;
+        for target in [(first + 1).min(steps), steps] {
+            while steps_now(&mut client) < target {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            replies.push(client.command("snapshot").expect("snapshot"));
+        }
+        client.command("shutdown").expect("shutdown");
+        (replies, server.join().expect("server thread"))
+    });
+
+    let mut earlier: Option<Vec<Vec<u64>>> = None;
+    for (i, reply) in replies.iter().enumerate() {
+        assert_eq!(reply.get("ok").and_then(JsonValue::as_bool), Some(true), "snapshot {i}");
+        let snapshot = EngineSnapshot::from_json_value(reply.get("snapshot").expect("snapshot"))
+            .unwrap_or_else(|e| panic!("snapshot {i} does not decode: {e}"));
+        let reply_steps = reply.get("steps").and_then(JsonValue::as_count).expect("steps");
+        assert_eq!(snapshot.steps() as u64, reply_steps, "snapshot {i}");
+        let rows = load_rows(reply);
+        if let Some(earlier) = &earlier {
+            for (c, (row, before)) in rows.iter().zip(earlier).enumerate() {
+                assert!(
+                    row.starts_with(before),
+                    "snapshot {i}: cluster {c}'s row rewrote a sample"
+                );
+            }
+        }
+        earlier = Some(rows);
+    }
+    let last = replies.last().expect("three snapshots");
+    let last =
+        EngineSnapshot::from_json_value(last.get("snapshot").expect("snapshot")).expect("decodes");
+    assert_eq!(last.steps(), steps, "the last snapshot follows the whole replay");
+    let mut engine = wattroute::engine::SimulationEngine::new(
+        &scenario.clusters,
+        &scenario.trace.states,
+        scenario.config.clone(),
+    );
+    engine.restore(&last);
+    assert_eq!(engine.report(), flushed, "restored report != flushed report");
+    assert_eq!(engine.report().to_json(), flushed.to_json());
+}

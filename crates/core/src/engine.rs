@@ -19,10 +19,12 @@
 //! The accumulated router state is a value: [`SimulationEngine::snapshot`]
 //! captures it, [`SimulationEngine::restore`] reinstates it (into the same
 //! engine or a freshly built one over the same deployment), and
-//! [`EngineSnapshot::to_json_value`] round-trips it losslessly over the
-//! daemon's wire protocol. Replaying the remaining steps after a
-//! snapshot/restore yields a report bit-identical to an uninterrupted run —
-//! the property test in `tests/proptest_tick_equivalence.rs` pins this.
+//! [`EngineSnapshot::to_json`] round-trips it losslessly over the daemon's
+//! wire protocol. Replaying the remaining steps after a snapshot/restore
+//! yields a report bit-identical to an uninterrupted run — the property
+//! test in `tests/proptest_tick_equivalence.rs` pins this. A long-running
+//! engine writes the same text with [`SimulationEngine::write_snapshot_json`],
+//! which formats only the load samples added since its previous snapshot.
 //!
 //! A batch replay may also account extra energy models in lanes of one
 //! engine: the energy model never shapes routing, so the models share the
@@ -166,52 +168,60 @@ impl EngineSnapshot {
         self.policy_name.as_deref()
     }
 
-    /// Encode the snapshot as a JSON value (the daemon's `snapshot` reply).
-    /// The encoding is lossless: [`Self::from_json_value`] reproduces the
-    /// snapshot exactly, so a run resumed from the decoded snapshot stays
-    /// bit-identical to an uninterrupted one.
-    pub fn to_json_value(&self) -> JsonValue {
-        let mut fields = vec![
-            ("step", JsonValue::Number(self.step as f64)),
-            ("clamped_lead_hours", JsonValue::Number(self.clamped_lead_hours as f64)),
-            ("cost", json::number_array(&self.cost)),
-            ("energy_wh", json::number_array(&self.energy_wh)),
-            ("hits", json::number_array(&self.hits)),
-            ("overflow_hits", json::number_array(&self.overflow_hits)),
-            ("rejected_hits", json::number_array(&self.rejected_hits)),
-            (
-                "binding_steps",
-                JsonValue::Array(
-                    self.binding_steps.iter().map(|&b| JsonValue::Number(b as f64)).collect(),
-                ),
-            ),
-            (
-                "load_series",
-                JsonValue::Array(
-                    self.loads
-                        .iter()
-                        .map(|runs| {
-                            let mut row = Vec::with_capacity(runs.len());
-                            row.extend(runs.samples().map(JsonValue::Number));
-                            JsonValue::Array(row)
-                        })
-                        .collect(),
-                ),
-            ),
-            ("util_stats", JsonValue::Array(self.util_stats.iter().map(stats_to_json).collect())),
-            ("distances", self.distances.to_json_value()),
-        ];
-        if let Some(name) = &self.policy_name {
-            fields.push(("policy", JsonValue::String(name.clone())));
-        }
-        if let Some(allocation) = &self.cached_allocation {
-            fields.push(("allocation", allocation_to_json(allocation)));
-            fields.push(("last_alloc_hour", JsonValue::Number(self.last_alloc_hour.0 as f64)));
-        }
-        json::object_iter(fields)
+    /// Encode the snapshot as JSON text (the daemon's `snapshot` reply).
+    /// The encoding is lossless: [`Self::from_json_value`] of the parsed
+    /// text reproduces the snapshot exactly, so a run resumed from the
+    /// decoded snapshot stays bit-identical to an uninterrupted one.
+    pub fn to_json(&self) -> String {
+        let mut text = LoadText::default();
+        text.extend(&self.loads, self.step);
+        let mut out = String::new();
+        self.write_json(&text.rows, &mut out);
+        out
     }
 
-    /// Decode a snapshot produced by [`Self::to_json_value`].
+    /// Append the snapshot's JSON text to `out`, each cluster's
+    /// `load_series` row read from `load_rows` (see [`LoadText`]). The
+    /// fields go in ascending key order, as a [`JsonValue::Object`] keeps
+    /// them.
+    fn write_json(&self, load_rows: &[String], out: &mut String) {
+        let mut object = json::ObjectWriter::new(out);
+        if let Some(allocation) = &self.cached_allocation {
+            allocation_to_json(allocation).write_to(object.field("allocation"));
+        }
+        let binding_steps = self.binding_steps.iter().map(|&b| JsonValue::Number(b as f64));
+        JsonValue::Array(binding_steps.collect()).write_to(object.field("binding_steps"));
+        json::write_number(self.clamped_lead_hours as f64, object.field("clamped_lead_hours"));
+        json::number_array(&self.cost).write_to(object.field("cost"));
+        self.distances.to_json_value().write_to(object.field("distances"));
+        json::number_array(&self.energy_wh).write_to(object.field("energy_wh"));
+        json::number_array(&self.hits).write_to(object.field("hits"));
+        if self.cached_allocation.is_some() {
+            json::write_number(self.last_alloc_hour.0 as f64, object.field("last_alloc_hour"));
+        }
+        let rows = object.field("load_series");
+        rows.push('[');
+        for (c, row) in load_rows.iter().enumerate() {
+            if c > 0 {
+                rows.push(',');
+            }
+            rows.push('[');
+            rows.push_str(row);
+            rows.push(']');
+        }
+        rows.push(']');
+        json::number_array(&self.overflow_hits).write_to(object.field("overflow_hits"));
+        if let Some(name) = &self.policy_name {
+            json::write_string(name, object.field("policy"));
+        }
+        json::number_array(&self.rejected_hits).write_to(object.field("rejected_hits"));
+        json::write_number(self.step as f64, object.field("step"));
+        let util_stats = self.util_stats.iter().map(stats_to_json);
+        JsonValue::Array(util_stats.collect()).write_to(object.field("util_stats"));
+        object.finish();
+    }
+
+    /// Decode a snapshot produced by [`Self::to_json`].
     pub fn from_json_value(v: &JsonValue) -> Result<Self, ReportDecodeError> {
         let cost = f64_vec_field(v, "cost")?;
         let n = cost.len();
@@ -305,6 +315,51 @@ impl EngineSnapshot {
             util_stats,
             distances: DistanceHistogram::from_json_value(field(v, "distances")?)?,
         })
+    }
+}
+
+/// The JSON text of each cluster's load series, as far as it has been
+/// encoded. A series only grows at its end — a step appends a run or
+/// lengthens the last one by more samples of its value — so text once
+/// written stays a prefix of every later encoding, and extending it formats
+/// only the samples added since.
+#[derive(Debug, Clone, Default)]
+struct LoadText {
+    /// Per cluster, its first `covered` samples, comma-separated: the
+    /// `load_series` row without its brackets.
+    rows: Vec<String>,
+    /// Samples each row covers (every cluster has one per step).
+    covered: usize,
+}
+
+impl LoadText {
+    /// Extend every row to cover all `steps` samples of its series in
+    /// `loads`.
+    ///
+    /// # Panics
+    /// Panics if the rows already cover more than `steps` samples: the
+    /// series they were written from was replaced without clearing them.
+    fn extend(&mut self, loads: &[LoadRuns], steps: usize) {
+        assert!(
+            self.covered <= steps,
+            "the load text covers {} samples of a {steps}-sample series",
+            self.covered
+        );
+        self.rows.resize_with(loads.len(), String::new);
+        for (row, runs) in self.rows.iter_mut().zip(loads) {
+            let mut start = 0;
+            for (value, count) in runs.runs() {
+                let end = start + count as usize;
+                for _ in self.covered.max(start)..end {
+                    if !row.is_empty() {
+                        row.push(',');
+                    }
+                    json::write_number(value, row);
+                }
+                start = end;
+            }
+        }
+        self.covered = steps;
     }
 }
 
@@ -702,6 +757,10 @@ pub struct SimulationEngine<'a> {
     /// [`EnergyLane`]); empty except in a grouped sweep replay. Not part
     /// of the snapshot.
     lanes: Vec<EnergyLane>,
+    /// The load series' JSON text as far as [`Self::write_snapshot_json`]
+    /// has encoded it; empty until it first runs, so batch replays never
+    /// pay for it. Not part of the snapshot.
+    load_text: LoadText,
 }
 
 impl<'a> SimulationEngine<'a> {
@@ -746,6 +805,7 @@ impl<'a> SimulationEngine<'a> {
             state,
             epoch: EpochCache::default(),
             lanes: Vec::new(),
+            load_text: LoadText::default(),
         }
     }
 
@@ -1352,12 +1412,14 @@ impl<'a> SimulationEngine<'a> {
         self.state.clone()
     }
 
-    /// The full accumulated router state, borrowed — what
-    /// [`Self::snapshot`] copies. Encode it in place (the daemon's
-    /// `snapshot` reply) rather than copying every cluster's load series
-    /// first.
-    pub fn state(&self) -> &EngineSnapshot {
-        &self.state
+    /// Append the JSON text of [`Self::snapshot`] to `out`: the bytes
+    /// [`EngineSnapshot::to_json`] writes, without copying the state
+    /// first. The engine keeps the text of every load sample it has
+    /// written, so each call formats only the samples added since the
+    /// previous one and copies the rest (the daemon's `snapshot` reply).
+    pub fn write_snapshot_json(&mut self, out: &mut String) {
+        self.load_text.extend(&self.state.loads, self.state.step);
+        self.state.write_json(&self.load_text.rows, out);
     }
 
     /// Reinstate a previously captured state, discarding whatever this
@@ -1395,6 +1457,8 @@ impl<'a> SimulationEngine<'a> {
         // and they depend only on that load and run constants, so a
         // mid-epoch restore stays bit-identical to an uninterrupted run.
         self.epoch.valid = false;
+        // The load text encodes the replaced series.
+        self.load_text = LoadText::default();
     }
 
     /// Consume the engine, yielding the raw per-cluster load series
@@ -1496,7 +1560,7 @@ mod tests {
             );
         }
         let snapshot = engine.snapshot();
-        let json = snapshot.to_json_value().to_string();
+        let json = snapshot.to_json();
         let decoded = EngineSnapshot::from_json_value(&JsonValue::parse(&json).unwrap()).unwrap();
         assert_eq!(decoded, snapshot);
         assert_eq!(decoded.steps(), 30);
@@ -1539,7 +1603,7 @@ mod tests {
             let mut first = engine();
             advance_to(&mut first, &mut policy, split);
             assert_eq!(first.steps(), split);
-            let json = first.snapshot().to_json_value().to_string();
+            let json = first.snapshot().to_json();
             let decoded =
                 EngineSnapshot::from_json_value(&JsonValue::parse(&json).unwrap()).unwrap();
             assert_eq!(decoded, first.snapshot());
@@ -1610,6 +1674,36 @@ mod tests {
         }
     }
 
+    /// At interval 12 the steps of an epoch lengthen one load run, so a
+    /// snapshot taken mid-epoch leaves its last run to grow before the
+    /// next one. Each text the engine resumes must equal a fresh encoding
+    /// of the same state, byte for byte.
+    #[test]
+    fn resumed_snapshot_text_equals_a_fresh_encoding_as_the_last_run_grows() {
+        let (clusters, trace, prices) = setup();
+        let config = SimulationConfig::default().with_reallocation_interval(12);
+        let sim = crate::simulation::Simulation::new(&clusters, &trace, &prices, config.clone());
+        let table = sim.price_table();
+        let mut engine = SimulationEngine::new(&clusters, &trace.states, config)
+            .with_clamped_lead_hours(table.clamped_lead_hours());
+        let mut policy = PriceConsciousPolicy::with_distance_threshold(1500.0);
+        let runs = |engine: &SimulationEngine<'_>| {
+            engine.state.loads.iter().map(LoadRuns::num_runs).collect::<Vec<_>>()
+        };
+        // Steps 41 and 45 fall in the 36..48 epoch; 48 starts the next.
+        let mut last_runs = Vec::new();
+        for end in [0, 41, 41, 45, 48, 61] {
+            advance_to(&mut engine, &mut policy, &trace, table, end);
+            let mut text = String::from("reply: ");
+            engine.write_snapshot_json(&mut text);
+            assert_eq!(text, format!("reply: {}", engine.snapshot().to_json()), "step {end}");
+            if end == 45 {
+                assert_eq!(runs(&engine), last_runs, "steps 41..45 only lengthen the last runs");
+            }
+            last_runs = runs(&engine);
+        }
+    }
+
     /// Energy lanes are not part of a snapshot, so a restored lane would
     /// keep the sums of the steps the restore discards: restore refuses.
     #[test]
@@ -1637,7 +1731,7 @@ mod tests {
         let (clusters, trace, _) = setup();
         let engine = SimulationEngine::new(&clusters, &trace.states, SimulationConfig::default());
         let snapshot = engine.snapshot();
-        let json = snapshot.to_json_value().to_string();
+        let json = snapshot.to_json();
         let decoded = EngineSnapshot::from_json_value(&JsonValue::parse(&json).unwrap()).unwrap();
         assert_eq!(decoded, snapshot);
         assert!(!json.contains("allocation"), "no cached allocation before the first tick");
@@ -1719,7 +1813,7 @@ mod tests {
                 DemandSlice::new(&step.us_demand),
             );
         }
-        engine.snapshot().to_json_value()
+        JsonValue::parse(&engine.snapshot().to_json()).unwrap()
     }
 
     /// `snapshot` with one edit applied to its top-level fields.

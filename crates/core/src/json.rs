@@ -85,16 +85,11 @@ impl JsonValue {
                 out.push(']');
             }
             JsonValue::Object(fields) => {
-                out.push('{');
-                for (i, (key, value)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_string(key, out);
-                    out.push(':');
-                    value.write(out);
+                let mut object = ObjectWriter::new(out);
+                for (key, value) in fields {
+                    value.write(object.field(key));
                 }
-                out.push('}');
+                object.finish();
             }
         }
     }
@@ -175,7 +170,43 @@ pub fn number_array(xs: &[f64]) -> JsonValue {
     JsonValue::Array(xs.iter().map(|&x| JsonValue::Number(x)).collect())
 }
 
-fn write_number(x: f64, out: &mut String) {
+/// Writes one JSON object field by field straight into a buffer: the
+/// streaming form of [`JsonValue::Object`]'s encoding, for text that costs
+/// less to write in place than to build as a tree first. Fields must come
+/// in ascending key order, the order an object keeps them in, so that the
+/// two forms write the same bytes.
+pub(crate) struct ObjectWriter<'o, 'k> {
+    out: &'o mut String,
+    last_key: Option<&'k str>,
+}
+
+impl<'o, 'k> ObjectWriter<'o, 'k> {
+    /// Open an object at the end of `out`.
+    pub(crate) fn new(out: &'o mut String) -> Self {
+        out.push('{');
+        Self { out, last_key: None }
+    }
+
+    /// Write the field name `key`, and lend the buffer its value is
+    /// written to next.
+    pub(crate) fn field(&mut self, key: &'k str) -> &mut String {
+        if let Some(last) = self.last_key {
+            debug_assert!(last < key, "field '{key}' written after '{last}'");
+            self.out.push(',');
+        }
+        self.last_key = Some(key);
+        write_string(key, self.out);
+        self.out.push(':');
+        self.out
+    }
+
+    /// Close the object.
+    pub(crate) fn finish(self) {
+        self.out.push('}');
+    }
+}
+
+pub(crate) fn write_number(x: f64, out: &mut String) {
     if x.is_finite() {
         // Rust's float Display is shortest-round-trip, which is exactly
         // what a lossless JSON encoding needs.
@@ -187,7 +218,7 @@ fn write_number(x: f64, out: &mut String) {
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
+pub(crate) fn write_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -6,12 +6,18 @@
 //! must keep doing so when the run is interrupted at a random mid-trace
 //! step by a snapshot that travels through its JSON wire encoding and is
 //! restored into a *freshly built* engine (the daemon failover story).
+//!
+//! A second property pins the engine's resumable snapshot text: every
+//! [`SimulationEngine::write_snapshot_json`] text, however many snapshots
+//! and restores came before it, equals a fresh encoding of the same state
+//! byte for byte, decodes to it bit for bit, and resumes the run.
 
 use proptest::prelude::*;
 use wattroute::engine::{DemandSlice, EngineSnapshot, PriceSlice, SimulationEngine};
 use wattroute::json::JsonValue;
 use wattroute::prelude::*;
 use wattroute::report::SimulationReport;
+use wattroute_market::price_table::PriceTable;
 use wattroute_market::time::{HourRange, SimHour};
 use wattroute_routing::policy::RoutingPolicy;
 
@@ -47,7 +53,7 @@ fn tick_replay_with_handover(
 
     // Hand over through the wire encoding into a brand-new engine (and a
     // brand-new policy instance — policy caches must not carry results).
-    let encoded = engine.snapshot().to_json_value().to_string();
+    let encoded = engine.snapshot().to_json();
     let decoded = EngineSnapshot::from_json_value(&JsonValue::parse(&encoded).expect("valid json"))
         .expect("lossless snapshot");
     let mut resumed =
@@ -63,6 +69,42 @@ fn tick_replay_with_handover(
         );
     }
     resumed.report()
+}
+
+/// Tick `engine` one step at a time up to step `end` of `scenario`'s trace.
+fn tick_to(
+    engine: &mut SimulationEngine<'_>,
+    policy: &mut dyn RoutingPolicy,
+    scenario: &Scenario,
+    table: &PriceTable,
+    end: usize,
+) {
+    let trace = &scenario.trace;
+    while engine.steps() < end {
+        let i = engine.steps();
+        let hour = trace.step_hour(i);
+        engine.tick(
+            policy,
+            PriceSlice::new(hour, table.delayed_at(hour).unwrap(), table.billing_at(hour).unwrap()),
+            DemandSlice::new(&trace.steps()[i].us_demand),
+        );
+    }
+}
+
+/// Write `engine`'s snapshot text and check it: it equals a fresh encoding
+/// of the engine's state byte for byte, and decodes to that state with
+/// every float's bits (its own fresh encoding is the same text). Returns
+/// the decoded snapshot.
+fn checked_snapshot(engine: &mut SimulationEngine<'_>, at: &str) -> EngineSnapshot {
+    let mut text = String::new();
+    engine.write_snapshot_json(&mut text);
+    let fresh = engine.snapshot();
+    assert_eq!(text, fresh.to_json(), "resumed text != fresh encoding ({at})");
+    let decoded = EngineSnapshot::from_json_value(&JsonValue::parse(&text).expect("valid json"))
+        .expect("lossless snapshot");
+    assert_eq!(decoded, fresh, "decoded snapshot ({at})");
+    assert_eq!(decoded.to_json(), text, "decoded snapshot's bits ({at})");
+    decoded
 }
 
 proptest! {
@@ -107,5 +149,91 @@ proptest! {
             batch.to_json_value().to_string(),
             incremental.to_json_value().to_string()
         );
+    }
+}
+
+// Snapshots at random steps of a tick replay, including one before the
+// first tick and two with no tick between, each checked by
+// `checked_snapshot`. One of them is restored twice: into the engine that
+// wrote it, after that engine ticked on and wrote a longer text, and into
+// a freshly built engine. Both engines finish the trace, snapshotting on
+// the way, and must report the batch run's bits.
+proptest! {
+    #[test]
+    fn resumed_snapshot_texts_equal_fresh_encodings_and_restore_bit_for_bit(
+        seed in 0u64..1000,
+        days in 1u64..3,
+        realloc in prop::sample::select(vec![1usize, 5, 12]),
+        constrained in prop::sample::select(vec![false, true]),
+        cut_fracs in prop::collection::vec(0.0f64..1.0, 1..5),
+        restore_frac in 0.0f64..1.0,
+        ahead_frac in 0.0f64..1.0,
+    ) {
+        let start = SimHour::from_date(2008, 12, 19);
+        let mut scenario =
+            Scenario::custom_window(seed, HourRange::new(start, start.plus_hours(days * 24)));
+        scenario.config = scenario.config.with_reallocation_interval(realloc);
+        if constrained {
+            let caps = scenario.bandwidth_caps_from_baseline();
+            scenario.config = scenario.config.with_bandwidth_caps(caps);
+        }
+        let threshold = 1500.0;
+        let batch = scenario
+            .execute(&mut PriceConsciousPolicy::with_distance_threshold(threshold), RunOptions::new());
+        let sim = Simulation::new(
+            &scenario.clusters,
+            &scenario.trace,
+            &scenario.prices,
+            scenario.config.clone(),
+        );
+        let table = sim.price_table();
+        let steps = scenario.trace.num_steps();
+        let at = |frac: f64| ((steps as f64) * frac) as usize;
+        // Snapshot steps in order, the first one twice.
+        let mut cuts: Vec<usize> = cut_fracs.iter().map(|&f| at(f)).collect();
+        cuts.push(cuts[0]);
+        cuts.sort_unstable();
+        let restore_step = at(restore_frac);
+        let ahead = restore_step + (((steps - restore_step) as f64) * ahead_frac) as usize;
+        let new_engine = || {
+            SimulationEngine::new(&scenario.clusters, &scenario.trace.states, scenario.config.clone())
+                .with_clamped_lead_hours(table.clamped_lead_hours())
+        };
+        let finish = |engine: &mut SimulationEngine<'_>, policy: &mut dyn RoutingPolicy| {
+            let from = engine.steps();
+            for &cut in cuts.iter().filter(|&&cut| cut > from) {
+                tick_to(engine, policy, &scenario, table, cut);
+                checked_snapshot(engine, &format!("step {cut}"));
+            }
+            tick_to(engine, policy, &scenario, table, steps);
+            checked_snapshot(engine, "the end");
+            engine.report()
+        };
+
+        let mut warm = new_engine();
+        let mut policy = PriceConsciousPolicy::with_distance_threshold(threshold);
+        checked_snapshot(&mut warm, "before the first tick");
+        for &cut in cuts.iter().filter(|&&cut| cut < restore_step) {
+            tick_to(&mut warm, &mut policy, &scenario, table, cut);
+            checked_snapshot(&mut warm, &format!("step {cut}"));
+        }
+        tick_to(&mut warm, &mut policy, &scenario, table, restore_step);
+        let restored = checked_snapshot(&mut warm, &format!("step {restore_step}"));
+        tick_to(&mut warm, &mut policy, &scenario, table, ahead);
+        checked_snapshot(&mut warm, &format!("step {ahead}, before the restore"));
+        warm.restore(&restored);
+        checked_snapshot(&mut warm, "restored into the warm engine");
+        let warm_report = finish(&mut warm, &mut policy);
+
+        let mut fresh = new_engine();
+        fresh.restore(&restored);
+        checked_snapshot(&mut fresh, "restored into a fresh engine");
+        let fresh_report =
+            finish(&mut fresh, &mut PriceConsciousPolicy::with_distance_threshold(threshold));
+
+        for (name, report) in [("warm", &warm_report), ("fresh", &fresh_report)] {
+            prop_assert_eq!(&batch, report, "batch != {} restore (step {})", name, restore_step);
+            prop_assert_eq!(batch.to_json(), report.to_json(), "{} restore", name);
+        }
     }
 }

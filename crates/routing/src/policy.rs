@@ -310,10 +310,10 @@ impl TierRoom {
 }
 
 /// Reusable scratch for [`assign_by_preference_into`]: each tier's
-/// remaining and aimed ceilings, the demand-sorted state order and the
-/// sort-free placements. A policy owns one workspace and hands it back
-/// every reallocation, so the steady-state assignment performs no heap
-/// allocation.
+/// remaining and aimed ceilings, the demand-sorted state order (which the
+/// next sorted pour starts from) and the sort-free placements. A policy
+/// owns one workspace and hands it back every reallocation, so the
+/// steady-state assignment performs no heap allocation.
 #[derive(Debug, Clone, Default)]
 pub struct AssignWorkspace {
     sites: TierRoom,
@@ -464,18 +464,7 @@ fn pour<H: Headroom, P: PreferenceSource + ?Sized>(
     if place_whole(ctx, &mut room, placements, out, prefs) {
         return;
     }
-    // A positive float's bits order like its value, so descending bits,
-    // then ascending index, is the order a stable descending sort of the
-    // demands gives the positive ones — on exact integer keys, and
-    // without the states that route nothing.
-    order.clear();
-    for (state, &demand) in ctx.demand.iter().enumerate() {
-        assert!(!demand.is_nan(), "finite demand");
-        if demand > 0.0 {
-            order.push(state);
-        }
-    }
-    order.sort_unstable_by_key(|&state| (Reverse(ctx.demand[state].to_bits()), state));
+    sort_by_demand(ctx.demand, order);
 
     for &state in order.iter() {
         let mut unserved = ctx.demand[state];
@@ -495,6 +484,41 @@ fn pour<H: Headroom, P: PreferenceSource + ?Sized>(
                 .unwrap_or(0);
             out.add(spill_target, state, unserved);
             room.draw(spill_target, unserved);
+        }
+    }
+}
+
+/// Sort the positive-demand states into `order`: descending demand, equal
+/// demands in state order. A positive float's bits order like its value,
+/// so the key `(Reverse(bits), state)` gives the order a stable descending
+/// sort of the demands gives the positive ones, on exact integer keys and
+/// without the states that route nothing. The key is unique per state, so
+/// every correct sort of one set gives the same permutation.
+///
+/// `order` holds the previous sorted pour's order, and demand moves little
+/// between a policy's calls. So it keeps the states still positive, in
+/// their old order, and when those are every positive state it
+/// insertion-sorts them, in time linear in the states plus the pairs the
+/// demand swapped; otherwise it collects and sorts them afresh.
+fn sort_by_demand(demand: &[f64], order: &mut Vec<usize>) {
+    let key = |state: usize| (Reverse(demand[state].to_bits()), state);
+    let mut positive = 0;
+    for &d in demand {
+        assert!(!d.is_nan(), "finite demand");
+        positive += usize::from(d > 0.0);
+    }
+    order.retain(|&state| demand.get(state).is_some_and(|&d| d > 0.0));
+    if order.len() != positive {
+        order.clear();
+        order.extend((0..demand.len()).filter(|&state| demand[state] > 0.0));
+        order.sort_unstable_by_key(|&state| key(state));
+        return;
+    }
+    for i in 1..order.len() {
+        let mut j = i;
+        while j > 0 && key(order[j]) < key(order[j - 1]) {
+            order.swap(j, j - 1);
+            j -= 1;
         }
     }
 }

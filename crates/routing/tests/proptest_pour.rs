@@ -10,6 +10,10 @@
 //! tier caps that bind only at a metro or only at a region. Each case
 //! also checks that the data alone chose the path: the pour skipped its
 //! sort exactly when every aimed total fit its ceiling with the margin.
+//!
+//! A second property runs sequences of demand rows through one workspace,
+//! whose sorted pour starts from the order it left: each call must pour
+//! its states in the order, and allocate the bits, of a fresh workspace.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -199,6 +203,24 @@ impl PreferenceSource for TwoStage<'_> {
 
     fn order(&mut self, state: usize) -> &[usize] {
         self.order_asks[state] += 1;
+        &self.lists[state]
+    }
+}
+
+/// Lends each state's whole list as its head too, and records the states
+/// the pour asks heads for, in the order it asks.
+struct Recorded<'a> {
+    lists: &'a [Vec<usize>],
+    asked: Vec<usize>,
+}
+
+impl PreferenceSource for Recorded<'_> {
+    fn head(&mut self, state: usize) -> &[usize] {
+        self.asked.push(state);
+        &self.lists[state]
+    }
+
+    fn order(&mut self, state: usize) -> &[usize] {
         &self.lists[state]
     }
 }
@@ -420,5 +442,76 @@ proptest! {
             prop_assert!(source.order_asks.iter().all(|&asks| asks == 0));
         }
         prop_assert!(source.order_asks.iter().all(|&asks| asks <= 1));
+    }
+}
+
+/// Site ceiling in the reuse property: below every positive demand, so no
+/// first choice fits and every call with demand runs the sorted pour.
+const REUSE_CAP: f64 = 50.0;
+
+proptest! {
+    #[test]
+    fn a_reused_workspace_pours_like_a_fresh_one(seed in 0u64..u64::MAX, calls in 2usize..16) {
+        let mut draws = Draws(seed);
+        let clusters = ClusterSet::akamai_like_nine();
+        let n = clusters.len();
+        let lists: Vec<Vec<usize>> = (0..51)
+            .map(|_| {
+                let mut all: Vec<usize> = (0..n).collect();
+                for i in (1..n).rev() {
+                    all.swap(i, draws.below(i + 1));
+                }
+                all
+            })
+            .collect();
+        let constraints = ConstraintSet::unconstrained().with_bandwidth_caps(vec![REUSE_CAP; n]);
+        let prices = vec![50.0; n];
+        // Every positive demand is at least 100, and ties come from a pool.
+        let pool: Vec<f64> = (0..3).map(|_| 100.0 + 5_000.0 * draws.unit()).collect();
+        let fresh_demand = |draws: &mut Draws| match draws.below(6) {
+            0 => 0.0,
+            1 | 2 => draws.pick(&pool),
+            _ => 100.0 + 5_000.0 * draws.unit(),
+        };
+        let mut n_states = 1 + draws.below(51);
+        let mut demand: Vec<f64> = (0..n_states).map(|_| fresh_demand(&mut draws)).collect();
+        let mut workspace = AssignWorkspace::new();
+        let mut out = Allocation::zeros(1, 1);
+        for call in 0..calls {
+            if call > 0 {
+                // A reshape now and then; else each state keeps its demand,
+                // drifts, turns zero, or is drawn anew (which revives one
+                // that was zero, or ties it with others).
+                if draws.below(6) == 0 {
+                    n_states = 1 + draws.below(51);
+                    demand.resize_with(n_states, || 0.0);
+                }
+                for d in demand.iter_mut() {
+                    match draws.below(8) {
+                        0 => *d = 0.0,
+                        1 | 2 => *d = fresh_demand(&mut draws),
+                        3..=5 if *d > 0.0 => *d = (*d * (0.9 + 0.2 * draws.unit())).max(100.0),
+                        _ => {}
+                    }
+                }
+            }
+            let states: Vec<UsState> = UsState::all().take(n_states).collect();
+            let geometry = Arc::new(CompiledPreferences::build(&clusters, &states));
+            let ctx = RoutingContext::new(&clusters, &geometry, &demand, &prices, SimHour(0))
+                .with_constraints(&constraints);
+
+            let mut reused = Recorded { lists: &lists, asked: Vec::new() };
+            assign_by_preference_into(&ctx, &mut workspace, &mut out, &mut reused);
+            let mut fresh = Recorded { lists: &lists, asked: Vec::new() };
+            let mut expected = Allocation::zeros(1, 1);
+            assign_by_preference_into(&ctx, &mut AssignWorkspace::new(), &mut expected, &mut fresh);
+
+            prop_assert_eq!(&reused.asked, &fresh.asked, "call {} seed={}", call, seed);
+            prop_assert_eq!(bits(&out), bits(&expected), "call {} seed={}", call, seed);
+            // The sort-free placement asks each positive state's head once
+            // and succeeds only if none is left to ask again.
+            let positive = demand.iter().filter(|&&d| d > 0.0).count();
+            prop_assert_eq!(fresh.asked.len() > positive, positive > 0, "the sorted pour ran");
+        }
     }
 }
