@@ -6,11 +6,13 @@
 //!
 //! Times the two replay hot paths — a two-week batch replay and a
 //! 120-site four-week sharded hierarchical replay — with telemetry off
-//! and on (untimed warmups, then [`REPS`] *interleaved* off/on timed
-//! pairs), prints each path's medians and overhead to stderr, and exits
-//! non-zero when either overhead — the median of the per-pair on/off
-//! ratios, the noise-robust statistic — exceeds [`MAX_OVERHEAD_PCT`]:
-//! the gate backing the "zero-cost when off, cheap when on" claim.
+//! and on (one warmup replay per side, then [`REPS`] *interleaved* off/on
+//! timed pairs, each sample a run of back-to-back replays lasting at
+//! least [`MIN_SAMPLE_SECS`]), prints each path's medians and overhead to
+//! stderr, and exits non-zero when either overhead — the median of the
+//! per-pair on/off ratios, the noise-robust statistic — exceeds
+//! [`MAX_OVERHEAD_PCT`]: the gate backing the "zero-cost when off, cheap
+//! when on" claim.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -23,9 +25,15 @@ use wattroute_market::model::MarketModel;
 use wattroute_market::time::SimHour;
 use wattroute_obs::Telemetry;
 use wattroute_routing::policy::RoutingPolicy;
+use wattroute_stats::median;
 
 /// Interleaved off/on timed pairs per replay path.
 const REPS: usize = 5;
+
+/// The shortest a timed sample may last. One replay takes 11–18 ms on a
+/// 2-vCPU host, short enough for scheduler jitter to swamp 5%, so each
+/// sample runs as many back-to-back replays as this needs.
+const MIN_SAMPLE_SECS: f64 = 0.1;
 
 /// The largest enabled-telemetry overhead either replay path may show.
 const MAX_OVERHEAD_PCT: f64 = 5.0;
@@ -34,23 +42,14 @@ fn make_policy() -> Box<dyn RoutingPolicy> {
     Box::new(PriceConsciousPolicy::with_distance_threshold(1500.0))
 }
 
-/// Median of a sample set (mean of the middle pair for even counts).
-fn median(samples: &[f64]) -> f64 {
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    let mid = sorted.len() / 2;
-    if sorted.len() % 2 == 0 {
-        (sorted[mid - 1] + sorted[mid]) / 2.0
-    } else {
-        sorted[mid]
-    }
-}
-
 /// One off/on overhead datapoint for telemetry disabled vs enabled.
-/// Methodology, tuned for a noisy shared 1-vCPU box:
+/// Methodology, tuned for a noisy shared 2-vCPU box:
 ///
-/// * one untimed warmup run per side, so cold caches, lazy statics, and
-///   the allocator's first growth never land in a timed repetition;
+/// * one warmup replay per side, so cold caches, lazy statics, and the
+///   allocator's first growth never land in a timed repetition; the
+///   faster of the two fixes how many back-to-back replays every timed
+///   sample runs, enough to last [`MIN_SAMPLE_SECS`], so both sides of
+///   every pair do the same work;
 /// * [`REPS`] **interleaved** off/on pairs — measuring all-off then all-on
 ///   turns any drift in background load into systematic bias, which is
 ///   how BENCH_09 recorded a spurious −7.8% "overhead" (best-of-N over
@@ -63,55 +62,55 @@ fn median(samples: &[f64]) -> f64 {
 ///   pairs a burst straddles. Per-side medians are printed alongside as
 ///   references, never gated on.
 struct Overhead {
+    replays: usize,
     off_secs: Vec<f64>,
     on_secs: Vec<f64>,
 }
 
 impl Overhead {
     fn measure(mut workload: impl FnMut()) -> Self {
-        let timed = |f: &mut dyn FnMut()| {
+        let mut timed = |replays: usize| {
             let t0 = Instant::now();
-            f();
+            for _ in 0..replays {
+                workload();
+            }
             t0.elapsed().as_secs_f64()
         };
-        // Warmup, untimed, one run per side.
         Telemetry::disable();
-        workload();
+        let off_warmup = timed(1);
         Telemetry::enable();
-        workload();
+        let on_warmup = timed(1);
+        let replays = (MIN_SAMPLE_SECS / off_warmup.min(on_warmup)).ceil() as usize;
 
         let mut off_secs = Vec::with_capacity(REPS);
         let mut on_secs = Vec::with_capacity(REPS);
         for _ in 0..REPS {
             Telemetry::disable();
-            off_secs.push(timed(&mut workload));
+            off_secs.push(timed(replays));
             Telemetry::enable();
-            on_secs.push(timed(&mut workload));
+            on_secs.push(timed(replays));
         }
         Telemetry::disable();
-        Self { off_secs, on_secs }
+        Self { replays, off_secs, on_secs }
     }
 
     fn off_median(&self) -> f64 {
-        median(&self.off_secs)
+        median(&self.off_secs).expect("timed samples")
     }
 
     fn on_median(&self) -> f64 {
-        median(&self.on_secs)
+        median(&self.on_secs).expect("timed samples")
     }
 
     fn overhead_pct(&self) -> f64 {
         let ratios: Vec<f64> =
             self.off_secs.iter().zip(&self.on_secs).map(|(off, on)| on / off).collect();
-        (median(&ratios) - 1.0) * 100.0
+        (median(&ratios).expect("timed pairs") - 1.0) * 100.0
     }
 }
 
-/// The two replay hot paths the gate covers. The windows are two and four
-/// weeks long: with the epoch-cached tick a one-week batch replay finishes
-/// in ~15ms, small enough for scheduler jitter on a 1-vCPU box to swamp a
-/// few percent of signal even in a median; doubling the work halves the
-/// relative noise at trivial cost.
+/// The two replay hot paths the gate covers, over two- and four-week
+/// windows.
 fn measure_overheads() -> (Overhead, Overhead) {
     let start = SimHour::from_date(2008, 12, 19);
     let scenario =
@@ -141,7 +140,8 @@ fn main() -> ExitCode {
     let mut failed = false;
     for (label, o) in [("batch replay", &engine), ("sharded hierarchy", &hierarchy)] {
         eprintln!(
-            "obs_report: {label}: off median {:.1}ms on median {:.1}ms -> {:+.2}% (max {MAX_OVERHEAD_PCT}%)",
+            "obs_report: {label}: {} replays/sample, off median {:.1}ms on median {:.1}ms -> {:+.2}% (max {MAX_OVERHEAD_PCT}%)",
+            o.replays,
             o.off_median() * 1.0e3,
             o.on_median() * 1.0e3,
             o.overhead_pct(),

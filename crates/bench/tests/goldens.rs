@@ -211,7 +211,7 @@ fn difference_at(got: &JsonValue, want: &JsonValue) -> Option<(String, String)> 
 fn every_fixture_has_a_producer() {
     // `golden/examples/` holds the stdout of the `wattroute` examples,
     // which this crate's tests cannot name: the examples loop in CI's
-    // bench-smoke job diffs those.
+    // release-gates job diffs those.
     let on_disk: BTreeSet<String> = std::fs::read_dir(golden_dir())
         .expect("golden/ is readable")
         .map(|entry| entry.expect("a directory entry").file_name())

@@ -68,7 +68,7 @@ use wattroute_workload::ClusterSet;
 /// A thread-safe factory producing one fresh policy instance per shard.
 /// Each region routes with its own instance, so policies may carry mutable
 /// caches without synchronisation.
-pub type PolicyFactory<'f> = dyn Fn() -> Box<dyn RoutingPolicy> + Sync + 'f;
+pub type ShardPolicyFactory<'f> = dyn Fn() -> Box<dyn RoutingPolicy> + Sync + 'f;
 
 /// Default per-site reservoir capacity: how many of a site's five-minute
 /// loads its 95th percentile reads. Exact for traces up to ~14 days of
@@ -151,7 +151,7 @@ impl<'a> HierarchicalReplay<'a> {
 
     /// Replay every region sequentially and merge. Bit-identical to
     /// [`Self::run_sharded`].
-    pub fn run(&self, make_policy: &PolicyFactory<'_>) -> SimulationReport {
+    pub fn run(&self, make_policy: &ShardPolicyFactory<'_>) -> SimulationReport {
         let owners = self.topology.assign_states(&self.trace.states);
         let shards: Vec<ShardResult> = (0..self.topology.num_regions())
             .map(|region| {
@@ -167,7 +167,7 @@ impl<'a> HierarchicalReplay<'a> {
     /// results in region index order, so the report is bit-identical to
     /// [`Self::run`]. A panic in a shard reaches the caller with the
     /// shard's own payload.
-    pub fn run_sharded(&self, make_policy: &PolicyFactory<'_>) -> SimulationReport {
+    pub fn run_sharded(&self, make_policy: &ShardPolicyFactory<'_>) -> SimulationReport {
         let owners = self.topology.assign_states(&self.trace.states);
         let shards = crate::pool(self.topology.num_regions(), |region| {
             let mut policy = make_policy();

@@ -165,16 +165,16 @@ pub use wattroute_workload as workload;
 pub mod prelude {
     pub use crate::constraints::{BandwidthTariff, CalibratedScenario};
     pub use crate::engine::{DemandSlice, EngineSnapshot, PriceSlice, SimulationEngine};
-    pub use crate::hierarchy::{HierarchicalReplay, PolicyFactory};
+    pub use crate::hierarchy::HierarchicalReplay;
     pub use crate::montecarlo::{
-        BandSummary, ClusterBand, MonteCarlo, PathOutcome, PathPolicyFactory, SavingsDistribution,
+        BandSummary, ClusterBand, MonteCarlo, PathOutcome, SavingsDistribution, SharedPolicyFactory,
     };
     pub use crate::objective::{Objective, ObjectiveTerms};
     pub use crate::report::{PolicyComparison, SimulationReport};
     pub use crate::run::RunOptions;
     pub use crate::scenario::Scenario;
     pub use crate::simulation::{Simulation, SimulationConfig};
-    pub use crate::sweep::{ScenarioSweep, SweepReport};
+    pub use crate::sweep::{PolicyFactory, ScenarioSweep, SweepReport};
     pub use wattroute_energy::model::EnergyModelParams;
     pub use wattroute_geo::{HubId, Rto, UsState};
     pub use wattroute_market::prelude::*;

@@ -74,9 +74,10 @@ use wattroute_stats as stats;
 use wattroute_workload::trace::Trace;
 use wattroute_workload::ClusterSet;
 
-/// A shareable policy constructor: every worker thread builds its own
-/// policy instance from the one factory, so policies need not be `Sync`.
-pub type PathPolicyFactory = Arc<dyn Fn() -> Box<dyn RoutingPolicy> + Send + Sync>;
+/// A shareable, cloneable policy constructor: every worker thread builds
+/// its own policy instance from the one factory, so policies need not be
+/// `Sync`. Monte Carlo runs and the optimizer's evaluators take one.
+pub type SharedPolicyFactory = Arc<dyn Fn() -> Box<dyn RoutingPolicy> + Send + Sync>;
 
 /// Mean and p5/p50/p95 band of one scalar across Monte Carlo paths.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -295,7 +296,7 @@ pub struct MonteCarlo<'a> {
     n_paths: usize,
     threads: Option<usize>,
     cvar_alpha: f64,
-    policy: PathPolicyFactory,
+    policy: SharedPolicyFactory,
 }
 
 impl<'a> MonteCarlo<'a> {
@@ -358,7 +359,7 @@ impl<'a> MonteCarlo<'a> {
 
     /// Replace the optimized policy with an already-boxed shared factory
     /// (the placement optimizer's native currency).
-    pub fn with_policy_factory(mut self, factory: PathPolicyFactory) -> Self {
+    pub fn with_policy_factory(mut self, factory: SharedPolicyFactory) -> Self {
         self.policy = factory;
         self
     }
@@ -568,7 +569,7 @@ mod tests {
     #[test]
     fn a_path_panic_reaches_the_caller_with_its_own_payload() {
         let scenario = small_scenario();
-        let boom: PathPolicyFactory = Arc::new(|| Box::new(Boom::on_call(20)));
+        let boom: SharedPolicyFactory = Arc::new(|| Box::new(Boom::on_call(20)));
         let run = mc(&scenario).with_paths(4).with_threads(2).with_policy_factory(boom);
         assert_eq!(panic_message(|| drop(run.run())), "boom from the policy");
     }

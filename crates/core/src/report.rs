@@ -658,29 +658,6 @@ pub struct PolicyComparison {
     pub alternatives: Vec<SimulationReport>,
 }
 
-impl PolicyComparison {
-    /// `(policy name, normalised cost, savings %)` rows, baseline first.
-    pub fn summary_rows(&self) -> Vec<(String, f64, f64)> {
-        let mut rows = vec![(self.baseline.policy.clone(), 1.0, 0.0)];
-        for alt in &self.alternatives {
-            rows.push((
-                alt.policy.clone(),
-                alt.normalized_cost_vs(&self.baseline),
-                alt.savings_percent_vs(&self.baseline),
-            ));
-        }
-        rows
-    }
-
-    /// The best (largest) savings among the alternatives, if any.
-    pub fn best_savings_percent(&self) -> Option<f64> {
-        self.alternatives
-            .iter()
-            .map(|a| a.savings_percent_vs(&self.baseline))
-            .max_by(|a, b| a.partial_cmp(b).expect("finite savings"))
-    }
-}
-
 /// Build the per-cluster labels for a deployment (kept here so reports and
 /// engine agree on ordering).
 pub fn cluster_labels(clusters: &ClusterSet) -> Vec<String> {
@@ -755,19 +732,6 @@ mod tests {
         assert!(report.respects_p95_caps(&[990.0], 0.02));
         assert!(!report.respects_p95_caps(&[900.0], 0.01));
         assert!(!report.respects_p95_caps(&[1000.0, 1000.0], 0.0));
-    }
-
-    #[test]
-    fn comparison_rows() {
-        let cmp = PolicyComparison {
-            baseline: dummy_report("base", &[100.0]),
-            alternatives: vec![dummy_report("a", &[80.0]), dummy_report("b", &[95.0])],
-        };
-        let rows = cmp.summary_rows();
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0].0, "base");
-        assert!((rows[1].2 - 20.0).abs() < 1e-9);
-        assert!((cmp.best_savings_percent().unwrap() - 20.0).abs() < 1e-9);
     }
 
     #[test]

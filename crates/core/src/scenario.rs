@@ -63,8 +63,8 @@ impl Scenario {
     }
 
     /// The weekly-profile synthetic workload replayed over an arbitrary
-    /// range (used to keep tests fast while the benches run the full 39
-    /// months).
+    /// range (used to keep tests fast while the figure binaries and
+    /// wattbench run the full 39 months).
     pub fn synthetic_over(seed: u64, range: HourRange) -> Self {
         let clusters = ClusterSet::akamai_like_nine();
         let base = SyntheticWorkloadConfig { seed, ..Default::default() }

@@ -17,7 +17,7 @@
 //! comparator the memo replaced and pours through the public
 //! [`assign_by_preference`].
 
-use wattroute::hierarchy::HierarchicalReplay;
+use wattroute::hierarchy::{HierarchicalReplay, ShardPolicyFactory};
 use wattroute::prelude::*;
 use wattroute_geo::distance::{hubs_within_threshold, RankedHub};
 use wattroute_geo::hubs;
@@ -130,7 +130,7 @@ fn tree_shards_route_by_hub_runs_as_the_comparator_routes_every_site() {
     let range = HourRange::new(start, start.plus_hours(DAYS * 24));
     let trace = SyntheticWorkloadConfig { seed: SEED, ..Default::default() }.generate(range);
     let prices = PriceGenerator::new(MarketModel::calibrated(), SEED).realtime_hourly(range);
-    let pairs: [(&str, &PolicyFactory<'_>, &PolicyFactory<'_>); 2] = [
+    let pairs: [(&str, &ShardPolicyFactory<'_>, &ShardPolicyFactory<'_>); 2] = [
         ("price-conscious", &price_conscious, &price_reference),
         ("carbon-aware", &carbon_aware, &carbon_reference),
     ];

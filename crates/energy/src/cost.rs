@@ -19,12 +19,6 @@ pub fn energy_cost_dollars(watt_hours: f64, dollars_per_mwh: f64) -> f64 {
     mwh_from_watt_hours(watt_hours) * dollars_per_mwh
 }
 
-/// Cost of running a load of `watts` for `hours` at `dollars_per_mwh`.
-pub fn power_cost_dollars(watts: f64, hours: f64, dollars_per_mwh: f64) -> f64 {
-    assert!(hours >= 0.0, "duration cannot be negative");
-    energy_cost_dollars(watts.max(0.0) * hours, dollars_per_mwh)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -33,12 +27,6 @@ mod tests {
     fn unit_conversion() {
         assert_eq!(mwh_from_watt_hours(1.0e6), 1.0);
         assert_eq!(mwh_from_watt_hours(0.0), 0.0);
-    }
-
-    #[test]
-    fn megawatt_hour_at_sixty_dollars() {
-        // 1 MW for one hour at $60/MWh costs $60 — the paper's reference rate.
-        assert!((power_cost_dollars(1.0e6, 1.0, 60.0) - 60.0).abs() < 1e-9);
     }
 
     #[test]
@@ -58,10 +46,5 @@ mod tests {
     #[should_panic(expected = "cannot be negative")]
     fn negative_energy_rejected() {
         let _ = energy_cost_dollars(-1.0, 60.0);
-    }
-
-    #[test]
-    fn negative_power_clamped() {
-        assert_eq!(power_cost_dollars(-100.0, 1.0, 60.0), 0.0);
     }
 }

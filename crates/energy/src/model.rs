@@ -46,30 +46,10 @@ impl EnergyModelParams {
         Self::new(250.0, 0.0, 1.1)
     }
 
-    /// An intermediate preset used in Figure 15: (25 % idle, 1.3 PUE).
-    pub fn improved_proportionality() -> Self {
-        Self::new(250.0, 0.25, 1.3)
-    }
-
-    /// Another Figure 15 point: (33 % idle, 1.3 PUE).
-    pub fn third_idle_efficient_facility() -> Self {
-        Self::new(250.0, 0.33, 1.3)
-    }
-
-    /// Figure 15 point (33 % idle, 1.7 PUE).
-    pub fn third_idle_typical_facility() -> Self {
-        Self::new(250.0, 0.33, 1.7)
-    }
-
     /// "Cutting-edge / Google" preset: (65 % idle, 1.3 PUE). §6.2 calls
     /// (60-65 % idle, 1.3 PUE) "Google's published elasticity level".
     pub fn google_2009() -> Self {
         Self::new(140.0, 0.65, 1.3)
-    }
-
-    /// "State of the art" preset: (65 % idle, 1.7 PUE).
-    pub fn state_of_the_art_2009() -> Self {
-        Self::new(250.0, 0.65, 1.7)
     }
 
     /// "Disabled power management" preset: (95 % idle, 2.0 PUE) — an
@@ -247,10 +227,26 @@ mod tests {
 
     #[test]
     fn figure_15_sweep_has_seven_points() {
+        // Figure 15's energy models, in the order plotted: the sweep is the
+        // only place that states them.
+        let expected = [
+            ("(0%, 1.0)", 0.0, 1.0),
+            ("(0%, 1.1)", 0.0, 1.1),
+            ("(25%, 1.3)", 0.25, 1.3),
+            ("(33%, 1.3)", 0.33, 1.3),
+            ("(33%, 1.7)", 0.33, 1.7),
+            ("(65%, 1.3)", 0.65, 1.3),
+            ("(65%, 2.0)", 0.65, 2.0),
+        ];
         let sweep = EnergyModelParams::figure_15_sweep();
-        assert_eq!(sweep.len(), 7);
-        assert_eq!(sweep[0].0, "(0%, 1.0)");
-        assert_eq!(sweep[6].0, "(65%, 2.0)");
+        assert_eq!(sweep.len(), expected.len());
+        for ((label, params), (want_label, idle, pue)) in sweep.iter().zip(expected) {
+            assert_eq!(label, want_label);
+            assert_eq!((params.idle_fraction, params.pue), (idle, pue), "{label}");
+            assert_eq!(params.peak_watts, 250.0, "{label}");
+            assert_eq!(params.utilization_exponent, 1.4, "{label}");
+            assert_eq!(params.epsilon_watts, 0.0, "{label}");
+        }
     }
 
     #[test]

@@ -40,24 +40,6 @@ pub fn state_to_hub_km(state: UsState, hub: &Hub) -> f64 {
     (d * d + sigma * sigma).sqrt()
 }
 
-/// Population-weighted mean distance from *all* US clients to the single
-/// nearest hub of a candidate deployment. Useful for characterising a
-/// server placement independent of any traffic trace.
-pub fn mean_nearest_hub_distance_km(hubs: &[&Hub]) -> Option<f64> {
-    if hubs.is_empty() {
-        return None;
-    }
-    let mut weighted = 0.0;
-    let mut total_pop = 0.0;
-    for state in UsState::all() {
-        let nearest = hubs.iter().map(|h| state_to_hub_km(state, h)).fold(f64::INFINITY, f64::min);
-        let pop = state.population() as f64;
-        weighted += nearest * pop;
-        total_pop += pop;
-    }
-    Some(weighted / total_pop)
-}
-
 /// A hub identified by its index into a caller-supplied hub slice, paired
 /// with a distance in kilometres. The routing crate sorts and partitions
 /// collections of these when ranking candidate clusters.
@@ -168,16 +150,5 @@ mod tests {
         assert!(!within.is_empty());
         assert!(within.len() < refs.len());
         assert!(within.iter().all(|(_, d)| *d <= 1000.0));
-    }
-
-    #[test]
-    fn mean_nearest_distance_shrinks_with_more_hubs() {
-        let all = simulation_hubs();
-        let refs: Vec<&Hub> = all.to_vec();
-        let one = vec![refs[0]];
-        let d_one = mean_nearest_hub_distance_km(&one).unwrap();
-        let d_all = mean_nearest_hub_distance_km(&refs).unwrap();
-        assert!(d_all < d_one);
-        assert!(mean_nearest_hub_distance_km(&[]).is_none());
     }
 }

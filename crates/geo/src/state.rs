@@ -258,14 +258,6 @@ impl UsState {
         let area = self.info().area_km2;
         0.5 * (area / std::f64::consts::PI).sqrt()
     }
-
-    /// Whether the state lies in the contiguous (lower-48 + DC) US. The
-    /// paper's distance analysis ignores non-US clients; we additionally
-    /// treat AK/HI clients like other domestic clients but they have no
-    /// nearby hubs.
-    pub fn is_contiguous(&self) -> bool {
-        !matches!(self, UsState::AK | UsState::HI)
-    }
 }
 
 impl std::fmt::Display for UsState {
@@ -362,14 +354,6 @@ mod tests {
         assert!(UsState::TX.dispersion_km() > UsState::RI.dispersion_km() * 5.0);
         assert!(UsState::RI.dispersion_km() > 5.0);
         assert!(UsState::CA.dispersion_km() < 400.0);
-    }
-
-    #[test]
-    fn contiguous_flag() {
-        assert!(!UsState::AK.is_contiguous());
-        assert!(!UsState::HI.is_contiguous());
-        assert!(UsState::CA.is_contiguous());
-        assert_eq!(UsState::all().filter(|s| s.is_contiguous()).count(), 49);
     }
 
     #[test]

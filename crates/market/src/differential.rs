@@ -176,13 +176,6 @@ impl Differential {
         }
         time_by_duration.into_iter().map(|(d, hours)| (d, hours as f64 / total as f64)).collect()
     }
-
-    /// The money (in $/MWh-hours) a perfectly informed buyer of one MWh per
-    /// hour would save by always buying at the cheaper of the two hubs,
-    /// relative to buying always at hub A.
-    pub fn oracle_savings_vs_a(&self) -> f64 {
-        self.values.iter().map(|&d| d.max(0.0)).sum()
-    }
 }
 
 #[cfg(test)]
@@ -327,14 +320,5 @@ mod tests {
         )
         .unwrap();
         assert!(d.is_dynamically_exploitable(0.15), "stats: {:?}", d.stats());
-    }
-
-    #[test]
-    fn oracle_savings_non_negative_and_bounded() {
-        let a = series(HubId::BostonMa, 0, vec![50.0, 70.0, 30.0]);
-        let b = series(HubId::NewYorkNy, 0, vec![60.0, 40.0, 30.0]);
-        let d = Differential::between(&a, &b).unwrap();
-        // Savings vs always buying at A: hour 2 (A=70, B=40) saves 30.
-        assert!((d.oracle_savings_vs_a() - 30.0).abs() < 1e-9);
     }
 }

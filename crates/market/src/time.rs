@@ -15,8 +15,6 @@ use serde::{Deserialize, Serialize};
 pub const HOURS_PER_DAY: u64 = 24;
 /// Hours in a (non-leap) year.
 pub const HOURS_PER_YEAR: u64 = 8760;
-/// Days per week.
-pub const DAYS_PER_WEEK: u64 = 7;
 /// Five-minute steps per hour (the Akamai trace resolution).
 pub const STEPS_PER_HOUR_5MIN: u64 = 12;
 

@@ -119,12 +119,6 @@ impl PriceSeries {
         }
     }
 
-    /// Daily average prices (the series plotted in Figure 3).
-    pub fn daily_averages(&self) -> Vec<DollarsPerMwh> {
-        let hourly = self.hourly_prices();
-        hourly.chunks(24).map(|day| day.iter().sum::<f64>() / day.len() as f64).collect()
-    }
-
     /// Restrict the series to a sub-range of hours (intersection).
     pub fn slice(&self, range: HourRange) -> PriceSeries {
         let start = range.start.0.max(self.start.0);
@@ -237,13 +231,6 @@ mod tests {
             SimHour(0),
             vec![10.0; 13],
         );
-    }
-
-    #[test]
-    fn daily_averages() {
-        let prices: Vec<f64> = (0..48).map(|h| if h < 24 { 40.0 } else { 80.0 }).collect();
-        let s = hourly(HubId::ChicagoIl, SimHour(0), prices);
-        assert_eq!(s.daily_averages(), vec![40.0, 80.0]);
     }
 
     #[test]

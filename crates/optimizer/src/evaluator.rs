@@ -16,6 +16,7 @@
 //!   compiles a new hub list, exactly once for the whole search.
 
 use std::sync::Arc;
+use wattroute::montecarlo::SharedPolicyFactory;
 use wattroute::report::SimulationReport;
 use wattroute::run::RunOptions;
 use wattroute::simulation::SimulationConfig;
@@ -26,10 +27,6 @@ use wattroute_routing::policy::RoutingPolicy;
 use wattroute_routing::price_conscious::PriceConsciousPolicy;
 use wattroute_workload::trace::Trace;
 use wattroute_workload::ClusterSet;
-
-/// A cloneable policy factory shared by every candidate evaluation (each
-/// run still gets a fresh policy instance — policies are stateful).
-pub type SharedPolicyFactory = Arc<dyn Fn() -> Box<dyn RoutingPolicy> + Send + Sync>;
 
 /// Wrap any concrete policy constructor as a [`SharedPolicyFactory`].
 pub fn policy_factory<P, F>(f: F) -> SharedPolicyFactory

@@ -60,7 +60,7 @@ pub mod risk;
 pub mod space;
 pub mod strategy;
 
-pub use evaluator::{policy_factory, price_conscious_factory, SharedPolicyFactory, SweepEvaluator};
+pub use evaluator::{policy_factory, price_conscious_factory, SweepEvaluator};
 pub use report::{CacheStats, CandidateRecord, IterationRecord, OptimizerReport};
 pub use risk::RiskEvaluator;
 pub use space::{CandidateHub, CandidateSplit, SearchSpace};

@@ -17,9 +17,8 @@
 //! with [`wattroute_market::generator::path_seed`], so repeated `score`
 //! calls (and candidate rankings) are exactly reproducible.
 
-use crate::evaluator::SharedPolicyFactory;
 use std::sync::Arc;
-use wattroute::montecarlo::{MonteCarlo, SavingsDistribution};
+use wattroute::montecarlo::{MonteCarlo, SavingsDistribution, SharedPolicyFactory};
 use wattroute::objective::{Objective, ObjectiveTerms};
 use wattroute::simulation::SimulationConfig;
 use wattroute_market::model::MarketModel;

@@ -127,18 +127,6 @@ fn bin_index(edges: &[f64], x: f64) -> usize {
     edges.iter().take_while(|&&e| x > e).count()
 }
 
-/// Pearson correlation between one series and a lagged copy of another:
-/// `corr(xs[t], ys[t + lag])`. Useful for checking that synthetic series are
-/// not trivially shifted copies of one another (the paper verified its
-/// correlation findings against shifted signals).
-pub fn lagged_correlation(xs: &[f64], ys: &[f64], lag: usize) -> Option<f64> {
-    if lag >= ys.len() || xs.len() != ys.len() {
-        return None;
-    }
-    let n = ys.len() - lag;
-    pearson(&xs[..n], &ys[lag..])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,15 +229,5 @@ mod tests {
         assert_eq!(mutual_information(&[1.0; 10], &[2.0; 10], 4), None);
         assert_eq!(mutual_information(&[], &[], 4), None);
         assert_eq!(mutual_information(&[1.0, 2.0], &[1.0, 2.0], 1), None);
-    }
-
-    #[test]
-    fn lagged_correlation_shifted_sine() {
-        let xs: Vec<f64> = (0..500).map(|i| (i as f64 * 0.1).sin()).collect();
-        let shifted: Vec<f64> = (0..500).map(|i| ((i as f64 - 10.0) * 0.1).sin()).collect();
-        // At lag 10 the shifted copy realigns with the original.
-        let realigned = lagged_correlation(&xs, &shifted, 10).unwrap();
-        assert!(realigned > 0.999, "realigned = {realigned}");
-        assert!(realigned > pearson(&xs, &shifted).unwrap());
     }
 }

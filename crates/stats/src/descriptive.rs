@@ -87,11 +87,6 @@ pub fn kurtosis(samples: &[f64]) -> Option<f64> {
     Some(m4 / (var * var))
 }
 
-/// Excess kurtosis: [`kurtosis`] minus 3 (zero for a Gaussian).
-pub fn excess_kurtosis(samples: &[f64]) -> Option<f64> {
-    kurtosis(samples).map(|k| k - 3.0)
-}
-
 /// Minimum of a sample. `None` when empty.
 pub fn min(samples: &[f64]) -> Option<f64> {
     samples.iter().copied().fold(None, |acc, x| match acc {
@@ -163,24 +158,6 @@ pub fn trimmed(samples: &[f64], trim_fraction: f64) -> Option<TrimmedStats> {
         min: kept[0],
         max: kept[kept.len() - 1],
     })
-}
-
-/// Root mean square of a sample. `None` when empty.
-pub fn rms(samples: &[f64]) -> Option<f64> {
-    if samples.is_empty() {
-        return None;
-    }
-    Some((samples.iter().map(|x| x * x).sum::<f64>() / samples.len() as f64).sqrt())
-}
-
-/// Coefficient of variation (`σ / μ`). `None` when the mean is zero or the
-/// sample is empty.
-pub fn coefficient_of_variation(samples: &[f64]) -> Option<f64> {
-    let m = mean(samples)?;
-    if m == 0.0 {
-        return None;
-    }
-    Some(std_dev(samples)? / m)
 }
 
 #[cfg(test)]
@@ -262,12 +239,6 @@ mod tests {
     }
 
     #[test]
-    fn excess_kurtosis_is_offset_by_three() {
-        let xs = [-1.0, 1.0, -1.0, 1.0];
-        assert_close(excess_kurtosis(&xs).unwrap(), 1.0 - 3.0, 1e-12);
-    }
-
-    #[test]
     fn trimmed_removes_spikes() {
         let mut xs: Vec<f64> = (0..100).map(|i| 40.0 + (i % 5) as f64).collect();
         xs.push(1900.0); // the paper's largest observed differential spike
@@ -314,17 +285,5 @@ mod tests {
         assert_eq!(max(&xs), Some(7.0));
         assert_eq!(min(&[]), None);
         assert_eq!(max(&[]), None);
-    }
-
-    #[test]
-    fn rms_known() {
-        assert_close(rms(&[3.0, 4.0]).unwrap(), (12.5f64).sqrt(), 1e-12);
-    }
-
-    #[test]
-    fn coefficient_of_variation_known() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        assert_close(coefficient_of_variation(&xs).unwrap(), 2.0 / 5.0, 1e-12);
-        assert_eq!(coefficient_of_variation(&[0.0, 0.0]), None);
     }
 }

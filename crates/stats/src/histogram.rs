@@ -157,15 +157,6 @@ impl Histogram {
         covered as f64 / self.total as f64
     }
 
-    /// Index of the bin with the largest count, if any observation landed in
-    /// a bin at all.
-    pub fn mode_bin(&self) -> Option<usize> {
-        if self.counts.iter().all(|&c| c == 0) {
-            return None;
-        }
-        self.counts.iter().enumerate().max_by_key(|(_, &c)| c).map(|(i, _)| i)
-    }
-
     /// Render the histogram as `(bin_center, fraction)` rows, convenient for
     /// the experiment harness to print.
     pub fn rows(&self) -> Vec<(f64, f64)> {
@@ -237,14 +228,6 @@ mod tests {
         let h = Histogram::from_samples(-40.0, 60.0, 100, &xs);
         let frac = h.fraction_between(-20.0, 20.0);
         assert!((frac - 0.8).abs() < 0.05, "frac = {frac}");
-    }
-
-    #[test]
-    fn mode_bin_found() {
-        let h = Histogram::from_samples(0.0, 3.0, 3, &[0.5, 1.5, 1.6, 1.7, 2.5]);
-        assert_eq!(h.mode_bin(), Some(1));
-        let empty = Histogram::new(0.0, 1.0, 3);
-        assert_eq!(empty.mode_bin(), None);
     }
 
     #[test]

@@ -157,15 +157,6 @@ pub fn median_iqr(samples: &[f64]) -> Option<MedianIqr> {
     Some(MedianIqr { median: q.q2, q1: q.q1, q3: q.q3, count: finite.len() })
 }
 
-/// Fraction of samples strictly below `threshold`. Returns `None` when empty.
-pub fn fraction_below(samples: &[f64], threshold: f64) -> Option<f64> {
-    if samples.is_empty() {
-        return None;
-    }
-    let below = samples.iter().filter(|&&x| x < threshold).count();
-    Some(below as f64 / samples.len() as f64)
-}
-
 /// Fraction of samples with absolute value at or above `threshold`.
 /// Returns `None` when empty.
 ///
@@ -251,13 +242,6 @@ mod tests {
         assert_eq!(s.count, 4);
         assert_close(s.median, 25.0, 1e-12);
         assert!(s.q1 < s.median && s.median < s.q3);
-    }
-
-    #[test]
-    fn fraction_below_works() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        assert_close(fraction_below(&xs, 3.0).unwrap(), 0.5, 1e-12);
-        assert_eq!(fraction_below(&[], 1.0), None);
     }
 
     #[test]

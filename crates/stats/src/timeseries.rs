@@ -38,21 +38,6 @@ pub fn window_average(xs: &[f64], window: usize) -> Vec<f64> {
     xs.chunks(window).map(|c| c.iter().sum::<f64>() / c.len() as f64).collect()
 }
 
-/// Centered moving average with an odd window; edges use a shrunken window.
-pub fn moving_average(xs: &[f64], window: usize) -> Vec<f64> {
-    if window == 0 || xs.is_empty() {
-        return Vec::new();
-    }
-    let half = window / 2;
-    (0..xs.len())
-        .map(|i| {
-            let lo = i.saturating_sub(half);
-            let hi = (i + half + 1).min(xs.len());
-            xs[lo..hi].iter().sum::<f64>() / (hi - lo) as f64
-        })
-        .collect()
-}
-
 /// Sample autocorrelation at a given lag.
 ///
 /// Returns `None` when the lag leaves fewer than two overlapping samples or
@@ -182,14 +167,6 @@ mod tests {
         let sd_24 = crate::descriptive::std_dev(&window_average(&xs, 24)).unwrap();
         assert!(sd_12 < sd_raw);
         assert!(sd_24 < sd_12 * 1.05, "24h window should not be much noisier than 12h");
-    }
-
-    #[test]
-    fn moving_average_smooths() {
-        let xs = [0.0, 10.0, 0.0, 10.0, 0.0];
-        let sm = moving_average(&xs, 3);
-        assert_eq!(sm.len(), xs.len());
-        assert_close(sm[2], 20.0 / 3.0, 1e-12);
     }
 
     #[test]

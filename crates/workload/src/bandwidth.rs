@@ -1,11 +1,10 @@
-//! 95/5 bandwidth percentiles and capacity estimation (§4 of the paper).
+//! 95/5 bandwidth percentiles (§4 of the paper).
 //!
 //! Carriers bill on the 95th percentile of five-minute traffic samples.
 //! Akamai's client→cluster assignment is already optimised against those
 //! percentiles, so the paper constrains its price-conscious router to never
 //! push a cluster's 95th percentile above the level observed under the
-//! original assignment. This module computes those per-cluster levels and
-//! derives cluster capacity estimates from observed peaks.
+//! original assignment. This module computes those per-cluster levels.
 
 use serde::{Deserialize, Serialize};
 use wattroute_stats::quantiles;
@@ -32,8 +31,7 @@ pub fn percentile_95(samples: &[f64]) -> Option<f64> {
 /// Every statistic is exact. A run ends wherever the bits change, so
 /// sorting the runs stably and expanding them yields the series' own
 /// stable sort, `±0.0` included: [`Self::percentile_95`] equals
-/// [`percentile_95`] of [`Self::expand`] bit for bit, and [`Self::mean`]
-/// adds the expansion in order, as [`wattroute_stats::mean`] does.
+/// [`percentile_95`] of [`Self::expand`] bit for bit.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LoadRuns {
     values: Vec<f64>,
@@ -184,14 +182,6 @@ impl LoadRuns {
     pub fn fold_max(&self, init: f64) -> f64 {
         self.values.iter().copied().fold(init, f64::max)
     }
-
-    /// Mean of the series, `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        if self.is_empty() {
-            return None;
-        }
-        Some(self.samples().sum::<f64>() / self.len() as f64)
-    }
 }
 
 /// A run count or run index as a `usize`.
@@ -206,67 +196,22 @@ pub struct BandwidthProfile {
     /// observed (baseline) assignment, in hits/second. Indexed by cluster
     /// position.
     pub p95_hits_per_sec: Vec<f64>,
-    /// Peak five-minute hit rate per cluster under the observed assignment.
-    pub peak_hits_per_sec: Vec<f64>,
-    /// Mean five-minute hit rate per cluster.
-    pub mean_hits_per_sec: Vec<f64>,
 }
 
 impl BandwidthProfile {
     /// Build a profile from per-cluster load series (`loads[cluster][step]`,
-    /// hits/second at 5-minute resolution).
+    /// hits/second at 5-minute resolution). Each series is compressed to
+    /// [`LoadRuns`], whose 95th percentile is [`percentile_95`]'s bit for
+    /// bit.
     ///
     /// Returns `None` if any cluster's series is empty.
     pub fn from_cluster_loads(loads: &[Vec<f64>]) -> Option<BandwidthProfile> {
-        let runs: Vec<LoadRuns> =
-            loads.iter().map(|series| LoadRuns::from_series(series)).collect();
-        Self::from_load_runs(&runs)
+        let p95_hits_per_sec = loads
+            .iter()
+            .map(|series| LoadRuns::from_series(series).percentile_95())
+            .collect::<Option<Vec<f64>>>()?;
+        Some(BandwidthProfile { p95_hits_per_sec })
     }
-
-    /// Build a profile from per-cluster run-length load series.
-    ///
-    /// Returns `None` if any cluster's series is empty.
-    pub fn from_load_runs(loads: &[LoadRuns]) -> Option<BandwidthProfile> {
-        let mut p95 = Vec::with_capacity(loads.len());
-        let mut peak = Vec::with_capacity(loads.len());
-        let mut mean = Vec::with_capacity(loads.len());
-        for series in loads {
-            p95.push(series.percentile_95()?);
-            peak.push(series.fold_max(f64::NAN));
-            mean.push(series.mean()?);
-        }
-        Some(BandwidthProfile {
-            p95_hits_per_sec: p95,
-            peak_hits_per_sec: peak,
-            mean_hits_per_sec: mean,
-        })
-    }
-
-    /// Number of clusters covered.
-    pub fn len(&self) -> usize {
-        self.p95_hits_per_sec.len()
-    }
-
-    /// Whether the profile is empty.
-    pub fn is_empty(&self) -> bool {
-        self.p95_hits_per_sec.is_empty()
-    }
-}
-
-/// Estimate cluster request capacities from observed peak loads and a target
-/// peak utilization. §6.1: "Capacity estimates were derived using observed
-/// hit rates and corresponding region load level data."
-///
-/// `peak_loads[cluster]` is the largest five-minute hit rate observed at the
-/// cluster; `peak_utilization` is the load level (0..1] the cluster was
-/// judged to be running at during that peak. The estimated capacity is
-/// `peak / peak_utilization`.
-pub fn estimate_capacities(peak_loads: &[f64], peak_utilization: f64) -> Vec<f64> {
-    assert!(
-        peak_utilization > 0.0 && peak_utilization <= 1.0,
-        "peak utilization must be in (0, 1]"
-    );
-    peak_loads.iter().map(|p| p / peak_utilization).collect()
 }
 
 #[cfg(test)]
@@ -286,30 +231,14 @@ mod tests {
     fn profile_from_loads() {
         let loads = vec![(0..100).map(|i| i as f64).collect::<Vec<_>>(), vec![50.0; 100]];
         let profile = BandwidthProfile::from_cluster_loads(&loads).unwrap();
-        assert_eq!(profile.len(), 2);
-        assert!(!profile.is_empty());
+        assert_eq!(profile.p95_hits_per_sec.len(), 2);
         assert!((profile.p95_hits_per_sec[0] - 94.05).abs() < 0.5);
-        assert_eq!(profile.peak_hits_per_sec[0], 99.0);
         assert_eq!(profile.p95_hits_per_sec[1], 50.0);
-        assert!((profile.mean_hits_per_sec[0] - 49.5).abs() < 1e-9);
     }
 
     #[test]
     fn empty_cluster_series_rejected() {
         let loads = vec![vec![1.0, 2.0], vec![]];
         assert!(BandwidthProfile::from_cluster_loads(&loads).is_none());
-    }
-
-    #[test]
-    fn capacity_estimation() {
-        let caps = estimate_capacities(&[700.0, 1400.0], 0.7);
-        assert!((caps[0] - 1000.0).abs() < 1e-9);
-        assert!((caps[1] - 2000.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "peak utilization")]
-    fn bad_utilization_rejected() {
-        let _ = estimate_capacities(&[1.0], 0.0);
     }
 }
