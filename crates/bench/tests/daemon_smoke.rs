@@ -14,6 +14,8 @@ use wattroute::json::{self, JsonValue};
 use wattroute::prelude::*;
 use wattroute::report::SimulationReport;
 use wattroute_bench::daemon::{serve, DaemonClient, DaemonOptions, DEFAULT_MAX_CONNECTIONS};
+use wattroute_geo::UsState;
+use wattroute_market::generator::path_seed;
 use wattroute_market::time::{HourRange, SimHour};
 
 fn short_scenario(hours: u64) -> Scenario {
@@ -442,4 +444,341 @@ fn snapshots_across_a_replay_extend_each_other_and_the_last_restores_the_final_r
     engine.restore(&last);
     assert_eq!(engine.report(), flushed, "restored report != flushed report");
     assert_eq!(engine.report().to_json(), flushed.to_json());
+}
+
+/// Wait until the daemon has ticked, so an allocation is in force and a
+/// `route?` for a client state answers.
+fn await_first_tick(client: &mut DaemonClient) {
+    while client.command("stats").expect("stats").get("steps").and_then(JsonValue::as_count)
+        == Some(0)
+    {
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// The parser recurses once per nesting level. The longest line the
+/// daemon reads, 65 535 `[` and a newline, must get one error reply
+/// instead of overflowing its handler thread's stack, which would abort
+/// the process and every connection with it.
+#[test]
+fn a_line_nested_past_the_parser_bound_gets_one_error_reply() {
+    use std::io::{BufRead, Write};
+    use wattroute_bench::daemon::MAX_REQUEST_LINE;
+
+    let scenario = short_scenario(24);
+    let path = socket_path("deep");
+    let _ = std::fs::remove_file(&path);
+    let options = lingering(&path);
+    let (deep, route) = std::thread::scope(|scope| {
+        let (scenario_ref, options_ref) = (&scenario, &options);
+        let server = scope.spawn(move || {
+            let mut policy = AkamaiLikePolicy::default();
+            serve(scenario_ref, &mut policy, options_ref).expect("serve")
+        });
+        let mut control = DaemonClient::connect(&path, Duration::from_secs(10)).expect("connect");
+        await_first_tick(&mut control);
+
+        let mut stream = std::os::unix::net::UnixStream::connect(&path).expect("connect");
+        let mut lines = vec![b'['; MAX_REQUEST_LINE - 1];
+        lines.push(b'\n');
+        lines.extend_from_slice(b"{\"cmd\":\"route?\",\"state\":\"MA\"}\n");
+        stream.write_all(&lines).expect("write both lines");
+        let mut reader = std::io::BufReader::new(stream);
+        let mut read = || {
+            let mut line = String::new();
+            reader.read_line(&mut line).map(|_| line)
+        };
+        let (deep, route) = (read(), read());
+        // Shut down before asserting, so a failure cannot leave the
+        // lingering daemon (and this scope) waiting forever.
+        control.command("shutdown").expect("shutdown");
+        server.join().expect("server thread");
+        (deep, route)
+    });
+
+    let deep = JsonValue::parse(deep.expect("a reply").trim()).expect("the reply is JSON");
+    assert_eq!(deep.get("ok").and_then(JsonValue::as_bool), Some(false), "{deep}");
+    let error = deep.get("error").and_then(JsonValue::as_str).expect("error string");
+    assert!(error.contains("nesting deeper than"), "unexpected error: {error}");
+    // The next reply answers the next line: the deep one got exactly one.
+    let route = JsonValue::parse(route.expect("a reply").trim()).expect("the reply is JSON");
+    assert_eq!(route.get("ok").and_then(JsonValue::as_bool), Some(true), "{route}");
+    assert_eq!(route.get("state").and_then(JsonValue::as_str), Some("MA"));
+}
+
+/// A deterministic draw source for the wire fuzz: draw `k` of stream
+/// `seed` is [`path_seed`]`(seed, k)`, the SplitMix64 stream the price
+/// generator seeds its paths from.
+struct Draws {
+    seed: u64,
+    k: u64,
+}
+
+impl Draws {
+    /// Uniform in `0..n`.
+    fn below(&mut self, n: usize) -> usize {
+        self.k += 1;
+        (path_seed(self.seed, self.k) % n as u64) as usize
+    }
+
+    fn pick<T: Copy>(&mut self, items: &[T]) -> T {
+        items[self.below(items.len())]
+    }
+}
+
+/// JSON scalars the fuzz draws from: every type, edge numbers, escapes,
+/// non-ASCII text and near-miss verbs, but never a verb the daemon answers.
+const SCALARS: &[&str] = &[
+    "null",
+    "true",
+    "false",
+    "0",
+    "-0",
+    "1e999",
+    "-2.5E-3",
+    "123456789012345678901234567890",
+    r#""""#,
+    r#""ma""#,
+    r#""STATS""#,
+    r#""route""#,
+    r#""stats ""#,
+    r#""shutdown?""#,
+    r#""\u0000\n\"""#,
+    r#""\ud83d""#,
+    "\"é✓\"",
+    r#""{\"cmd\":\"stats\"}""#,
+];
+
+/// Object keys the fuzz draws from.
+const KEYS: &[&str] = &[r#""cmd""#, r#""state""#, r#""""#, r#""k""#];
+
+/// Append a random JSON value nesting at most `depth` more levels.
+fn json_value(d: &mut Draws, depth: usize, out: &mut String) {
+    match d.below(if depth == 0 { 2 } else { 4 }) {
+        0 => out.push_str(d.pick(SCALARS)),
+        1 => out.push_str(d.pick(&["[]", "{}"])),
+        2 => {
+            out.push('[');
+            for i in 0..d.below(4) {
+                if i > 0 {
+                    out.push(',');
+                }
+                json_value(d, depth - 1, out);
+            }
+            out.push(']');
+        }
+        _ => {
+            out.push('{');
+            for i in 0..d.below(4) {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push_str(d.pick(KEYS));
+                out.push(':');
+                json_value(d, depth - 1, out);
+            }
+            out.push('}');
+        }
+    }
+}
+
+/// Append arrays and objects nested up to and past the parser's bound of
+/// 128 levels, closed or left open. At most 6 bytes a level keeps every
+/// line under the daemon's 64 KiB cap.
+fn deep_value(d: &mut Draws, out: &mut String) {
+    let depth = d.pick(&[2, 7, 127, 128, 129, 130, 1_000, 10_000]);
+    let mut closers = String::with_capacity(depth);
+    for _ in 0..depth {
+        if d.below(2) == 0 {
+            out.push('[');
+            closers.push(']');
+        } else {
+            out.push_str(r#"{"k":"#);
+            closers.push('}');
+        }
+    }
+    if d.below(4) > 0 {
+        out.push('0');
+        out.extend(closers.chars().rev());
+    }
+}
+
+/// One generated request line (without its newline) and what its reply
+/// must carry: `Some(field)` for an `"ok":true` reply with that field,
+/// `None` for an `"ok":false` reply with a string `error`.
+fn request_line(d: &mut Draws, clients: &[UsState]) -> (Vec<u8>, Option<&'static str>) {
+    let mut text = String::new();
+    let expect = match d.below(6) {
+        0 => {
+            // Random bytes, some of them not UTF-8.
+            let bytes = (0..d.below(120))
+                .map(|_| d.below(256) as u8)
+                .filter(|&byte| byte != b'\n')
+                .collect();
+            return (bytes, None);
+        }
+        1 => {
+            json_value(d, 4, &mut text);
+            None
+        }
+        2 => {
+            deep_value(d, &mut text);
+            None
+        }
+        3 => {
+            // A `cmd` of every JSON type, nested past the bound too.
+            text.push_str(r#"{"cmd":"#);
+            if d.below(4) == 0 {
+                deep_value(d, &mut text);
+            } else {
+                json_value(d, 2, &mut text);
+            }
+            text.push('}');
+            None
+        }
+        4 => {
+            // A state code that is valid, lower-case, unknown or not a
+            // string. Valid codes answer only for the scenario's clients.
+            text.push_str(r#"{"cmd":"route?","state":"#);
+            let expect = match d.below(4) {
+                0 | 1 => {
+                    let state = d.pick(&UsState::all().collect::<Vec<_>>());
+                    let code = state.abbreviation();
+                    let code = if d.below(2) == 0 { code.to_string() } else { code.to_lowercase() };
+                    text.push_str(&format!("\"{code}\""));
+                    clients.contains(&state).then_some("hits_per_sec")
+                }
+                2 => {
+                    text.push_str(d.pick(&[r#""""#, r#""ZZ""#, r#""M""#, r#""MAA""#, r#""m a""#]));
+                    None
+                }
+                _ => {
+                    text.push_str(d.pick(&["null", "true", "25", "[]", "{}", r#"["MA"]"#]));
+                    None
+                }
+            };
+            text.push('}');
+            expect
+        }
+        _ => {
+            // Every verb the daemon answers but `shutdown`, with stray
+            // fields and whitespace.
+            let (request, field) = d.pick(&[
+                (r#"{"cmd":"stats"}"#, "report"),
+                (r#" {"cmd" : "metrics", "k": [1, {}]} "#, "exposition"),
+                (r#"{"k":null,"cmd":"snapshot"}"#, "snapshot"),
+                ("{\"cmd\":\"stats\"}\r", "report"),
+            ]);
+            if d.below(4) == 0 {
+                let state = d.pick(clients).abbreviation();
+                text.push_str(&format!(r#"{{"state":"{state}","cmd":"route?"}}"#));
+                Some("hits_per_sec")
+            } else {
+                text.push_str(request);
+                Some(field)
+            }
+        }
+    };
+    (text.into_bytes(), expect)
+}
+
+/// Check one reply line against what its request line must get.
+fn check_reply(reply: &str, expect: Option<&str>) -> Result<(), String> {
+    let reply = JsonValue::parse(reply.trim()).map_err(|e| format!("not JSON ({e}): {reply:?}"))?;
+    let ok = reply.get("ok").and_then(JsonValue::as_bool);
+    let matches = match expect {
+        Some(field) => ok == Some(true) && reply.get(field).is_some(),
+        None => ok == Some(false) && reply.get("error").and_then(JsonValue::as_str).is_some(),
+    };
+    if matches {
+        Ok(())
+    } else {
+        let reply = reply.to_string();
+        Err(format!("expected {expect:?}, got {}", &reply[..reply.len().min(200)]))
+    }
+}
+
+/// A `routed serve` child process, killed if a test ends without shutting
+/// it down.
+struct Routed(std::process::Child);
+
+impl Drop for Routed {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// Wire fuzz: 128 batches of generated request lines, each written whole
+/// and followed by a `stats`, down one connection to one lingering
+/// `routed` process. Every line must get exactly one reply, in order,
+/// that parses as an object with a boolean `ok` (and a string `error` when
+/// false), and the trailing `stats` must still answer. The daemon runs in
+/// its own process so that the fuzz's `metrics` requests leave this
+/// process's registry, which another test reads, alone.
+#[test]
+fn every_request_line_gets_one_well_formed_reply_in_order() {
+    use std::io::{BufRead, Write};
+
+    let path = socket_path("fuzz");
+    let _ = std::fs::remove_file(&path);
+    let socket = path.to_str().expect("a UTF-8 socket path");
+    let args = ["serve", "--socket", socket, "--hours", "24", "--step-ms", "3", "--linger"];
+    let mut routed = Routed(
+        std::process::Command::new(env!("CARGO_BIN_EXE_routed"))
+            .args(args)
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::null())
+            .spawn()
+            .expect("spawn routed"),
+    );
+    // `routed serve` replays the scenario of `short_scenario(24)`.
+    let clients = short_scenario(24).trace.states;
+    let mut control = DaemonClient::connect(&path, Duration::from_secs(30)).expect("connect");
+    await_first_tick(&mut control);
+
+    let stream = std::os::unix::net::UnixStream::connect(&path).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(20))).expect("read timeout");
+    stream.set_write_timeout(Some(Duration::from_secs(20))).expect("write timeout");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = std::io::BufReader::new(stream);
+    let mut draws = Draws { seed: 2009, k: 0 };
+    for case in 0..128 {
+        let batch: Vec<_> =
+            (0..1 + draws.below(12)).map(|_| request_line(&mut draws, &clients)).collect();
+        let mut bytes = Vec::new();
+        for (line, _) in &batch {
+            bytes.extend_from_slice(line);
+            bytes.push(b'\n');
+        }
+        bytes.extend_from_slice(b"{\"cmd\":\"stats\"}\n");
+        // Written from a second thread: a batch and its replies can each
+        // outgrow a socket buffer.
+        let replies: Vec<String> = std::thread::scope(|s| {
+            let writing = s.spawn(|| writer.write_all(&bytes));
+            let replies = (0..=batch.len())
+                .map(|_| {
+                    let mut reply = String::new();
+                    reader.read_line(&mut reply).map(|_| reply)
+                })
+                .collect::<std::io::Result<_>>();
+            writing.join().expect("writer thread").expect("write the batch");
+            replies.unwrap_or_else(|e| panic!("case {case}: reading the replies: {e}"))
+        });
+        let expects = batch.iter().map(|(_, expect)| *expect).chain([Some("report")]);
+        for (i, (reply, expect)) in replies.iter().zip(expects).enumerate() {
+            if let Err(e) = check_reply(reply, expect) {
+                let line = batch.get(i).map_or(&b"the trailing stats"[..], |(line, _)| line);
+                let line = String::from_utf8_lossy(&line[..line.len().min(80)]);
+                panic!("case {case}, line {i} ({line:?}): {e}");
+            }
+        }
+    }
+
+    // A fresh connection is served too, and the daemon exits cleanly.
+    let mut fresh = DaemonClient::connect(&path, Duration::from_secs(10)).expect("connect");
+    let stats = fresh.command("stats").expect("stats");
+    assert_eq!(stats.get("ok").and_then(JsonValue::as_bool), Some(true), "{stats}");
+    control.command("shutdown").expect("shutdown");
+    assert!(routed.0.wait().expect("routed exits").success(), "routed exits cleanly");
 }

@@ -44,9 +44,20 @@ fn every_instrumented_subsystem_records_with_telemetry_on() {
     let before = telemetry().snapshot();
 
     // Batch replay: the engine's phase spans and its price-row lookup,
-    // on two threads where the host has two cores.
+    // on two threads where the host has two cores. The spans record one
+    // engine call in eight, whatever the interval: ⌈calls / 8⌉ of each
+    // 48-hour replay's calls, one a step at the one-step interval and one
+    // an hour at the hourly one.
     let scenario = Scenario::custom_window(HARNESS_SEED, days(2008, 12, 19, 2));
-    let _ = scenario.execute(&mut price_conscious(), RunOptions::new());
+    let ticks = || histogram_count(&telemetry().snapshot(), "engine.tick");
+    let mut tick_counts = Vec::new();
+    for interval in [1, 12] {
+        let config = scenario.config.clone().with_reallocation_interval(interval);
+        let replay = Scenario { config, ..scenario.clone() };
+        let start = ticks();
+        let _ = replay.execute(&mut price_conscious(), RunOptions::new());
+        tick_counts.push(ticks() - start);
+    }
 
     // Sweep: the mirror deployment shares the default's hubs, so its
     // compiled artifacts come from the cache.
@@ -91,6 +102,9 @@ fn every_instrumented_subsystem_records_with_telemetry_on() {
 
     let after = telemetry().snapshot();
     Telemetry::disable();
+
+    let steps = scenario.trace.num_steps() as u64;
+    assert_eq!(tick_counts, [steps.div_ceil(8), 48u64.div_ceil(8)], "engine.tick spans");
 
     let mut histograms = vec![
         "engine.tick",

@@ -119,18 +119,21 @@ const NO_ALLOC_HOUR: SimHour = SimHour(u64::MAX);
 
 /// Per-call duration spans (`engine.tick`, `engine.tick.realloc`,
 /// `engine.tick.accumulate`, and the batch drivers' `engine.price_view`)
-/// record a call only when its first step is a multiple of this. A
+/// record one engine call in this many: the first call and every eighth
+/// after it, whatever the reallocation interval. An engine counts its own
+/// calls, and a trace walk counts the calls it makes, so the routing and
+/// accounting threads of a two-thread replay sample the same calls. A
 /// steady-state tick is a sub-microsecond add loop; timing every one would
 /// cost more than the phase being timed and break the enabled-telemetry
 /// overhead budget (`obs_report`, a CI gate). A deterministic sample
-/// keeps hundreds of datapoints per simulated day, always includes step 0,
-/// and leaves every counter exact.
+/// keeps dozens of datapoints per simulated day and leaves every counter
+/// exact.
 pub(crate) const SPAN_SAMPLE_EVERY: usize = 8;
 
-/// Whether a call whose first step is `step` records its duration spans
+/// Whether call number `call` (counted from 0) records its duration spans
 /// (see [`SPAN_SAMPLE_EVERY`]).
-fn sampled(step: usize) -> bool {
-    step % SPAN_SAMPLE_EVERY == 0
+fn sampled(call: usize) -> bool {
+    call % SPAN_SAMPLE_EVERY == 0
 }
 
 impl EngineSnapshot {
@@ -626,12 +629,12 @@ fn walk_trace<'p>(
     mut call: impl FnMut(usize, PriceSlice<'p>, DemandSlice<'_>, usize) -> Option<usize>,
 ) {
     let steps = trace.steps();
-    let mut i = 0;
+    let (mut i, mut calls) = (0, 0);
     while i < steps.len() {
         let prices = {
             // Sampled on the engine's cadence: timing a sub-µs table
             // lookup on every call costs more than the lookup itself.
-            let _price_span = if sampled(i) {
+            let _price_span = if sampled(calls) {
                 wattroute_obs::span!("engine.price_view")
             } else {
                 wattroute_obs::Span::disabled()
@@ -641,7 +644,10 @@ fn walk_trace<'p>(
         // A trace's hour changes every `STEPS_PER_HOUR` steps.
         let left_in_hour = (STEPS_PER_HOUR - i % STEPS_PER_HOUR).min(steps.len() - i);
         match call(i, prices, DemandSlice::new(&steps[i].us_demand), left_in_hour) {
-            Some(covered) => i += covered,
+            Some(covered) => {
+                i += covered;
+                calls += 1;
+            }
             None => return,
         }
     }
@@ -761,6 +767,10 @@ pub struct SimulationEngine<'a> {
     /// has encoded it; empty until it first runs, so batch replays never
     /// pay for it. Not part of the snapshot.
     load_text: LoadText,
+    /// Engine calls since the engine was built or last restored, which
+    /// pick the calls that record duration spans (see
+    /// [`SPAN_SAMPLE_EVERY`]). Not part of the snapshot.
+    calls: usize,
 }
 
 impl<'a> SimulationEngine<'a> {
@@ -806,6 +816,7 @@ impl<'a> SimulationEngine<'a> {
             epoch: EpochCache::default(),
             lanes: Vec::new(),
             load_text: LoadText::default(),
+            calls: 0,
         }
     }
 
@@ -926,7 +937,8 @@ impl<'a> SimulationEngine<'a> {
     ) -> usize {
         assert!(max_steps >= 1, "an advance covers at least one step");
         let i = self.state.step;
-        let _tick_span = if sampled(i) {
+        let sampled = self.count_call();
+        let _tick_span = if sampled {
             wattroute_obs::span!("engine.tick")
         } else {
             wattroute_obs::Span::disabled()
@@ -941,21 +953,37 @@ impl<'a> SimulationEngine<'a> {
                 .state
                 .cached_allocation
                 .get_or_insert_with(|| Allocation::zeros(n_clusters, n_states));
-            router.route(policy, allocation, prices, demand, sampled(i));
+            router.route(policy, allocation, prices, demand, sampled);
         }
-        self.account(prices.hour, prices.billing, epoch.steps, epoch.reroute);
+        self.account(prices.hour, prices.billing, epoch.steps, epoch.reroute, sampled);
         epoch.steps
+    }
+
+    /// Count one engine call and say whether it records its duration
+    /// spans.
+    fn count_call(&mut self) -> bool {
+        let call = self.calls;
+        self.calls += 1;
+        sampled(call)
     }
 
     /// The accounting half of an engine call: account `steps` steps from
     /// the engine's step counter, all in `hour` and billed at `billing`,
     /// against the cached allocation — which the caller has just replaced
     /// when `rerouted`. Refreshes the epoch cache when the allocation is
-    /// new (or restored), then runs the accumulate kernel.
+    /// new (or restored), then runs the accumulate kernel, timed when the
+    /// call is `sampled`.
     ///
     /// # Panics
     /// Panics if `billing` does not match the engine's cluster count.
-    fn account(&mut self, hour: SimHour, billing: &[f64], steps: usize, rerouted: bool) {
+    fn account(
+        &mut self,
+        hour: SimHour,
+        billing: &[f64],
+        steps: usize,
+        rerouted: bool,
+        sampled: bool,
+    ) {
         assert_eq!(billing.len(), self.clusters.len(), "billing price length mismatch");
         if wattroute_obs::Telemetry::enabled() {
             // Allocation-reuse visibility, per step: a "miss" runs the
@@ -978,7 +1006,7 @@ impl<'a> SimulationEngine<'a> {
         if !self.epoch.valid {
             self.refresh_epoch();
         }
-        let _accumulate_span = if sampled(self.state.step) {
+        let _accumulate_span = if sampled {
             wattroute_obs::span!("engine.tick.accumulate")
         } else {
             wattroute_obs::Span::disabled()
@@ -1256,7 +1284,7 @@ impl<'a> SimulationEngine<'a> {
             });
 
             let mut filling: Option<Batch<'p>> = None;
-            let mut last_alloc_hour = None;
+            let (mut last_alloc_hour, mut calls) = (None, 0);
             walk_trace(trace, prices, |step, prices, demand, max_steps| {
                 let batch = match &mut filling {
                     Some(batch) => batch,
@@ -1272,9 +1300,11 @@ impl<'a> SimulationEngine<'a> {
                 router.check(&prices, &demand);
                 let epoch = router.epoch(step, last_alloc_hour, prices.hour, max_steps);
                 if epoch.reroute {
-                    router.route(policy, batch.next_slot(), prices, demand, sampled(step));
+                    // The worker counts the same calls as it accounts them.
+                    router.route(policy, batch.next_slot(), prices, demand, sampled(calls));
                     last_alloc_hour = Some(prices.hour);
                 }
+                calls += 1;
                 batch.epochs.push(RoutedEpoch {
                     hour: prices.hour,
                     billing: prices.billing,
@@ -1303,7 +1333,8 @@ impl<'a> SimulationEngine<'a> {
     fn account_batch(&mut self, batch: &mut Batch<'_>) {
         let mut routed = batch.allocations.iter_mut();
         for epoch in &batch.epochs {
-            let _tick_span = if sampled(self.state.step) {
+            let sampled = self.count_call();
+            let _tick_span = if sampled {
                 wattroute_obs::span!("engine.tick")
             } else {
                 wattroute_obs::Span::disabled()
@@ -1313,7 +1344,7 @@ impl<'a> SimulationEngine<'a> {
                 let cached = self.state.cached_allocation.get_or_insert_with(Allocation::default);
                 std::mem::swap(cached, allocation);
             }
-            self.account(epoch.hour, epoch.billing, epoch.steps, epoch.rerouted);
+            self.account(epoch.hour, epoch.billing, epoch.steps, epoch.rerouted, sampled);
         }
     }
 
@@ -1459,6 +1490,8 @@ impl<'a> SimulationEngine<'a> {
         self.epoch.valid = false;
         // The load text encodes the replaced series.
         self.load_text = LoadText::default();
+        // Calls count from here, as a trace walk from here counts them.
+        self.calls = 0;
     }
 
     /// Consume the engine, yielding the raw per-cluster load series

@@ -4,7 +4,8 @@
 //! (see `vendor/`), so reports serialize through this small hand-rolled
 //! JSON layer instead of `serde_json`. It supports exactly the JSON subset
 //! the report types need: objects, arrays, strings, IEEE-754 numbers,
-//! booleans and null, with shortest-round-trip float formatting.
+//! booleans and null, with shortest-round-trip float formatting. The parser
+//! rejects arrays and objects nested deeper than 128 levels.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -43,12 +44,19 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// The deepest nesting of arrays and objects [`JsonValue::parse`] accepts.
+/// The parser recurses once per level, so without a bound one line of
+/// `[` (the daemon reads lines of up to 64 KiB) overflows a thread's
+/// stack; the deepest document the workspace writes nests 7 levels.
+const MAX_DEPTH: usize = 128;
+
 impl JsonValue {
-    /// Parse JSON text into a value.
+    /// Parse JSON text into a value. Arrays and objects nested more than
+    /// 128 levels deep are an error.
     pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
         let mut p = Parser { text, bytes: text.as_bytes(), pos: 0 };
         p.skip_ws();
-        let v = p.value()?;
+        let v = p.value(0)?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
             return Err(p.err("trailing characters after JSON value"));
@@ -276,20 +284,24 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<JsonValue, JsonError> {
+    /// Parse one value enclosed by `depth` arrays and objects.
+    fn value(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
         match self.peek() {
             Some(b'n') => self.literal("null", JsonValue::Null),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if depth == MAX_DEPTH => {
+                Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")))
+            }
+            Some(b'[') => self.array(depth + 1),
+            Some(b'{') => self.object(depth + 1),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
     }
 
-    fn array(&mut self) -> Result<JsonValue, JsonError> {
+    fn array(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -299,7 +311,7 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -312,7 +324,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<JsonValue, JsonError> {
+    fn object(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
         self.expect(b'{')?;
         let mut fields = BTreeMap::new();
         self.skip_ws();
@@ -326,7 +338,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value()?;
+            let value = self.value(depth)?;
             fields.insert(key, value);
             self.skip_ws();
             match self.peek() {
@@ -484,6 +496,26 @@ mod tests {
         for text in ["", "{", "[1,", "tru", "\"unterminated", "{\"a\" 1}", "1 2"] {
             assert!(JsonValue::parse(text).is_err(), "should reject {text:?}");
         }
+    }
+
+    #[test]
+    fn nesting_deeper_than_the_bound_is_an_error() {
+        let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let objects = |depth: usize| format!("{}0{}", "{\"k\":".repeat(depth), "}".repeat(depth));
+        // Alternating levels: `[{"k":` opens two.
+        let mixed =
+            |depth: usize| format!("{}0{}", "[{\"k\":".repeat(depth / 2), "}]".repeat(depth / 2));
+        for text in [arrays(MAX_DEPTH), objects(MAX_DEPTH), mixed(MAX_DEPTH)] {
+            assert!(JsonValue::parse(&text).is_ok(), "{MAX_DEPTH} levels parse");
+        }
+        for text in [arrays(MAX_DEPTH + 1), objects(MAX_DEPTH + 1), mixed(MAX_DEPTH + 2)] {
+            let err = JsonValue::parse(&text).unwrap_err();
+            assert_eq!(err.message, format!("nesting deeper than {MAX_DEPTH} levels"));
+        }
+        // The error points at the first bracket past the bound.
+        assert_eq!(JsonValue::parse(&arrays(MAX_DEPTH + 1)).unwrap_err().offset, MAX_DEPTH);
+        // A line of nothing but `[` fails the same way, however long.
+        assert!(JsonValue::parse(&"[".repeat(65_535)).is_err());
     }
 
     #[test]

@@ -37,10 +37,7 @@
 //!
 //! `CVaR_α` of the bill is the expected bill in the worst `(1 − α)` tail of
 //! the path distribution (Rockafellar–Uryasev sample form; see
-//! [`wattroute_stats::quantiles::cvar`]). The objective layer's
-//! [`with_cvar_weight`](crate::objective::Objective::with_cvar_weight)
-//! charges deployments for the spread between that tail and the mean bill,
-//! letting the placement optimizer prefer robust splits over fragile ones.
+//! [`wattroute_stats::quantiles::cvar`]), taken at `α = 0.95`.
 //!
 //! ```
 //! use wattroute::montecarlo::MonteCarlo;
@@ -79,6 +76,9 @@ use wattroute_workload::ClusterSet;
 /// `Sync`. Monte Carlo runs and the optimizer's evaluators take one.
 pub type SharedPolicyFactory = Arc<dyn Fn() -> Box<dyn RoutingPolicy> + Send + Sync>;
 
+/// The confidence level `α` of every run's bill CVaR.
+const CVAR_ALPHA: f64 = 0.95;
+
 /// Mean and p5/p50/p95 band of one scalar across Monte Carlo paths.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BandSummary {
@@ -103,11 +103,6 @@ impl BandSummary {
             p50: q(0.50),
             p95: q(0.95),
         }
-    }
-
-    /// The p5–p95 band width.
-    pub fn width(&self) -> f64 {
-        self.p95 - self.p5
     }
 
     /// Encode as a JSON value.
@@ -141,7 +136,7 @@ impl ClusterBand {
 }
 
 /// The retained scalars of one Monte Carlo path: the optimized and baseline
-/// bills plus the QoS aggregates the objective layer scores.
+/// bills plus the optimized policy's QoS aggregates.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PathOutcome {
     /// Path index in the master seed's stream.
@@ -295,7 +290,6 @@ pub struct MonteCarlo<'a> {
     first_path: u64,
     n_paths: usize,
     threads: Option<usize>,
-    cvar_alpha: f64,
     policy: SharedPolicyFactory,
 }
 
@@ -304,9 +298,8 @@ impl<'a> MonteCarlo<'a> {
     /// price model (which must cover every deployment hub), a simulation
     /// configuration, and the master seed the path stream derives from.
     ///
-    /// Defaults: 64 paths, all available threads, CVaR level 0.95 and
-    /// price-conscious routing (1500 km threshold). The baseline is the
-    /// Akamai-like policy.
+    /// Defaults: 64 paths, all available threads and price-conscious
+    /// routing (1500 km threshold). The baseline is the Akamai-like policy.
     pub fn new(
         clusters: &'a ClusterSet,
         trace: &'a Trace,
@@ -324,7 +317,6 @@ impl<'a> MonteCarlo<'a> {
             first_path: 0,
             n_paths: 64,
             threads: None,
-            cvar_alpha: 0.95,
             policy: Arc::new(|| Box::new(PriceConsciousPolicy::with_distance_threshold(1500.0))),
         }
     }
@@ -340,13 +332,6 @@ impl<'a> MonteCarlo<'a> {
     pub fn with_threads(mut self, threads: usize) -> Self {
         assert!(threads > 0, "at least one worker thread is required");
         self.threads = Some(threads);
-        self
-    }
-
-    /// Set the CVaR confidence level `α ∈ [0, 1)` (default 0.95).
-    pub fn with_cvar_alpha(mut self, alpha: f64) -> Self {
-        assert!((0.0..1.0).contains(&alpha), "CVaR level must be in [0, 1)");
-        self.cvar_alpha = alpha;
         self
     }
 
@@ -504,13 +489,13 @@ impl<'a> MonteCarlo<'a> {
             master_seed: self.master_seed,
             first_path: self.first_path,
             n_paths,
-            cvar_alpha: self.cvar_alpha,
+            cvar_alpha: CVAR_ALPHA,
             policy: policy_name,
             baseline: baseline_name,
             bill: BandSummary::from_samples(&bills),
             baseline_bill: BandSummary::from_samples(&baseline_bills),
             savings_percent: BandSummary::from_samples(&savings),
-            bill_cvar_dollars: stats::cvar(&bills, self.cvar_alpha)
+            bill_cvar_dollars: stats::cvar(&bills, CVAR_ALPHA)
                 .expect("non-empty finite bill sample"),
             clusters,
             per_path,

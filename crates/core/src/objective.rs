@@ -30,17 +30,11 @@
 //! bills that. Every term is in dollars, so [`ObjectiveTerms::total`] is
 //! directly comparable to a report's `total_cost_dollars`.
 //!
-//! When a candidate is evaluated under the Monte Carlo layer
-//! ([`Objective::score_distribution`]) a fifth, risk-adjusted term is
-//! available: `cvar_weight × (CVaR_α(bill) − mean bill)`, charging the
-//! deployment for how much worse its tail price regimes are than its
-//! average — so the optimizer can prefer robust splits over fragile ones.
-//! Single-report scoring never pays it, so every deterministic score is
-//! unchanged.
+//! The weights are plain public fields; set them by struct update, e.g.
+//! `Objective { sla_penalty_per_mhit: 10.0, ..Objective::energy_only() }`.
 
 use crate::json::{self, JsonValue};
-use crate::montecarlo::SavingsDistribution;
-use crate::report::{ReportDecodeError, SimulationReport};
+use crate::report::SimulationReport;
 
 /// Weights turning a [`SimulationReport`] into a scalar objective.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,14 +54,6 @@ pub struct Objective {
     /// bandwidth; larger values model expensive transit. Untariffed runs
     /// carry a zero bill, so every pre-tariff score is unchanged.
     pub bandwidth_weight: f64,
-    /// Multiplier on the Monte Carlo bill's tail spread,
-    /// `CVaR_α(bill) − mean(bill)` (see
-    /// [`SavingsDistribution::bill_cvar_dollars`]). Only
-    /// [`Self::score_distribution`] pays this term — a single report has no
-    /// distribution — so deterministic scores never change. `0.0` is
-    /// risk-neutral; `1.0` treats a dollar of tail exposure like a dollar
-    /// of expected bill.
-    pub cvar_weight: f64,
 }
 
 impl Objective {
@@ -80,7 +66,6 @@ impl Objective {
             distance_penalty_per_mhit_km: 0.0,
             free_distance_km: 0.0,
             bandwidth_weight: 0.0,
-            cvar_weight: 0.0,
         }
     }
 
@@ -94,44 +79,7 @@ impl Objective {
             distance_penalty_per_mhit_km: 0.0,
             free_distance_km: 1500.0,
             bandwidth_weight: 1.0,
-            cvar_weight: 0.0,
         }
-    }
-
-    /// Set the SLA penalty in dollars per million unserved hits.
-    pub fn with_sla_penalty_per_mhit(mut self, dollars: f64) -> Self {
-        assert!(dollars >= 0.0, "penalties must be non-negative");
-        self.sla_penalty_per_mhit = dollars;
-        self
-    }
-
-    /// Set the distance penalty in dollars per million served hits per km
-    /// of mean distance beyond the free radius.
-    pub fn with_distance_penalty_per_mhit_km(
-        mut self,
-        dollars: f64,
-        free_distance_km: f64,
-    ) -> Self {
-        assert!(dollars >= 0.0, "penalties must be non-negative");
-        assert!(free_distance_km >= 0.0, "free radius must be non-negative");
-        self.distance_penalty_per_mhit_km = dollars;
-        self.free_distance_km = free_distance_km;
-        self
-    }
-
-    /// Set the multiplier on the report's 95/5 bandwidth bill.
-    pub fn with_bandwidth_weight(mut self, weight: f64) -> Self {
-        assert!(weight >= 0.0, "penalties must be non-negative");
-        self.bandwidth_weight = weight;
-        self
-    }
-
-    /// Set the multiplier on the Monte Carlo bill's tail spread
-    /// (`CVaR_α − mean`). Only [`Self::score_distribution`] pays the term.
-    pub fn with_cvar_weight(mut self, weight: f64) -> Self {
-        assert!(weight >= 0.0, "penalties must be non-negative");
-        self.cvar_weight = weight;
-        self
     }
 
     /// Score one report.
@@ -153,31 +101,6 @@ impl Objective {
             sla_penalty_dollars: self.sla_penalty_per_mhit * unserved_mhits,
             distance_penalty_dollars: self.distance_penalty_per_mhit_km * served_mhits * excess_km,
             bandwidth_cost_dollars: self.bandwidth_weight * report.total_bandwidth_cost_dollars,
-            risk_premium_dollars: 0.0,
-        }
-    }
-
-    /// Score a Monte Carlo [`SavingsDistribution`]: the expectation of each
-    /// per-path term (so a one-path distribution scores exactly like
-    /// [`Self::score`] of that path's report), plus the risk premium
-    /// `cvar_weight × (CVaR_α(bill) − mean bill)` charging the candidate
-    /// for its tail exposure across price regimes.
-    pub fn score_distribution(&self, dist: &SavingsDistribution) -> ObjectiveTerms {
-        let n = dist.per_path.len() as f64;
-        let mean_of = |f: &dyn Fn(&crate::montecarlo::PathOutcome) -> f64| {
-            dist.per_path.iter().map(f).sum::<f64>() / n
-        };
-        let unserved_mhits = mean_of(&|p| p.unserved_hits) / 1.0e6;
-        let distance = mean_of(&|p| {
-            (p.served_hits / 1.0e6) * (p.mean_distance_km - self.free_distance_km).max(0.0)
-        });
-        ObjectiveTerms {
-            energy_cost_dollars: dist.bill.mean,
-            sla_penalty_dollars: self.sla_penalty_per_mhit * unserved_mhits,
-            distance_penalty_dollars: self.distance_penalty_per_mhit_km * distance,
-            bandwidth_cost_dollars: self.bandwidth_weight * mean_of(&|p| p.bandwidth_cost_dollars),
-            risk_premium_dollars: self.cvar_weight
-                * (dist.bill_cvar_dollars - dist.bill.mean).max(0.0),
         }
     }
 }
@@ -201,10 +124,6 @@ pub struct ObjectiveTerms {
     /// JSON encoding omits zero values so pre-tariff score JSON (and the
     /// optimizer golden) is byte-identical.
     pub bandwidth_cost_dollars: f64,
-    /// The CVaR risk premium. Zero on single-report scores and under a
-    /// zero [`Objective::cvar_weight`]; the JSON encoding omits zero
-    /// values so risk-neutral score JSON is byte-identical.
-    pub risk_premium_dollars: f64,
 }
 
 impl ObjectiveTerms {
@@ -214,7 +133,6 @@ impl ObjectiveTerms {
             + self.sla_penalty_dollars
             + self.distance_penalty_dollars
             + self.bandwidth_cost_dollars
-            + self.risk_premium_dollars
     }
 
     /// Encode as a JSON value.
@@ -227,36 +145,8 @@ impl ObjectiveTerms {
         if self.bandwidth_cost_dollars != 0.0 {
             fields.push(("bandwidth_cost_dollars", JsonValue::Number(self.bandwidth_cost_dollars)));
         }
-        if self.risk_premium_dollars != 0.0 {
-            fields.push(("risk_premium_dollars", JsonValue::Number(self.risk_premium_dollars)));
-        }
         fields.push(("total_dollars", JsonValue::Number(self.total())));
         json::object_iter(fields)
-    }
-
-    /// Decode from a JSON value produced by [`Self::to_json_value`] (the
-    /// redundant `total_dollars` field is ignored).
-    pub fn from_json_value(v: &JsonValue) -> Result<Self, ReportDecodeError> {
-        let num = |key: &str| {
-            v.get(key)
-                .and_then(JsonValue::as_f64)
-                .ok_or_else(|| ReportDecodeError::new(format!("missing number '{key}'")))
-        };
-        Ok(Self {
-            energy_cost_dollars: num("energy_cost_dollars")?,
-            sla_penalty_dollars: num("sla_penalty_dollars")?,
-            distance_penalty_dollars: num("distance_penalty_dollars")?,
-            // Absent in pre-tariff scores (and whenever the bill is zero).
-            bandwidth_cost_dollars: v
-                .get("bandwidth_cost_dollars")
-                .and_then(JsonValue::as_f64)
-                .unwrap_or(0.0),
-            // Absent in risk-neutral (and all pre-Monte-Carlo) scores.
-            risk_premium_dollars: v
-                .get("risk_premium_dollars")
-                .and_then(JsonValue::as_f64)
-                .unwrap_or(0.0),
-        })
     }
 }
 
@@ -316,7 +206,7 @@ mod tests {
 
     #[test]
     fn sla_penalty_prices_both_overflow_and_rejections() {
-        let objective = Objective::energy_only().with_sla_penalty_per_mhit(10.0);
+        let objective = Objective { sla_penalty_per_mhit: 10.0, ..Objective::energy_only() };
         let overflowing = report(100.0, 3.0e6, 0.0, 100.0, 1.0e9);
         let rejecting = report(100.0, 0.0, 3.0e6, 100.0, 1.0e9);
         for r in [overflowing, rejecting] {
@@ -328,7 +218,11 @@ mod tests {
 
     #[test]
     fn distance_penalty_charges_only_beyond_the_free_radius() {
-        let objective = Objective::energy_only().with_distance_penalty_per_mhit_km(0.01, 1000.0);
+        let objective = Objective {
+            distance_penalty_per_mhit_km: 0.01,
+            free_distance_km: 1000.0,
+            ..Objective::energy_only()
+        };
         let near = objective.score(&report(100.0, 0.0, 0.0, 900.0, 2.0e9));
         assert_eq!(near.distance_penalty_dollars, 0.0);
         let far = objective.score(&report(100.0, 0.0, 0.0, 1300.0, 2.0e9));
@@ -342,9 +236,12 @@ mod tests {
         // away — reported under each mode: BillAtCapacity includes the
         // overflow in total_hits, Reject excludes it. The objective must
         // not care which accounting the run used.
-        let objective = Objective::energy_only()
-            .with_sla_penalty_per_mhit(10.0)
-            .with_distance_penalty_per_mhit_km(0.01, 1000.0);
+        let objective = Objective {
+            sla_penalty_per_mhit: 10.0,
+            distance_penalty_per_mhit_km: 0.01,
+            free_distance_km: 1000.0,
+            ..Objective::energy_only()
+        };
         let billed = objective.score(&report(100.0, 3.0e6, 0.0, 1300.0, 2.0e9 + 3.0e6));
         let rejecting = objective.score(&report(100.0, 0.0, 3.0e6, 1300.0, 2.0e9));
         assert_eq!(billed, rejecting);
@@ -364,7 +261,7 @@ mod tests {
         assert_eq!(terms.bandwidth_cost_dollars, 40.0);
         assert_eq!(terms.total(), 140.0);
         // An explicit weight scales it.
-        let heavy = Objective::energy_only().with_bandwidth_weight(2.5).score(&r);
+        let heavy = Objective { bandwidth_weight: 2.5, ..Objective::energy_only() }.score(&r);
         assert_eq!(heavy.bandwidth_cost_dollars, 100.0);
     }
 
@@ -375,88 +272,14 @@ mod tests {
             sla_penalty_dollars: 3.25,
             distance_penalty_dollars: 0.125,
             bandwidth_cost_dollars: 0.0,
-            risk_premium_dollars: 0.0,
         };
         let v = terms.to_json_value();
         assert_eq!(v.get("total_dollars").and_then(JsonValue::as_f64), Some(terms.total()));
         // A zero bandwidth bill is omitted, keeping pre-tariff JSON stable.
         assert!(v.get("bandwidth_cost_dollars").is_none());
-        // Ditto a zero risk premium, keeping risk-neutral JSON stable.
-        assert!(v.get("risk_premium_dollars").is_none());
-        assert_eq!(ObjectiveTerms::from_json_value(&v).unwrap(), terms);
 
         let billed = ObjectiveTerms { bandwidth_cost_dollars: 7.5, ..terms };
         let v = billed.to_json_value();
         assert_eq!(v.get("bandwidth_cost_dollars").and_then(JsonValue::as_f64), Some(7.5));
-        assert_eq!(ObjectiveTerms::from_json_value(&v).unwrap(), billed);
-
-        let risky = ObjectiveTerms { risk_premium_dollars: 2.5, ..terms };
-        let v = risky.to_json_value();
-        assert_eq!(v.get("risk_premium_dollars").and_then(JsonValue::as_f64), Some(2.5));
-        assert_eq!(v.get("total_dollars").and_then(JsonValue::as_f64), Some(terms.total() + 2.5));
-        assert_eq!(ObjectiveTerms::from_json_value(&v).unwrap(), risky);
-    }
-
-    fn toy_distribution(bills: &[f64]) -> crate::montecarlo::SavingsDistribution {
-        use crate::montecarlo::{BandSummary, PathOutcome, SavingsDistribution};
-        let per_path: Vec<PathOutcome> = bills
-            .iter()
-            .enumerate()
-            .map(|(k, &bill)| PathOutcome {
-                path: k as u64,
-                seed: k as u64,
-                cost_dollars: bill,
-                baseline_cost_dollars: bill * 2.0,
-                savings_percent: 50.0,
-                unserved_hits: 2.0e6,
-                served_hits: 1.0e9,
-                mean_distance_km: 1300.0,
-                bandwidth_cost_dollars: 4.0,
-            })
-            .collect();
-        SavingsDistribution {
-            master_seed: 0,
-            first_path: 0,
-            n_paths: per_path.len(),
-            cvar_alpha: 0.95,
-            policy: "test".into(),
-            baseline: "base".into(),
-            bill: BandSummary::from_samples(bills),
-            baseline_bill: BandSummary::from_samples(bills),
-            savings_percent: BandSummary::from_samples(&vec![50.0; bills.len()]),
-            bill_cvar_dollars: wattroute_stats::cvar(bills, 0.95).unwrap(),
-            clusters: vec![],
-            per_path,
-        }
-    }
-
-    #[test]
-    fn distribution_score_averages_per_path_terms() {
-        let bills: Vec<f64> = (1..=100).map(f64::from).collect();
-        let dist = toy_distribution(&bills);
-        let objective = Objective::energy_only()
-            .with_sla_penalty_per_mhit(10.0)
-            .with_distance_penalty_per_mhit_km(0.01, 1000.0)
-            .with_bandwidth_weight(2.0);
-        let terms = objective.score_distribution(&dist);
-        assert!((terms.energy_cost_dollars - 50.5).abs() < 1e-9, "mean bill of 1..=100");
-        assert!((terms.sla_penalty_dollars - 20.0).abs() < 1e-9, "2 Mhits unserved × $10");
-        // 1000 Mhits × 300 km beyond the radius × $0.01.
-        assert!((terms.distance_penalty_dollars - 3000.0).abs() < 1e-9);
-        assert!((terms.bandwidth_cost_dollars - 8.0).abs() < 1e-9);
-        // Risk-neutral by default, even though the tail is real.
-        assert_eq!(terms.risk_premium_dollars, 0.0);
-    }
-
-    #[test]
-    fn cvar_weight_charges_the_tail_spread() {
-        let bills: Vec<f64> = (1..=100).map(f64::from).collect();
-        let dist = toy_distribution(&bills);
-        let neutral = Objective::energy_only().score_distribution(&dist);
-        let averse = Objective::energy_only().with_cvar_weight(2.0).score_distribution(&dist);
-        // CVaR_0.95 of 1..=100 is exactly 98; the premium is 2 × (98 − 50.5).
-        assert!((averse.risk_premium_dollars - 2.0 * (98.0 - 50.5)).abs() < 1e-9);
-        assert!((averse.total() - neutral.total() - 95.0).abs() < 1e-9);
-        assert_eq!(neutral.risk_premium_dollars, 0.0);
     }
 }

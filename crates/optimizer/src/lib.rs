@@ -20,10 +20,8 @@
 //!   geometry (pinned by an exact compile-count test);
 //! * an [`wattroute::objective::Objective`] scores each
 //!   simulated report as energy dollars + SLA penalty on rejected or
-//!   overflowed demand + an optional distance-performance penalty;
-//! * a [`RiskEvaluator`] re-scores candidates over Monte Carlo price-path
-//!   distributions ([`wattroute::montecarlo`]), adding a CVaR risk premium
-//!   so robust placements beat fragile ones at equal expected cost;
+//!   overflowed demand + an optional distance-performance penalty + the
+//!   weighted 95/5 bandwidth bill;
 //! * two deterministic, seeded [`OptimizerStrategy`] implementations —
 //!   [`GreedyDescent`] and [`LocalSearch`] — search the simplex with
 //!   early termination;
@@ -56,13 +54,11 @@
 
 pub mod evaluator;
 pub mod report;
-pub mod risk;
 pub mod space;
 pub mod strategy;
 
 pub use evaluator::{policy_factory, price_conscious_factory, SweepEvaluator};
 pub use report::{CacheStats, CandidateRecord, IterationRecord, OptimizerReport};
-pub use risk::RiskEvaluator;
 pub use space::{CandidateHub, CandidateSplit, SearchSpace};
 pub use strategy::{GreedyDescent, LocalSearch, OptimizerStrategy, ScoredCandidate, SearchBudget};
 

@@ -297,7 +297,6 @@ mod tests {
                         sla_penalty_dollars: 0.0,
                         distance_penalty_dollars: 0.0,
                         bandwidth_cost_dollars: 0.0,
-                        risk_premium_dollars: 0.0,
                     },
                 })
                 .collect()
@@ -365,7 +364,6 @@ mod tests {
                 sla_penalty_dollars: 0.0,
                 distance_penalty_dollars: 0.0,
                 bandwidth_cost_dollars: 0.0,
-                risk_premium_dollars: 0.0,
             },
         };
         let mut score = |_: &[CandidateSplit]| -> Vec<ScoredCandidate> {
